@@ -9,14 +9,12 @@ catalogs with their sweep engine (:mod:`supercong.congruences`).
 
 from .combinatorics import (
     bernoulli_number,
-    binomial_exact,
     binomial_p_valuation,
     catalan,
     dual_transform,
     euler_number,
     euler_polynomial,
     euler_polynomial_half_grid,
-    legendre_poly_eval,
 )
 from .congruences import (
     CongruenceFamily,
@@ -37,7 +35,6 @@ from .congruences import (
     verify_family_case,
 )
 from .curves import (
-    CurveParams,
     TwoSquares,
     char_sum_a,
     cornacchia_two_squares,
@@ -47,7 +44,6 @@ from .curves import (
     weighted_point_count,
 )
 from .errors import (
-    BudgetExceeded,
     InvalidPrime,
     NonUnitDivisor,
     NotPAdicInteger,
@@ -69,9 +65,7 @@ from .padic import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExceeded",
     "CongruenceFamily",
-    "CurveParams",
     "ExactIdentity",
     "FamilyCase",
     "IdentityResult",
@@ -90,7 +84,6 @@ __all__ = [
     "WeightZero",
     "WrongResidueClass",
     "bernoulli_number",
-    "binomial_exact",
     "binomial_p_valuation",
     "catalan",
     "char_sum_a",
@@ -106,7 +99,6 @@ __all__ = [
     "identity_catalog",
     "identity_ids",
     "is_prime",
-    "legendre_poly_eval",
     "legendre_symbol",
     "padic_from_rational",
     "primes_between",

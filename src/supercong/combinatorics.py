@@ -15,26 +15,14 @@ from .padic import OddPrime, _prime_int
 __all__ = [
     "RationalPolynomial",
     "bernoulli_number",
-    "binomial_exact",
     "binomial_p_valuation",
     "catalan",
     "dual_transform",
     "euler_number",
     "euler_polynomial",
     "euler_polynomial_half_grid",
-    "legendre_poly_eval",
     "pascal_row",
-    "poly_coeff_of_tn",
 ]
-
-
-def binomial_exact(n: int, k: int) -> int:
-    """binom(n, k), with the usual value 0 for k outside [0, n]."""
-    if n < 0:
-        raise ValueError(f"upper index must be nonnegative, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 def catalan(k: int) -> int:
@@ -180,42 +168,6 @@ def euler_polynomial_half_grid(n: int, count: int) -> list[Fraction]:
         x = Fraction(2 * d - 1, 2)
         vals.append(2 * x**n - vals[-1])
     return vals
-
-
-def legendre_poly_eval(n: int, x) -> Fraction:
-    """Legendre polynomial P_n evaluated at a rational point, exact."""
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
-    half = (Fraction(x) - 1) / 2
-    acc = Fraction(0)
-    pw = Fraction(1)
-    for k in range(n + 1):
-        acc += comb(n, k) * comb(n + k, k) * pw
-        pw *= half
-    return acc
-
-
-def poly_coeff_of_tn(n: int) -> RationalPolynomial:
-    """Coefficient of t^n in (t^2 + t + x)^n, as a polynomial in x.
-
-    Computed by expanding the power directly (no binomial shortcut), so it
-    can serve as an independent check of sum_k binom(n,2k) binom(2k,k) x^k.
-    """
-    if n < 0:
-        raise ValueError(f"exponent must be nonnegative, got {n}")
-    # poly[i][j] is the coefficient of t^i x^j
-    poly: list[list[int]] = [[1]]
-    for step in range(n):
-        width = step + 2
-        new = [[0] * width for _ in range(len(poly) + 2)]
-        for i, row in enumerate(poly):
-            for j, c in enumerate(row):
-                if c:
-                    new[i][j + 1] += c  # times x
-                    new[i + 1][j] += c  # times t
-                    new[i + 2][j] += c  # times t^2
-        poly = new
-    return RationalPolynomial.from_coeffs(poly[n])
 
 
 def binomial_p_valuation(n: int, k: int, p: OddPrime | int) -> int:

@@ -1,15 +1,15 @@
 """Suite runner: evaluates catalog families over a prime range.
 
-Reports list rows in (family, prime, case) order no matter how the work was
-scheduled. Parallel runs fan out one job per prime (so per-prime tables are
-built once) and reassemble in catalog order; fail-fast truncates the report
-at the first failing row; a time budget converts never-run pairs into skip
-markers rather than aborting the report.
+Work is scheduled one job per prime (so per-prime tables are built once),
+inline or in a worker pool, and rows are reassembled in (family, prime, case)
+order. A time budget and fail-fast both act per prime: the primes they skip
+become marker rows, so the rows never depend on the scheduling.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from time import perf_counter
@@ -21,6 +21,8 @@ from .families import CongruenceFamily, FamilyCase, family_ids, get_family
 __all__ = ["SuiteReport", "VerificationReport", "run_suite", "verify_family_case"]
 
 DEFAULT_SWEEP_CAP = 100
+_BUDGET_NOTE = "not evaluated: time budget exhausted"
+_STOP_NOTE = "not evaluated: stopped after earlier failure"
 
 
 @dataclass(frozen=True)
@@ -35,19 +37,10 @@ class VerificationReport:
     rhs: int
     passed: bool | None  # None marks a skipped row
     note: str | None = None
-    elapsed: float = 0.0
 
     @property
     def skipped(self) -> bool:
         return self.passed is None
-
-    @property
-    def lhs_signed(self) -> int:
-        return self.lhs - self.modulus if self.lhs > self.modulus // 2 else self.lhs
-
-    @property
-    def rhs_signed(self) -> int:
-        return self.rhs - self.modulus if self.rhs > self.modulus // 2 else self.rhs
 
 
 @dataclass
@@ -77,7 +70,7 @@ class SuiteReport:
         return [c for c in self.cases if c.passed is False]
 
 
-def _row(family: CongruenceFamily, p: int, case: FamilyCase, elapsed: float) -> VerificationReport:
+def _row(family: CongruenceFamily, p: int, case: FamilyCase) -> VerificationReport:
     return VerificationReport(
         family=family.id,
         p=p,
@@ -87,7 +80,6 @@ def _row(family: CongruenceFamily, p: int, case: FamilyCase, elapsed: float) -> 
         rhs=case.rhs.residue,
         passed=None if case.skipped else case.lhs == case.rhs,
         note=case.note,
-        elapsed=elapsed,
     )
 
 
@@ -119,25 +111,16 @@ def verify_family_case(family_id: str, p: int, *, sweep_cap: int | None = None) 
                 f"heavy family capped at p <= {sweep_cap}; pass --sweep-cap to raise",
             )
         ]
-    rows = []
-    tick = perf_counter()
-    for case in family.cases(prime):
-        now = perf_counter()
-        rows.append(_row(family, p, case, now - tick))
-        tick = now
-    return rows
+    return [_row(family, p, case) for case in family.cases(prime)]
 
 
-def _eval_prime(args: tuple[tuple[str, ...], int, int]) -> dict[str, list[VerificationReport]]:
-    ids, p, sweep_cap = args
+def _eval_prime(ids: tuple[str, ...], p: int, sweep_cap: int) -> dict[str, list[VerificationReport]]:
     return {fid: verify_family_case(fid, p, sweep_cap=sweep_cap) for fid in ids}
 
 
-def _truncate_at_failure(rows: list[VerificationReport]) -> tuple[list[VerificationReport], bool]:
-    for i, row in enumerate(rows):
-        if row.passed is False:
-            return rows[: i + 1], True
-    return rows, False
+def _skip_prime(ids: tuple[str, ...], p: int, note: str) -> dict[str, list[VerificationReport]]:
+    families = [get_family(fid) for fid in ids]
+    return {fam.id: [_marker(fam, p, {}, note)] if fam.applies(p) else [] for fam in families}
 
 
 def run_suite(
@@ -151,9 +134,11 @@ def run_suite(
 ) -> SuiteReport:
     """Verify the selected families at every prime given.
 
-    time_limit is a soft wall-clock budget in seconds: pairs that never ran
-    appear as skipped marker rows, and the exit verdict reflects only what
-    was actually evaluated.
+    time_limit is a soft wall-clock budget in seconds, checked before each
+    prime. fail_fast leaves every prime after the first one with a failing
+    row unevaluated, then cuts the report after its first failing row. The
+    primes either one skips appear as marker rows, and the exit verdict
+    reflects only what was actually evaluated.
     """
     selected = list(families) if families is not None else family_ids()
     for fid in selected:
@@ -173,63 +158,25 @@ def run_suite(
     report = SuiteReport(config=config, started=started)
     t0 = perf_counter()
 
-    def out_of_time() -> bool:
-        return time_limit is not None and perf_counter() - t0 > time_limit
+    ids = tuple(selected)
+    results: dict[int, dict[str, list[VerificationReport]]] = {}
+    pooled = parallelism > 1 and len(prime_list) > 1
+    with ProcessPoolExecutor(max_workers=parallelism) if pooled else nullcontext() as pool:
+        futures = {p: pool.submit(_eval_prime, ids, p, sweep_cap) for p in prime_list} if pooled else {}
+        stopped = False
+        for p in prime_list:
+            if stopped or (time_limit is not None and perf_counter() - t0 > time_limit):
+                if pooled:
+                    futures[p].cancel()  # best effort; a result that ran anyway is never read
+                results[p] = _skip_prime(ids, p, _STOP_NOTE if stopped else _BUDGET_NOTE)
+                continue
+            results[p] = futures[p].result() if pooled else _eval_prime(ids, p, sweep_cap)
+            stopped = fail_fast and any(r.passed is False for rows in results[p].values() for r in rows)
 
-    pairs = [(fid, p) for fid in selected for p in prime_list]
-    budget_note = "not evaluated: time budget exhausted"
-
-    if parallelism <= 1 or len(prime_list) <= 1:
-        for fid, p in pairs:
-            family = get_family(fid)
-            if not family.applies(p):
-                continue
-            if out_of_time():
-                report.cases.append(_marker(family, p, {}, budget_note))
-                continue
-            rows = verify_family_case(fid, p, sweep_cap=sweep_cap)
-            if fail_fast:
-                rows, hit = _truncate_at_failure(rows)
-                report.cases.extend(rows)
-                if hit:
-                    break
-            else:
-                report.cases.extend(rows)
-    else:
-        job = tuple(selected)
-        results: dict[int, dict[str, list[VerificationReport]]] = {}
-        skip_note: dict[int, str] = {}
-        seen_failure = False
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            futures = {pool.submit(_eval_prime, (job, p, sweep_cap)): p for p in prime_list}
-            for fut, p in futures.items():
-                if out_of_time() and fut.cancel():
-                    skip_note[p] = budget_note
-                    continue
-                if fail_fast and seen_failure and fut.cancel():
-                    skip_note[p] = "not evaluated: stopped after earlier failure"
-                    continue
-                results[p] = fut.result()
-                if fail_fast and not seen_failure:
-                    seen_failure = any(
-                        r.passed is False for rs in results[p].values() for r in rs
-                    )
-        stop = False
-        for fid, p in pairs:
-            if stop:
-                break
-            family = get_family(fid)
-            if not family.applies(p):
-                continue
-            got = results.get(p)
-            if got is None:
-                report.cases.append(_marker(family, p, {}, skip_note.get(p, budget_note)))
-                continue
-            rows = got[fid]
-            if fail_fast:
-                rows, hit = _truncate_at_failure(rows)
-                stop = hit
-            report.cases.extend(rows)
+    for row in (row for fid in selected for p in prime_list for row in results[p][fid]):
+        report.cases.append(row)
+        if fail_fast and row.passed is False:
+            break
 
     report.elapsed = perf_counter() - t0
     return report

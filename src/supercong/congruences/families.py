@@ -20,10 +20,11 @@ from ..combinatorics import euler_polynomial_half_grid
 from ..curves import cornacchia_two_squares, thm11_rhs_grid, weighted_char_sum, weighted_char_sum_grid
 from ..errors import UnknownId
 from ..padic import OddPrime, PadicResidue, legendre_symbol, padic_from_rational
+from .identities import LEMMAS, CongruenceLemma
 from .sequences import SEQUENCE_IDS, sequence_terms
 from .sums import TERM_KINDS, truncated_sum
 
-__all__ = ["CongruenceFamily", "FamilyCase", "family_catalog", "family_ids", "get_family"]
+__all__ = ["MAX_EXACT_PRIME", "CongruenceFamily", "FamilyCase", "family_catalog", "family_ids", "get_family"]
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,12 @@ def _chain(prime: OddPrime, power: int, labels: list[str], members: list[Fractio
         if extra:
             params.update(extra)
         yield _case(prime, power, params, members[i], members[i + 1])
+
+
+# The int64 residue paths (_dual_family, _r14c_cases, _poly_family) sum up to
+# p products of residues below p^2. The sums are exact only while
+# p (p^2 - 1)^2 < 2^63, which holds up to this bound.
+MAX_EXACT_PRIME = 6208
 
 
 @lru_cache(maxsize=4)
@@ -490,37 +497,18 @@ def _dbase_cases(prime: OddPrime) -> Iterator[FamilyCase]:
     yield _case(prime, 1, {"d": n - 1}, lhs, Fraction(0))
 
 
-def _i9_family_cases(prime: OddPrime) -> Iterator[FamilyCase]:
-    q = prime.value
-    n = (q - 1) // 2
-    for k in range(n + 1):
-        yield _case(
-            prime, 2, {"k": k}, Fraction(comb(n + k, 2 * k)), Fraction(comb(2 * k, k), (-16) ** k)
-        )
-
-
-def _i10_family_cases(prime: OddPrime) -> Iterator[FamilyCase]:
-    q = prime.value
-    n = (q - 1) // 2
-    for k in range(q):
-        yield _case(prime, 1, {"k": k}, Fraction(comb(n, k)), Fraction(comb(2 * k, k), (-4) ** k))
-
-
-def _i11_family_cases(prime: OddPrime) -> Iterator[FamilyCase]:
-    q = prime.value
-    n = (q - 1) // 2
-    for k in range(n + 1):
-        yield _case(prime, 1, {"k": k}, Fraction(comb(n, 2 * k)), Fraction(comb(4 * k, 2 * k), 16**k))
-
-
-def _morley_cases(prime: OddPrime) -> Iterator[FamilyCase]:
-    q = prime.value
-    n = (q - 1) // 2
-    yield _case(prime, 3, {}, Fraction(comb(q - 1, n)), Fraction((-1) ** n * 4 ** (q - 1)))
-
-
 def _always(q: int) -> bool:
     return True
+
+
+def _lemma_family(lemma: CongruenceLemma) -> CongruenceFamily:
+    def gen(prime: OddPrime) -> Iterator[FamilyCase]:
+        for params, lhs, rhs in lemma.residues(prime.value):
+            yield FamilyCase(
+                params, PadicResidue(prime, lemma.power, lhs), PadicResidue(prime, lemma.power, rhs)
+            )
+
+    return CongruenceFamily(lemma.id, lemma.description, lemma.power, _always, gen)
 
 
 _CATALOG: tuple[CongruenceFamily, ...] = (
@@ -915,34 +903,7 @@ _CATALOG: tuple[CongruenceFamily, ...] = (
         _always,
         _dbase_cases,
     ),
-    CongruenceFamily(
-        "I8",
-        "binom(p-1,(p-1)/2) == (-1)^((p-1)/2) 4^(p-1) mod p^3",
-        3,
-        _always,
-        _morley_cases,
-    ),
-    CongruenceFamily(
-        "I9",
-        "binom(n+k,2k) == binom(2k,k)/(-16)^k mod p^2 for k <= n = (p-1)/2",
-        2,
-        _always,
-        _i9_family_cases,
-    ),
-    CongruenceFamily(
-        "I10",
-        "binom((p-1)/2,k) == binom(2k,k)/(-4)^k mod p for k < p",
-        1,
-        _always,
-        _i10_family_cases,
-    ),
-    CongruenceFamily(
-        "I11",
-        "binom((p-1)/2,2k) == binom(4k,2k)/16^k mod p for k <= (p-1)/2",
-        1,
-        _always,
-        _i11_family_cases,
-    ),
+    *(_lemma_family(lemma) for lemma in LEMMAS),
 )
 
 _BY_ID = {fam.id: fam for fam in _CATALOG}

@@ -19,9 +19,11 @@ from ..errors import UnknownId
 from ..padic import primes_between
 
 __all__ = [
+    "CongruenceLemma",
     "ExactIdentity",
     "IdentityCase",
     "IdentityResult",
+    "LEMMAS",
     "M_SET",
     "identity_catalog",
     "identity_ids",
@@ -225,58 +227,74 @@ def _i7_cases(max_n: int) -> Iterator[IdentityCase]:
 # -- prime-parameterized congruence lemmas ----------------------------------
 
 
-def _i8_cases(max_n: int) -> Iterator[IdentityCase]:
-    for p in primes_between(5, 2 * max_n + 1):
-        m3 = p**3
-        lhs = comb(p - 1, (p - 1) // 2) % m3
-        rhs = (-1) ** ((p - 1) // 2) * pow(4, p - 1, m3) % m3
-        yield IdentityCase({"p": p}, Fraction(lhs), Fraction(rhs), modulus=m3)
+def _i8_residues(p: int) -> Iterator[tuple[dict, int, int]]:
+    m3 = p**3
+    yield {}, comb(p - 1, (p - 1) // 2) % m3, (-1) ** ((p - 1) // 2) * pow(4, p - 1, m3) % m3
 
 
-def _i9_cases(max_n: int) -> Iterator[IdentityCase]:
-    for p in primes_between(5, 2 * max_n + 1):
-        m2 = p * p
-        n = (p - 1) // 2
-        inv = pow(-16, -1, m2)
-        w = 1
-        for k in range(n + 1):
-            yield IdentityCase(
-                {"p": p, "k": k},
-                Fraction(comb(n + k, 2 * k) % m2),
-                Fraction(comb(2 * k, k) * w % m2),
-                modulus=m2,
-            )
-            w = w * inv % m2
+def _i9_residues(p: int) -> Iterator[tuple[dict, int, int]]:
+    m2 = p * p
+    n = (p - 1) // 2
+    inv = pow(-16, -1, m2)
+    w = 1
+    for k in range(n + 1):
+        yield {"k": k}, comb(n + k, 2 * k) % m2, comb(2 * k, k) * w % m2
+        w = w * inv % m2
 
 
-def _i10_cases(max_n: int) -> Iterator[IdentityCase]:
-    for p in primes_between(5, 2 * max_n + 1):
-        n = (p - 1) // 2
-        inv = pow(-4, -1, p)
-        w = 1
-        for k in range(p):
-            yield IdentityCase(
-                {"p": p, "k": k},
-                Fraction(comb(n, k) % p),
-                Fraction(comb(2 * k, k) * w % p),
-                modulus=p,
-            )
-            w = w * inv % p
+def _i10_residues(p: int) -> Iterator[tuple[dict, int, int]]:
+    n = (p - 1) // 2
+    inv = pow(-4, -1, p)
+    w = 1
+    for k in range(p):
+        yield {"k": k}, comb(n, k) % p, comb(2 * k, k) * w % p
+        w = w * inv % p
 
 
-def _i11_cases(max_n: int) -> Iterator[IdentityCase]:
-    for p in primes_between(5, 2 * max_n + 1):
-        n = (p - 1) // 2
-        inv = pow(16, -1, p)
-        w = 1
-        for k in range(n + 1):
-            yield IdentityCase(
-                {"p": p, "k": k},
-                Fraction(comb(n, 2 * k) % p),
-                Fraction(comb(4 * k, 2 * k) * w % p),
-                modulus=p,
-            )
-            w = w * inv % p
+def _i11_residues(p: int) -> Iterator[tuple[dict, int, int]]:
+    n = (p - 1) // 2
+    inv = pow(16, -1, p)
+    w = 1
+    for k in range(n + 1):
+        yield {"k": k}, comb(n, 2 * k) % p, comb(4 * k, 2 * k) * w % p
+        w = w * inv % p
+
+
+@dataclass(frozen=True)
+class CongruenceLemma:
+    """A binomial congruence at one prime, in both catalogs under one id.
+
+    residues(p) yields (params, lhs, rhs) with both sides canonical mod
+    p^power. The identity suite sweeps it over primes; the congruence
+    catalog runs it as a family.
+    """
+
+    id: str
+    description: str
+    power: int
+    residues: Callable[[int], Iterator[tuple[dict, int, int]]]
+
+
+LEMMAS: tuple[CongruenceLemma, ...] = (
+    CongruenceLemma("I8", "binom(p-1,(p-1)/2) == (-1)^((p-1)/2) 4^(p-1) mod p^3", 3, _i8_residues),
+    CongruenceLemma(
+        "I9", "binom(n+k,2k) == binom(2k,k)/(-16)^k mod p^2 for k <= n = (p-1)/2", 2, _i9_residues
+    ),
+    CongruenceLemma("I10", "binom((p-1)/2,k) == binom(2k,k)/(-4)^k mod p for k < p", 1, _i10_residues),
+    CongruenceLemma(
+        "I11", "binom((p-1)/2,2k) == binom(4k,2k)/16^k mod p for k <= (p-1)/2", 1, _i11_residues
+    ),
+)
+
+
+def _lemma_identity(lemma: CongruenceLemma) -> ExactIdentity:
+    def cases(max_n: int) -> Iterator[IdentityCase]:
+        for p in primes_between(5, 2 * max_n + 1):
+            m = p**lemma.power
+            for params, lhs, rhs in lemma.residues(p):
+                yield IdentityCase({"p": p, **params}, Fraction(lhs), Fraction(rhs), modulus=m)
+
+    return ExactIdentity(lemma.id, lemma.description, "congruence", cases)
 
 
 # -- recurrences -------------------------------------------------------------
@@ -412,30 +430,7 @@ _CATALOG: tuple[ExactIdentity, ...] = (
         "identity",
         _i7_cases,
     ),
-    ExactIdentity(
-        "I8",
-        "binom(p-1,(p-1)/2) == (-1)^((p-1)/2) 4^(p-1) mod p^3",
-        "congruence",
-        _i8_cases,
-    ),
-    ExactIdentity(
-        "I9",
-        "binom(n+k,2k) == binom(2k,k)/(-16)^k mod p^2 for k <= n = (p-1)/2",
-        "congruence",
-        _i9_cases,
-    ),
-    ExactIdentity(
-        "I10",
-        "binom((p-1)/2,k) == binom(2k,k)/(-4)^k mod p for k < p",
-        "congruence",
-        _i10_cases,
-    ),
-    ExactIdentity(
-        "I11",
-        "binom((p-1)/2,2k) == binom(4k,2k)/16^k mod p for k <= (p-1)/2",
-        "congruence",
-        _i11_cases,
-    ),
+    *(_lemma_identity(lemma) for lemma in LEMMAS),
     ExactIdentity(
         "Z1",
         "three-term recurrence in d for "

@@ -9,6 +9,7 @@ import csv
 import json
 from pathlib import Path
 
+from ..padic import signed_residue
 from .engine import SuiteReport, VerificationReport
 
 __all__ = ["report_to_dict", "dumps_json", "write_json", "write_csv", "CSV_COLUMNS"]
@@ -35,8 +36,8 @@ def _case_to_dict(row: VerificationReport) -> dict:
         "modulus": row.modulus,
         "lhs": row.lhs,
         "rhs": row.rhs,
-        "lhs_signed": row.lhs_signed,
-        "rhs_signed": row.rhs_signed,
+        "lhs_signed": signed_residue(row.lhs, row.modulus),
+        "rhs_signed": signed_residue(row.rhs, row.modulus),
         "pass": row.passed,
     }
     if row.note is not None:

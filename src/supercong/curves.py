@@ -17,7 +17,6 @@ from .errors import WeightZero, WrongResidueClass
 from .padic import OddPrime, PadicResidue, _prime_int, odd_prime
 
 __all__ = [
-    "CurveParams",
     "TwoSquares",
     "char_sum_a",
     "char_sum_table",
@@ -29,21 +28,6 @@ __all__ = [
     "weighted_char_sum_grid",
     "weighted_point_count",
 ]
-
-
-@dataclass(frozen=True)
-class CurveParams:
-    """Prime, lambda (reduced mod p) and weight exponent d for one query."""
-
-    p: OddPrime
-    lam: int
-    d: int = 0
-
-    def __post_init__(self) -> None:
-        q = self.p.value
-        object.__setattr__(self, "lam", self.lam % q)
-        if not 0 <= self.d <= (q - 1) // 2:
-            raise ValueError(f"d must lie in [0, (p-1)/2], got {self.d}")
 
 
 @dataclass(frozen=True)

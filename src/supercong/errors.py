@@ -14,7 +14,7 @@ class NotPAdicInteger(SupercongError):
 
 
 class PrecisionMismatch(SupercongError):
-    """Arithmetic between residues of different precision, or an unsupported precision."""
+    """Residue precision outside the supported range."""
 
 
 class NonUnitDivisor(SupercongError):
@@ -27,10 +27,6 @@ class WrongResidueClass(SupercongError):
 
 class WeightZero(SupercongError):
     """Weighted point count requested with weight exponent 0."""
-
-
-class BudgetExceeded(SupercongError):
-    """A run used up its time budget before finishing."""
 
 
 class UnknownId(SupercongError):

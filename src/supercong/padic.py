@@ -1,4 +1,4 @@
-"""Truncated p-adic arithmetic: canonical residues mod p^K for K in {1, 2, 3}.
+"""Truncated p-adic residues: canonical residues mod p^K for K in {1, 2, 3}.
 
 Exact rationals (fractions.Fraction) are the working representation in the
 rest of the package; this module is the boundary where a rational collapses
@@ -10,21 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
-from .errors import (
-    InvalidPrime,
-    NonUnitDivisor,
-    NotPAdicInteger,
-    PrecisionMismatch,
-)
+from .errors import InvalidPrime, NotPAdicInteger, PrecisionMismatch
 
 __all__ = [
     "OddPrime",
     "PadicResidue",
     "is_prime",
     "legendre_symbol",
-    "mod_inverse",
     "odd_prime",
     "padic_from_rational",
     "primes_between",
@@ -106,16 +99,6 @@ def signed_residue(residue: int, modulus: int) -> int:
     return r - modulus if r > modulus // 2 else r
 
 
-def mod_inverse(a: int, modulus: int) -> int:
-    """Inverse of a modulo modulus; NonUnitDivisor when gcd(a, modulus) > 1."""
-    if modulus < 1:
-        raise ValueError(f"modulus must be positive, got {modulus}")
-    a %= modulus
-    if gcd(a, modulus) != 1:
-        raise NonUnitDivisor(f"{a} is not a unit modulo {modulus}")
-    return pow(a, -1, modulus)
-
-
 def legendre_symbol(a: int, p: OddPrime | int) -> int:
     """Legendre symbol (a/p) in {-1, 0, 1}, by Euler's criterion."""
     q = _prime_int(p)
@@ -139,48 +122,6 @@ class PadicResidue:
     @property
     def modulus(self) -> int:
         return self.p.value**self.precision
-
-    @property
-    def signed(self) -> int:
-        """Balanced representative; -p is easier to recognize than p^K - p."""
-        return signed_residue(self.residue, self.modulus)
-
-    def truncate(self, precision: int) -> "PadicResidue":
-        """Reduce to a lower precision. Truncation commutes with arithmetic."""
-        if not 1 <= precision <= self.precision:
-            raise PrecisionMismatch(
-                f"cannot truncate precision {self.precision} to {precision}"
-            )
-        return PadicResidue(self.p, precision, self.residue % self.p.value**precision)
-
-    def _check_compatible(self, other: "PadicResidue") -> None:
-        if not isinstance(other, PadicResidue):
-            raise TypeError(f"expected PadicResidue, got {type(other).__name__}")
-        if self.p != other.p:
-            raise PrecisionMismatch(f"mixed primes {self.p} and {other.p}")
-        if self.precision != other.precision:
-            raise PrecisionMismatch(
-                f"mixed precisions {self.precision} and {other.precision}"
-            )
-
-    def __add__(self, other: "PadicResidue") -> "PadicResidue":
-        self._check_compatible(other)
-        return PadicResidue(self.p, self.precision, self.residue + other.residue)
-
-    def __sub__(self, other: "PadicResidue") -> "PadicResidue":
-        self._check_compatible(other)
-        return PadicResidue(self.p, self.precision, self.residue - other.residue)
-
-    def __mul__(self, other: "PadicResidue") -> "PadicResidue":
-        self._check_compatible(other)
-        return PadicResidue(self.p, self.precision, self.residue * other.residue)
-
-    def __truediv__(self, other: "PadicResidue") -> "PadicResidue":
-        self._check_compatible(other)
-        if other.residue % self.p.value == 0:
-            raise NonUnitDivisor(f"{other.residue} is not a unit modulo {self.p}")
-        inv = pow(other.residue, -1, self.modulus)
-        return PadicResidue(self.p, self.precision, self.residue * inv)
 
     def __repr__(self) -> str:
         return f"PadicResidue({self.residue} mod {self.p}^{self.precision})"

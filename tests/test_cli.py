@@ -54,6 +54,11 @@ def test_prime_cap_env_override(monkeypatch, capsys):
     monkeypatch.setenv("SUPERCONG_MAX_PRIME", "2200")
     assert main(["verify", "--primes", "2111", "--families", "B1"]) == 0
     capsys.readouterr()
+    # above the int64 bound of the residue fast paths, as a cap or a prime
+    monkeypatch.setenv("SUPERCONG_MAX_PRIME", "9001")
+    assert main(["verify", "--primes", "9001", "--families", "E1.11"]) == 2
+    assert main(["verify", "--primes", "5..7", "--families", "B1"]) == 2
+    assert "int64" in capsys.readouterr().err
 
 
 def test_verify_sweep_cap_note(capsys):

@@ -1,4 +1,4 @@
-"""Exact combinatorics: duals, Bernoulli/Euler data, polynomial evaluators."""
+"""Exact combinatorics: duals, Bernoulli/Euler data, Euler polynomials."""
 
 import random
 from fractions import Fraction
@@ -9,25 +9,14 @@ import pytest
 from supercong.combinatorics import (
     RationalPolynomial,
     bernoulli_number,
-    binomial_exact,
     binomial_p_valuation,
     catalan,
     dual_transform,
     euler_number,
     euler_polynomial,
     euler_polynomial_half_grid,
-    legendre_poly_eval,
     pascal_row,
-    poly_coeff_of_tn,
 )
-
-
-def test_binomial_exact_edges():
-    assert binomial_exact(10, 3) == 120
-    assert binomial_exact(5, -1) == 0
-    assert binomial_exact(5, 6) == 0
-    with pytest.raises(ValueError):
-        binomial_exact(-1, 0)
 
 
 def test_catalan_small_values_and_recurrence():
@@ -127,32 +116,6 @@ def test_rational_polynomial_normalization():
     assert zero(Fraction(5)) == 0
 
 
-def test_legendre_poly_small_and_recurrence():
-    rng = random.Random(626)
-    for _ in range(40):
-        x = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
-        assert legendre_poly_eval(0, x) == 1
-        assert legendre_poly_eval(1, x) == x
-        assert legendre_poly_eval(2, x) == Fraction(3 * x**2 - 1, 2)
-        assert legendre_poly_eval(3, x) == Fraction(5 * x**3 - 3 * x, 2)
-        for n in range(1, 12):
-            lhs = (n + 1) * legendre_poly_eval(n + 1, x)
-            rhs = (2 * n + 1) * x * legendre_poly_eval(n, x) - n * legendre_poly_eval(n - 1, x)
-            assert lhs == rhs, (n, x)
-
-
-def test_poly_coeff_of_tn_matches_binomial_sum():
-    rng = random.Random(737)
-    for n in range(31):
-        poly = poly_coeff_of_tn(n)
-        for _ in range(3):
-            x = Fraction(rng.randint(-20, 20), rng.randint(1, 8))
-            direct = sum(
-                comb(n, 2 * k) * comb(2 * k, k) * x**k for k in range(n // 2 + 1)
-            )
-            assert poly(x) == direct, n
-
-
 def test_special_numbers_match_sympy():
     sympy = pytest.importorskip("sympy")
     for n in range(61):
@@ -171,12 +134,6 @@ def test_special_numbers_match_sympy():
             v = sympy.Rational(pt.numerator, pt.denominator)
             want = sympy.Rational(poly.subs(x, v))
             assert euler_polynomial(n)(pt) == Fraction(int(want.p), int(want.q)), n
-    for n in range(16):
-        poly = sympy.legendre(n, x)
-        pt = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-        v = sympy.Rational(pt.numerator, pt.denominator)
-        want = sympy.Rational(poly.subs(x, v))
-        assert legendre_poly_eval(n, pt) == Fraction(int(want.p), int(want.q)), n
 
 
 def _valuation(n, p):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from supercong.curves import (
-    CurveParams,
     TwoSquares,
     char_sum_a,
     char_sum_table,
@@ -80,13 +79,6 @@ def test_weighted_count_rejects_weight_zero():
         weighted_point_count(7, 3, 4)
     with pytest.raises(ValueError):
         weighted_char_sum(7, 3, -1)
-
-
-def test_curve_params_normalization():
-    cp = CurveParams(odd_prime(7), -2, 3)
-    assert cp.lam == 5
-    with pytest.raises(ValueError):
-        CurveParams(odd_prime(7), 2, 4)
 
 
 def test_central_binomials_mod():

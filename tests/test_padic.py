@@ -1,22 +1,17 @@
 """Residue arithmetic: canonical forms, precision rules, rational reduction."""
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from supercong.errors import (
-    InvalidPrime,
-    NonUnitDivisor,
-    NotPAdicInteger,
-    PrecisionMismatch,
-)
+from supercong.errors import InvalidPrime, NotPAdicInteger, PrecisionMismatch
 from supercong.padic import (
     OddPrime,
     PadicResidue,
     is_prime,
     legendre_symbol,
-    mod_inverse,
     odd_prime,
     padic_from_rational,
     primes_between,
@@ -79,24 +74,6 @@ def test_signed_residue_balanced_window():
         assert -m // 2 <= s <= m // 2
 
 
-def test_mod_inverse():
-    assert mod_inverse(3, 7) == 5
-    assert mod_inverse(10, 7) == 5
-    with pytest.raises(NonUnitDivisor):
-        mod_inverse(6, 9)
-    with pytest.raises(ValueError):
-        mod_inverse(1, 0)
-    rng = random.Random(202)
-    for _ in range(300):
-        m = rng.randint(2, 10**6)
-        a = rng.randint(1, m - 1)
-        try:
-            inv = mod_inverse(a, m)
-        except NonUnitDivisor:
-            continue
-        assert a * inv % m == 1
-
-
 def test_legendre_symbol_matches_square_table():
     for q in primes_between(5, 60):
         squares = {x * x % q for x in range(1, q)}
@@ -109,7 +86,7 @@ def test_residue_canonical_and_signed():
     r = PadicResidue(odd_prime(7), 2, -3)
     assert r.residue == 46
     assert r.modulus == 49
-    assert r.signed == -3
+    assert signed_residue(r.residue, r.modulus) == -3
     assert "46 mod 7^2" in repr(r)
 
 
@@ -120,48 +97,27 @@ def test_residue_precision_validation():
         PadicResidue(odd_prime(7), 0, 1)
 
 
-def test_residue_arithmetic_is_modular():
-    p = odd_prime(11)
-    a = PadicResidue(p, 2, 100)
-    b = PadicResidue(p, 2, 50)
-    assert (a + b).residue == 150 % 121
-    assert (a - b).residue == 50
-    assert (a * b).residue == 5000 % 121
-    assert ((a / b) * b).residue == a.residue
-    with pytest.raises(NonUnitDivisor):
-        a / PadicResidue(p, 2, 11)
-
-
 def test_residue_mixing_rules():
+    # the engine's verdict is lhs == rhs; residues at another prime or
+    # precision never compare equal, whatever their value
     a = PadicResidue(odd_prime(7), 2, 3)
-    with pytest.raises(PrecisionMismatch):
-        a + PadicResidue(odd_prime(7), 1, 3)
-    with pytest.raises(PrecisionMismatch):
-        a + PadicResidue(odd_prime(11), 2, 3)
-    with pytest.raises(TypeError):
-        a + 3
-
-
-def test_truncate_reduces_precision():
-    a = PadicResidue(odd_prime(5), 3, 101)
-    assert a.truncate(2).residue == 101 % 25
-    assert a.truncate(1).residue == 1
-    assert a.truncate(3) == a
-    with pytest.raises(PrecisionMismatch):
-        a.truncate(0)
-    with pytest.raises(PrecisionMismatch):
-        a.truncate(1).truncate(2)
+    assert a == PadicResidue(odd_prime(7), 2, 52)
+    assert a != PadicResidue(odd_prime(7), 1, 3)
+    assert a != PadicResidue(odd_prime(11), 2, 3)
 
 
 def test_truncation_commutes_with_arithmetic():
+    # reducing a residue mod p^3 further to mod p^2 commutes with + - *
     rng = random.Random(303)
     for _ in range(200):
         q = rng.choice(primes_between(5, 50))
-        p = odd_prime(q)
-        x = PadicResidue(p, 3, rng.randrange(q**3))
-        y = PadicResidue(p, 3, rng.randrange(q**3))
-        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
-            assert op(x, y).truncate(2) == op(x.truncate(2), y.truncate(2))
+        a = Fraction(rng.randint(-(10**6), 10**6), rng.choice((1, 2, 3, 4, 9, 16)))
+        b = Fraction(rng.randint(-(10**6), 10**6), rng.choice((1, 2, 3, 4, 9, 16)))
+        x, y = (padic_from_rational(v, q, 3).residue for v in (a, b))
+        for op in (operator.add, operator.sub, operator.mul):
+            high = padic_from_rational(op(a, b), q, 3).residue
+            assert high % q**2 == op(x % q**2, y % q**2) % q**2
+            assert high % q**2 == padic_from_rational(op(a, b), q, 2).residue
 
 
 def test_from_rational_reduction():
@@ -184,8 +140,9 @@ def test_from_rational_is_a_ring_homomorphism():
         k = rng.choice((1, 2, 3))
         a = Fraction(rng.randint(-50, 50), rng.choice((1, 2, 3, 4, 9, 16)))
         b = Fraction(rng.randint(-50, 50), rng.choice((1, 2, 3, 4, 9, 16)))
-        fa = padic_from_rational(a, q, k)
-        fb = padic_from_rational(b, q, k)
-        assert padic_from_rational(a + b, q, k) == fa + fb
-        assert padic_from_rational(a - b, q, k) == fa - fb
-        assert padic_from_rational(a * b, q, k) == fa * fb
+        m = q**k
+        fa = padic_from_rational(a, q, k).residue
+        fb = padic_from_rational(b, q, k).residue
+        assert padic_from_rational(a + b, q, k).residue == (fa + fb) % m
+        assert padic_from_rational(a - b, q, k).residue == (fa - fb) % m
+        assert padic_from_rational(a * b, q, k).residue == fa * fb % m

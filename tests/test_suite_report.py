@@ -2,12 +2,13 @@
 
 import csv
 import json
+import multiprocessing
 from fractions import Fraction
 
 import pytest
 
 from supercong.congruences import run_suite, verify_family_case
-from supercong.congruences.engine import VerificationReport
+from supercong.congruences.engine import SuiteReport, VerificationReport
 from supercong.congruences.families import (
     CongruenceFamily,
     _BY_ID,
@@ -90,6 +91,32 @@ def test_fail_fast_truncates_at_first_failing_row(monkeypatch):
     assert not fast.ok and fast.failed == 1
 
 
+def _fails_at_seven(fid):
+    def cases(prime):
+        yield _case(prime, 1, {}, Fraction(1), Fraction(2 if prime.value == 7 else 1))
+
+    return CongruenceFamily(fid, "synthetic: fails only at p = 7", 1, lambda q: True, cases)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers must inherit the patched catalog",
+)
+def test_fail_fast_rows_do_not_depend_on_parallelism(monkeypatch):
+    fid = "XFAIL7-TEST"
+    monkeypatch.setitem(_BY_ID, fid, _fails_at_seven(fid))
+    primes = primes_between(5, 60)
+    seq, par = (
+        report_to_dict(run_suite(primes, ["B1", fid], parallelism=n, fail_fast=True))["cases"]
+        for n in (1, 2)
+    )
+    assert seq == par
+    summary = [(c["family"], c["p"], c["pass"]) for c in seq]
+    assert summary[:3] == [("B1", 5, True), ("B1", 7, True), ("B1", 11, None)]
+    assert seq[2]["note"] == "not evaluated: stopped after earlier failure"
+    assert summary[-2:] == [(fid, 5, True), (fid, 7, False)]
+
+
 def test_failure_rows_survive_into_report(monkeypatch):
     fid = "XFAIL-TEST"
     monkeypatch.setitem(_BY_ID, fid, _synthetic_family(fid))
@@ -102,8 +129,8 @@ def test_failure_rows_survive_into_report(monkeypatch):
 
 def test_signed_views():
     row = VerificationReport("F", 7, {}, 49, 48, 2, False)
-    assert row.lhs_signed == -1
-    assert row.rhs_signed == 2
+    (case,) = report_to_dict(SuiteReport({}, "", cases=[row]))["cases"]
+    assert (case["lhs_signed"], case["rhs_signed"]) == (-1, 2)
     assert not row.skipped
 
 
