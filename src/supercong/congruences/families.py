@@ -2,8 +2,9 @@
 
 Each CongruenceFamily turns a prime into a stream of FamilyCase rows: two
 residues that the underlying theorem says must agree modulo p^K. Evaluators
-accumulate exact rationals (or int64 residue vectors where the claim is
-linear in a sampled sequence) and reduce once per case.
+accumulate exact rationals and reduce once per case, except the families that
+are linear in the weights N(k)/base^k (E1.11-E1.19, R1.4c, R1.5): they work mod
+p^K, which is exact because every denominator there is a p-adic unit.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def _chain(prime: OddPrime, power: int, labels: list[str], members: list[Fractio
 
 # The int64 residue paths (_dual_family, _r14c_cases, _poly_family) sum up to
 # p products of residues below p^2. The sums are exact only while
-# p (p^2 - 1)^2 < 2^63, which holds up to this bound.
+# p (p^2 - 1)^2 < 2^63, which holds up to this bound; _weight_vectors checks it.
 MAX_EXACT_PRIME = 6208
 
 
@@ -123,6 +124,24 @@ def _weight_residues(kind: str, base: int, modulus: int, count: int) -> np.ndarr
         out[k] = term(k, 0) * w % modulus
         w = w * inv % modulus
     return out
+
+
+def _weight_vectors(
+    kind: str, base: int, q: int, power: int, count: int, *, k_weighted: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weights w[k] = N_kind(k)/base^k mod p^power for k < count, and their dual M^T w.
+
+    With k_weighted, w[k] is (k+1) N_kind(k+1)/base^(k+1) for k < count - 1.
+    Since w . (M a) = (M^T w) . a, a sum over a dual sequence is one dot product.
+    """
+    if q > MAX_EXACT_PRIME:
+        raise ValueError(f"p = {q} exceeds MAX_EXACT_PRIME = {MAX_EXACT_PRIME}; the int64 residue sums would overflow")
+    mod = q**power
+    w = _weight_residues(kind, base, mod, count)
+    if k_weighted:
+        w = (np.arange(count, dtype=np.int64) * w % mod)[1:]
+    size = len(w)
+    return w, _binom_mod_matrix(mod, q)[:size, :size].T @ w % mod
 
 
 # -- T1.1: the weighted-trace closed form ------------------------------------
@@ -204,14 +223,14 @@ def _e17_cases(prime: OddPrime) -> Iterator[FamilyCase]:
             yield _skip(prime, 1, {"d": d}, f"parity outside the claim; informational residue {r}")
 
 
-# -- E1.8-E1.10: full-range Rodriguez-Villegas sums ---------------------------
+# -- E1.8-E1.10, C1.1, E1.20-E1.22: one full-range sum against a closed form --
 
 
-def _rv_family(kind: str, base: int, eps: Callable[[int], int]):
+def _sum_family(kind: str, base: int, closed: Callable[[int], int], **weights: bool):
     def gen(prime: OddPrime) -> Iterator[FamilyCase]:
         q = prime.value
-        lhs = truncated_sum(kind, q, q - 1, base)
-        yield _case(prime, 2, {}, lhs, Fraction(eps(q)))
+        lhs = truncated_sum(kind, q, q - 1, base, **weights)
+        yield _case(prime, 2, {}, lhs, Fraction(closed(q)))
 
     return gen
 
@@ -219,27 +238,20 @@ def _rv_family(kind: str, base: int, eps: Callable[[int], int]):
 # -- E1.11-E1.13 and R1.4c: sequence-quantified congruences -------------------
 
 
-def _seq_vector(seq_id: str, q: int, modulus: int) -> np.ndarray:
-    return np.array([t % modulus for t in sequence_terms(seq_id, q)], dtype=np.int64)
+def _sequence_matrix(q: int, modulus: int) -> np.ndarray:
+    """Row i holds the first p terms of sequence SEQUENCE_IDS[i] mod modulus."""
+    return np.array([[t % modulus for t in sequence_terms(s, q)] for s in SEQUENCE_IDS], dtype=np.int64)
 
 
 def _dual_family(kind: str, base: int, eps: Callable[[int], int]):
     def gen(prime: OddPrime) -> Iterator[FamilyCase]:
         q = prime.value
         m2 = q * q
-        mat = _binom_mod_matrix(m2, q)
-        w = _weight_residues(kind, base, m2, q)
-        e = eps(q) % m2
-        for seq_id in SEQUENCE_IDS:
-            a = _seq_vector(seq_id, q, m2)
-            astar = mat @ a % m2
-            lhs = int(w @ a % m2)
-            rhs = e * int(w @ astar % m2) % m2
-            yield FamilyCase(
-                {"sequence": seq_id},
-                PadicResidue(prime, 2, lhs),
-                PadicResidue(prime, 2, rhs),
-            )
+        w, dual = _weight_vectors(kind, base, q, 2, q)
+        seqs = _sequence_matrix(q, m2)
+        lhs, rhs = seqs @ w % m2, eps(q) * (seqs @ dual % m2) % m2
+        for seq_id, left, right in zip(SEQUENCE_IDS, lhs.tolist(), rhs.tolist()):
+            yield FamilyCase({"sequence": seq_id}, PadicResidue(prime, 2, left), PadicResidue(prime, 2, right))
 
     return gen
 
@@ -248,18 +260,11 @@ def _r14c_cases(prime: OddPrime) -> Iterator[FamilyCase]:
     q = prime.value
     n = (q - 1) // 2
     m2 = q * q
-    mat = _binom_mod_matrix(m2, q)[: n + 1, : n + 1]
-    w = _weight_residues("central_sq", 16, m2, n + 1)
-    e = _leg_m1(q) % m2
-    for seq_id in SEQUENCE_IDS:
-        a = _seq_vector(seq_id, q, m2)[: n + 1]
-        astar = mat @ a % m2
-        lhs = int(w @ ((a - e * astar) % m2) % m2)
-        yield FamilyCase(
-            {"sequence": seq_id},
-            PadicResidue(prime, 2, lhs),
-            PadicResidue(prime, 2, 0),
-        )
+    w, dual = _weight_vectors("central_sq", 16, q, 2, n + 1)
+    lhs = _sequence_matrix(q, m2)[:, : n + 1] @ ((w - _leg_m1(q) * dual) % m2) % m2
+    zero = PadicResidue(prime, 2, 0)
+    for seq_id, left in zip(SEQUENCE_IDS, lhs.tolist()):
+        yield FamilyCase({"sequence": seq_id}, PadicResidue(prime, 2, left), zero)
 
 
 # -- R1.4a / R1.4b: d-shifted mod-p analogues ---------------------------------
@@ -297,21 +302,16 @@ def _poly_family(
     upper_fun: Callable[[int], int] = lambda q: q - 1,
     spots: tuple[Fraction, ...],
 ):
+    # Both claims read sum_j vec[j] (x^j - e (1-x)^j) == 0, i.e. vec == e M^T vec,
+    # with vec = w and e = eps, or, when deriv, vec[j] = (j+1) w[j+1] and e = -eps.
     def gen(prime: OddPrime) -> Iterator[FamilyCase]:
         q = prime.value
         mod = q**power
-        upper = upper_fun(q)
-        eps = eps_fun(q)
-        v = _weight_residues(kind, base, mod, upper + 1)
-        if deriv:
-            vec = (np.arange(upper + 1, dtype=np.int64) * v % mod)[1:]
-            sgn = -1
-        else:
-            vec = v
-            sgn = 1
+        e = -eps_fun(q) if deriv else eps_fun(q)
+        vec, dual = _weight_vectors(kind, base, q, power, upper_fun(q) + 1, k_weighted=deriv)
         size = len(vec)
-        mat = _binom_mod_matrix(mod, size)
-        rhs_vec = sgn * eps * (mat.T @ vec) % mod
+        rhs_vec = e * dual % mod
+        zero = PadicResidue(prime, power, 0)
         mismatch = np.nonzero(vec != rhs_vec)[0]
         if mismatch.size:
             j = int(mismatch[0])
@@ -322,41 +322,26 @@ def _poly_family(
                 note=f"{mismatch.size} of {size} coefficients disagree",
             )
         else:
-            zero = PadicResidue(prime, power, 0)
             yield FamilyCase({"coefficients": size}, zero, zero, note="all coefficients agree")
-        term = TERM_KINDS[kind]
+        coeffs = vec.tolist()
         for x in spots:
             params = {"x": str(x)}
             if x.denominator % q == 0:
                 yield _skip(prime, power, params, "x is not a p-adic integer at this prime")
                 continue
-            total = Fraction(0)
-            xp, yp = Fraction(1), Fraction(1)
-            if deriv:
-                for k in range(1, upper + 1):
-                    total += k * Fraction(term(k, 0), base**k) * (xp + eps * yp)
-                    xp *= x
-                    yp *= 1 - x
-            else:
-                for k in range(upper + 1):
-                    total += Fraction(term(k, 0), base**k) * (xp - eps * yp)
-                    xp *= x
-                    yp *= 1 - x
-            yield _case(prime, power, params, total, Fraction(0))
+            xr = x.numerator * pow(x.denominator, -1, mod) % mod
+            yr = (1 - xr) % mod
+            total, xp, yp = 0, 1, 1
+            for c in coeffs:
+                total += c * (xp - e * yp)
+                xp = xp * xr % mod
+                yp = yp * yr % mod
+            yield FamilyCase(params, PadicResidue(prime, power, total), zero)
 
     return gen
 
 
-# -- C1.1 / C1.2 and the Catalan-weighted corollaries -------------------------
-
-
-def _zero_sum_family(kind: str, base: int, *, k_factor: bool):
-    def gen(prime: OddPrime) -> Iterator[FamilyCase]:
-        q = prime.value
-        lhs = truncated_sum(kind, q, q - 1, base, k_factor=k_factor)
-        yield _case(prime, 2, {}, lhs, Fraction(0))
-
-    return gen
+# -- C1.2 and E1.23: two sums over different bases ---------------------------
 
 
 def _pair_sum_family(kind: str, base_a: int, base_b: int, scale: Callable[[int], Fraction], *, k_factor: bool):
@@ -365,15 +350,6 @@ def _pair_sum_family(kind: str, base_a: int, base_b: int, scale: Callable[[int],
         lhs = truncated_sum(kind, q, q - 1, base_a, k_factor=k_factor)
         rhs = scale(q) * truncated_sum(kind, q, q - 1, base_b, k_factor=k_factor)
         yield _case(prime, 2, {}, lhs, rhs)
-
-    return gen
-
-
-def _catalan_p_family(kind: str, base: int):
-    def gen(prime: OddPrime) -> Iterator[FamilyCase]:
-        q = prime.value
-        lhs = truncated_sum(kind, q, q - 1, base, catalan_weight=True)
-        yield _case(prime, 2, {}, lhs, Fraction(q))
 
     return gen
 
@@ -563,21 +539,21 @@ _CATALOG: tuple[CongruenceFamily, ...] = (
         "sum_{k<p} binom(3k,k) binom(2k,k)/27^k == (p/3) mod p^2",
         2,
         _always,
-        _rv_family("cubic", 27, _p_over_3),
+        _sum_family("cubic", 27, _p_over_3),
     ),
     CongruenceFamily(
         "E1.9",
         "sum_{k<p} binom(4k,2k) binom(2k,k)/64^k == (-2/p) mod p^2",
         2,
         _always,
-        _rv_family("quartic", 64, _leg_m2),
+        _sum_family("quartic", 64, _leg_m2),
     ),
     CongruenceFamily(
         "E1.10",
         "sum_{k<p} binom(6k,3k) binom(3k,k)/432^k == (-1/p) mod p^2",
         2,
         _always,
-        _rv_family("sextic", 432, _leg_m1),
+        _sum_family("sextic", 432, _leg_m1),
     ),
     CongruenceFamily(
         "E1.11",
@@ -686,42 +662,42 @@ _CATALOG: tuple[CongruenceFamily, ...] = (
         "sum k binom(3k,k) binom(2k,k)/54^k == 0 mod p^2 for p == 1 mod 3",
         2,
         lambda q: q % 3 == 1,
-        _zero_sum_family("cubic", 54, k_factor=True),
+        _sum_family("cubic", 54, lambda q: 0, k_factor=True),
     ),
     CongruenceFamily(
         "C1.1b",
         "sum binom(3k,k) binom(2k,k)/54^k == 0 mod p^2 for p == 2 mod 3",
         2,
         lambda q: q % 3 == 2,
-        _zero_sum_family("cubic", 54, k_factor=False),
+        _sum_family("cubic", 54, lambda q: 0),
     ),
     CongruenceFamily(
         "C1.1c",
         "sum k binom(4k,2k) binom(2k,k)/128^k == 0 mod p^2 for p == 1,3 mod 8",
         2,
         lambda q: q % 8 in (1, 3),
-        _zero_sum_family("quartic", 128, k_factor=True),
+        _sum_family("quartic", 128, lambda q: 0, k_factor=True),
     ),
     CongruenceFamily(
         "C1.1d",
         "sum binom(4k,2k) binom(2k,k)/128^k == 0 mod p^2 for p == 5,7 mod 8",
         2,
         lambda q: q % 8 in (5, 7),
-        _zero_sum_family("quartic", 128, k_factor=False),
+        _sum_family("quartic", 128, lambda q: 0),
     ),
     CongruenceFamily(
         "C1.1e",
         "sum k binom(6k,3k) binom(3k,k)/864^k == 0 mod p^2 for p == 1 mod 4",
         2,
         lambda q: q % 4 == 1,
-        _zero_sum_family("sextic", 864, k_factor=True),
+        _sum_family("sextic", 864, lambda q: 0, k_factor=True),
     ),
     CongruenceFamily(
         "C1.1f",
         "sum binom(6k,3k) binom(3k,k)/864^k == 0 mod p^2 for p == 3 mod 4",
         2,
         lambda q: q % 4 == 3,
-        _zero_sum_family("sextic", 864, k_factor=False),
+        _sum_family("sextic", 864, lambda q: 0),
     ),
     CongruenceFamily(
         "C1.2a",
@@ -786,21 +762,21 @@ _CATALOG: tuple[CongruenceFamily, ...] = (
         "sum binom(3k,k) C_k/54^k == p mod p^2 for p == 1 mod 3",
         2,
         lambda q: q % 3 == 1,
-        _catalan_p_family("cubic", 54),
+        _sum_family("cubic", 54, lambda q: q, catalan_weight=True),
     ),
     CongruenceFamily(
         "E1.21",
         "sum binom(4k,2k) C_k/128^k == p mod p^2 for p == 1,3 mod 8",
         2,
         lambda q: q % 8 in (1, 3),
-        _catalan_p_family("quartic", 128),
+        _sum_family("quartic", 128, lambda q: q, catalan_weight=True),
     ),
     CongruenceFamily(
         "E1.22",
         "sum binom(6k,3k) binom(3k,k)/((k+1) 864^k) == p mod p^2 for p == 1 mod 4",
         2,
         lambda q: q % 4 == 1,
-        _catalan_p_family("sextic", 864),
+        _sum_family("sextic", 864, lambda q: q, catalan_weight=True),
     ),
     CongruenceFamily(
         "E1.23",

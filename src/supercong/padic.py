@@ -1,8 +1,9 @@
 """Truncated p-adic residues: canonical residues mod p^K for K in {1, 2, 3}.
 
-Exact rationals (fractions.Fraction) are the working representation in the
-rest of the package; this module is the boundary where a rational collapses
-to a residue, once, at comparison time.
+Exact rationals (fractions.Fraction) are the working representation of most
+of the package; padic_from_rational collapses one to a residue, once, at
+comparison time. The sequence and polynomial families work mod p^K directly,
+which is exact because every denominator they divide by is a p-adic unit.
 """
 
 from __future__ import annotations

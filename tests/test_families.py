@@ -9,16 +9,36 @@ import pytest
 
 from supercong.combinatorics import dual_transform, euler_polynomial
 from supercong.congruences import (
+    TERM_KINDS,
     family_catalog,
     family_ids,
     get_family,
+    run_suite,
     truncated_sum,
     verify_family_case,
 )
-from supercong.congruences.families import _binom_mod_matrix
+from supercong.congruences import families
+from supercong.congruences.families import (
+    _SPOTS_CUBIC,
+    _binom_mod_matrix,
+    _dual_family,
+    _poly_family,
+    _weight_residues,
+    _weight_vectors,
+)
+from supercong.congruences.identities import M_SET
 from supercong.curves import char_sum_a, weighted_char_sum
 from supercong.errors import UnknownId
-from supercong.padic import odd_prime, primes_between
+from supercong.padic import legendre_symbol, odd_prime, padic_from_rational, primes_between
+
+# Legendre-symbol signs of the polynomial families, from Euler's criterion
+# rather than the catalog's residue-class helpers: (p/3) = (-3/p).
+_EPS = {
+    "cubic": lambda q: legendre_symbol(-3, q),
+    "quartic": lambda q: legendre_symbol(-2, q),
+    "sextic": lambda q: legendre_symbol(-1, q),
+}
+_BASES = {"cubic": 27, "quartic": 64, "sextic": 432}
 
 
 def test_catalog_integrity():
@@ -138,15 +158,128 @@ def test_binomial_families_match_direct_arithmetic():
 
 def test_dual_matrix_matches_exact_transform():
     rng = random.Random(7331)
+    weight_rng = random.Random(7332)
     for _ in range(50):
         q = rng.choice(primes_between(5, 60))
         m = q * q
         size = rng.randint(1, q)
         mat = _binom_mod_matrix(m, size)
         a = [rng.randint(-9, 9) for _ in range(size)]
-        got = mat @ np.array([t % m for t in a], dtype=np.int64) % m
+        a_mod = np.array([t % m for t in a], dtype=np.int64)
+        got = mat @ a_mod % m
         want = [t % m for t in dual_transform(a)]
         assert list(got) == want
+        # transposed form, as the residue families use it: (M^T w) . a == w . a*
+        kind = weight_rng.choice(sorted(TERM_KINDS))
+        base = weight_rng.choice([b for b in M_SET if b % q])
+        k_weighted = weight_rng.random() < 0.5
+        w, dual = _weight_vectors(kind, base, q, 2, size + 1 if k_weighted else size, k_weighted=k_weighted)
+        assert len(w) == len(dual) == size
+        lhs = int(dual @ a_mod % m)
+        rhs = sum(int(wi) * ai for wi, ai in zip(w, dual_transform(a))) % m
+        assert lhs == rhs, (q, size, kind, base, k_weighted)
+
+
+def test_weight_residues_match_exact_reduction():
+    for q in primes_between(5, 60):
+        for kind, term in TERM_KINDS.items():
+            for base in M_SET:
+                if base % q == 0:
+                    continue
+                for power in (1, 2):
+                    got = _weight_residues(kind, base, q**power, q)
+                    want = [padic_from_rational(Fraction(term(k, 0), base**k), q, power).residue for k in range(q)]
+                    assert got.tolist() == want, (kind, base, q, power)
+
+
+def _spot_value(kind, base, eps, upper, x, *, deriv):
+    """Exact rational value of a polynomial family's claim at the spot x.
+
+    The reference for the residue evaluation in _poly_family: the plain
+    claim is sum_k N(k)/base^k (x^k - eps (1-x)^k), the k-weighted one
+    sum_k k N(k)/base^k (x^(k-1) + eps (1-x)^(k-1)).
+    """
+    term = TERM_KINDS[kind]
+    total = Fraction(0)
+    xp, yp = Fraction(1), Fraction(1)
+    if deriv:
+        for k in range(1, upper + 1):
+            total += k * Fraction(term(k, 0), base**k) * (xp + eps * yp)
+            xp *= x
+            yp *= 1 - x
+    else:
+        for k in range(upper + 1):
+            total += Fraction(term(k, 0), base**k) * (xp - eps * yp)
+            xp *= x
+            yp *= 1 - x
+    return total
+
+
+def test_polynomial_spot_rows_match_exact_rational_oracle():
+    specs = {
+        "E1.14": ("cubic", False),
+        "E1.15": ("quartic", False),
+        "E1.16": ("sextic", False),
+        "E1.17": ("cubic", True),
+        "E1.18": ("quartic", True),
+        "E1.19": ("sextic", True),
+        "R1.5": ("cubic", False),
+    }
+    checked = 0
+    for q in primes_between(5, 60):
+        for fid, (kind, deriv) in specs.items():
+            if fid == "R1.5":
+                eps, upper, power = (-1) ** (q // 3), q // 3, 1
+            else:
+                eps, upper, power = _EPS[kind](q), q - 1, 2
+            for row in verify_family_case(fid, q):
+                if "x" not in row.params or row.skipped:
+                    continue
+                x = Fraction(row.params["x"])
+                value = _spot_value(kind, _BASES[kind], eps, upper, x, deriv=deriv)
+                assert row.modulus == q**power
+                assert padic_from_rational(value, q, power).residue == row.lhs, (fid, q, x)
+                checked += 1
+    assert checked > 400
+
+
+def _failing_rows(gen, primes):
+    return [case for q in primes for case in gen(odd_prime(q)) if not case.passed]
+
+
+@pytest.mark.parametrize(
+    ("mutant", "spot_must_fail"),
+    [
+        (_poly_family("cubic", 27, lambda q: -_EPS["cubic"](q), spots=_SPOTS_CUBIC), True),
+        (_poly_family("cubic", 27, lambda q: -_EPS["cubic"](q), deriv=True, spots=_SPOTS_CUBIC), True),
+        (_poly_family("cubic", 26, _EPS["cubic"], spots=_SPOTS_CUBIC), False),
+        (_dual_family("cubic", 27, lambda q: -_EPS["cubic"](q)), False),
+    ],
+    ids=["poly-flipped-sign", "poly-k-weighted-flipped-sign", "poly-base-26", "dual-flipped-sign"],
+)
+def test_residue_family_mutants_fail(mutant, spot_must_fail):
+    # 26 is not a unit at p = 13, so that prime is left out for every mutant
+    failing = _failing_rows(mutant, [q for q in primes_between(5, 50) if q != 13])
+    assert failing
+    if spot_must_fail:
+        assert any("x" in case.params for case in failing)
+
+
+@pytest.mark.parametrize("fid", ["E1.11", "R1.4c", "E1.14"])
+def test_residue_families_reject_primes_above_int64_bound(fid, monkeypatch):
+    # 6211 is the first prime above MAX_EXACT_PRIME; the check must come
+    # before any weight vector or (~300 MB) binomial matrix is built
+    assert families.MAX_EXACT_PRIME < 6211
+
+    def never(*args):
+        raise AssertionError("residue tables built above MAX_EXACT_PRIME")
+
+    monkeypatch.setattr(families, "_weight_residues", never)
+    monkeypatch.setattr(families, "_binom_mod_matrix", never)
+    with pytest.raises(ValueError, match="MAX_EXACT_PRIME"):
+        verify_family_case(fid, 6211)
+    with pytest.raises(ValueError, match="MAX_EXACT_PRIME"):
+        run_suite([6211], [fid])
 
 
 def test_parity_skip_rows_carry_a_note():
