@@ -138,7 +138,10 @@ def run_suite(
     prime. fail_fast leaves every prime after the first one with a failing
     row unevaluated, then cuts the report after its first failing row. The
     primes either one skips appear as marker rows, and the exit verdict
-    reflects only what was actually evaluated.
+    reflects only what was actually evaluated. A pooled run still finishes
+    the primes already handed to workers before it returns: up to
+    parallelism + 1 primes, because ProcessPoolExecutor queues
+    max_workers + EXTRA_QUEUED_CALLS (1) calls and cancel() cannot recall them.
     """
     selected = list(families) if families is not None else family_ids()
     for fid in selected:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 from typing import Callable, Iterator
 
@@ -54,22 +54,6 @@ class CongruenceFamily:
 
 
 # -- small arithmetic helpers ------------------------------------------------
-
-
-def _leg_m1(q: int) -> int:
-    return 1 if q % 4 == 1 else -1
-
-
-def _leg_2(q: int) -> int:
-    return 1 if q % 8 in (1, 7) else -1
-
-
-def _leg_m2(q: int) -> int:
-    return 1 if q % 8 in (1, 3) else -1
-
-
-def _p_over_3(q: int) -> int:
-    return 1 if q % 3 == 1 else -1
 
 
 def _case(prime: OddPrime, power: int, params: dict, lhs, rhs, note: str | None = None) -> FamilyCase:
@@ -166,7 +150,7 @@ def _t11_cases(prime: OddPrime) -> Iterator[FamilyCase]:
 def _e13_cases(prime: OddPrime) -> Iterator[FamilyCase]:
     q = prime.value
     n = (q - 1) // 2
-    sign = _leg_m1(q)
+    sign = legendre_symbol(-1, q)
     for d in range(n + 1):
         lhs = truncated_sum("central_double", q, n, 16, d=d)
         yield _case(prime, 2, {"d": d}, lhs, Fraction(4**d * sign))
@@ -175,7 +159,7 @@ def _e13_cases(prime: OddPrime) -> Iterator[FamilyCase]:
 def _e14_cases(prime: OddPrime) -> Iterator[FamilyCase]:
     q = prime.value
     n = (q - 1) // 2
-    sign = _leg_m1(q)
+    sign = legendre_symbol(-1, q)
     grid = euler_polynomial_half_grid(q - 3, n + 1)
     for d in range(n + 1):
         lhs = truncated_sum("central_shift", q, n, 16, d=d)
@@ -261,7 +245,7 @@ def _r14c_cases(prime: OddPrime) -> Iterator[FamilyCase]:
     n = (q - 1) // 2
     m2 = q * q
     w, dual = _weight_vectors("central_sq", 16, q, 2, n + 1)
-    lhs = _sequence_matrix(q, m2)[:, : n + 1] @ ((w - _leg_m1(q) * dual) % m2) % m2
+    lhs = _sequence_matrix(q, m2)[:, : n + 1] @ ((w - legendre_symbol(-1, q) * dual) % m2) % m2
     zero = PadicResidue(prime, 2, 0)
     for seq_id, left in zip(SEQUENCE_IDS, lhs.tolist()):
         yield FamilyCase({"sequence": seq_id}, PadicResidue(prime, 2, left), zero)
@@ -358,7 +342,7 @@ def _e123_cases(prime: OddPrime) -> Iterator[FamilyCase]:
     q = prime.value
     lhs = truncated_sum("cubic", q, q - 1, 24, catalan_weight=True)
     inner = truncated_sum("cubic", q, q - 1, -216, catalan_weight=True) - q
-    rhs = q + Fraction(_p_over_3(q), 9) * inner
+    rhs = q + Fraction(legendre_symbol(-3, q), 9) * inner
     yield _case(prime, 2, {}, lhs, rhs)
 
 
@@ -396,7 +380,7 @@ def _g3_cases(prime: OddPrime) -> Iterator[FamilyCase]:
     q = prime.value
     n = (q - 1) // 2
     x = cornacchia_two_squares(q).x
-    l2 = _leg_2(q)
+    l2 = legendre_symbol(2, q)
     members = [
         truncated_sum("central_sq", q, n, 8),
         truncated_sum("central_sq", q, n, -16),
@@ -410,7 +394,7 @@ def _g4_cases(prime: OddPrime) -> Iterator[FamilyCase]:
     q = prime.value
     n = (q - 1) // 2
     x = cornacchia_two_squares(q).x
-    l2 = _leg_2(q)
+    l2 = legendre_symbol(2, q)
     members = [
         truncated_sum("central_sq", q, n, 8, catalan_weight=True),
         -2 * truncated_sum("central_sq", q, q - 1, 8, k_factor=True),
@@ -435,7 +419,7 @@ def _l1_cases(prime: OddPrime) -> Iterator[FamilyCase]:
         if h < q - 1:
             mpow //= -16
     lhs = Fraction(num, (-16) ** (q - 1))
-    yield _case(prime, 2, {}, lhs, Fraction(q * _leg_m1(q)))
+    yield _case(prime, 2, {}, lhs, Fraction(q * legendre_symbol(-1, q)))
 
 
 def _a1_cases(prime: OddPrime) -> Iterator[FamilyCase]:
@@ -539,21 +523,21 @@ _CATALOG: tuple[CongruenceFamily, ...] = (
         "sum_{k<p} binom(3k,k) binom(2k,k)/27^k == (p/3) mod p^2",
         2,
         _always,
-        _sum_family("cubic", 27, _p_over_3),
+        _sum_family("cubic", 27, partial(legendre_symbol, -3)),  # (p/3) = (-3/p) by reciprocity
     ),
     CongruenceFamily(
         "E1.9",
         "sum_{k<p} binom(4k,2k) binom(2k,k)/64^k == (-2/p) mod p^2",
         2,
         _always,
-        _sum_family("quartic", 64, _leg_m2),
+        _sum_family("quartic", 64, partial(legendre_symbol, -2)),
     ),
     CongruenceFamily(
         "E1.10",
         "sum_{k<p} binom(6k,3k) binom(3k,k)/432^k == (-1/p) mod p^2",
         2,
         _always,
-        _sum_family("sextic", 432, _leg_m1),
+        _sum_family("sextic", 432, partial(legendre_symbol, -1)),
     ),
     CongruenceFamily(
         "E1.11",
@@ -561,21 +545,21 @@ _CATALOG: tuple[CongruenceFamily, ...] = (
         "sequence mod p^2, over sampled sequences",
         2,
         _always,
-        _dual_family("cubic", 27, _p_over_3),
+        _dual_family("cubic", 27, partial(legendre_symbol, -3)),
     ),
     CongruenceFamily(
         "E1.12",
         "64^k-weighted sum of a_k equals (-2/p) times the dual-sequence sum mod p^2",
         2,
         _always,
-        _dual_family("quartic", 64, _leg_m2),
+        _dual_family("quartic", 64, partial(legendre_symbol, -2)),
     ),
     CongruenceFamily(
         "E1.13",
         "432^k-weighted sum of a_k equals (-1/p) times the dual-sequence sum mod p^2",
         2,
         _always,
-        _dual_family("sextic", 432, _leg_m1),
+        _dual_family("sextic", 432, partial(legendre_symbol, -1)),
     ),
     CongruenceFamily(
         "R1.4a",
@@ -583,7 +567,7 @@ _CATALOG: tuple[CongruenceFamily, ...] = (
         "== (p/3) mod p for d <= floor(p/3)",
         1,
         _always,
-        _r14_family("cubic_double", "cubic_shift", 27, 3, _p_over_3),
+        _r14_family("cubic_double", "cubic_shift", 27, 3, partial(legendre_symbol, -3)),
     ),
     CongruenceFamily(
         "R1.4b",
@@ -591,7 +575,7 @@ _CATALOG: tuple[CongruenceFamily, ...] = (
         "== (-2/p) mod p for d <= floor(p/4)",
         1,
         _always,
-        _r14_family("quartic_double", "quartic_shift", 64, 4, _leg_m2),
+        _r14_family("quartic_double", "quartic_shift", 64, 4, partial(legendre_symbol, -2)),
     ),
     CongruenceFamily(
         "R1.4c",
@@ -605,42 +589,42 @@ _CATALOG: tuple[CongruenceFamily, ...] = (
         "sum binom(3k,k) binom(2k,k)/27^k (x^k - (p/3)(1-x)^k) == 0 in Z_p[x] mod p^2",
         2,
         _always,
-        _poly_family("cubic", 27, _p_over_3, spots=_SPOTS_CUBIC),
+        _poly_family("cubic", 27, partial(legendre_symbol, -3), spots=_SPOTS_CUBIC),
     ),
     CongruenceFamily(
         "E1.15",
         "sum binom(4k,2k) binom(2k,k)/64^k (x^k - (-2/p)(1-x)^k) == 0 in Z_p[x] mod p^2",
         2,
         _always,
-        _poly_family("quartic", 64, _leg_m2, spots=_SPOTS_QUARTIC),
+        _poly_family("quartic", 64, partial(legendre_symbol, -2), spots=_SPOTS_QUARTIC),
     ),
     CongruenceFamily(
         "E1.16",
         "sum binom(6k,3k) binom(3k,k)/432^k (x^k - (-1/p)(1-x)^k) == 0 in Z_p[x] mod p^2",
         2,
         _always,
-        _poly_family("sextic", 432, _leg_m1, spots=_SPOTS_SEXTIC),
+        _poly_family("sextic", 432, partial(legendre_symbol, -1), spots=_SPOTS_SEXTIC),
     ),
     CongruenceFamily(
         "E1.17",
         "sum k binom(3k,k) binom(2k,k)/27^k (x^(k-1) + (p/3)(1-x)^(k-1)) == 0 mod p^2",
         2,
         _always,
-        _poly_family("cubic", 27, _p_over_3, deriv=True, spots=_SPOTS_CUBIC),
+        _poly_family("cubic", 27, partial(legendre_symbol, -3), deriv=True, spots=_SPOTS_CUBIC),
     ),
     CongruenceFamily(
         "E1.18",
         "sum k binom(4k,2k) binom(2k,k)/64^k (x^(k-1) + (-2/p)(1-x)^(k-1)) == 0 mod p^2",
         2,
         _always,
-        _poly_family("quartic", 64, _leg_m2, deriv=True, spots=_SPOTS_QUARTIC),
+        _poly_family("quartic", 64, partial(legendre_symbol, -2), deriv=True, spots=_SPOTS_QUARTIC),
     ),
     CongruenceFamily(
         "E1.19",
         "sum k binom(6k,3k) binom(3k,k)/432^k (x^(k-1) + (-1/p)(1-x)^(k-1)) == 0 mod p^2",
         2,
         _always,
-        _poly_family("sextic", 432, _leg_m1, deriv=True, spots=_SPOTS_SEXTIC),
+        _poly_family("sextic", 432, partial(legendre_symbol, -1), deriv=True, spots=_SPOTS_SEXTIC),
     ),
     CongruenceFamily(
         "R1.5",
@@ -704,42 +688,42 @@ _CATALOG: tuple[CongruenceFamily, ...] = (
         "sum binom(3k,k) binom(2k,k)/24^k == (p/3) sum binom(3k,k) binom(2k,k)/(-216)^k mod p^2",
         2,
         _always,
-        _pair_sum_family("cubic", 24, -216, lambda q: Fraction(_p_over_3(q)), k_factor=False),
+        _pair_sum_family("cubic", 24, -216, lambda q: Fraction(legendre_symbol(-3, q)), k_factor=False),
     ),
     CongruenceFamily(
         "C1.2b",
         "sum k binom(3k,k) binom(2k,k)/24^k == 9 (p/3) sum k binom(3k,k) binom(2k,k)/(-216)^k mod p^2",
         2,
         _always,
-        _pair_sum_family("cubic", 24, -216, lambda q: Fraction(9 * _p_over_3(q)), k_factor=True),
+        _pair_sum_family("cubic", 24, -216, lambda q: Fraction(9 * legendre_symbol(-3, q)), k_factor=True),
     ),
     CongruenceFamily(
         "C1.2c",
         "sum binom(4k,2k) binom(2k,k)/48^k == (-2/p) sum binom(4k,2k) binom(2k,k)/(-192)^k mod p^2",
         2,
         _always,
-        _pair_sum_family("quartic", 48, -192, lambda q: Fraction(_leg_m2(q)), k_factor=False),
+        _pair_sum_family("quartic", 48, -192, lambda q: Fraction(legendre_symbol(-2, q)), k_factor=False),
     ),
     CongruenceFamily(
         "C1.2d",
         "sum k binom(4k,2k) binom(2k,k)/48^k == 4 (-2/p) sum k binom(4k,2k) binom(2k,k)/(-192)^k mod p^2",
         2,
         _always,
-        _pair_sum_family("quartic", 48, -192, lambda q: Fraction(4 * _leg_m2(q)), k_factor=True),
+        _pair_sum_family("quartic", 48, -192, lambda q: Fraction(4 * legendre_symbol(-2, q)), k_factor=True),
     ),
     CongruenceFamily(
         "C1.2e",
         "sum binom(4k,2k) binom(2k,k)/72^k == (-2/p) sum binom(4k,2k) binom(2k,k)/576^k mod p^2",
         2,
         _always,
-        _pair_sum_family("quartic", 72, 576, lambda q: Fraction(_leg_m2(q)), k_factor=False),
+        _pair_sum_family("quartic", 72, 576, lambda q: Fraction(legendre_symbol(-2, q)), k_factor=False),
     ),
     CongruenceFamily(
         "C1.2f",
         "sum k binom(4k,2k) binom(2k,k)/72^k == -8 (-2/p) sum k binom(4k,2k) binom(2k,k)/576^k mod p^2",
         2,
         _always,
-        _pair_sum_family("quartic", 72, 576, lambda q: Fraction(-8 * _leg_m2(q)), k_factor=True),
+        _pair_sum_family("quartic", 72, 576, lambda q: Fraction(-8 * legendre_symbol(-2, q)), k_factor=True),
     ),
     CongruenceFamily(
         "C1.2g",
@@ -747,7 +731,7 @@ _CATALOG: tuple[CongruenceFamily, ...] = (
         "mod p^2 for p != 7",
         2,
         lambda q: q != 7,
-        _pair_sum_family("quartic", 63, -4032, lambda q: Fraction(_leg_m2(q)), k_factor=False),
+        _pair_sum_family("quartic", 63, -4032, lambda q: Fraction(legendre_symbol(-2, q)), k_factor=False),
     ),
     CongruenceFamily(
         "C1.2h",
@@ -755,7 +739,7 @@ _CATALOG: tuple[CongruenceFamily, ...] = (
         "mod p^2 for p != 7",
         2,
         lambda q: q != 7,
-        _pair_sum_family("quartic", 63, -4032, lambda q: Fraction(64 * _leg_m2(q)), k_factor=True),
+        _pair_sum_family("quartic", 63, -4032, lambda q: Fraction(64 * legendre_symbol(-2, q)), k_factor=True),
     ),
     CongruenceFamily(
         "E1.20",

@@ -1,8 +1,10 @@
 """Exact identities and recurrences underlying the congruence catalog.
 
 Every case is an equality of exact rationals (or of residues, for the
-prime-parameterized lemmas I8-I11). Evaluators accumulate integer
-numerators over the common power denominator and build each Fraction once.
+prime-parameterized lemmas I8-I11). The partial sums of I1-I5 are evaluated
+by sums.weighted_sum, the accumulator behind the catalog's truncated_sum, and
+I1-I5 and Z2-Z4 take their kernels N_kind(k) from sums.TERM_KINDS, each
+value computed once per run.
 """
 
 from __future__ import annotations
@@ -10,13 +12,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 from time import perf_counter
 from typing import Callable, Iterator
 
-from ..combinatorics import catalan
+from ..combinatorics import catalan  # noqa: F401  (perfbench/tracing.py wraps identities.catalan)
 from ..errors import UnknownId
 from ..padic import primes_between
+from .sums import TERM_KINDS, weighted_sum
 
 __all__ = [
     "CongruenceLemma",
@@ -85,100 +88,63 @@ class IdentityResult:
 # -- m-parameterized partial-sum identities ---------------------------------
 
 
-def _i1_cases(max_n: int) -> Iterator[IdentityCase]:
+def _prefix(kind: str, d: int = 0) -> Callable[[int], list[int]]:
+    """terms(n) is [N_kind(0, d), ..., N_kind(n, d)]; each kernel value is computed once."""
+    term = TERM_KINDS[kind]
+    values: list[int] = []
+
+    def terms(n: int) -> list[int]:
+        values.extend(term(k, d) for k in range(len(values), n + 1))
+        return values[: n + 1]
+
+    return terms
+
+
+def _partial_sum_cases(
+    kind: str,
+    c: int,
+    base: int,
+    scale: int,
+    upper: Callable[[int], int],
+    closed: Callable[[int, int], Fraction],
+    bases: tuple[int, ...] | None = None,
+) -> Callable[[int], Iterator[IdentityCase]]:
+    """sum_{k<=u} (c/(k+1) + (base-m) k/scale) N_kind(k)/m^k = closed(n, N_kind(n))/m^u.
+
+    u = upper(n). m runs over _m_values(n) and is a case parameter, unless
+    bases fixes it as part of the statement.
+    """
+
+    def cases(max_n: int) -> Iterator[IdentityCase]:
+        terms = _prefix(kind)
+        for n in range(1, max_n + 1):
+            u = upper(n)
+            t = terms(n)
+            closed_n = Fraction(closed(n, t[n]))
+            for m in bases or _m_values(n):
+                lhs = weighted_sum(t[: u + 1], m, b=base - m, c=scale * c) / scale
+                params = {"n": n} if bases else {"n": n, "m": m}
+                yield IdentityCase(params, lhs, closed_n / m**u)
+
+    return cases
+
+
+def _i4_closed(n: int, t: int) -> Fraction:
+    return Fraction((2 * n + 1) ** 2 * t, n + 1)
+
+
+def _i5_cases(max_n: int, gap: int = 1) -> Iterator[IdentityCase]:
+    # telescoped shift-difference sum (2m+1) (S(m) - S(m+gap)), true for
+    # gap = 1, where S(d) = sum_{k<=n} binom(2k,k) binom(2k,k+d)/16^k and m
+    # runs over [0, n]
+    shifts: list[Callable[[int], list[int]]] = []
     for n in range(1, max_n + 1):
-        rhs_num = n * comb(2 * n, n) * comb(3 * n, n)
-        for m in _m_values(n):
-            num = 0
-            mp = m ** (n - 1)
-            for k in range(n):
-                w = 6 * catalan(k) + (27 - m) * k * comb(2 * k, k)
-                num += w * comb(3 * k, k) * mp
-                if k < n - 1:
-                    mp //= m
-            yield IdentityCase(
-                {"n": n, "m": m}, Fraction(num, m ** (n - 1)), Fraction(rhs_num, m ** (n - 1))
-            )
-
-
-def _i2_cases(max_n: int) -> Iterator[IdentityCase]:
-    for n in range(1, max_n + 1):
-        rhs_num = n * comb(4 * n, 2 * n) * comb(2 * n, n)
-        for m in _m_values(n):
-            num = 0
-            mp = m ** (n - 1)
-            for k in range(n):
-                w = 12 * catalan(k) + (64 - m) * k * comb(2 * k, k)
-                num += w * comb(4 * k, 2 * k) * mp
-                if k < n - 1:
-                    mp //= m
-            yield IdentityCase(
-                {"n": n, "m": m}, Fraction(num, m ** (n - 1)), Fraction(rhs_num, m ** (n - 1))
-            )
-
-
-def _i3_cases(max_n: int) -> Iterator[IdentityCase]:
-    for n in range(1, max_n + 1):
-        big = lcm(*range(1, n + 1))
-        rhs_num = n * comb(6 * n, 3 * n) * comb(3 * n, n) * big
-        for m in _m_values(n):
-            num = 0
-            mp = m ** (n - 1)
-            for k in range(n):
-                w = 60 * (big // (k + 1)) + (432 - m) * k * big
-                num += w * comb(6 * k, 3 * k) * comb(3 * k, k) * mp
-                if k < n - 1:
-                    mp //= m
-            den = big * m ** (n - 1)
-            yield IdentityCase({"n": n, "m": m}, Fraction(num, den), Fraction(rhs_num, den))
-
-
-def _i4_cases(max_n: int) -> Iterator[IdentityCase]:
-    # Catalan-weighted central-binomial partial sum with base 16
-    for n in range(1, max_n + 1):
-        big = lcm(*range(1, n + 2))
-        num = 0
-        mp = 16**n
-        for k in range(n + 1):
-            num += comb(2 * k, k) ** 2 * (big // (k + 1)) * mp
-            if k < n:
-                mp //= 16
-        den = big * 16**n
-        rhs = Fraction((2 * n + 1) ** 2 * comb(2 * n, n) ** 2, 16**n * (n + 1))
-        yield IdentityCase({"n": n}, Fraction(num, den), rhs)
-
-
-def _i4a_cases(max_n: int) -> Iterator[IdentityCase]:
-    for n in range(1, max_n + 1):
-        big = 4 * lcm(*range(1, n + 2))
-        rhs_num = (2 * n + 1) ** 2 * comb(2 * n, n) ** 2 * (big // (n + 1))
-        for m in _m_values(n):
-            num = 0
-            mp = m**n
-            for k in range(n + 1):
-                w = (16 - m) * k * (big // 4) + big // (k + 1)
-                num += w * comb(2 * k, k) ** 2 * mp
-                if k < n:
-                    mp //= m
-            den = big * m**n
-            yield IdentityCase({"n": n, "m": m}, Fraction(num, den), Fraction(rhs_num, den))
-
-
-def _i5_cases(max_n: int) -> Iterator[IdentityCase]:
-    # telescoped shift-difference sum; secondary index m runs over [0, n]
-    for n in range(1, max_n + 1):
-        cb = [comb(2 * k, k) for k in range(n + 1)]
-        pw16 = [16**i for i in range(n + 1)]
+        shifts += [_prefix("central_shift", d) for d in range(len(shifts), n + gap + 1)]
+        s = [weighted_sum(terms(n), 16, a=1) for terms in shifts]
         rn = comb(2 * n, n)
         for m in range(n + 1):
-            num = 0
-            for k in range(n + 1):
-                diff = comb(2 * k, k + m) - comb(2 * k, k + m + 1)
-                if diff:
-                    num += cb[k] * diff * pw16[n - k]
-            lhs = Fraction((2 * m + 1) * num, pw16[n])
-            rhs = Fraction((2 * n + 1) * rn * comb(2 * n + 1, n - m), pw16[n])
-            yield IdentityCase({"n": n, "m": m}, lhs, rhs)
+            rhs = Fraction((2 * n + 1) * rn * comb(2 * n + 1, n - m), 16**n)
+            yield IdentityCase({"n": n, "m": m}, (2 * m + 1) * (s[m] - s[m + gap]), rhs)
 
 
 def _i6_cases(max_n: int) -> Iterator[IdentityCase]:
@@ -328,49 +294,23 @@ def _tail_table(n: int, weights: list[int]) -> list[list[int]]:
     return rows
 
 
-def _z_family(max_n, base, cpair, wfun, rfun) -> Iterator[IdentityCase]:
-    a, b = cpair
-    for n in range(2, max_n + 1):
-        scale = base ** (n - 1)
-        weights = [wfun(k) * base ** (n - 1 - k) for k in range(n)]
-        tails = _tail_table(n, weights)
-        rhs_core = rfun(n)
-        for m in range(n - 1):
-            lhs = a * (m + 1) ** 2 * tails[m + 1] + (b(m)) * tails[m]
-            rhs = rhs_core * comb(n - 1, m)
-            yield IdentityCase(
-                {"n": n, "m": m}, Fraction(lhs, scale), Fraction(rhs, scale)
-            )
+def _z_family(kind: str, base: int, a: int, b: Callable[[int], int]) -> Callable[[int], Iterator[IdentityCase]]:
+    """a (m+1)^2 T(m+1) + b(m) T(m) = b(n-1) N_kind(n-1) binom(n-1, m), where
+    T(m) = sum_{k=m}^{n-1} N_kind(k) binom(k, m)/base^k, scaled by base^(n-1)."""
 
+    def cases(max_n: int) -> Iterator[IdentityCase]:
+        terms = _prefix(kind)
+        for n in range(2, max_n + 1):
+            scale = base ** (n - 1)
+            t = terms(n - 1)
+            tails = _tail_table(n, [t[k] * base ** (n - 1 - k) for k in range(n)])
+            rhs_core = b(n - 1) * t[n - 1]
+            for m in range(n - 1):
+                lhs = a * (m + 1) ** 2 * tails[m + 1] + b(m) * tails[m]
+                rhs = rhs_core * comb(n - 1, m)
+                yield IdentityCase({"n": n, "m": m}, Fraction(lhs, scale), Fraction(rhs, scale))
 
-def _z2_cases(max_n: int) -> Iterator[IdentityCase]:
-    return _z_family(
-        max_n,
-        27,
-        (9, lambda m: (3 * m + 1) * (3 * m + 2)),
-        lambda k: comb(3 * k, k) * comb(2 * k, k),
-        lambda n: (3 * n - 1) * (3 * n - 2) * comb(2 * n - 2, n - 1) * comb(3 * n - 3, n - 1),
-    )
-
-
-def _z3_cases(max_n: int) -> Iterator[IdentityCase]:
-    return _z_family(
-        max_n,
-        64,
-        (16, lambda m: (4 * m + 1) * (4 * m + 3)),
-        lambda k: comb(4 * k, 2 * k) * comb(2 * k, k),
-        lambda n: (4 * n - 1) * (4 * n - 3) * comb(2 * n - 2, n - 1) * comb(4 * n - 4, 2 * n - 2),
-    )
-
-
-def _z4_cases(max_n: int) -> Iterator[IdentityCase]:
-    return _z_family(
-        max_n,
-        432,
-        (36, lambda m: (6 * m + 1) * (6 * m + 5)),
-        lambda k: comb(6 * k, 3 * k) * comb(3 * k, k),
-        lambda n: (6 * n - 1) * (6 * n - 5) * comb(3 * n - 3, n - 1) * comb(6 * n - 6, 3 * n - 3),
-    )
+    return cases
 
 
 _CATALOG: tuple[ExactIdentity, ...] = (
@@ -379,35 +319,35 @@ _CATALOG: tuple[ExactIdentity, ...] = (
         "partial sum of (6 C_k + (27-m) k binom(2k,k)) binom(3k,k)/m^k "
         "equals n binom(2n,n) binom(3n,n)/m^(n-1)",
         "identity",
-        _i1_cases,
+        _partial_sum_cases("cubic", 6, 27, 1, lambda n: n - 1, lambda n, t: n * t),
     ),
     ExactIdentity(
         "I2",
         "partial sum of (12 C_k + (64-m) k binom(2k,k)) binom(4k,2k)/m^k "
         "equals n binom(4n,2n) binom(2n,n)/m^(n-1)",
         "identity",
-        _i2_cases,
+        _partial_sum_cases("quartic", 12, 64, 1, lambda n: n - 1, lambda n, t: n * t),
     ),
     ExactIdentity(
         "I3",
         "partial sum of (60/(k+1) + (432-m) k) binom(6k,3k) binom(3k,k)/m^k "
         "equals n binom(6n,3n) binom(3n,n)/m^(n-1)",
         "identity",
-        _i3_cases,
+        _partial_sum_cases("sextic", 60, 432, 1, lambda n: n - 1, lambda n, t: n * t),
     ),
     ExactIdentity(
         "I4",
         "sum_{k<=n} binom(2k,k) C_k/16^k equals "
         "(2n+1)^2 binom(2n,n)^2/(16^n (n+1))",
         "identity",
-        _i4_cases,
+        _partial_sum_cases("central_sq", 1, 16, 4, lambda n: n, _i4_closed, bases=(16,)),
     ),
     ExactIdentity(
         "I4a",
         "sum_{k<=n} ((16-m)k/4 + 1/(k+1)) binom(2k,k)^2/m^k equals "
         "(2n+1)^2 binom(2n,n)^2/((n+1) m^n)",
         "identity",
-        _i4a_cases,
+        _partial_sum_cases("central_sq", 1, 16, 4, lambda n: n, _i4_closed),
     ),
     ExactIdentity(
         "I5",
@@ -443,21 +383,21 @@ _CATALOG: tuple[ExactIdentity, ...] = (
         "two-term recurrence in m for the binom(k,m)-weighted tails of "
         "binom(3k,k) binom(2k,k)/27^k",
         "recurrence",
-        _z2_cases,
+        _z_family("cubic", 27, 9, lambda m: (3 * m + 1) * (3 * m + 2)),
     ),
     ExactIdentity(
         "Z3",
         "two-term recurrence in m for the binom(k,m)-weighted tails of "
         "binom(4k,2k) binom(2k,k)/64^k",
         "recurrence",
-        _z3_cases,
+        _z_family("quartic", 64, 16, lambda m: (4 * m + 1) * (4 * m + 3)),
     ),
     ExactIdentity(
         "Z4",
         "two-term recurrence in m for the binom(k,m)-weighted tails of "
         "binom(6k,3k) binom(3k,k)/432^k",
         "recurrence",
-        _z4_cases,
+        _z_family("sextic", 432, 36, lambda m: (6 * m + 1) * (6 * m + 5)),
     ),
 )
 

@@ -1,20 +1,24 @@
 """Exact truncated sums of binomial products over a power denominator.
 
-truncated_sum is the reference evaluator for every catalog family: one big
-integer numerator accumulated over the common denominator
-lcm(1..upper+1) * m^upper, reduced to a Fraction once at the end.
+TERM_KINDS holds every kernel N_kind(k, d). weighted_sum is the one exact
+evaluator of sum_k (a + b k + c/(k+1)) t_k / m^k: one big integer numerator
+over lcm(1..u+1) m^u, reduced to a Fraction once. truncated_sum applies it to
+a kernel over (p-1)/2 or p-1 terms for the catalog families that reduce an
+exact sum once per case; the identity suite applies it to prefixes of the
+same kernels. The residue families (E1.11-E1.19, R1.4c, R1.5) use
+families._weight_residues instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..errors import NonUnitDivisor
 from ..padic import OddPrime, _prime_int
 
-__all__ = ["TERM_KINDS", "truncated_sum"]
+__all__ = ["TERM_KINDS", "truncated_sum", "weighted_sum"]
 
 
 def _central_sq(k: int, d: int) -> int:
@@ -71,6 +75,35 @@ TERM_KINDS: dict[str, Callable[[int, int], int]] = {
 }
 
 
+def weighted_sum(terms: Sequence[int], m: int, a: int = 0, b: int = 0, c: int = 0) -> Fraction:
+    """sum_{k=0}^{u} (a + b k + c/(k+1)) terms[k] / m^k, exact, with u = len(terms) - 1.
+
+    One integer numerator is accumulated over the common denominator
+    lcm(1..u+1) m^u (the lcm only when c is nonzero) and reduced to a
+    Fraction once.
+    """
+    u = len(terms) - 1
+    big = lcm(*range(1, u + 2)) if c else 1
+    num = 0
+    for k, t in enumerate(terms):
+        num *= m
+        if t:
+            w = (a + b * k) * big
+            if c:
+                w += c * (big // (k + 1))
+            num += w * t
+    return Fraction(num, big * m**u)
+
+
+# (k_factor, catalan_weight) -> (a, b, c); both set is k/(k+1) = 1 - 1/(k+1)
+_FLAG_WEIGHTS = {
+    (False, False): (1, 0, 0),
+    (True, False): (0, 1, 0),
+    (False, True): (0, 0, 1),
+    (True, True): (1, 0, -1),
+}
+
+
 def truncated_sum(
     kind: str,
     p: OddPrime | int,
@@ -94,20 +127,5 @@ def truncated_sum(
     if m == 0 or m % q == 0:
         raise NonUnitDivisor(f"base {m} is not a unit modulo {q}")
     term = TERM_KINDS[kind]
-    big = lcm(*range(1, upper + 2)) if catalan_weight else 1
-    mpow = [1] * (upper + 1)
-    for i in range(1, upper + 1):
-        mpow[i] = mpow[i - 1] * m
-    num = 0
-    for k in range(upper + 1):
-        t = term(k, d)
-        if not t:
-            continue
-        if k_factor:
-            if k == 0:
-                continue
-            t *= k
-        if catalan_weight:
-            t = t * (big // (k + 1))
-        num += t * mpow[upper - k]
-    return Fraction(num, big * mpow[upper])
+    terms = [term(k, d) for k in range(upper + 1)]
+    return weighted_sum(terms, m, *_FLAG_WEIGHTS[k_factor, catalan_weight])

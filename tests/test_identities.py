@@ -1,6 +1,7 @@
 """Identity suite: independent re-derivations, runner semantics, witnesses."""
 
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import pytest
@@ -11,7 +12,10 @@ from supercong.congruences.identities import (
     M_SET,
     IdentityCase,
     _case_passes,
+    _i4_closed,
+    _i5_cases,
     _m_values,
+    _partial_sum_cases,
 )
 from supercong.errors import UnknownId
 
@@ -45,19 +49,64 @@ def test_whole_suite_passes_at_moderate_depth():
         assert r.failures == []
 
 
+def _direct_i1(n, m):
+    lhs = sum(
+        Fraction((6 * comb(2 * k, k) // (k + 1) + (27 - m) * k * comb(2 * k, k)) * comb(3 * k, k), m**k)
+        for k in range(n)
+    )
+    return lhs, Fraction(n * comb(2 * n, n) * comb(3 * n, n), m ** (n - 1))
+
+
+def _direct_i2(n, m):
+    lhs = sum(
+        Fraction((12 * comb(2 * k, k) // (k + 1) + (64 - m) * k * comb(2 * k, k)) * comb(4 * k, 2 * k), m**k)
+        for k in range(n)
+    )
+    return lhs, Fraction(n * comb(4 * n, 2 * n) * comb(2 * n, n), m ** (n - 1))
+
+
+def _direct_i3(n, m):
+    lhs = sum(
+        (Fraction(60, k + 1) + (432 - m) * k) * Fraction(comb(6 * k, 3 * k) * comb(3 * k, k), m**k)
+        for k in range(n)
+    )
+    return lhs, Fraction(n * comb(6 * n, 3 * n) * comb(3 * n, n), m ** (n - 1))
+
+
+def _direct_i4a(n, m):
+    lhs = sum(
+        (Fraction((16 - m) * k, 4) + Fraction(1, k + 1)) * Fraction(comb(2 * k, k) ** 2, m**k)
+        for k in range(n + 1)
+    )
+    return lhs, Fraction((2 * n + 1) ** 2 * comb(2 * n, n) ** 2, (n + 1) * m**n)
+
+
+def _direct_i5(n, m):
+    # here m is the shift, in [0, n]
+    lhs = (2 * m + 1) * sum(
+        Fraction(comb(2 * k, k) * (comb(2 * k, k + m) - comb(2 * k, k + m + 1)), 16**k)
+        for k in range(n + 1)
+    )
+    return lhs, Fraction((2 * n + 1) * comb(2 * n, n) * comb(2 * n + 1, n - m), 16**n)
+
+
+_DIRECT = {"I1": _direct_i1, "I2": _direct_i2, "I3": _direct_i3, "I4a": _direct_i4a, "I5": _direct_i5}
+
+
 def test_partial_sum_identity_direct_fractions():
-    # I1 recomputed term by term with Fraction arithmetic
-    for n in (1, 2, 5, 12, 25):
-        for m in (8, 27, -16, 54, 117):
-            lhs = sum(
-                Fraction(
-                    (6 * catalan(k) + (27 - m) * k * comb(2 * k, k)) * comb(3 * k, k),
-                    m**k,
-                )
-                for k in range(n)
-            )
-            rhs = Fraction(n * comb(2 * n, n) * comb(3 * n, n), m ** (n - 1))
-            assert lhs == rhs, (n, m)
+    # I1-I3, I4a and I5 recomputed term by term with Fraction arithmetic and
+    # comb, independently of TERM_KINDS and the shared accumulator
+    for ident_id, direct in _DIRECT.items():
+        for n in (1, 2, 5, 12, 25):
+            shifts = range(n + 1) if ident_id == "I5" else (8, 27, -16, 54, 117)
+            for m in shifts:
+                lhs, rhs = direct(n, m)
+                assert lhs == rhs, (ident_id, n, m)
+    # and the suite's own cases carry exactly these values
+    catalog = {ident.id: ident for ident in identity_catalog()}
+    for ident_id, direct in _DIRECT.items():
+        for case in catalog[ident_id].cases(12):
+            assert (case.lhs, case.rhs) == direct(case.params["n"], case.params["m"]), (ident_id, case.params)
 
 
 def test_catalan_weighted_identity_direct_fractions():
@@ -98,6 +147,21 @@ def test_shift_recurrence_direct():
         lhs = (n - d - 1) * (n + d + 2) * (2 * d + 1) * f(n, d + 2)
         rhs = (2 * n + 1) ** 2 * (d + 1) * f(n, d + 1) - (n - d) * (n + d + 1) * (2 * d + 3) * f(n, d)
         assert lhs == rhs, d
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        _partial_sum_cases("cubic", 6, 26, 1, lambda n: n - 1, lambda n, t: n * t),
+        _partial_sum_cases("cubic", 5, 27, 1, lambda n: n - 1, lambda n, t: n * t),
+        _partial_sum_cases("central_sq", 1, 16, 4, lambda n: n - 1, _i4_closed),
+        partial(_i5_cases, gap=2),
+    ],
+    ids=["I1-base-26", "I1-c-5", "I4a-upper-n-1", "I5-gap-2"],
+)
+def test_identity_mutants_fail(mutant):
+    # each planted error in a factory parameter must show within max-n 10
+    assert any(not _case_passes(case) for case in mutant(10))
 
 
 def test_vacuous_domain_counts_as_pass():
