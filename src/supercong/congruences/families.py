@@ -1,10 +1,13 @@
 """The congruence family catalog.
 
 Each CongruenceFamily turns a prime into a stream of FamilyCase rows: two
-residues that the underlying theorem says must agree modulo p^K. Evaluators
-accumulate exact rationals and reduce once per case, except the families that
-are linear in the weights N(k)/base^k (E1.11-E1.19, R1.4c, R1.5): they work mod
-p^K, which is exact because every denominator there is a p-adic unit.
+residues that the underlying theorem says must agree modulo p^K. Truncated
+sums arrive as residues mod p^K (sums.truncated_sum with power=K), and the
+families that are linear in the weights N(k)/base^k (E1.11-E1.19, R1.4c,
+R1.5) work with those weights mod p^K. Both are exact, because every
+denominator involved is a p-adic unit or divides out exactly. Closed forms
+stay exact integers or Fractions; they meet a residue only through ring
+operations with p-integral constants, and each side is reduced once per case.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from ..errors import UnknownId
 from ..padic import OddPrime, PadicResidue, legendre_symbol, padic_from_rational
 from .identities import LEMMAS, CongruenceLemma
 from .sequences import SEQUENCE_IDS, sequence_terms
-from .sums import TERM_KINDS, truncated_sum
+from .sums import kernel_residues, truncated_sum
 
 __all__ = ["MAX_EXACT_PRIME", "CongruenceFamily", "FamilyCase", "family_catalog", "family_ids", "get_family"]
 
@@ -97,17 +100,20 @@ def _binom_mod_matrix(modulus: int, size: int) -> np.ndarray:
     return rows * signs[None, :] % modulus
 
 
+def _prime_root(modulus: int) -> tuple[int, int]:
+    """(p, K) for modulus = p^K with K in {1, 2, 3}."""
+    for power in (3, 2, 1):
+        q = round(modulus ** (1 / power))
+        if q**power == modulus:
+            return q, power
+    raise ValueError(f"{modulus} is not a prime power p^K with K <= 3")
+
+
 @lru_cache(maxsize=32)
 def _weight_residues(kind: str, base: int, modulus: int, count: int) -> np.ndarray:
-    """Residues of N_kind(k, 0)/base^k mod modulus for k < count."""
-    term = TERM_KINDS[kind]
-    inv = pow(base, -1, modulus)
-    out = np.empty(count, dtype=np.int64)
-    w = 1
-    for k in range(count):
-        out[k] = term(k, 0) * w % modulus
-        w = w * inv % modulus
-    return out
+    """Residues of N_kind(k, 0)/base^k mod modulus = p^K for k < count."""
+    q, power = _prime_root(modulus)
+    return np.array(kernel_residues(kind, q, base, count, power), dtype=np.int64)
 
 
 def _weight_vectors(
@@ -152,7 +158,7 @@ def _e13_cases(prime: OddPrime) -> Iterator[FamilyCase]:
     n = (q - 1) // 2
     sign = legendre_symbol(-1, q)
     for d in range(n + 1):
-        lhs = truncated_sum("central_double", q, n, 16, d=d)
+        lhs = truncated_sum("central_double", q, n, 16, d=d, power=2)
         yield _case(prime, 2, {"d": d}, lhs, Fraction(4**d * sign))
 
 
@@ -162,7 +168,7 @@ def _e14_cases(prime: OddPrime) -> Iterator[FamilyCase]:
     sign = legendre_symbol(-1, q)
     grid = euler_polynomial_half_grid(q - 3, n + 1)
     for d in range(n + 1):
-        lhs = truncated_sum("central_shift", q, n, 16, d=d)
+        lhs = truncated_sum("central_shift", q, n, 16, d=d, power=3)
         rhs = sign + Fraction(q * q * (-1) ** d, 4) * grid[d]
         yield _case(prime, 3, {"d": d}, lhs, rhs)
 
@@ -174,10 +180,10 @@ def _e15_cases(prime: OddPrime) -> Iterator[FamilyCase]:
     q = prime.value
     n = (q - 1) // 2
     members = [
-        truncated_sum("central_sq", q, n, 8, catalan_weight=True),
-        -2 * truncated_sum("central_sq", q, n, 8, k_factor=True),
-        Fraction(-1, 2) * truncated_sum("central_sq", q, n, -16, catalan_weight=True),
-        4 * truncated_sum("central_sq", q, n, -16, k_factor=True),
+        truncated_sum("central_sq", q, n, 8, catalan_weight=True, power=1),
+        -2 * truncated_sum("central_sq", q, n, 8, k_factor=True, power=1),
+        Fraction(-1, 2) * truncated_sum("central_sq", q, n, -16, catalan_weight=True, power=1),
+        4 * truncated_sum("central_sq", q, n, -16, k_factor=True, power=1),
         Fraction((-1) ** ((q + 1) // 4) * comb((q + 1) // 2, (q + 1) // 4), 2),
     ]
     yield from _chain(prime, 1, ["cat8", "k8", "cat-16", "k-16", "closed"], members)
@@ -187,24 +193,26 @@ def _e16_cases(prime: OddPrime) -> Iterator[FamilyCase]:
     q = prime.value
     n = (q - 1) // 2
     members = [
-        truncated_sum("central_sq", q, n, 8),
-        -truncated_sum("central_sq", q, n, -16),
+        truncated_sum("central_sq", q, n, 8, power=2),
+        -truncated_sum("central_sq", q, n, -16, power=2),
         Fraction(2 * q * (-1) ** ((q + 1) // 4), comb((q + 1) // 2, (q + 1) // 4)),
     ]
     yield from _chain(prime, 2, ["S8", "-S-16", "closed"], members)
 
 
-def _e17_cases(prime: OddPrime) -> Iterator[FamilyCase]:
-    q = prime.value
-    n = (q - 1) // 2
-    claimed_parity = (q + 1) // 2 % 2
-    for d in range(n + 1):
-        value = truncated_sum("central_shift", q, n, 8, d=d)
-        if d % 2 == claimed_parity:
-            yield _case(prime, 1, {"d": d}, value, Fraction(0))
-        else:
-            r = padic_from_rational(value, prime, 1).residue
-            yield _skip(prime, 1, {"d": d}, f"parity outside the claim; informational residue {r}")
+def _e17_family(claimed_parity: Callable[[int], int]):
+    def gen(prime: OddPrime) -> Iterator[FamilyCase]:
+        q = prime.value
+        n = (q - 1) // 2
+        parity = claimed_parity(q)
+        for d in range(n + 1):
+            value = truncated_sum("central_shift", q, n, 8, d=d, power=1)
+            if d % 2 == parity:
+                yield _case(prime, 1, {"d": d}, value, Fraction(0))
+            else:
+                yield _skip(prime, 1, {"d": d}, f"parity outside the claim; informational residue {value}")
+
+    return gen
 
 
 # -- E1.8-E1.10, C1.1, E1.20-E1.22: one full-range sum against a closed form --
@@ -213,7 +221,7 @@ def _e17_cases(prime: OddPrime) -> Iterator[FamilyCase]:
 def _sum_family(kind: str, base: int, closed: Callable[[int], int], **weights: bool):
     def gen(prime: OddPrime) -> Iterator[FamilyCase]:
         q = prime.value
-        lhs = truncated_sum(kind, q, q - 1, base, **weights)
+        lhs = truncated_sum(kind, q, q - 1, base, **weights, power=2)
         yield _case(prime, 2, {}, lhs, Fraction(closed(q)))
 
     return gen
@@ -260,8 +268,8 @@ def _r14_family(double_kind: str, shift_kind: str, base: int, div: int, eps: Cal
         n = (q - 1) // 2
         closed = Fraction(eps(q))
         for d in range(q // div + 1):
-            m1 = truncated_sum(double_kind, q, n, base, d=d) / 4**d
-            m2 = truncated_sum(shift_kind, q, n, base, d=d)
+            m1 = truncated_sum(double_kind, q, n, base, d=d, power=1) * pow(4, -d, q)
+            m2 = truncated_sum(shift_kind, q, n, base, d=d, power=1)
             yield _case(prime, 1, {"d": d, "pair": "double=shift"}, m1, m2)
             yield _case(prime, 1, {"d": d, "pair": "shift=closed"}, m2, closed)
 
@@ -331,8 +339,8 @@ def _poly_family(
 def _pair_sum_family(kind: str, base_a: int, base_b: int, scale: Callable[[int], Fraction], *, k_factor: bool):
     def gen(prime: OddPrime) -> Iterator[FamilyCase]:
         q = prime.value
-        lhs = truncated_sum(kind, q, q - 1, base_a, k_factor=k_factor)
-        rhs = scale(q) * truncated_sum(kind, q, q - 1, base_b, k_factor=k_factor)
+        lhs = truncated_sum(kind, q, q - 1, base_a, k_factor=k_factor, power=2)
+        rhs = scale(q) * truncated_sum(kind, q, q - 1, base_b, k_factor=k_factor, power=2)
         yield _case(prime, 2, {}, lhs, rhs)
 
     return gen
@@ -340,8 +348,8 @@ def _pair_sum_family(kind: str, base_a: int, base_b: int, scale: Callable[[int],
 
 def _e123_cases(prime: OddPrime) -> Iterator[FamilyCase]:
     q = prime.value
-    lhs = truncated_sum("cubic", q, q - 1, 24, catalan_weight=True)
-    inner = truncated_sum("cubic", q, q - 1, -216, catalan_weight=True) - q
+    lhs = truncated_sum("cubic", q, q - 1, 24, catalan_weight=True, power=2)
+    inner = truncated_sum("cubic", q, q - 1, -216, catalan_weight=True, power=2) - q
     rhs = q + Fraction(legendre_symbol(-3, q), 9) * inner
     yield _case(prime, 2, {}, lhs, rhs)
 
@@ -351,8 +359,8 @@ def _e123_cases(prime: OddPrime) -> Iterator[FamilyCase]:
 
 def _t16_cases(prime: OddPrime) -> Iterator[FamilyCase]:
     q = prime.value
-    m1 = truncated_sum("quartic", q, q - 1, 72, k_factor=True)
-    m2 = Fraction(3, 2) * truncated_sum("quartic", q, q - 1, 72, catalan_weight=True)
+    m1 = truncated_sum("quartic", q, q - 1, 72, k_factor=True, power=1)
+    m2 = Fraction(3, 2) * truncated_sum("quartic", q, q - 1, 72, catalan_weight=True, power=1)
     l6 = legendre_symbol(6, q)
     if q % 4 == 1:
         closed = Fraction(l6 * cornacchia_two_squares(q).x)
@@ -382,9 +390,9 @@ def _g3_cases(prime: OddPrime) -> Iterator[FamilyCase]:
     x = cornacchia_two_squares(q).x
     l2 = legendre_symbol(2, q)
     members = [
-        truncated_sum("central_sq", q, n, 8),
-        truncated_sum("central_sq", q, n, -16),
-        l2 * truncated_sum("central_sq", q, n, 32),
+        truncated_sum("central_sq", q, n, 8, power=2),
+        truncated_sum("central_sq", q, n, -16, power=2),
+        l2 * truncated_sum("central_sq", q, n, 32, power=2),
         l2 * (2 * x - Fraction(q, 2 * x)),
     ]
     yield from _chain(prime, 2, ["S8", "S-16", "S32", "closed"], members)
@@ -396,10 +404,10 @@ def _g4_cases(prime: OddPrime) -> Iterator[FamilyCase]:
     x = cornacchia_two_squares(q).x
     l2 = legendre_symbol(2, q)
     members = [
-        truncated_sum("central_sq", q, n, 8, catalan_weight=True),
-        -2 * truncated_sum("central_sq", q, q - 1, 8, k_factor=True),
-        Fraction(1, 2) * truncated_sum("central_sq", q, n, -16, catalan_weight=True),
-        -4 * truncated_sum("central_sq", q, n, -16, k_factor=True),
+        truncated_sum("central_sq", q, n, 8, catalan_weight=True, power=2),
+        -2 * truncated_sum("central_sq", q, q - 1, 8, k_factor=True, power=2),
+        Fraction(1, 2) * truncated_sum("central_sq", q, n, -16, catalan_weight=True, power=2),
+        -4 * truncated_sum("central_sq", q, n, -16, k_factor=True, power=2),
         l2 * (2 * x - Fraction(q, x)),
     ]
     yield from _chain(prime, 2, ["cat8", "k8full", "cat-16", "k-16", "closed"], members)
@@ -453,7 +461,7 @@ def _binom_family(top: Callable[[int], tuple[int, int]], power: int, rhs_fun: Ca
 def _dbase_cases(prime: OddPrime) -> Iterator[FamilyCase]:
     q = prime.value
     n = (q - 1) // 2
-    lhs = truncated_sum("central_shift", q, n, 8, d=n - 1)
+    lhs = truncated_sum("central_shift", q, n, 8, d=n - 1, power=1)
     yield _case(prime, 1, {"d": n - 1}, lhs, Fraction(0))
 
 
@@ -516,7 +524,7 @@ _CATALOG: tuple[CongruenceFamily, ...] = (
         "sum binom(2k,k) binom(2k,k+d)/8^k == 0 mod p for d == (p+1)/2 mod 2",
         1,
         _always,
-        _e17_cases,
+        _e17_family(lambda q: (q + 1) // 2 % 2),
     ),
     CongruenceFamily(
         "E1.8",

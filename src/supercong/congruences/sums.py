@@ -1,24 +1,34 @@
-"""Exact truncated sums of binomial products over a power denominator.
+"""Truncated sums of binomial products over a power denominator, exact or mod p^K.
 
-TERM_KINDS holds every kernel N_kind(k, d). weighted_sum is the one exact
-evaluator of sum_k (a + b k + c/(k+1)) t_k / m^k: one big integer numerator
-over lcm(1..u+1) m^u, reduced to a Fraction once. truncated_sum applies it to
-a kernel over (p-1)/2 or p-1 terms for the catalog families that reduce an
-exact sum once per case; the identity suite applies it to prefixes of the
-same kernels. The residue families (E1.11-E1.19, R1.4c, R1.5) use
-families._weight_residues instead.
+TERM_KINDS holds every kernel N_kind(k, d) as an exact integer function.
+weighted_sum is the one exact evaluator of sum_k (a + b k + c/(k+1)) t_k / m^k:
+one big integer numerator over lcm(1..u+1) m^u, reduced to a Fraction once.
+The identity suite applies it to prefixes of the kernels.
+
+truncated_sum sums a kernel over (p-1)/2 or p-1 terms. With power=None it
+returns that exact Fraction, the reference the tests check against. With
+power=K it returns the canonical residue mod p^K, summed from per-prime
+tables mod p^4 (binomial rows, factorials, m^-k) built on first use. That is
+exact: reduction mod p^K is a ring homomorphism on Z_(p), and every divisor
+is a p-adic unit except k+1 = p in the Catalan weight, whose term is reduced
+mod p^(K+1) and divided by p exactly (NotPAdicInteger when it cannot be).
+The catalog families use the residue path; kernel_residues gives the
+sequence and polynomial families their weights N_kind(k)/m^k mod p^K from
+the same tables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from functools import lru_cache
+from math import comb, lcm, prod
+from operator import mul
 from typing import Callable, Sequence
 
-from ..errors import NonUnitDivisor
+from ..errors import NonUnitDivisor, NotPAdicInteger, PrecisionMismatch
 from ..padic import OddPrime, _prime_int
 
-__all__ = ["TERM_KINDS", "truncated_sum", "weighted_sum"]
+__all__ = ["TERM_KINDS", "kernel_residues", "truncated_sum", "weighted_sum"]
 
 
 def _central_sq(k: int, d: int) -> int:
@@ -104,6 +114,135 @@ _FLAG_WEIGHTS = {
 }
 
 
+# The residue path keeps its tables mod p^4: precision K <= 3, plus one power
+# of p for the Catalan tail at k = p - 1, the only term whose weight 1/(k+1)
+# is not a p-adic unit.
+_TABLE_POWER = 4
+
+# kind -> (left, right) with N_kind(k, d) = C(a k, b k) R(k, d) for left = (a, b);
+# right is "shift" for C(2k, k+d), "double" for C(2k+2d, k+d), or a pair (a, b)
+# for a d-free C(a k, b k). The same kernels as TERM_KINDS, which stays the
+# independent exact reference.
+_RESIDUE_KERNELS: dict[str, tuple[tuple[int, int], tuple[int, int] | str]] = {
+    "central_sq": ((2, 1), (2, 1)),
+    "central_shift": ((2, 1), "shift"),
+    "central_double": ((2, 1), "double"),
+    "cubic": ((3, 1), (2, 1)),
+    "cubic_shift": ((3, 1), "shift"),
+    "cubic_double": ((3, 1), "double"),
+    "quartic": ((4, 2), (2, 1)),
+    "quartic_shift": ((4, 2), "shift"),
+    "quartic_double": ((4, 2), "double"),
+    "sextic": ((6, 3), (3, 1)),
+}
+
+
+@lru_cache(maxsize=4)
+def _factorials(q: int) -> tuple[list[int], list[int]]:
+    """j! and 1/j! mod p^4 for j < p; every one is a p-adic unit."""
+    mod = q**_TABLE_POWER
+    fact = [1] * q
+    for j in range(1, q):
+        fact[j] = fact[j - 1] * j % mod
+    inv = [1] * q
+    inv[q - 1] = pow(fact[q - 1], -1, mod)
+    for j in range(q - 1, 1, -1):
+        inv[j - 1] = inv[j] * j % mod
+    return fact, inv
+
+
+@lru_cache(maxsize=16)
+def _binomial_row(q: int, a: int, b: int) -> list[int]:
+    """C(a k, b k) mod p^4 for k < p.
+
+    Stepped exactly from C(a (k-1), b (k-1)) by the new factors of (a k)!
+    over those of (b k)! and ((a-b) k)!, so each step costs a few
+    multiplications by small ints; comb(6k, 3k) from scratch for every
+    k < 1999 takes about 100 times longer.
+    """
+    mod = q**_TABLE_POWER
+    row = [1] * q
+    exact = 1
+    for k in range(1, q):
+        top = prod(range(a * k - a + 1, a * k + 1))
+        bottom = prod(range(b * k - b + 1, b * k + 1)) * prod(range((a - b) * (k - 1) + 1, (a - b) * k + 1))
+        exact = exact * top // bottom
+        row[k] = exact % mod
+    return row
+
+
+@lru_cache(maxsize=32)
+def _weighted_kernel(kind: str, q: int, m: int, a: int, b: int, c: int) -> tuple[list[int], int]:
+    """The d-free factors of the terms of sum_k (a + b k + c/(k+1)) N_kind(k, d) / m^k, mod p^4.
+
+    Returns (terms, tail). terms[k], for k < p, is the left binomial times
+    the d-free right one (1 for shift and double kernels) times the weight
+    over m^k, without the c/(k+1) part at k = p - 1. tail is that part's
+    numerator, c times the same product, still to be divided by p.
+    """
+    (la, lb), right = _RESIDUE_KERNELS[kind]
+    mod = q**_TABLE_POWER
+    left = _binomial_row(q, la, lb)
+    fixed = _binomial_row(q, *right) if isinstance(right, tuple) else [1] * q
+    fact, inv_fact = _factorials(q)
+    inv_m = pow(m, -1, mod)
+    terms = []
+    scale = 1  # m^-k
+    for k in range(q):
+        weight = a + b * k
+        if c and k < q - 1:
+            weight += c * fact[k] * inv_fact[k + 1]  # 1/(k+1) = k!/(k+1)!
+        terms.append(left[k] * fixed[k] % mod * scale % mod * weight % mod)
+        scale = scale * inv_m % mod
+    tail = c * left[q - 1] * fixed[q - 1] * pow(inv_m, q - 1, mod) % mod
+    return terms, tail
+
+
+def _right_factors(right: str, q: int, upper: int, d: int) -> list[int]:
+    """R(k, d) for k <= upper from the tables where they reach, else exact (the caller reduces)."""
+    if right == "double":
+        # C(2j, j) with j = k + d: tabled below p
+        row = _binomial_row(q, 2, 1)
+        return row[d : d + upper + 1] + [comb(2 * j, j) for j in range(max(q, d), d + upper + 1)]
+    # (2k)! is a unit for 2k < p, so there C(2k, k+d) = (2k)!/((k+d)! (k-d)!), and 0 for k < d
+    fact, inv_fact = _factorials(q)
+    half = min(upper, (q - 1) // 2)
+    lo = min(d, half + 1)
+    tops = map(mul, fact[2 * lo : 2 * half + 1 : 2], inv_fact[2 * lo : half + lo + 1])
+    unit_part = [0] * lo + list(map(mul, tops, inv_fact[: half - lo + 1]))
+    return unit_part + [comb(2 * k, k + d) for k in range(half + 1, upper + 1)]
+
+
+def kernel_residues(kind: str, q: int, m: int, count: int, power: int) -> list[int]:
+    """N_kind(k, 0)/m^k mod p^power for k < count, from the same tables as truncated_sum.
+
+    The tables stop at k = p - 1; terms beyond are reduced from the exact kernel.
+    """
+    mod = q**power
+    tabled = min(count, q)
+    terms, _tail = _weighted_kernel(kind, q, m, 1, 0, 0)
+    right = _RESIDUE_KERNELS[kind][1]
+    r = [1] * tabled if isinstance(right, tuple) else _right_factors(right, q, tabled - 1, 0)
+    beyond = [TERM_KINDS[kind](k, 0) * pow(m, -k, mod) % mod for k in range(q, count)]
+    return [t * x % mod for t, x in zip(terms, r)] + beyond
+
+
+def _residue_sum(kind: str, q: int, upper: int, m: int, d: int, weights: tuple[int, int, int], power: int) -> int:
+    terms, tail = _weighted_kernel(kind, q, m, *weights)
+    right = _RESIDUE_KERNELS[kind][1]
+    if isinstance(right, tuple):
+        total, last = sum(terms[: upper + 1]), 1
+    else:
+        r = _right_factors(right, q, upper, d)
+        total, last = sum(map(mul, terms, r)), r[-1]
+    if tail and upper == q - 1:
+        numerator = tail * last % q**_TABLE_POWER
+        if numerator % q:
+            raise NotPAdicInteger(f"the sum has {q} in its denominator (Catalan term at k = {q - 1})")
+        total += numerator // q
+    return total % q**power
+
+
 def truncated_sum(
     kind: str,
     p: OddPrime | int,
@@ -113,12 +252,16 @@ def truncated_sum(
     d: int = 0,
     k_factor: bool = False,
     catalan_weight: bool = False,
-) -> Fraction:
-    """sum_{k=0}^{upper} N_kind(k, d) [k] / ((k+1) m^k), exact.
+    power: int | None = None,
+) -> Fraction | int:
+    """sum_{k=0}^{upper} N_kind(k, d) [k] / ((k+1) m^k): exact, or its residue mod p^power.
 
     [k] is present when k_factor is set, the (k+1) divisor when
-    catalan_weight is set. upper must be (p-1)/2 or p-1, and m a unit mod p
-    (so the result is a p-adic integer whenever the congruence claims one).
+    catalan_weight is set. upper must be (p-1)/2 or p-1, and m a unit mod p.
+    With power=None the result is the exact Fraction. With power=K in
+    {1, 2, 3} it is the canonical residue mod p^K, equal to
+    padic_from_rational(exact, p, K).residue and raising NotPAdicInteger
+    whenever that does.
     """
     q = _prime_int(p)
     n = (q - 1) // 2
@@ -126,6 +269,12 @@ def truncated_sum(
         raise ValueError(f"upper must be (p-1)/2 or p-1, got {upper} for p={q}")
     if m == 0 or m % q == 0:
         raise NonUnitDivisor(f"base {m} is not a unit modulo {q}")
-    term = TERM_KINDS[kind]
-    terms = [term(k, d) for k in range(upper + 1)]
-    return weighted_sum(terms, m, *_FLAG_WEIGHTS[k_factor, catalan_weight])
+    if d < 0:
+        raise ValueError(f"shift d must be >= 0, got {d}")
+    weights = _FLAG_WEIGHTS[k_factor, catalan_weight]
+    if power is None:
+        term = TERM_KINDS[kind]
+        return weighted_sum([term(k, d) for k in range(upper + 1)], m, *weights)
+    if power not in (1, 2, 3):
+        raise PrecisionMismatch(f"precision must be 1, 2 or 3, got {power}")
+    return _residue_sum(kind, q, upper, m, d, weights, power)

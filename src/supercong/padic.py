@@ -1,9 +1,11 @@
 """Truncated p-adic residues: canonical residues mod p^K for K in {1, 2, 3}.
 
-Exact rationals (fractions.Fraction) are the working representation of most
-of the package; padic_from_rational collapses one to a residue, once, at
-comparison time. The sequence and polynomial families work mod p^K directly,
-which is exact because every denominator they divide by is a p-adic unit.
+padic_from_rational collapses an exact int or Fraction to its residue, once,
+at comparison time, and rejects anything else: a float or a string would be
+converted silently and inexactly. The truncated sums and the sequence and
+polynomial families work mod p^K directly, which is exact because every
+denominator they divide by is a p-adic unit (the one exception, the Catalan
+term at k = p - 1, is divided by p exactly).
 """
 
 from __future__ import annotations
@@ -133,8 +135,12 @@ def padic_from_rational(
 ) -> PadicResidue:
     """Reduce an exact rational to its canonical residue mod p^precision.
 
-    Raises NotPAdicInteger when p divides the (reduced) denominator.
+    Raises NotPAdicInteger when p divides the (reduced) denominator, and
+    TypeError for anything but an int or a Fraction: a float or a string
+    would be converted silently and is never exact input here.
     """
+    if not isinstance(q, (int, Fraction)):
+        raise TypeError(f"expected an int or a Fraction, got {type(q).__name__}")
     if precision not in (1, 2, 3):
         raise PrecisionMismatch(f"precision must be 1, 2 or 3, got {precision}")
     prime = odd_prime(_prime_int(p))

@@ -265,6 +265,52 @@ def test_residue_family_mutants_fail(mutant, spot_must_fail):
         assert any("x" in case.params for case in failing)
 
 
+def _rebased(old, new):
+    """truncated_sum that reads base `new` wherever a family passes `old`."""
+
+    def patched(kind, q, upper, m, **kwargs):
+        return truncated_sum(kind, q, upper, new if m == old else m, **kwargs)
+
+    return patched
+
+
+def _quartered_doubles(kind, q, upper, m, **kwargs):
+    """truncated_sum with the double-shift sums divided by 4 once more."""
+    value = truncated_sum(kind, q, upper, m, **kwargs)
+    return value * pow(4, -1, q ** kwargs["power"]) % q ** kwargs["power"] if kind.endswith("_double") else value
+
+
+@pytest.mark.parametrize(
+    ("fid", "attr", "replacement", "gen"),
+    [
+        ("E1.3", "truncated_sum", _rebased(16, 15), None),
+        ("E1.4", "euler_polynomial_half_grid", lambda n, count: [Fraction(0)] * count, None),
+        ("R1.4a", "truncated_sum", _quartered_doubles, None),
+        ("E1.7", None, None, families._e17_family(lambda q: (q - 1) // 2 % 2)),
+    ],
+    ids=["E1.3-base-15", "E1.4-no-euler-term", "R1.4a-over-4^(d+1)", "E1.7-opposite-parity"],
+)
+def test_sum_family_mutants_fail(fid, attr, replacement, gen, monkeypatch):
+    # the families' own generators, with one planted error in the residue
+    # path they read (15 is not a unit at p = 5, so that prime is left out)
+    if attr:
+        monkeypatch.setattr(families, attr, replacement)
+    failing = _failing_rows(gen or get_family(fid).cases, primes_between(7, 50))
+    assert failing, fid
+
+
+@pytest.mark.parametrize("fid", ["E1.3", "E1.4", "E1.7", "R1.4a", "R1.4b", "D-base"])
+def test_sum_family_rows_match_exact_route_at_a_large_prime(fid, monkeypatch):
+    rows = verify_family_case(fid, 251)
+
+    def exact_route(kind, q, upper, m, *, power, **kwargs):
+        return padic_from_rational(truncated_sum(kind, q, upper, m, **kwargs), q, power).residue
+
+    monkeypatch.setattr(families, "truncated_sum", exact_route)
+    assert rows == verify_family_case(fid, 251)
+    assert len(rows) > 1 or fid == "D-base"
+
+
 @pytest.mark.parametrize("fid", ["E1.11", "R1.4c", "E1.14"])
 def test_residue_families_reject_primes_above_int64_bound(fid, monkeypatch):
     # 6211 is the first prime above MAX_EXACT_PRIME; the check must come

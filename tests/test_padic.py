@@ -133,6 +133,13 @@ def test_from_rational_reduction():
     assert padic_from_rational(Fraction(5, 10), 5, 1).residue == 3
 
 
+@pytest.mark.parametrize("value", [0.5, 2.0, "1/2", "3"], ids=["float", "integral-float", "str", "integral-str"])
+def test_from_rational_rejects_inexact_input(value):
+    # Fraction() would accept each of these; a residue is only taken of exact input
+    with pytest.raises(TypeError):
+        padic_from_rational(value, 7, 2)
+
+
 def test_from_rational_is_a_ring_homomorphism():
     rng = random.Random(404)
     for _ in range(300):

@@ -1,14 +1,21 @@
-"""truncated_sum against a direct Fraction reference, plus its input rules."""
+"""truncated_sum against a direct Fraction reference, its residue path
+against the exact one, and its input rules."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
 
-from supercong.congruences import TERM_KINDS, truncated_sum
-from supercong.errors import NonUnitDivisor
-from supercong.padic import primes_between
+from supercong.congruences import TERM_KINDS, sums, truncated_sum
+from supercong.congruences.identities import M_SET
+from supercong.errors import NonUnitDivisor, NotPAdicInteger, PrecisionMismatch
+from supercong.padic import padic_from_rational, primes_between
+
+# every base the catalog passes to truncated_sum
+_CATALOG_BASES = (8, 16, -16, 32, 24, 27, 48, 54, 63, 64, 72, 128, 432, 576, 864, -192, -216, -4032)
+_FLAGS = ((False, False), (True, False), (False, True), (True, True))
 
 
 def _reference(kind, upper, m, d, k_factor, catalan_weight):
@@ -85,3 +92,89 @@ def test_base_must_be_a_unit():
     with pytest.raises(NonUnitDivisor):
         truncated_sum("central_sq", 7, 3, 14)
     truncated_sum("central_sq", 7, 3, -15)
+
+
+def _exact_residue(kind, q, upper, m, d, k_factor, catalan_weight, power):
+    """padic_from_rational of the exact sum, or the exception type either raises."""
+    try:
+        exact = truncated_sum(kind, q, upper, m, d=d, k_factor=k_factor, catalan_weight=catalan_weight)
+        return padic_from_rational(exact, q, power).residue
+    except (NonUnitDivisor, NotPAdicInteger) as exc:
+        return type(exc)
+
+
+def _residue(kind, q, upper, m, d, k_factor, catalan_weight, power):
+    try:
+        return truncated_sum(kind, q, upper, m, d=d, k_factor=k_factor, catalan_weight=catalan_weight, power=power)
+    except (NonUnitDivisor, NotPAdicInteger) as exc:
+        return type(exc)
+
+
+def test_residue_path_matches_exact_reduction(monkeypatch):
+    # Every kind x upper in {n, p-1} x base x flag pair at primes <= 40.
+    # The d-free kernels ignore d, so two shifts cover them; the others run
+    # every d <= upper. The power cycles through 1, 2, 3 along (d, flags),
+    # so each (kind, prime, upper, base) meets all three. The oracle's
+    # kernel values are memoized (pure functions of (k, d)).
+    for kind, term in TERM_KINDS.items():
+        monkeypatch.setitem(sums.TERM_KINDS, kind, lru_cache(maxsize=None)(term))
+    bases = sorted(set(M_SET) | set(_CATALOG_BASES))
+    primes = primes_between(5, 40)
+    seen, non_units = set(), 0
+    for q in primes:
+        for kind in TERM_KINDS:
+            d_free = "shift" not in kind and "double" not in kind
+            for upper in ((q - 1) // 2, q - 1):
+                shifts = (0, upper) if d_free else range(upper + 1)
+                for m in bases:
+                    for d in shifts:
+                        for i, (k_factor, catalan_weight) in enumerate(_FLAGS):
+                            power = 1 + (d + i) % 3
+                            want = _exact_residue(kind, q, upper, m, d, k_factor, catalan_weight, power)
+                            got = _residue(kind, q, upper, m, d, k_factor, catalan_weight, power)
+                            assert got == want, (kind, q, upper, m, d, k_factor, catalan_weight, power)
+                            seen.add((kind, q, upper, m, power))
+                            non_units += want is NonUnitDivisor
+    assert len(seen) == len(TERM_KINDS) * 2 * len(bases) * len(primes) * 3
+    assert non_units  # 63 and -4032 at p = 7
+
+
+@pytest.mark.parametrize(
+    ("term", "spec"),
+    [
+        (lambda k, d: 1, ((1, 0), (1, 0))),
+        (lambda k, d: comb(2 * k, k + d), ((1, 0), "shift")),
+        (lambda k, d: comb(2 * (k + d), k + d), ((1, 0), "double")),
+    ],
+    ids=["ones", "shift-alone", "double-alone"],
+)
+def test_residue_path_raises_like_exact_reduction(term, spec, monkeypatch):
+    # Every catalog kernel vanishes mod p at k = p - 1, so its Catalan tail is
+    # always p-integral; these planted kernels do not, for some or all d.
+    monkeypatch.setitem(sums.TERM_KINDS, "planted", term)
+    monkeypatch.setitem(sums._RESIDUE_KERNELS, "planted", spec)
+    raised = 0
+    for q in primes_between(5, 30):
+        for upper in ((q - 1) // 2, q - 1):
+            for d in range(upper + 1):
+                for k_factor, catalan_weight in _FLAGS:
+                    for power in (1, 2, 3):
+                        want = _exact_residue("planted", q, upper, 16, d, k_factor, catalan_weight, power)
+                        got = _residue("planted", q, upper, 16, d, k_factor, catalan_weight, power)
+                        assert got == want, (q, upper, d, k_factor, catalan_weight, power)
+                        raised += want is NotPAdicInteger
+    assert raised
+
+
+def test_residue_path_input_rules():
+    for m in (0, 7, -14):
+        with pytest.raises(NonUnitDivisor):
+            truncated_sum("central_sq", 7, 3, m, power=2)
+    with pytest.raises(ValueError):
+        truncated_sum("central_sq", 7, 2, 16, power=2)
+    with pytest.raises(ValueError):
+        truncated_sum("central_shift", 7, 3, 16, d=-1, power=2)
+    for power in (0, 4):
+        with pytest.raises(PrecisionMismatch):
+            truncated_sum("central_sq", 7, 3, 16, power=power)
+    assert truncated_sum("central_shift", 7, 3, 8, d=2, power=1) == 0  # 21/64, a multiple of 7
