@@ -19,6 +19,7 @@ __all__ = [
     "catalan",
     "dual_transform",
     "euler_number",
+    "euler_half_grid_mod_p",
     "euler_polynomial",
     "euler_polynomial_half_grid",
     "pascal_row",
@@ -168,6 +169,29 @@ def euler_polynomial_half_grid(n: int, count: int) -> list[Fraction]:
         x = Fraction(2 * d - 1, 2)
         vals.append(2 * x**n - vals[-1])
     return vals
+
+
+def euler_half_grid_mod_p(p: OddPrime | int, count: int) -> list[int]:
+    """Residues of E_(p-3)(d + 1/2) mod p for d = 0..count-1, from power sums; p >= 5.
+
+    E_n(x) = 2/(n+1) (B_(n+1)(x) - 2^(n+1) B_(n+1)(x/2)), and for y congruent to
+    an integer mod p, B_(p-2)(y) == (p-2) sum_{1<=j<y} j^(p-3) (mod p): B_(p-2)
+    is 0 and the polynomial is p-integral by von Staudt-Clausen. So
+    E_(p-3)(x) == 2 S(x) - S(x/2) (mod p) with S(y) = sum_{1<=j<y} j^-2 and
+    both arguments reduced into [0, p) (E. Lehmer, Ann. of Math. 39, 1938).
+    No Euler number is built; euler_polynomial_half_grid is the exact oracle
+    in the tests.
+    """
+    q = _prime_int(p)
+    inv2 = (q + 1) // 2
+    s = [0, 0]  # s[y] = S(y) for y < p
+    for j in range(1, q - 1):
+        s.append((s[-1] + pow(j, -2, q)) % q)
+    grid = []
+    for d in range(count):
+        x = (2 * d + 1) * inv2 % q
+        grid.append((2 * s[x] - s[x * inv2 % q]) % q)
+    return grid
 
 
 def binomial_p_valuation(n: int, k: int, p: OddPrime | int) -> int:

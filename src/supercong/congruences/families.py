@@ -4,10 +4,12 @@ Each CongruenceFamily turns a prime into a stream of FamilyCase rows: two
 residues that the underlying theorem says must agree modulo p^K. Truncated
 sums arrive as residues mod p^K (sums.truncated_sum with power=K), and the
 families that are linear in the weights N(k)/base^k (E1.11-E1.19, R1.4c,
-R1.5) work with those weights mod p^K. Both are exact, because every
-denominator involved is a p-adic unit or divides out exactly. Closed forms
-stay exact integers or Fractions; they meet a residue only through ring
-operations with p-integral constants, and each side is reduced once per case.
+R1.5) work with those weights mod p^K. L1 convolves binom(2k,k)^2 mod p^K,
+and E1.4's Euler side is taken mod p from power sums. All of it is exact,
+because every denominator involved is a p-adic unit or divides out exactly.
+The other closed forms stay exact integers or Fractions; they meet a residue
+only through ring operations with p-integral constants, and each side is
+reduced once per case.
 """
 
 from __future__ import annotations
@@ -16,17 +18,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb
+from operator import mul
 from typing import Callable, Iterator
 
 import numpy as np
 
-from ..combinatorics import euler_polynomial_half_grid
+from ..combinatorics import euler_half_grid_mod_p
+from ..combinatorics import euler_polynomial_half_grid  # noqa: F401  (perfbench/tracing.py wraps it here)
 from ..curves import cornacchia_two_squares, thm11_rhs_grid, weighted_char_sum, weighted_char_sum_grid
 from ..errors import UnknownId
 from ..padic import OddPrime, PadicResidue, legendre_symbol, padic_from_rational
 from .identities import LEMMAS, CongruenceLemma
 from .sequences import SEQUENCE_IDS, sequence_terms
-from .sums import kernel_residues, truncated_sum
+from .sums import _binomial_row, kernel_residues, truncated_sum
 
 __all__ = ["MAX_EXACT_PRIME", "CongruenceFamily", "FamilyCase", "family_catalog", "family_ids", "get_family"]
 
@@ -100,19 +104,9 @@ def _binom_mod_matrix(modulus: int, size: int) -> np.ndarray:
     return rows * signs[None, :] % modulus
 
 
-def _prime_root(modulus: int) -> tuple[int, int]:
-    """(p, K) for modulus = p^K with K in {1, 2, 3}."""
-    for power in (3, 2, 1):
-        q = round(modulus ** (1 / power))
-        if q**power == modulus:
-            return q, power
-    raise ValueError(f"{modulus} is not a prime power p^K with K <= 3")
-
-
 @lru_cache(maxsize=32)
-def _weight_residues(kind: str, base: int, modulus: int, count: int) -> np.ndarray:
-    """Residues of N_kind(k, 0)/base^k mod modulus = p^K for k < count."""
-    q, power = _prime_root(modulus)
+def _weight_residues(kind: str, base: int, q: int, power: int, count: int) -> np.ndarray:
+    """Residues of N_kind(k, 0)/base^k mod p^power for k < count."""
     return np.array(kernel_residues(kind, q, base, count, power), dtype=np.int64)
 
 
@@ -127,7 +121,7 @@ def _weight_vectors(
     if q > MAX_EXACT_PRIME:
         raise ValueError(f"p = {q} exceeds MAX_EXACT_PRIME = {MAX_EXACT_PRIME}; the int64 residue sums would overflow")
     mod = q**power
-    w = _weight_residues(kind, base, mod, count)
+    w = _weight_residues(kind, base, q, power, count)
     if k_weighted:
         w = (np.arange(count, dtype=np.int64) * w % mod)[1:]
     size = len(w)
@@ -166,10 +160,12 @@ def _e14_cases(prime: OddPrime) -> Iterator[FamilyCase]:
     q = prime.value
     n = (q - 1) // 2
     sign = legendre_symbol(-1, q)
-    grid = euler_polynomial_half_grid(q - 3, n + 1)
+    # p^2 (-1)^d/4 E_(p-3)(d+1/2) mod p^3 needs the Euler value only mod p
+    euler = euler_half_grid_mod_p(q, n + 1)
+    inv4 = pow(4, -1, q)
     for d in range(n + 1):
         lhs = truncated_sum("central_shift", q, n, 16, d=d, power=3)
-        rhs = sign + Fraction(q * q * (-1) ** d, 4) * grid[d]
+        rhs = sign + q * q * ((-1) ** d * inv4 * euler[d] % q)
         yield _case(prime, 3, {"d": d}, lhs, rhs)
 
 
@@ -416,18 +412,28 @@ def _g4_cases(prime: OddPrime) -> Iterator[FamilyCase]:
 # -- L1, A1/A2, B1-B4, D-base, and the binomial lemma families ----------------
 
 
+def _l1_lhs(q: int, power: int, *, base: int = -16, offset: int = 1) -> int:
+    """sum_{h<p} (2h + offset)/base^h sum_{k<=h} u_k u_(h-k) mod p^power, u_k = binom(2k,k)^2.
+
+    The convolution runs once over u_k mod p^power (power <= 4, the table
+    precision); every divisor is a power of base, a unit. L1 is base = -16,
+    offset = 1; the parameters exist so the tests can plant mutants.
+    """
+    mod = q**power
+    u = [c * c % mod for c in _binomial_row(q, 2, 1)]
+    reverse = u[::-1]
+    inv = pow(base, -1, mod)
+    total, w = 0, 1
+    for h in range(q):
+        conv = sum(map(mul, u, reverse[q - 1 - h :]))  # sum_{k<=h} u_k u_(h-k)
+        total += (2 * h + offset) * (conv % mod) * w
+        w = w * inv % mod
+    return total % mod
+
+
 def _l1_cases(prime: OddPrime) -> Iterator[FamilyCase]:
     q = prime.value
-    u = [comb(2 * k, k) ** 2 for k in range(q)]
-    num = 0
-    mpow = (-16) ** (q - 1)
-    for h in range(q):
-        conv = sum(u[k] * u[h - k] for k in range(h + 1))
-        num += (2 * h + 1) * conv * mpow
-        if h < q - 1:
-            mpow //= -16
-    lhs = Fraction(num, (-16) ** (q - 1))
-    yield _case(prime, 2, {}, lhs, Fraction(q * legendre_symbol(-1, q)))
+    yield _case(prime, 2, {}, _l1_lhs(q, 2), Fraction(q * legendre_symbol(-1, q)))
 
 
 def _a1_cases(prime: OddPrime) -> Iterator[FamilyCase]:

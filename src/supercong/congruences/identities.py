@@ -4,7 +4,10 @@ Every case is an equality of exact rationals (or of residues, for the
 prime-parameterized lemmas I8-I11). The partial sums of I1-I5 are evaluated
 by sums.weighted_sum, the accumulator behind the catalog's truncated_sum, and
 I1-I5 and Z2-Z4 take their kernels N_kind(k) from sums.TERM_KINDS, each
-value computed once per run.
+value computed once per run. The binomials inside I6, Z1 and the Z2-Z4 tails
+come from rows built once per run (C(2k, .) rows and Pascal rows), and those
+of I9-I11 from the catalog's residue tables; the right sides of I6 and Z2-Z4
+stay on math.comb, so both sides of a check take different routes.
 """
 
 from __future__ import annotations
@@ -13,13 +16,14 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
+from operator import add, mul
 from time import perf_counter
 from typing import Callable, Iterator
 
 from ..combinatorics import catalan  # noqa: F401  (perfbench/tracing.py wraps identities.catalan)
 from ..errors import UnknownId
 from ..padic import primes_between
-from .sums import TERM_KINDS, weighted_sum
+from .sums import TERM_KINDS, _binomial_row, _factorials, weighted_sum
 
 __all__ = [
     "CongruenceLemma",
@@ -100,6 +104,20 @@ def _prefix(kind: str, d: int = 0) -> Callable[[int], list[int]]:
     return terms
 
 
+def _central_rows() -> Callable[[int], list[int]]:
+    """row(k) is [C(2k, 0), ..., C(2k, 2k)]; each row is built once, from the one before."""
+    rows: list[list[int]] = [[1]]
+
+    def row(k: int) -> list[int]:
+        while len(rows) <= k:
+            prev = [0, 0, *rows[-1], 0, 0]
+            # C(2k, j) = C(2k-2, j-2) + 2 C(2k-2, j-1) + C(2k-2, j)
+            rows.append([prev[j] + 2 * prev[j + 1] + prev[j + 2] for j in range(len(prev) - 2)])
+        return rows[k]
+
+    return row
+
+
 def _partial_sum_cases(
     kind: str,
     c: int,
@@ -147,13 +165,16 @@ def _i5_cases(max_n: int, gap: int = 1) -> Iterator[IdentityCase]:
             yield IdentityCase({"n": n, "m": m}, (2 * m + 1) * (s[m] - s[m + gap]), rhs)
 
 
-def _i6_cases(max_n: int) -> Iterator[IdentityCase]:
-    # convolution of shifted central binomials against a fixed window
+def _i6_cases(max_n: int, trim: int = 0) -> Iterator[IdentityCase]:
+    # binom(2k+2d, k+d) = sum_{c=-d+trim}^{d} binom(2k, k+c) binom(2d, d-c), true
+    # for trim = 0; the parameter exists so the tests can plant a short window
+    row = _central_rows()
     for k in range(1, max_n + 1):
-        for d in range(0, k + 1):
-            rhs = comb(2 * k + 2 * d, k + d)
-            lhs = sum(comb(2 * k, k + c) * comb(2 * d, d - c) for c in range(-d, d + 1))
-            yield IdentityCase({"k": k, "d": d}, Fraction(lhs), Fraction(rhs))
+        rk = row(k)
+        for d in range(k + 1):
+            # binom(2d, d-c) for c = -d+trim..d is row(d)[2d-trim], ..., row(d)[0]
+            window = sum(map(mul, rk[k - d + trim : k + d + 1], reversed(row(d)[: 2 * d + 1 - trim])))
+            yield IdentityCase({"k": k, "d": d}, Fraction(window), Fraction(comb(2 * k + 2 * d, k + d)))
 
 
 def _i7_cases(max_n: int) -> Iterator[IdentityCase]:
@@ -198,31 +219,45 @@ def _i8_residues(p: int) -> Iterator[tuple[dict, int, int]]:
     yield {}, comb(p - 1, (p - 1) // 2) % m3, (-1) ** ((p - 1) // 2) * pow(4, p - 1, m3) % m3
 
 
+# I9-I11 read their binomials from the catalog's tables mod p^4: C(2j, j) for
+# j < p from its row, and C(a, b) with b <= a < p from the factorials, which
+# are all units.
+
+
 def _i9_residues(p: int) -> Iterator[tuple[dict, int, int]]:
     m2 = p * p
     n = (p - 1) // 2
+    fact, inv_fact = _factorials(p)
+    central = _binomial_row(p, 2, 1)
     inv = pow(-16, -1, m2)
     w = 1
     for k in range(n + 1):
-        yield {"k": k}, comb(n + k, 2 * k) % m2, comb(2 * k, k) * w % m2
+        lhs = fact[n + k] * inv_fact[2 * k] * inv_fact[n - k] % m2
+        yield {"k": k}, lhs, central[k] * w % m2
         w = w * inv % m2
 
 
 def _i10_residues(p: int) -> Iterator[tuple[dict, int, int]]:
     n = (p - 1) // 2
+    fact, inv_fact = _factorials(p)
+    central = _binomial_row(p, 2, 1)
     inv = pow(-4, -1, p)
     w = 1
     for k in range(p):
-        yield {"k": k}, comb(n, k) % p, comb(2 * k, k) * w % p
+        lhs = fact[n] * inv_fact[k] * inv_fact[n - k] % p if k <= n else 0
+        yield {"k": k}, lhs, central[k] * w % p
         w = w * inv % p
 
 
 def _i11_residues(p: int) -> Iterator[tuple[dict, int, int]]:
     n = (p - 1) // 2
+    fact, inv_fact = _factorials(p)
+    central = _binomial_row(p, 2, 1)
     inv = pow(16, -1, p)
     w = 1
     for k in range(n + 1):
-        yield {"k": k}, comb(n, 2 * k) % p, comb(4 * k, 2 * k) * w % p
+        lhs = fact[n] * inv_fact[2 * k] * inv_fact[n - 2 * k] % p if 2 * k <= n else 0
+        yield {"k": k}, lhs, central[2 * k] * w % p  # binom(4k, 2k) = C(2j, j) at j = 2k
         w = w * inv % p
 
 
@@ -267,44 +302,42 @@ def _lemma_identity(lemma: CongruenceLemma) -> ExactIdentity:
 
 
 def _z1_cases(max_n: int) -> Iterator[IdentityCase]:
+    row = _central_rows()
     for n in range(2, max_n + 1):
-        # f[d] = sum_k binom(n+k, 2k) binom(2k, k+d) (-2)^k, exact integers
-        f = []
-        for d in range(n + 1):
-            s = 0
-            w = 1
-            for k in range(n + 1):
-                s += comb(n + k, 2 * k) * comb(2 * k, k + d) * w
-                w *= -2
-            f.append(s)
+        # a[k] = binom(n+k, 2k) (-2)^k, the binomial stepped by its term ratio
+        a, c = [], 1
+        for k in range(n + 1):
+            a.append(c * (-2) ** k)
+            c = c * (n + k + 1) * (n - k) // ((2 * k + 1) * (2 * k + 2))
+        # f[d] = sum_k a[k] binom(2k, k+d), exact integers; binom(2k, k+d) = 0 for k < d
+        rows = [row(k) for k in range(n + 1)]
+        f = [sum(a[k] * rows[k][k + d] for k in range(d, n + 1)) for d in range(n + 1)]
         for d in range(n - 1):
             lhs = (n - d - 1) * (n + d + 2) * (2 * d + 1) * f[d + 2]
             rhs = (2 * n + 1) ** 2 * (d + 1) * f[d + 1] - (n - d) * (n + d + 1) * (2 * d + 3) * f[d]
             yield IdentityCase({"n": n, "d": d}, Fraction(lhs), Fraction(rhs))
 
 
-def _tail_table(n: int, weights: list[int]) -> list[list[int]]:
-    """rows[m] = scaled tail sums sum_{k=m}^{n-1} weights[k] binom(k, m)."""
-    rows = []
-    for m in range(n):
-        s = 0
-        for k in range(m, n):
-            s += weights[k] * comb(k, m)
-        rows.append(s)
-    return rows
-
-
 def _z_family(kind: str, base: int, a: int, b: Callable[[int], int]) -> Callable[[int], Iterator[IdentityCase]]:
     """a (m+1)^2 T(m+1) + b(m) T(m) = b(n-1) N_kind(n-1) binom(n-1, m), where
-    T(m) = sum_{k=m}^{n-1} N_kind(k) binom(k, m)/base^k, scaled by base^(n-1)."""
+    T(m) = sum_{k=m}^{n-1} N_kind(k) binom(k, m)/base^k, scaled by base^(n-1).
+
+    The scaled tails S_n(m) = base^(n-1) T(m) carry across n:
+    S_(n+1)(m) = base S_n(m) + N(n) binom(n, m), one Pascal row per n.
+    """
 
     def cases(max_n: int) -> Iterator[IdentityCase]:
         terms = _prefix(kind)
-        for n in range(2, max_n + 1):
+        tails: list[int] = []  # S_(n-1), one entry per m <= n-2
+        pascal = [1]  # binom(n-1, m) for m <= n-1
+        for n in range(1, max_n + 1):
+            top = terms(n - 1)[n - 1]
+            tails = [base * s + top * c for s, c in zip([*tails, 0], pascal)]
+            pascal = [1, *map(add, pascal, pascal[1:]), 1]
+            if n < 2:
+                continue
             scale = base ** (n - 1)
-            t = terms(n - 1)
-            tails = _tail_table(n, [t[k] * base ** (n - 1 - k) for k in range(n)])
-            rhs_core = b(n - 1) * t[n - 1]
+            rhs_core = b(n - 1) * top
             for m in range(n - 1):
                 lhs = a * (m + 1) ** 2 * tails[m + 1] + b(m) * tails[m]
                 rhs = rhs_core * comb(n - 1, m)

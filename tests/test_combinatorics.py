@@ -12,11 +12,14 @@ from supercong.combinatorics import (
     binomial_p_valuation,
     catalan,
     dual_transform,
+    euler_half_grid_mod_p,
     euler_number,
     euler_polynomial,
     euler_polynomial_half_grid,
     pascal_row,
 )
+from supercong.errors import InvalidPrime
+from supercong.padic import primes_between
 
 
 def test_catalan_small_values_and_recurrence():
@@ -105,6 +108,17 @@ def test_euler_half_grid_matches_polynomial():
         grid = euler_polynomial_half_grid(n, 6)
         assert grid == [en(Fraction(2 * d + 1, 2)) for d in range(6)]
     assert euler_polynomial_half_grid(5, 0) == []
+
+
+def test_euler_half_grid_mod_p_matches_exact_grid():
+    # the power-sum route against the exact grid reduced mod p, at every d < p
+    for q in primes_between(5, 200):
+        exact = euler_polynomial_half_grid(q - 3, q)
+        want = [v.numerator * pow(v.denominator, -1, q) % q for v in exact]
+        assert euler_half_grid_mod_p(q, q) == want, q
+    assert euler_half_grid_mod_p(7, 0) == []
+    with pytest.raises(InvalidPrime):
+        euler_half_grid_mod_p(3, 1)
 
 
 def test_rational_polynomial_normalization():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -22,6 +23,7 @@ from supercong.congruences.families import (
     _SPOTS_CUBIC,
     _binom_mod_matrix,
     _dual_family,
+    _l1_lhs,
     _poly_family,
     _weight_residues,
     _weight_vectors,
@@ -187,7 +189,7 @@ def test_weight_residues_match_exact_reduction():
                 if base % q == 0:
                     continue
                 for power in (1, 2):
-                    got = _weight_residues(kind, base, q**power, q)
+                    got = _weight_residues(kind, base, q, power, q)
                     want = [padic_from_rational(Fraction(term(k, 0), base**k), q, power).residue for k in range(q)]
                     assert got.tolist() == want, (kind, base, q, power)
 
@@ -284,11 +286,20 @@ def _quartered_doubles(kind, q, upper, m, **kwargs):
     ("fid", "attr", "replacement", "gen"),
     [
         ("E1.3", "truncated_sum", _rebased(16, 15), None),
-        ("E1.4", "euler_polynomial_half_grid", lambda n, count: [Fraction(0)] * count, None),
+        ("E1.4", "euler_half_grid_mod_p", lambda q, count: [0] * count, None),
         ("R1.4a", "truncated_sum", _quartered_doubles, None),
         ("E1.7", None, None, families._e17_family(lambda q: (q - 1) // 2 % 2)),
+        ("L1", "_l1_lhs", partial(_l1_lhs, offset=3), None),
+        ("L1", "_l1_lhs", partial(_l1_lhs, base=16), None),
     ],
-    ids=["E1.3-base-15", "E1.4-no-euler-term", "R1.4a-over-4^(d+1)", "E1.7-opposite-parity"],
+    ids=[
+        "E1.3-base-15",
+        "E1.4-no-euler-term",
+        "R1.4a-over-4^(d+1)",
+        "E1.7-opposite-parity",
+        "L1-weight-2h+3",
+        "L1-base-16",
+    ],
 )
 def test_sum_family_mutants_fail(fid, attr, replacement, gen, monkeypatch):
     # the families' own generators, with one planted error in the residue
@@ -297,6 +308,33 @@ def test_sum_family_mutants_fail(fid, attr, replacement, gen, monkeypatch):
         monkeypatch.setattr(families, attr, replacement)
     failing = _failing_rows(gen or get_family(fid).cases, primes_between(7, 50))
     assert failing, fid
+
+
+def _l1_exact(q):
+    """L1's left side as an exact Fraction: the bignum convolution of binom(2k,k)^2."""
+    u = [comb(2 * k, k) ** 2 for k in range(q)]
+    num = 0
+    mpow = (-16) ** (q - 1)
+    for h in range(q):
+        conv = sum(u[k] * u[h - k] for k in range(h + 1))
+        num += (2 * h + 1) * conv * mpow
+        if h < q - 1:
+            mpow //= -16
+    return Fraction(num, (-16) ** (q - 1))
+
+
+def test_l1_residue_matches_exact_convolution():
+    for q in [*primes_between(5, 200), 499]:
+        exact = _l1_exact(q)
+        for power in (2, 3):
+            assert _l1_lhs(q, power) == padic_from_rational(exact, q, power).residue, (q, power)
+
+
+def test_l1_holds_one_power_beyond_its_claim():
+    # an observed fact, not a theorem: the catalog claims mod p^2, and
+    # v_p(lhs - p (-1/p)) >= 3 at every prime in [5, 100]
+    for q in primes_between(5, 100):
+        assert _l1_lhs(q, 3) == q * legendre_symbol(-1, q) % q**3, q
 
 
 @pytest.mark.parametrize("fid", ["E1.3", "E1.4", "E1.7", "R1.4a", "R1.4b", "D-base"])

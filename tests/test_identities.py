@@ -9,14 +9,19 @@ import pytest
 from supercong.combinatorics import catalan
 from supercong.congruences import identity_catalog, identity_ids, run_identities
 from supercong.congruences.identities import (
+    LEMMAS,
     M_SET,
     IdentityCase,
     _case_passes,
     _i4_closed,
     _i5_cases,
+    _i6_cases,
     _m_values,
     _partial_sum_cases,
+    _z_family,
 )
+from supercong.congruences.sums import TERM_KINDS
+from supercong.padic import primes_between
 from supercong.errors import UnknownId
 
 
@@ -149,6 +154,81 @@ def test_shift_recurrence_direct():
         assert lhs == rhs, d
 
 
+# The I6, Z1 and Z2-Z4 generators as they were before their binomials came
+# from shared rows: every binomial from math.comb, recomputed per term.
+
+
+def _comb_i6(max_n):
+    for k in range(1, max_n + 1):
+        for d in range(0, k + 1):
+            rhs = comb(2 * k + 2 * d, k + d)
+            lhs = sum(comb(2 * k, k + c) * comb(2 * d, d - c) for c in range(-d, d + 1))
+            yield IdentityCase({"k": k, "d": d}, Fraction(lhs), Fraction(rhs))
+
+
+def _comb_z1(max_n):
+    for n in range(2, max_n + 1):
+        f = []
+        for d in range(n + 1):
+            s = 0
+            w = 1
+            for k in range(n + 1):
+                s += comb(n + k, 2 * k) * comb(2 * k, k + d) * w
+                w *= -2
+            f.append(s)
+        for d in range(n - 1):
+            lhs = (n - d - 1) * (n + d + 2) * (2 * d + 1) * f[d + 2]
+            rhs = (2 * n + 1) ** 2 * (d + 1) * f[d + 1] - (n - d) * (n + d + 1) * (2 * d + 3) * f[d]
+            yield IdentityCase({"n": n, "d": d}, Fraction(lhs), Fraction(rhs))
+
+
+def _comb_z(kind, base, a, b):
+    def cases(max_n):
+        term = TERM_KINDS[kind]
+        for n in range(2, max_n + 1):
+            scale = base ** (n - 1)
+            weights = [term(k, 0) * base ** (n - 1 - k) for k in range(n)]
+            tails = [sum(weights[k] * comb(k, m) for k in range(m, n)) for m in range(n)]
+            rhs_core = b(n - 1) * term(n - 1, 0)
+            for m in range(n - 1):
+                lhs = a * (m + 1) ** 2 * tails[m + 1] + b(m) * tails[m]
+                rhs = rhs_core * comb(n - 1, m)
+                yield IdentityCase({"n": n, "m": m}, Fraction(lhs, scale), Fraction(rhs, scale))
+
+    return cases
+
+
+_COMB_GENERATORS = {
+    "I6": _comb_i6,
+    "Z1": _comb_z1,
+    "Z2": _comb_z("cubic", 27, 9, lambda m: (3 * m + 1) * (3 * m + 2)),
+    "Z3": _comb_z("quartic", 64, 16, lambda m: (4 * m + 1) * (4 * m + 3)),
+    "Z4": _comb_z("sextic", 432, 36, lambda m: (6 * m + 1) * (6 * m + 5)),
+}
+
+
+@pytest.mark.parametrize("ident_id", sorted(_COMB_GENERATORS))
+def test_row_generators_match_comb_generators(ident_id):
+    catalog = {ident.id: ident for ident in identity_catalog()}
+    assert list(catalog[ident_id].cases(30)) == list(_COMB_GENERATORS[ident_id](30))
+
+
+def test_lemma_residues_match_comb():
+    # I9-I11 read their binomials from the residue tables; recompute each side with comb
+    lemmas = {lemma.id: lemma for lemma in LEMMAS}
+    for p in primes_between(5, 300):
+        n = (p - 1) // 2
+        m2 = p * p
+        want = {
+            "I9": [(comb(n + k, 2 * k) % m2, comb(2 * k, k) * pow(-16, -k, m2) % m2) for k in range(n + 1)],
+            "I10": [(comb(n, k) % p, comb(2 * k, k) * pow(-4, -k, p) % p) for k in range(p)],
+            "I11": [(comb(n, 2 * k) % p, comb(4 * k, 2 * k) * pow(16, -k, p) % p) for k in range(n + 1)],
+        }
+        for ident_id, pairs in want.items():
+            got = [(lhs, rhs) for _params, lhs, rhs in lemmas[ident_id].residues(p)]
+            assert got == pairs, (ident_id, p)
+
+
 @pytest.mark.parametrize(
     "mutant",
     [
@@ -156,8 +236,10 @@ def test_shift_recurrence_direct():
         _partial_sum_cases("cubic", 5, 27, 1, lambda n: n - 1, lambda n, t: n * t),
         _partial_sum_cases("central_sq", 1, 16, 4, lambda n: n - 1, _i4_closed),
         partial(_i5_cases, gap=2),
+        partial(_i6_cases, trim=1),
+        _z_family("cubic", 27, 10, lambda m: (3 * m + 1) * (3 * m + 2)),
     ],
-    ids=["I1-base-26", "I1-c-5", "I4a-upper-n-1", "I5-gap-2"],
+    ids=["I1-base-26", "I1-c-5", "I4a-upper-n-1", "I5-gap-2", "I6-window-from-1-d", "Z2-a-10"],
 )
 def test_identity_mutants_fail(mutant):
     # each planted error in a factory parameter must show within max-n 10
