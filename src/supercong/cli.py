@@ -100,6 +100,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     families = _parse_ids(args.families, family_ids(), "family")
     if args.parallelism < 1:
         raise ConfigError("--parallelism must be at least 1")
+    if args.time_limit is not None and not args.time_limit >= 0:  # also rejects nan
+        raise ConfigError(f"--time-limit must be a number of seconds >= 0, got {args.time_limit}")
     report = run_suite(
         primes,
         families,

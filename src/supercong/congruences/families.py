@@ -133,15 +133,14 @@ def _weight_vectors(
 
 def _t11_cases(prime: OddPrime) -> Iterator[FamilyCase]:
     q = prime.value
-    lhs = weighted_char_sum_grid(q)
-    rhs = thm11_rhs_grid(q)
-    for d in range(lhs.shape[0]):
+    # Both grids hold canonical residues mod p, so every row can share one
+    # immutable PadicResidue per residue class.
+    residues = [PadicResidue(prime, 1, r) for r in range(q)]
+    lhs = weighted_char_sum_grid(q).tolist()
+    rhs = thm11_rhs_grid(q).tolist()
+    for d, (lhs_row, rhs_row) in enumerate(zip(lhs, rhs)):
         for lam in range(q):
-            yield FamilyCase(
-                {"lam": lam, "d": d},
-                PadicResidue(prime, 1, int(lhs[d, lam])),
-                PadicResidue(prime, 1, int(rhs[d, lam])),
-            )
+            yield FamilyCase({"lam": lam, "d": d}, residues[lhs_row[lam]], residues[rhs_row[lam]])
 
 
 # -- E1.3 / E1.4: central binomial sums with shift d --------------------------

@@ -95,6 +95,13 @@ def test_verify_parallel_flag(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("limit", ["-1", "nan"])
+def test_verify_rejects_negative_or_nan_time_limit(limit, capsys):
+    # -1 would mark every prime as over budget, and nan compares false, so no limit at all
+    assert main(["verify", "--primes", "5..13", "--families", "G2,B1", "--time-limit", limit]) == 2
+    assert "--time-limit" in capsys.readouterr().err
+
+
 def test_identity_runs_and_reports(capsys):
     assert main(["identity", "--ids", "I1,I4,Z1", "--max-n", "12"]) == 0
     out = capsys.readouterr().out

@@ -29,7 +29,7 @@ from supercong.congruences.families import (
     _weight_vectors,
 )
 from supercong.congruences.identities import M_SET
-from supercong.curves import char_sum_a, weighted_char_sum
+from supercong.curves import char_sum_a, thm11_rhs, weighted_char_sum
 from supercong.errors import UnknownId
 from supercong.padic import legendre_symbol, odd_prime, padic_from_rational, primes_between
 
@@ -308,6 +308,38 @@ def test_sum_family_mutants_fail(fid, attr, replacement, gen, monkeypatch):
         monkeypatch.setattr(families, attr, replacement)
     failing = _failing_rows(gen or get_family(fid).cases, primes_between(7, 50))
     assert failing, fid
+
+
+def test_t11_rows_match_scalar_routes():
+    # the family reads both grids once and shares one residue object per class;
+    # every row must still carry the scalar value of its own (lam, d) cell
+    for q in primes_between(5, 31):
+        rows = verify_family_case("T1.1", q)
+        assert [r.params for r in rows] == [{"lam": lam, "d": d} for d in range((q + 1) // 2) for lam in range(q)]
+        for r in rows:
+            lam, d = r.params["lam"], r.params["d"]
+            assert r.modulus == q and r.passed, (q, lam, d)
+            assert r.lhs == weighted_char_sum(q, lam, d) % q, (q, lam, d)
+            assert r.rhs == thm11_rhs(q, lam, d).residue, (q, lam, d)
+
+
+def test_t11_planted_cell_fails_alone(monkeypatch):
+    q, d, lam = 13, 4, 9
+    grid = families.thm11_rhs_grid
+
+    def planted(p):
+        out = grid(p).copy()
+        if p == q:
+            out[d, lam] = (out[d, lam] + 1) % p
+        return out
+
+    monkeypatch.setattr(families, "thm11_rhs_grid", planted)
+    report = run_suite([q], ["T1.1"])
+    assert len(report.cases) == q * (q + 1) // 2
+    assert [(r.params, r.lhs, r.rhs) for r in report.failures()] == [
+        ({"lam": lam, "d": d}, weighted_char_sum(q, lam, d) % q, (thm11_rhs(q, lam, d).residue + 1) % q)
+    ]
+    assert run_suite([11, 17], ["T1.1"]).ok  # planted at p = 13 only
 
 
 def _l1_exact(q):

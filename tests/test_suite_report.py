@@ -6,6 +6,8 @@ import multiprocessing
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supercong.congruences import run_suite, verify_family_case
 from supercong.congruences.engine import SuiteReport, VerificationReport
@@ -165,3 +167,109 @@ def test_csv_mirror(tmp_path):
     passes = {r[CSV_COLUMNS.index("pass")] for r in rows[1:]}
     assert passes <= {"true", "false", "null"}
     assert "null" in passes  # E1.7 contributes parity skips
+
+
+# -- the row writer against the json.dumps route -------------------------------
+#
+# dumps_json and write_csv write each row from its fields. The whole-document
+# json.dumps route and the old per-row dict CSV writer below are kept here only
+# as the oracles those writers must match byte for byte.
+
+
+def _json_oracle(report):
+    return json.dumps(report_to_dict(report), indent=2, ensure_ascii=False) + "\n"
+
+
+def _assert_json_matches_oracle(report):
+    blob = dumps_json(report)
+    assert blob == _json_oracle(report)
+    assert dumps_json(json.loads(blob)) == blob
+
+
+_tricky_text = st.text(st.sampled_from('ab "\\\n\t\x00\x1f\x7f\u2028é✓𝔽')) | st.text()
+_big_int = st.integers(-(2**130), 2**130)
+_param_value = st.one_of(
+    _big_int, _tricky_text, st.booleans(), st.none(), st.floats(allow_nan=False), st.lists(_big_int, max_size=3)
+)
+_rows = st.builds(
+    VerificationReport,
+    family=_tricky_text,
+    p=_big_int,
+    # int keys become strings in JSON; the "k" prefix keeps text keys from colliding with them
+    params=st.dictionaries(_tricky_text.map("k".__add__) | _big_int, _param_value, max_size=4),
+    modulus=st.integers(1, 2**130),
+    lhs=_big_int,
+    rhs=_big_int,
+    passed=st.sampled_from([True, False, None]),
+    note=st.none() | _tricky_text,
+)
+_reports = st.builds(
+    SuiteReport,
+    config=st.dictionaries(_tricky_text, _param_value, max_size=3),
+    started=_tricky_text,
+    elapsed=st.floats(0, 1e6),
+    cases=st.lists(_rows, max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reports)
+def test_row_writer_matches_json_dumps(report):
+    _assert_json_matches_oracle(report)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: run_suite(primes_between(5, 60)),
+        lambda: run_suite(primes_between(5, 40), ["T1.1", "I8"], sweep_cap=30),
+        lambda: run_suite(primes_between(5, 40), ["T1.1", "E1.7"], time_limit=0.0),
+    ],
+    ids=["all-5..60", "T1.1-sweep-cap-markers", "T1.1-budget-markers"],
+)
+def test_real_reports_match_json_dumps(make):
+    _assert_json_matches_oracle(make())
+
+
+def test_dict_rows_off_the_schema_fall_back_to_json_dumps():
+    report = run_suite([5, 7], ["I8", "E1.7"])
+    data = report_to_dict(report)
+    data["cases"][0]["extra"] = [1, {"x": None}]
+    data["cases"][1] = dict(reversed(data["cases"][1].items()))
+    data["cases"][2]["note"] = None
+    data["cases"][3]["lhs"] = 1.5
+    data["cases"][4]["pass"] = 1
+    data["cases"].append("not a row")
+    assert dumps_json(data) == json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+    for odd in ({}, {"cases": []}, {"cases": [], "summary": {}}, {1: "x"}):
+        assert dumps_json(odd) == json.dumps(odd, indent=2, ensure_ascii=False) + "\n"
+
+
+def _old_csv_value(key, case):
+    if key == "params":
+        return json.dumps(case["params"], separators=(",", ":"))
+    if key == "pass":
+        value = case["pass"]
+        return "null" if value is None else str(value).lower()
+    if key == "note":
+        return case.get("note", "")
+    return str(case[key])
+
+
+def _csv_oracle(report, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for case in report_to_dict(report)["cases"]:
+            writer.writerow([_old_csv_value(key, case) for key in CSV_COLUMNS])
+
+
+def test_csv_matches_dict_route(tmp_path):
+    report = run_suite([5, 7, 11], ["I8", "E1.7", "E1.14", "T1.1"])
+    assert any(r.note for r in report.cases)  # E1.7's parity skips carry notes
+    _csv_oracle(report, tmp_path / "oracle.csv")
+    want = (tmp_path / "oracle.csv").read_bytes()
+    write_csv(report, tmp_path / "rows.csv")
+    write_csv(json.loads(dumps_json(report)), tmp_path / "dict.csv")
+    assert (tmp_path / "rows.csv").read_bytes() == want
+    assert (tmp_path / "dict.csv").read_bytes() == want
