@@ -67,8 +67,8 @@ def _dict_fields(case: dict) -> tuple:
     return (*(case[key] for key in _ROW_KEYS), case.get("note"))
 
 
-def _case_to_dict(row: VerificationReport) -> dict:
-    *values, note = _fields(row)
+def _as_dict(fields: tuple) -> dict:
+    *values, note = fields
     out = dict(zip(_ROW_KEYS, values))
     if note is not None:
         out["note"] = note
@@ -86,7 +86,7 @@ def _summary_block(report: SuiteReport) -> dict:
 def report_to_dict(report: SuiteReport) -> dict:
     return {
         "run": _run_block(report),
-        "cases": [_case_to_dict(c) for c in report.cases],
+        "cases": [_as_dict(_fields(c)) for c in report.cases],
         "summary": _summary_block(report),
     }
 
@@ -120,10 +120,7 @@ def _row_text(fields: tuple) -> str:
     if type(family) is not str or not (
         type(p) is type(modulus) is type(lhs) is type(rhs) is type(lhs_signed) is type(rhs_signed) is int
     ):
-        case = dict(zip(_ROW_KEYS, fields))
-        if note is not None:
-            case["note"] = note
-        return "    " + _nested(case, 2)
+        return "    " + _nested(_as_dict(fields), 2)
     pass_text = _LITERAL[passed] if passed is None or type(passed) is bool else _nested(passed, 3)
     if note is None:
         tail = ""
