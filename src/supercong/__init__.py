@@ -55,7 +55,6 @@ from .errors import (
 )
 from .padic import (
     OddPrime,
-    PadicResidue,
     is_prime,
     legendre_symbol,
     padic_from_rational,
@@ -73,7 +72,6 @@ __all__ = [
     "NonUnitDivisor",
     "NotPAdicInteger",
     "OddPrime",
-    "PadicResidue",
     "PrecisionMismatch",
     "SuiteReport",
     "SupercongError",

@@ -176,8 +176,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
             raise ConfigError(f"--d must lie in [0, {(p - 1) // 2}] for p={p}")
         wsum = weighted_char_sum(p, lam, d)
         closed = thm11_rhs(p, lam, d)
-        ok = wsum % p == closed.residue
-        print(f"  a^({d})={wsum}  closed-form residue={closed.residue} (mod {p})  match={ok}")
+        ok = wsum % p == closed
+        print(f"  a^({d})={wsum}  closed-form residue={closed} (mod {p})  match={ok}")
         if d >= 1:
             wcount = weighted_point_count(p, lam, d)
             consistent = wcount % p == (1 + wsum) % p

@@ -1,13 +1,17 @@
 """Suite runner: evaluates catalog families over a prime range.
 
 Work is scheduled one job per prime (so per-prime tables are built once),
-inline or in a worker pool, and rows are reassembled in (family, prime, case)
-order. A time budget and fail-fast both act per prime: the primes they skip
-become marker rows, so the rows never depend on the scheduling.
+inline or in a pool of at most one worker per prime and per CPU, and rows are
+reassembled in (family, prime, case) order. A family's cases are plain int
+residues; every row of it at p gets the modulus p^K, with K the catalog
+entry's modulus_power. A time budget and fail-fast both act per prime: the
+primes they skip become marker rows, so the rows never depend on the
+scheduling.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -70,14 +74,14 @@ class SuiteReport:
         return [c for c in self.cases if c.passed is False]
 
 
-def _row(family: CongruenceFamily, p: int, case: FamilyCase) -> VerificationReport:
+def _row(family: CongruenceFamily, p: int, modulus: int, case: FamilyCase) -> VerificationReport:
     return VerificationReport(
         family=family.id,
         p=p,
         params=case.params,
-        modulus=case.lhs.modulus,
-        lhs=case.lhs.residue,
-        rhs=case.rhs.residue,
+        modulus=modulus,
+        lhs=case.lhs,
+        rhs=case.rhs,
         passed=None if case.skipped else case.lhs == case.rhs,
         note=case.note,
     )
@@ -99,7 +103,7 @@ def _marker(family: CongruenceFamily, p: int, params: dict, note: str) -> Verifi
 def verify_family_case(family_id: str, p: int, *, sweep_cap: int | None = None) -> list[VerificationReport]:
     """All case rows for one family at one prime (empty when not applicable)."""
     family = get_family(family_id)
-    prime = odd_prime(p)
+    odd_prime(p)  # raises InvalidPrime
     if not family.applies(p):
         return []
     if family.heavy and sweep_cap is not None and p > sweep_cap:
@@ -111,7 +115,8 @@ def verify_family_case(family_id: str, p: int, *, sweep_cap: int | None = None) 
                 f"heavy family capped at p <= {sweep_cap}; pass --sweep-cap to raise",
             )
         ]
-    return [_row(family, p, case) for case in family.cases(prime)]
+    modulus = p**family.modulus_power
+    return [_row(family, p, modulus, case) for case in family.cases(p)]
 
 
 def _eval_prime(ids: tuple[str, ...], p: int, sweep_cap: int) -> dict[str, list[VerificationReport]]:
@@ -138,10 +143,12 @@ def run_suite(
     prime. fail_fast leaves every prime after the first one with a failing
     row unevaluated, then cuts the report after its first failing row. The
     primes either one skips appear as marker rows, and the exit verdict
-    reflects only what was actually evaluated. A pooled run still finishes
-    the primes already handed to workers before it returns: up to
-    parallelism + 1 primes, because ProcessPoolExecutor queues
-    max_workers + EXTRA_QUEUED_CALLS (1) calls and cancel() cannot recall them.
+    reflects only what was actually evaluated. parallelism is an upper
+    bound: the pool starts at most one worker per prime and per CPU, and
+    none when that leaves one. A pooled run still finishes the primes already
+    handed to workers before it returns: up to workers + 1 primes, because
+    ProcessPoolExecutor queues max_workers + EXTRA_QUEUED_CALLS (1) calls and
+    cancel() cannot recall them.
     """
     selected = list(families) if families is not None else family_ids()
     for fid in selected:
@@ -163,8 +170,10 @@ def run_suite(
 
     ids = tuple(selected)
     results: dict[int, dict[str, list[VerificationReport]]] = {}
-    pooled = parallelism > 1 and len(prime_list) > 1
-    with ProcessPoolExecutor(max_workers=parallelism) if pooled else nullcontext() as pool:
+    # With fork, the pool starts all max_workers processes at once.
+    workers = min(parallelism, len(prime_list), os.cpu_count() or 1)
+    pooled = workers > 1
+    with ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext() as pool:
         futures = {p: pool.submit(_eval_prime, ids, p, sweep_cap) for p in prime_list} if pooled else {}
         stopped = False
         for p in prime_list:

@@ -1,7 +1,10 @@
 """The congruence family catalog.
 
-Each CongruenceFamily turns a prime into a stream of FamilyCase rows: two
-residues that the underlying theorem says must agree modulo p^K. Truncated
+Each CongruenceFamily turns a prime p, a plain int, into a stream of
+FamilyCase rows: two canonical residues, ints in [0, p^K), that the
+underlying theorem says must agree modulo p^K. K is the entry's
+modulus_power, stated once there; every generator reduces at it, and the
+engine takes each row's modulus from it. Truncated
 sums arrive as residues mod p^K (sums.truncated_sum with power=K), and the
 families that are linear in the weights N(k)/base^k (E1.11-E1.19, R1.4c,
 R1.5) work with those weights mod p^K. L1 convolves binom(2k,k)^2 mod p^K,
@@ -27,7 +30,7 @@ from ..combinatorics import euler_half_grid_mod_p
 from ..combinatorics import euler_polynomial_half_grid  # noqa: F401  (perfbench/tracing.py wraps it here)
 from ..curves import cornacchia_two_squares, thm11_rhs_grid, weighted_char_sum, weighted_char_sum_grid
 from ..errors import UnknownId
-from ..padic import OddPrime, PadicResidue, legendre_symbol, padic_from_rational
+from ..padic import legendre_symbol, padic_from_rational
 from .identities import LEMMAS, CongruenceLemma
 from .sequences import SEQUENCE_IDS, sequence_terms
 from .sums import _binomial_row, kernel_residues, truncated_sum
@@ -37,9 +40,11 @@ __all__ = ["MAX_EXACT_PRIME", "CongruenceFamily", "FamilyCase", "family_catalog"
 
 @dataclass(frozen=True)
 class FamilyCase:
+    """One check; lhs and rhs are canonical residues in [0, p^K), K the family's modulus_power."""
+
     params: dict
-    lhs: PadicResidue
-    rhs: PadicResidue
+    lhs: int
+    rhs: int
     skipped: bool = False
     note: str | None = None
 
@@ -56,34 +61,28 @@ class CongruenceFamily:
     description: str
     modulus_power: int
     applies: Callable[[int], bool]
-    cases: Callable[[OddPrime], Iterator[FamilyCase]]
+    cases: Callable[[int], Iterator[FamilyCase]]
     heavy: bool = False  # swept only up to the engine's sweep cap
 
 
 # -- small arithmetic helpers ------------------------------------------------
 
 
-def _case(prime: OddPrime, power: int, params: dict, lhs, rhs, note: str | None = None) -> FamilyCase:
-    return FamilyCase(
-        params,
-        padic_from_rational(lhs, prime, power),
-        padic_from_rational(rhs, prime, power),
-        note=note,
-    )
+def _case(q: int, power: int, params: dict, lhs, rhs) -> FamilyCase:
+    return FamilyCase(params, padic_from_rational(lhs, q, power), padic_from_rational(rhs, q, power))
 
 
-def _skip(prime: OddPrime, power: int, params: dict, note: str) -> FamilyCase:
-    zero = PadicResidue(prime, power, 0)
-    return FamilyCase(params, zero, zero, skipped=True, note=note)
+def _skip(params: dict, note: str) -> FamilyCase:
+    return FamilyCase(params, 0, 0, skipped=True, note=note)
 
 
-def _chain(prime: OddPrime, power: int, labels: list[str], members: list[Fraction], extra: dict | None = None):
+def _chain(q: int, power: int, labels: list[str], members: list[Fraction], extra: dict | None = None):
     """Pairwise comparisons along a chain of claimed-congruent values."""
     for i in range(len(members) - 1):
         params = {"pair": f"{labels[i]}={labels[i + 1]}"}
         if extra:
             params.update(extra)
-        yield _case(prime, power, params, members[i], members[i + 1])
+        yield _case(q, power, params, members[i], members[i + 1])
 
 
 # The int64 residue paths (_dual_family, _r14c_cases, _poly_family) sum up to
@@ -131,32 +130,26 @@ def _weight_vectors(
 # -- T1.1: the weighted-trace closed form ------------------------------------
 
 
-def _t11_cases(prime: OddPrime) -> Iterator[FamilyCase]:
-    q = prime.value
-    # Both grids hold canonical residues mod p, so every row can share one
-    # immutable PadicResidue per residue class.
-    residues = [PadicResidue(prime, 1, r) for r in range(q)]
+def _t11_cases(q: int) -> Iterator[FamilyCase]:
     lhs = weighted_char_sum_grid(q).tolist()
     rhs = thm11_rhs_grid(q).tolist()
     for d, (lhs_row, rhs_row) in enumerate(zip(lhs, rhs)):
         for lam in range(q):
-            yield FamilyCase({"lam": lam, "d": d}, residues[lhs_row[lam]], residues[rhs_row[lam]])
+            yield FamilyCase({"lam": lam, "d": d}, lhs_row[lam], rhs_row[lam])
 
 
 # -- E1.3 / E1.4: central binomial sums with shift d --------------------------
 
 
-def _e13_cases(prime: OddPrime) -> Iterator[FamilyCase]:
-    q = prime.value
+def _e13_cases(q: int) -> Iterator[FamilyCase]:
     n = (q - 1) // 2
     sign = legendre_symbol(-1, q)
     for d in range(n + 1):
         lhs = truncated_sum("central_double", q, n, 16, d=d, power=2)
-        yield _case(prime, 2, {"d": d}, lhs, Fraction(4**d * sign))
+        yield _case(q, 2, {"d": d}, lhs, Fraction(4**d * sign))
 
 
-def _e14_cases(prime: OddPrime) -> Iterator[FamilyCase]:
-    q = prime.value
+def _e14_cases(q: int) -> Iterator[FamilyCase]:
     n = (q - 1) // 2
     sign = legendre_symbol(-1, q)
     # p^2 (-1)^d/4 E_(p-3)(d+1/2) mod p^3 needs the Euler value only mod p
@@ -165,14 +158,13 @@ def _e14_cases(prime: OddPrime) -> Iterator[FamilyCase]:
     for d in range(n + 1):
         lhs = truncated_sum("central_shift", q, n, 16, d=d, power=3)
         rhs = sign + q * q * ((-1) ** d * inv4 * euler[d] % q)
-        yield _case(prime, 3, {"d": d}, lhs, rhs)
+        yield _case(q, 3, {"d": d}, lhs, rhs)
 
 
 # -- E1.5 / E1.6 / E1.7: base 8 and -16 sums, p == 3 (mod 4) ------------------
 
 
-def _e15_cases(prime: OddPrime) -> Iterator[FamilyCase]:
-    q = prime.value
+def _e15_cases(q: int) -> Iterator[FamilyCase]:
     n = (q - 1) // 2
     members = [
         truncated_sum("central_sq", q, n, 8, catalan_weight=True, power=1),
@@ -181,31 +173,29 @@ def _e15_cases(prime: OddPrime) -> Iterator[FamilyCase]:
         4 * truncated_sum("central_sq", q, n, -16, k_factor=True, power=1),
         Fraction((-1) ** ((q + 1) // 4) * comb((q + 1) // 2, (q + 1) // 4), 2),
     ]
-    yield from _chain(prime, 1, ["cat8", "k8", "cat-16", "k-16", "closed"], members)
+    yield from _chain(q, 1, ["cat8", "k8", "cat-16", "k-16", "closed"], members)
 
 
-def _e16_cases(prime: OddPrime) -> Iterator[FamilyCase]:
-    q = prime.value
+def _e16_cases(q: int) -> Iterator[FamilyCase]:
     n = (q - 1) // 2
     members = [
         truncated_sum("central_sq", q, n, 8, power=2),
         -truncated_sum("central_sq", q, n, -16, power=2),
         Fraction(2 * q * (-1) ** ((q + 1) // 4), comb((q + 1) // 2, (q + 1) // 4)),
     ]
-    yield from _chain(prime, 2, ["S8", "-S-16", "closed"], members)
+    yield from _chain(q, 2, ["S8", "-S-16", "closed"], members)
 
 
 def _e17_family(claimed_parity: Callable[[int], int]):
-    def gen(prime: OddPrime) -> Iterator[FamilyCase]:
-        q = prime.value
+    def gen(q: int) -> Iterator[FamilyCase]:
         n = (q - 1) // 2
         parity = claimed_parity(q)
         for d in range(n + 1):
             value = truncated_sum("central_shift", q, n, 8, d=d, power=1)
             if d % 2 == parity:
-                yield _case(prime, 1, {"d": d}, value, Fraction(0))
+                yield _case(q, 1, {"d": d}, value, Fraction(0))
             else:
-                yield _skip(prime, 1, {"d": d}, f"parity outside the claim; informational residue {value}")
+                yield _skip({"d": d}, f"parity outside the claim; informational residue {value}")
 
     return gen
 
@@ -214,10 +204,9 @@ def _e17_family(claimed_parity: Callable[[int], int]):
 
 
 def _sum_family(kind: str, base: int, closed: Callable[[int], int], **weights: bool):
-    def gen(prime: OddPrime) -> Iterator[FamilyCase]:
-        q = prime.value
+    def gen(q: int) -> Iterator[FamilyCase]:
         lhs = truncated_sum(kind, q, q - 1, base, **weights, power=2)
-        yield _case(prime, 2, {}, lhs, Fraction(closed(q)))
+        yield _case(q, 2, {}, lhs, Fraction(closed(q)))
 
     return gen
 
@@ -231,42 +220,38 @@ def _sequence_matrix(q: int, modulus: int) -> np.ndarray:
 
 
 def _dual_family(kind: str, base: int, eps: Callable[[int], int]):
-    def gen(prime: OddPrime) -> Iterator[FamilyCase]:
-        q = prime.value
+    def gen(q: int) -> Iterator[FamilyCase]:
         m2 = q * q
         w, dual = _weight_vectors(kind, base, q, 2, q)
         seqs = _sequence_matrix(q, m2)
         lhs, rhs = seqs @ w % m2, eps(q) * (seqs @ dual % m2) % m2
         for seq_id, left, right in zip(SEQUENCE_IDS, lhs.tolist(), rhs.tolist()):
-            yield FamilyCase({"sequence": seq_id}, PadicResidue(prime, 2, left), PadicResidue(prime, 2, right))
+            yield FamilyCase({"sequence": seq_id}, left, right)
 
     return gen
 
 
-def _r14c_cases(prime: OddPrime) -> Iterator[FamilyCase]:
-    q = prime.value
+def _r14c_cases(q: int) -> Iterator[FamilyCase]:
     n = (q - 1) // 2
     m2 = q * q
     w, dual = _weight_vectors("central_sq", 16, q, 2, n + 1)
     lhs = _sequence_matrix(q, m2)[:, : n + 1] @ ((w - legendre_symbol(-1, q) * dual) % m2) % m2
-    zero = PadicResidue(prime, 2, 0)
     for seq_id, left in zip(SEQUENCE_IDS, lhs.tolist()):
-        yield FamilyCase({"sequence": seq_id}, PadicResidue(prime, 2, left), zero)
+        yield FamilyCase({"sequence": seq_id}, left, 0)
 
 
 # -- R1.4a / R1.4b: d-shifted mod-p analogues ---------------------------------
 
 
 def _r14_family(double_kind: str, shift_kind: str, base: int, div: int, eps: Callable[[int], int]):
-    def gen(prime: OddPrime) -> Iterator[FamilyCase]:
-        q = prime.value
+    def gen(q: int) -> Iterator[FamilyCase]:
         n = (q - 1) // 2
         closed = Fraction(eps(q))
         for d in range(q // div + 1):
             m1 = truncated_sum(double_kind, q, n, base, d=d, power=1) * pow(4, -d, q)
             m2 = truncated_sum(shift_kind, q, n, base, d=d, power=1)
-            yield _case(prime, 1, {"d": d, "pair": "double=shift"}, m1, m2)
-            yield _case(prime, 1, {"d": d, "pair": "shift=closed"}, m2, closed)
+            yield _case(q, 1, {"d": d, "pair": "double=shift"}, m1, m2)
+            yield _case(q, 1, {"d": d, "pair": "shift=closed"}, m2, closed)
 
     return gen
 
@@ -291,30 +276,24 @@ def _poly_family(
 ):
     # Both claims read sum_j vec[j] (x^j - e (1-x)^j) == 0, i.e. vec == e M^T vec,
     # with vec = w and e = eps, or, when deriv, vec[j] = (j+1) w[j+1] and e = -eps.
-    def gen(prime: OddPrime) -> Iterator[FamilyCase]:
-        q = prime.value
+    def gen(q: int) -> Iterator[FamilyCase]:
         mod = q**power
         e = -eps_fun(q) if deriv else eps_fun(q)
         vec, dual = _weight_vectors(kind, base, q, power, upper_fun(q) + 1, k_weighted=deriv)
         size = len(vec)
         rhs_vec = e * dual % mod
-        zero = PadicResidue(prime, power, 0)
         mismatch = np.nonzero(vec != rhs_vec)[0]
         if mismatch.size:
             j = int(mismatch[0])
-            yield FamilyCase(
-                {"coefficient": j},
-                PadicResidue(prime, power, int(vec[j])),
-                PadicResidue(prime, power, int(rhs_vec[j])),
-                note=f"{mismatch.size} of {size} coefficients disagree",
-            )
+            note = f"{mismatch.size} of {size} coefficients disagree"
+            yield FamilyCase({"coefficient": j}, int(vec[j]), int(rhs_vec[j]), note=note)
         else:
-            yield FamilyCase({"coefficients": size}, zero, zero, note="all coefficients agree")
+            yield FamilyCase({"coefficients": size}, 0, 0, note="all coefficients agree")
         coeffs = vec.tolist()
         for x in spots:
             params = {"x": str(x)}
             if x.denominator % q == 0:
-                yield _skip(prime, power, params, "x is not a p-adic integer at this prime")
+                yield _skip(params, "x is not a p-adic integer at this prime")
                 continue
             xr = x.numerator * pow(x.denominator, -1, mod) % mod
             yr = (1 - xr) % mod
@@ -323,7 +302,7 @@ def _poly_family(
                 total += c * (xp - e * yp)
                 xp = xp * xr % mod
                 yp = yp * yr % mod
-            yield FamilyCase(params, PadicResidue(prime, power, total), zero)
+            yield FamilyCase(params, total % mod, 0)
 
     return gen
 
@@ -332,28 +311,25 @@ def _poly_family(
 
 
 def _pair_sum_family(kind: str, base_a: int, base_b: int, scale: Callable[[int], Fraction], *, k_factor: bool):
-    def gen(prime: OddPrime) -> Iterator[FamilyCase]:
-        q = prime.value
+    def gen(q: int) -> Iterator[FamilyCase]:
         lhs = truncated_sum(kind, q, q - 1, base_a, k_factor=k_factor, power=2)
         rhs = scale(q) * truncated_sum(kind, q, q - 1, base_b, k_factor=k_factor, power=2)
-        yield _case(prime, 2, {}, lhs, rhs)
+        yield _case(q, 2, {}, lhs, rhs)
 
     return gen
 
 
-def _e123_cases(prime: OddPrime) -> Iterator[FamilyCase]:
-    q = prime.value
+def _e123_cases(q: int) -> Iterator[FamilyCase]:
     lhs = truncated_sum("cubic", q, q - 1, 24, catalan_weight=True, power=2)
     inner = truncated_sum("cubic", q, q - 1, -216, catalan_weight=True, power=2) - q
     rhs = q + Fraction(legendre_symbol(-3, q), 9) * inner
-    yield _case(prime, 2, {}, lhs, rhs)
+    yield _case(q, 2, {}, lhs, rhs)
 
 
 # -- T1.6 and the two-squares families ----------------------------------------
 
 
-def _t16_cases(prime: OddPrime) -> Iterator[FamilyCase]:
-    q = prime.value
+def _t16_cases(q: int) -> Iterator[FamilyCase]:
     m1 = truncated_sum("quartic", q, q - 1, 72, k_factor=True, power=1)
     m2 = Fraction(3, 2) * truncated_sum("quartic", q, q - 1, 72, catalan_weight=True, power=1)
     l6 = legendre_symbol(6, q)
@@ -363,24 +339,21 @@ def _t16_cases(prime: OddPrime) -> Iterator[FamilyCase]:
     else:
         closed = Fraction(3 * l6 * comb((q + 1) // 2, (q + 1) // 4), 4)
         branch = "binomial"
-    yield from _chain(prime, 1, ["k72", "cat72", "closed"], [m1, m2, closed], {"branch": branch})
+    yield from _chain(q, 1, ["k72", "cat72", "closed"], [m1, m2, closed], {"branch": branch})
 
 
-def _g1_cases(prime: OddPrime) -> Iterator[FamilyCase]:
-    q = prime.value
+def _g1_cases(q: int) -> Iterator[FamilyCase]:
     x = cornacchia_two_squares(q).x
-    yield _case(prime, 1, {}, Fraction(comb((q - 1) // 2, (q - 1) // 4)), Fraction(2 * x))
+    yield _case(q, 1, {}, Fraction(comb((q - 1) // 2, (q - 1) // 4)), Fraction(2 * x))
 
 
-def _g2_cases(prime: OddPrime) -> Iterator[FamilyCase]:
-    q = prime.value
+def _g2_cases(q: int) -> Iterator[FamilyCase]:
     x = cornacchia_two_squares(q).x
     rhs = Fraction(2 ** (q - 1) + 1, 2) * (2 * x - Fraction(q, 2 * x))
-    yield _case(prime, 2, {}, Fraction(comb((q - 1) // 2, (q - 1) // 4)), rhs)
+    yield _case(q, 2, {}, Fraction(comb((q - 1) // 2, (q - 1) // 4)), rhs)
 
 
-def _g3_cases(prime: OddPrime) -> Iterator[FamilyCase]:
-    q = prime.value
+def _g3_cases(q: int) -> Iterator[FamilyCase]:
     n = (q - 1) // 2
     x = cornacchia_two_squares(q).x
     l2 = legendre_symbol(2, q)
@@ -390,11 +363,10 @@ def _g3_cases(prime: OddPrime) -> Iterator[FamilyCase]:
         l2 * truncated_sum("central_sq", q, n, 32, power=2),
         l2 * (2 * x - Fraction(q, 2 * x)),
     ]
-    yield from _chain(prime, 2, ["S8", "S-16", "S32", "closed"], members)
+    yield from _chain(q, 2, ["S8", "S-16", "S32", "closed"], members)
 
 
-def _g4_cases(prime: OddPrime) -> Iterator[FamilyCase]:
-    q = prime.value
+def _g4_cases(q: int) -> Iterator[FamilyCase]:
     n = (q - 1) // 2
     x = cornacchia_two_squares(q).x
     l2 = legendre_symbol(2, q)
@@ -405,7 +377,7 @@ def _g4_cases(prime: OddPrime) -> Iterator[FamilyCase]:
         -4 * truncated_sum("central_sq", q, n, -16, k_factor=True, power=2),
         l2 * (2 * x - Fraction(q, x)),
     ]
-    yield from _chain(prime, 2, ["cat8", "k8full", "cat-16", "k-16", "closed"], members)
+    yield from _chain(q, 2, ["cat8", "k8full", "cat-16", "k-16", "closed"], members)
 
 
 # -- L1, A1/A2, B1-B4, D-base, and the binomial lemma families ----------------
@@ -430,44 +402,39 @@ def _l1_lhs(q: int, power: int, *, base: int = -16, offset: int = 1) -> int:
     return total % mod
 
 
-def _l1_cases(prime: OddPrime) -> Iterator[FamilyCase]:
-    q = prime.value
-    yield _case(prime, 2, {}, _l1_lhs(q, 2), Fraction(q * legendre_symbol(-1, q)))
+def _l1_cases(q: int) -> Iterator[FamilyCase]:
+    yield _case(q, 2, {}, _l1_lhs(q, 2), Fraction(q * legendre_symbol(-1, q)))
 
 
-def _a1_cases(prime: OddPrime) -> Iterator[FamilyCase]:
-    q = prime.value
+def _a1_cases(q: int) -> Iterator[FamilyCase]:
     a2 = weighted_char_sum(q, 2, 0)
     am1 = weighted_char_sum(q, -1, 0)
-    yield _case(prime, 1, {"lam": 2}, Fraction(a2), Fraction(0))
-    yield _case(prime, 1, {"lam": -1}, Fraction(am1), Fraction(0))
-    yield _case(prime, 1, {"pair": "lam2=lam-1"}, Fraction(a2), Fraction(am1))
+    yield _case(q, 1, {"lam": 2}, Fraction(a2), Fraction(0))
+    yield _case(q, 1, {"lam": -1}, Fraction(am1), Fraction(0))
+    yield _case(q, 1, {"pair": "lam2=lam-1"}, Fraction(a2), Fraction(am1))
 
 
-def _a2_cases(prime: OddPrime) -> Iterator[FamilyCase]:
-    q = prime.value
+def _a2_cases(q: int) -> Iterator[FamilyCase]:
     n = (q - 1) // 2
     lhs = Fraction(weighted_char_sum(q, 2, 1))
     closed = Fraction((-1) ** ((q - 3) // 4) * comb(n, (n - 1) // 2))
     split = Fraction(weighted_char_sum(q, -1, 0) + weighted_char_sum(q, -1, 1))
-    yield _case(prime, 1, {"pair": "closed"}, lhs, closed)
-    yield _case(prime, 1, {"pair": "shifted-split"}, lhs, split)
+    yield _case(q, 1, {"pair": "closed"}, lhs, closed)
+    yield _case(q, 1, {"pair": "shifted-split"}, lhs, split)
 
 
 def _binom_family(top: Callable[[int], tuple[int, int]], power: int, rhs_fun: Callable[[int], Fraction]):
-    def gen(prime: OddPrime) -> Iterator[FamilyCase]:
-        q = prime.value
+    def gen(q: int) -> Iterator[FamilyCase]:
         a, b = top(q)
-        yield _case(prime, power, {}, Fraction(comb(a, b)), rhs_fun(q))
+        yield _case(q, power, {}, Fraction(comb(a, b)), rhs_fun(q))
 
     return gen
 
 
-def _dbase_cases(prime: OddPrime) -> Iterator[FamilyCase]:
-    q = prime.value
+def _dbase_cases(q: int) -> Iterator[FamilyCase]:
     n = (q - 1) // 2
     lhs = truncated_sum("central_shift", q, n, 8, d=n - 1, power=1)
-    yield _case(prime, 1, {"d": n - 1}, lhs, Fraction(0))
+    yield _case(q, 1, {"d": n - 1}, lhs, Fraction(0))
 
 
 def _always(q: int) -> bool:
@@ -475,11 +442,8 @@ def _always(q: int) -> bool:
 
 
 def _lemma_family(lemma: CongruenceLemma) -> CongruenceFamily:
-    def gen(prime: OddPrime) -> Iterator[FamilyCase]:
-        for params, lhs, rhs in lemma.residues(prime.value):
-            yield FamilyCase(
-                params, PadicResidue(prime, lemma.power, lhs), PadicResidue(prime, lemma.power, rhs)
-            )
+    def gen(q: int) -> Iterator[FamilyCase]:
+        return (FamilyCase(*row) for row in lemma.residues(q))
 
     return CongruenceFamily(lemma.id, lemma.description, lemma.power, _always, gen)
 

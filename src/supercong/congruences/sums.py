@@ -259,9 +259,9 @@ def truncated_sum(
     [k] is present when k_factor is set, the (k+1) divisor when
     catalan_weight is set. upper must be (p-1)/2 or p-1, and m a unit mod p.
     With power=None the result is the exact Fraction. With power=K in
-    {1, 2, 3} it is the canonical residue mod p^K, equal to
-    padic_from_rational(exact, p, K).residue and raising NotPAdicInteger
-    whenever that does.
+    {1, 2, 3} it is the canonical residue in [0, p^K), an int equal to
+    padic_from_rational(exact, p, K) and raising NotPAdicInteger whenever
+    that does.
     """
     q = _prime_int(p)
     n = (q - 1) // 2

@@ -14,7 +14,7 @@ from math import isqrt
 import numpy as np
 
 from .errors import WeightZero, WrongResidueClass
-from .padic import OddPrime, PadicResidue, _prime_int, odd_prime
+from .padic import OddPrime, _prime_int, odd_prime
 
 __all__ = [
     "TwoSquares",
@@ -126,14 +126,13 @@ def weighted_point_count(p: OddPrime | int, lam: int, d: int) -> int:
     return 1 + sum(x**d * sq[x * (x - 1) % q * (x - lam) % q] for x in range(q))
 
 
-def thm11_rhs(p: OddPrime | int, lam: int, d: int) -> PadicResidue:
-    """Mod-p closed form for a_p^(d)(lambda).
+def thm11_rhs(p: OddPrime | int, lam: int, d: int) -> int:
+    """Mod-p closed form for a_p^(d)(lambda), as a canonical residue in [0, p).
 
     (-1)^((p+1)/2) (lambda/4)^d sum_{k<=n} binom(2k,k) binom(2(k+d),k+d)
     (lambda/16)^k, minus 1 when d = n = (p-1)/2.
     """
-    prime = odd_prime(_prime_int(p))
-    q = prime.value
+    q = _prime_int(p)
     n = (q - 1) // 2
     lam %= q
     if not 0 <= d <= n:
@@ -150,7 +149,7 @@ def thm11_rhs(p: OddPrime | int, lam: int, d: int) -> PadicResidue:
         r = -r
     if d == n:
         r -= 1
-    return PadicResidue(prime, 1, r)
+    return r % q
 
 
 # -- vectorized sweep paths ------------------------------------------------

@@ -1,11 +1,13 @@
 """Truncated p-adic residues: canonical residues mod p^K for K in {1, 2, 3}.
 
-padic_from_rational collapses an exact int or Fraction to its residue, once,
-at comparison time, and rejects anything else: a float or a string would be
-converted silently and inexactly. The truncated sums and the sequence and
-polynomial families work mod p^K directly, which is exact because every
-denominator they divide by is a p-adic unit (the one exception, the Catalan
-term at k = p - 1, is divided by p exactly).
+A residue is a plain int in [0, p^K). K does not travel with it: the catalog
+entry that compares two residues states it once. padic_from_rational
+collapses an exact int or Fraction to its residue, once, at comparison time,
+and rejects anything else: a float or a string would be converted silently
+and inexactly. The truncated sums and the sequence and polynomial families
+work mod p^K directly, which is exact because every denominator they divide
+by is a p-adic unit (the one exception, the Catalan term at k = p - 1, is
+divided by p exactly).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .errors import InvalidPrime, NotPAdicInteger, PrecisionMismatch
 
 __all__ = [
     "OddPrime",
-    "PadicResidue",
     "is_prime",
     "legendre_symbol",
     "odd_prime",
@@ -109,31 +110,8 @@ def legendre_symbol(a: int, p: OddPrime | int) -> int:
     return r - q if r == q - 1 else r
 
 
-@dataclass(frozen=True)
-class PadicResidue:
-    """Canonical residue in [0, p^K); K is the precision, in {1, 2, 3}."""
-
-    p: OddPrime
-    precision: int
-    residue: int
-
-    def __post_init__(self) -> None:
-        if self.precision not in (1, 2, 3):
-            raise PrecisionMismatch(f"precision must be 1, 2 or 3, got {self.precision}")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
-
-    @property
-    def modulus(self) -> int:
-        return self.p.value**self.precision
-
-    def __repr__(self) -> str:
-        return f"PadicResidue({self.residue} mod {self.p}^{self.precision})"
-
-
-def padic_from_rational(
-    q: Fraction | int, p: OddPrime | int, precision: int
-) -> PadicResidue:
-    """Reduce an exact rational to its canonical residue mod p^precision.
+def padic_from_rational(q: Fraction | int, p: OddPrime | int, precision: int) -> int:
+    """Reduce an exact rational to its canonical residue in [0, p^precision).
 
     Raises NotPAdicInteger when p divides the (reduced) denominator, and
     TypeError for anything but an int or a Fraction: a float or a string
@@ -143,9 +121,9 @@ def padic_from_rational(
         raise TypeError(f"expected an int or a Fraction, got {type(q).__name__}")
     if precision not in (1, 2, 3):
         raise PrecisionMismatch(f"precision must be 1, 2 or 3, got {precision}")
-    prime = odd_prime(_prime_int(p))
+    prime = _prime_int(p)
     q = Fraction(q)
-    if q.denominator % prime.value == 0:
-        raise NotPAdicInteger(f"{q} has {prime.value} in its denominator")
-    m = prime.value**precision
-    return PadicResidue(prime, precision, q.numerator * pow(q.denominator, -1, m) % m)
+    if q.denominator % prime == 0:
+        raise NotPAdicInteger(f"{q} has {prime} in its denominator")
+    m = prime**precision
+    return q.numerator * pow(q.denominator, -1, m) % m

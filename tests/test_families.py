@@ -31,7 +31,7 @@ from supercong.congruences.families import (
 from supercong.congruences.identities import M_SET
 from supercong.curves import char_sum_a, thm11_rhs, weighted_char_sum
 from supercong.errors import UnknownId
-from supercong.padic import legendre_symbol, odd_prime, padic_from_rational, primes_between
+from supercong.padic import legendre_symbol, padic_from_rational, primes_between
 
 # Legendre-symbol signs of the polynomial families, from Euler's criterion
 # rather than the catalog's residue-class helpers: (p/3) = (-3/p).
@@ -62,6 +62,48 @@ def test_every_family_passes_small_primes():
         for fid in family_ids():
             for row in verify_family_case(fid, q):
                 assert row.passed is not False, (fid, q, row.params)
+
+
+def test_every_row_is_canonical_mod_its_catalog_modulus():
+    for q in primes_between(5, 60):
+        for fam in family_catalog():
+            if not fam.applies(q):
+                continue
+            modulus = q**fam.modulus_power
+            for case in fam.cases(q):
+                assert type(case.lhs) is int and type(case.rhs) is int, (fam.id, q, case.params)
+                assert 0 <= case.lhs < modulus and 0 <= case.rhs < modulus, (fam.id, q, case.params)
+
+
+def _recording(original, power_of, powers):
+    def spy(*args, **kwargs):
+        powers.append(power_of(*args, **kwargs))
+        return original(*args, **kwargs)
+
+    return spy
+
+
+def test_every_generator_reduces_at_its_catalog_power(monkeypatch):
+    # a row's modulus is p^K with K from the catalog entry, not from the
+    # generator, so every power a generator reduces at must be that K
+    powers = []
+    spies = {
+        "truncated_sum": lambda kind, q, upper, m, *, power=None, **kwargs: power,
+        "padic_from_rational": lambda value, p, precision: precision,
+        "_weight_vectors": lambda kind, base, q, power, count, **kwargs: power,
+    }
+    for name, power_of in spies.items():
+        monkeypatch.setattr(families, name, _recording(getattr(families, name), power_of, powers))
+    for fam in family_catalog():
+        recorded = 0
+        for q in (13, 19, 23, 29, 31, 37):
+            if fam.applies(q):
+                powers.clear()
+                list(fam.cases(q))
+                assert set(powers) <= {fam.modulus_power}, (fam.id, q, powers)
+                recorded += len(powers)
+        # T1.1 reads mod-p grids and the lemmas yield residues at their own power
+        assert recorded or fam.id in ("T1.1", "I8", "I9", "I10", "I11"), fam.id
 
 
 def test_applicability_predicates():
@@ -190,7 +232,7 @@ def test_weight_residues_match_exact_reduction():
                     continue
                 for power in (1, 2):
                     got = _weight_residues(kind, base, q, power, q)
-                    want = [padic_from_rational(Fraction(term(k, 0), base**k), q, power).residue for k in range(q)]
+                    want = [padic_from_rational(Fraction(term(k, 0), base**k), q, power) for k in range(q)]
                     assert got.tolist() == want, (kind, base, q, power)
 
 
@@ -240,13 +282,13 @@ def test_polynomial_spot_rows_match_exact_rational_oracle():
                 x = Fraction(row.params["x"])
                 value = _spot_value(kind, _BASES[kind], eps, upper, x, deriv=deriv)
                 assert row.modulus == q**power
-                assert padic_from_rational(value, q, power).residue == row.lhs, (fid, q, x)
+                assert padic_from_rational(value, q, power) == row.lhs, (fid, q, x)
                 checked += 1
     assert checked > 400
 
 
 def _failing_rows(gen, primes):
-    return [case for q in primes for case in gen(odd_prime(q)) if not case.passed]
+    return [case for q in primes for case in gen(q) if not case.passed]
 
 
 @pytest.mark.parametrize(
@@ -320,7 +362,7 @@ def test_t11_rows_match_scalar_routes():
             lam, d = r.params["lam"], r.params["d"]
             assert r.modulus == q and r.passed, (q, lam, d)
             assert r.lhs == weighted_char_sum(q, lam, d) % q, (q, lam, d)
-            assert r.rhs == thm11_rhs(q, lam, d).residue, (q, lam, d)
+            assert r.rhs == thm11_rhs(q, lam, d), (q, lam, d)
 
 
 def test_t11_planted_cell_fails_alone(monkeypatch):
@@ -337,7 +379,7 @@ def test_t11_planted_cell_fails_alone(monkeypatch):
     report = run_suite([q], ["T1.1"])
     assert len(report.cases) == q * (q + 1) // 2
     assert [(r.params, r.lhs, r.rhs) for r in report.failures()] == [
-        ({"lam": lam, "d": d}, weighted_char_sum(q, lam, d) % q, (thm11_rhs(q, lam, d).residue + 1) % q)
+        ({"lam": lam, "d": d}, weighted_char_sum(q, lam, d) % q, (thm11_rhs(q, lam, d) + 1) % q)
     ]
     assert run_suite([11, 17], ["T1.1"]).ok  # planted at p = 13 only
 
@@ -359,7 +401,7 @@ def test_l1_residue_matches_exact_convolution():
     for q in [*primes_between(5, 200), 499]:
         exact = _l1_exact(q)
         for power in (2, 3):
-            assert _l1_lhs(q, power) == padic_from_rational(exact, q, power).residue, (q, power)
+            assert _l1_lhs(q, power) == padic_from_rational(exact, q, power), (q, power)
 
 
 def test_l1_holds_one_power_beyond_its_claim():
@@ -374,7 +416,7 @@ def test_sum_family_rows_match_exact_route_at_a_large_prime(fid, monkeypatch):
     rows = verify_family_case(fid, 251)
 
     def exact_route(kind, q, upper, m, *, power, **kwargs):
-        return padic_from_rational(truncated_sum(kind, q, upper, m, **kwargs), q, power).residue
+        return padic_from_rational(truncated_sum(kind, q, upper, m, **kwargs), q, power)
 
     monkeypatch.setattr(families, "truncated_sum", exact_route)
     assert rows == verify_family_case(fid, 251)
@@ -435,9 +477,9 @@ def test_negative_control_family_fails_outside_its_range():
     # the harness must detect a genuine counterexample when forced to run one
     assert not get_family("B4").applies(5)
     assert verify_family_case("B4", 5) == []
-    forced = list(get_family("B4").cases(odd_prime(5)))
+    forced = list(get_family("B4").cases(5))
     assert len(forced) == 1
     assert forced[0].lhs != forced[0].rhs
     assert not forced[0].passed
-    assert forced[0].lhs.residue == comb(24, 12) % 25 == 6
-    assert forced[0].rhs.residue == 20
+    assert forced[0].lhs == comb(24, 12) % 25 == 6
+    assert forced[0].rhs == 20

@@ -9,7 +9,6 @@ import pytest
 from supercong.errors import InvalidPrime, NotPAdicInteger, PrecisionMismatch
 from supercong.padic import (
     OddPrime,
-    PadicResidue,
     is_prime,
     legendre_symbol,
     odd_prime,
@@ -83,27 +82,18 @@ def test_legendre_symbol_matches_square_table():
 
 
 def test_residue_canonical_and_signed():
-    r = PadicResidue(odd_prime(7), 2, -3)
-    assert r.residue == 46
-    assert r.modulus == 49
-    assert signed_residue(r.residue, r.modulus) == -3
-    assert "46 mod 7^2" in repr(r)
+    r = padic_from_rational(-3, odd_prime(7), 2)
+    assert type(r) is int and r == 46
+    assert padic_from_rational(52, 7, 2) == padic_from_rational(3, 7, 2) == 3
+    assert signed_residue(r, 7**2) == -3
 
 
 def test_residue_precision_validation():
-    with pytest.raises(PrecisionMismatch):
-        PadicResidue(odd_prime(7), 4, 1)
-    with pytest.raises(PrecisionMismatch):
-        PadicResidue(odd_prime(7), 0, 1)
-
-
-def test_residue_mixing_rules():
-    # the engine's verdict is lhs == rhs; residues at another prime or
-    # precision never compare equal, whatever their value
-    a = PadicResidue(odd_prime(7), 2, 3)
-    assert a == PadicResidue(odd_prime(7), 2, 52)
-    assert a != PadicResidue(odd_prime(7), 1, 3)
-    assert a != PadicResidue(odd_prime(11), 2, 3)
+    for precision in (0, 4):
+        with pytest.raises(PrecisionMismatch):
+            padic_from_rational(1, 7, precision)
+    with pytest.raises(InvalidPrime):
+        padic_from_rational(1, 9, 2)
 
 
 def test_truncation_commutes_with_arithmetic():
@@ -113,24 +103,24 @@ def test_truncation_commutes_with_arithmetic():
         q = rng.choice(primes_between(5, 50))
         a = Fraction(rng.randint(-(10**6), 10**6), rng.choice((1, 2, 3, 4, 9, 16)))
         b = Fraction(rng.randint(-(10**6), 10**6), rng.choice((1, 2, 3, 4, 9, 16)))
-        x, y = (padic_from_rational(v, q, 3).residue for v in (a, b))
+        x, y = (padic_from_rational(v, q, 3) for v in (a, b))
         for op in (operator.add, operator.sub, operator.mul):
-            high = padic_from_rational(op(a, b), q, 3).residue
+            high = padic_from_rational(op(a, b), q, 3)
             assert high % q**2 == op(x % q**2, y % q**2) % q**2
-            assert high % q**2 == padic_from_rational(op(a, b), q, 2).residue
+            assert high % q**2 == padic_from_rational(op(a, b), q, 2)
 
 
 def test_from_rational_reduction():
     r = padic_from_rational(Fraction(1, 2), 7, 2)
-    assert r.residue * 2 % 49 == 1
-    assert padic_from_rational(Fraction(-3, 4), 5, 3).residue == (-3 * pow(4, -1, 125)) % 125
-    assert padic_from_rational(10, 5, 1).residue == 0
+    assert r * 2 % 49 == 1
+    assert padic_from_rational(Fraction(-3, 4), 5, 3) == (-3 * pow(4, -1, 125)) % 125
+    assert padic_from_rational(10, 5, 1) == 0
     with pytest.raises(NotPAdicInteger):
         padic_from_rational(Fraction(1, 5), 5, 2)
     with pytest.raises(NotPAdicInteger):
         padic_from_rational(Fraction(3, 35), 5, 1)
     # p in an unreduced denominator is fine once it cancels
-    assert padic_from_rational(Fraction(5, 10), 5, 1).residue == 3
+    assert padic_from_rational(Fraction(5, 10), 5, 1) == 3
 
 
 @pytest.mark.parametrize("value", [0.5, 2.0, "1/2", "3"], ids=["float", "integral-float", "str", "integral-str"])
@@ -148,8 +138,8 @@ def test_from_rational_is_a_ring_homomorphism():
         a = Fraction(rng.randint(-50, 50), rng.choice((1, 2, 3, 4, 9, 16)))
         b = Fraction(rng.randint(-50, 50), rng.choice((1, 2, 3, 4, 9, 16)))
         m = q**k
-        fa = padic_from_rational(a, q, k).residue
-        fb = padic_from_rational(b, q, k).residue
-        assert padic_from_rational(a + b, q, k).residue == (fa + fb) % m
-        assert padic_from_rational(a - b, q, k).residue == (fa - fb) % m
-        assert padic_from_rational(a * b, q, k).residue == fa * fb % m
+        fa = padic_from_rational(a, q, k)
+        fb = padic_from_rational(b, q, k)
+        assert padic_from_rational(a + b, q, k) == (fa + fb) % m
+        assert padic_from_rational(a - b, q, k) == (fa - fb) % m
+        assert padic_from_rational(a * b, q, k) == fa * fb % m

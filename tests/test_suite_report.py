@@ -3,13 +3,15 @@
 import csv
 import json
 import multiprocessing
+import os
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercong.congruences import run_suite, verify_family_case
+from supercong.congruences import engine, run_suite, verify_family_case
 from supercong.congruences.engine import SuiteReport, VerificationReport
 from supercong.congruences.families import (
     CongruenceFamily,
@@ -54,6 +56,38 @@ def test_parallel_run_matches_sequential():
     assert report_to_dict(seq)["summary"] == report_to_dict(par)["summary"]
 
 
+def test_pool_is_bounded_by_primes_and_cpus(monkeypatch):
+    # never start the real pool here: with fork it starts max_workers processes at once
+    requested = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+    want = min(2, os.cpu_count() or 1)
+    report = run_suite([5, 7], ["B1"], parallelism=64)
+    assert requested == ([want] if want > 1 else [])
+    assert report.config["parallelism"] == 64
+    assert report_to_dict(report)["cases"] == report_to_dict(run_suite([5, 7], ["B1"]))["cases"]
+    for cpus, primes, workers in [(3, primes_between(5, 30), [3]), (1, [5, 7], []), (None, [5, 7], [])]:
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+        requested.clear()
+        run_suite(primes, ["B1"], parallelism=64)
+        assert requested == workers, cpus
+
+
 def test_sweep_cap_inserts_marker_row():
     report = run_suite([101], ["T1.1"], sweep_cap=100)
     (row,) = report.cases
@@ -74,10 +108,10 @@ def test_time_budget_turns_pairs_into_markers():
 
 
 def _synthetic_family(fid):
-    def cases(prime):
-        yield _case(prime, 1, {"k": 0}, Fraction(1), Fraction(1))
-        yield _case(prime, 1, {"k": 1}, Fraction(1), Fraction(2))
-        yield _case(prime, 1, {"k": 2}, Fraction(2), Fraction(2))
+    def cases(q):
+        yield _case(q, 1, {"k": 0}, Fraction(1), Fraction(1))
+        yield _case(q, 1, {"k": 1}, Fraction(1), Fraction(2))
+        yield _case(q, 1, {"k": 2}, Fraction(2), Fraction(2))
 
     return CongruenceFamily(fid, "synthetic: passes, fails, passes", 1, lambda q: True, cases)
 
@@ -94,8 +128,8 @@ def test_fail_fast_truncates_at_first_failing_row(monkeypatch):
 
 
 def _fails_at_seven(fid):
-    def cases(prime):
-        yield _case(prime, 1, {}, Fraction(1), Fraction(2 if prime.value == 7 else 1))
+    def cases(q):
+        yield _case(q, 1, {}, Fraction(1), Fraction(2 if q == 7 else 1))
 
     return CongruenceFamily(fid, "synthetic: fails only at p = 7", 1, lambda q: True, cases)
 

@@ -98,7 +98,7 @@ def _exact_residue(kind, q, upper, m, d, k_factor, catalan_weight, power):
     """padic_from_rational of the exact sum, or the exception type either raises."""
     try:
         exact = truncated_sum(kind, q, upper, m, d=d, k_factor=k_factor, catalan_weight=catalan_weight)
-        return padic_from_rational(exact, q, power).residue
+        return padic_from_rational(exact, q, power)
     except (NonUnitDivisor, NotPAdicInteger) as exc:
         return type(exc)
 
