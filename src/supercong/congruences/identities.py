@@ -1,13 +1,15 @@
 """Exact identities and recurrences underlying the congruence catalog.
 
 Every case is an equality of exact rationals (or of residues, for the
-prime-parameterized lemmas I8-I11). The partial sums of I1-I5 are evaluated
-by sums.weighted_sum, the accumulator behind the catalog's truncated_sum, and
-I1-I5 and Z2-Z4 take their kernels N_kind(k) from sums.TERM_KINDS, each
-value computed once per run. The binomials inside I6, Z1 and the Z2-Z4 tails
-come from rows built once per run (C(2k, .) rows and Pascal rows), and those
-of I9-I11 from the catalog's residue tables; the right sides of I6 and Z2-Z4
-stay on math.comb, so both sides of a check take different routes.
+prime-parameterized lemmas I8-I11). I1-I5 carry their partial sums across
+n: each is extended from n-1 to n by one step of sums.weighted_prefixes, the
+one evaluator behind weighted_sum and the catalog's exact truncated_sum, and
+only the random bases of I1-I3 and I4a, new at every n, start from k = 0.
+I1-I4a and Z2-Z4 take their kernels N_kind(k) from sums.TERM_KINDS, each
+value computed once per run. The binomials inside I5, I6, Z1 and the Z2-Z4
+tails come from rows built once per run (C(2k, .) rows and Pascal rows), and
+those of I9-I11 from the catalog's residue tables; the right sides of I5, I6
+and Z2-Z4 stay on math.comb, so both sides of a check take different routes.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count, islice, repeat
 from math import comb, gcd
 from operator import add, mul
 from time import perf_counter
@@ -23,7 +26,7 @@ from typing import Callable, Iterator
 from ..combinatorics import catalan  # noqa: F401  (perfbench/tracing.py wraps identities.catalan)
 from ..errors import UnknownId
 from ..padic import primes_between
-from .sums import TERM_KINDS, _binomial_row, _factorials, weighted_sum
+from .sums import TERM_KINDS, _binomial_row, _factorials, weighted_prefixes
 
 __all__ = [
     "CongruenceLemma",
@@ -92,16 +95,17 @@ class IdentityResult:
 # -- m-parameterized partial-sum identities ---------------------------------
 
 
-def _prefix(kind: str, d: int = 0) -> Callable[[int], list[int]]:
-    """terms(n) is [N_kind(0, d), ..., N_kind(n, d)]; each kernel value is computed once."""
+def _kernel(kind: str) -> Callable[[int], int]:
+    """kernel(k) is N_kind(k, 0); each value is computed once."""
     term = TERM_KINDS[kind]
     values: list[int] = []
 
-    def terms(n: int) -> list[int]:
-        values.extend(term(k, d) for k in range(len(values), n + 1))
-        return values[: n + 1]
+    def kernel(k: int) -> int:
+        while len(values) <= k:
+            values.append(term(len(values), 0))
+        return values[k]
 
-    return terms
+    return kernel
 
 
 def _central_rows() -> Callable[[int], list[int]]:
@@ -130,19 +134,33 @@ def _partial_sum_cases(
     """sum_{k<=u} (c/(k+1) + (base-m) k/scale) N_kind(k)/m^k = closed(n, N_kind(n))/m^u.
 
     u = upper(n). m runs over _m_values(n) and is a case parameter, unless
-    bases fixes it as part of the statement.
+    bases fixes it as part of the statement. Each fixed base (M_SET, or
+    bases) carries one numerator over lcm(1..u+1) m^u across n, one
+    weighted_prefixes step per new term.
     """
 
     def cases(max_n: int) -> Iterator[IdentityCase]:
-        terms = _prefix(kind)
+        kernel = _kernel(kind)
+
+        def prefixes(m: int) -> Iterator[tuple[int, int]]:
+            return weighted_prefixes(map(kernel, count()), m, b=base - m, c=scale * c)
+
+        # _m_values(n) lists M_SET first, then the random bases, which are
+        # new at every n and so are summed from k = 0
+        fixed = bases or M_SET
+        carried = [prefixes(m) for m in fixed]
+        at, sums = -1, []
         for n in range(1, max_n + 1):
             u = upper(n)
-            t = terms(n)
-            closed_n = Fraction(closed(n, t[n]))
-            for m in bases or _m_values(n):
-                lhs = weighted_sum(t[: u + 1], m, b=base - m, c=scale * c) / scale
+            while at < u:
+                sums, at = [next(prefix) for prefix in carried], at + 1
+            ms = bases or _m_values(n)
+            fresh = [next(islice(prefixes(m), u, None)) for m in ms[len(fixed) :]]
+            closed_n = closed(n, kernel(n))
+            for m, (num, big) in zip(ms, [*sums, *fresh]):
+                mu = m**u
                 params = {"n": n} if bases else {"n": n, "m": m}
-                yield IdentityCase(params, lhs, closed_n / m**u)
+                yield IdentityCase(params, Fraction(num, big * mu * scale), Fraction(closed_n, mu))
 
     return cases
 
@@ -151,18 +169,32 @@ def _i4_closed(n: int, t: int) -> Fraction:
     return Fraction((2 * n + 1) ** 2 * t, n + 1)
 
 
+def _shift_terms(row: Callable[[int], list[int]], d: int) -> Iterator[int]:
+    """C(2k, k) C(2k, k+d) for k = 0, 1, ...; zero for k < d, then read from the C(2k, .) rows."""
+    yield from repeat(0, d)
+    for k in count(d):
+        rk = row(k)
+        yield rk[k] * rk[k + d]
+
+
 def _i5_cases(max_n: int, gap: int = 1) -> Iterator[IdentityCase]:
     # telescoped shift-difference sum (2m+1) (S(m) - S(m+gap)), true for
     # gap = 1, where S(d) = sum_{k<=n} binom(2k,k) binom(2k,k+d)/16^k and m
-    # runs over [0, n]
-    shifts: list[Callable[[int], list[int]]] = []
+    # runs over [0, n]. Each 16^n S(d) carries across n; a shift first
+    # needed at n is 0 up to there, since binom(2k,k+d) = 0 for k < d.
+    row = _central_rows()
+    shifts: list[Iterator[tuple[int, int]]] = []
     for n in range(1, max_n + 1):
-        shifts += [_prefix("central_shift", d) for d in range(len(shifts), n + gap + 1)]
-        s = [weighted_sum(terms(n), 16, a=1) for terms in shifts]
+        shifts += [
+            islice(weighted_prefixes(_shift_terms(row, d), 16, a=1), n, None)
+            for d in range(len(shifts), n + gap + 1)
+        ]
+        s = [next(prefix)[0] for prefix in shifts]
         rn = comb(2 * n, n)
+        den = 16**n
         for m in range(n + 1):
-            rhs = Fraction((2 * n + 1) * rn * comb(2 * n + 1, n - m), 16**n)
-            yield IdentityCase({"n": n, "m": m}, (2 * m + 1) * (s[m] - s[m + gap]), rhs)
+            rhs = Fraction((2 * n + 1) * rn * comb(2 * n + 1, n - m), den)
+            yield IdentityCase({"n": n, "m": m}, Fraction((2 * m + 1) * (s[m] - s[m + gap]), den), rhs)
 
 
 def _i6_cases(max_n: int, trim: int = 0) -> Iterator[IdentityCase]:
@@ -327,11 +359,11 @@ def _z_family(kind: str, base: int, a: int, b: Callable[[int], int]) -> Callable
     """
 
     def cases(max_n: int) -> Iterator[IdentityCase]:
-        terms = _prefix(kind)
+        kernel = _kernel(kind)
         tails: list[int] = []  # S_(n-1), one entry per m <= n-2
         pascal = [1]  # binom(n-1, m) for m <= n-1
         for n in range(1, max_n + 1):
-            top = terms(n - 1)[n - 1]
+            top = kernel(n - 1)
             tails = [base * s + top * c for s, c in zip([*tails, 0], pascal)]
             pascal = [1, *map(add, pascal, pascal[1:]), 1]
             if n < 2:

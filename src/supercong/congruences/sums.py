@@ -1,9 +1,12 @@
 """Truncated sums of binomial products over a power denominator, exact or mod p^K.
 
 TERM_KINDS holds every kernel N_kind(k, d) as an exact integer function.
-weighted_sum is the one exact evaluator of sum_k (a + b k + c/(k+1)) t_k / m^k:
-one big integer numerator over lcm(1..u+1) m^u, reduced to a Fraction once.
-The identity suite applies it to prefixes of the kernels.
+weighted_prefixes is the one exact evaluator of
+sum_k (a + b k + c/(k+1)) t_k / m^k: it extends one big integer numerator
+over lcm(1..u+1) m^u term by term and yields it at every u. weighted_sum is
+its last prefix, reduced to a Fraction once; truncated_sum(power=None) takes
+it. The identity suite's I1-I5 carry their partial sums across n on the same
+generator, one step per n.
 
 truncated_sum sums a kernel over (p-1)/2 or p-1 terms. With power=None it
 returns that exact Fraction, the reference the tests check against. With
@@ -19,16 +22,17 @@ the same tables.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, prod
+from math import comb, gcd, prod
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..errors import NonUnitDivisor, NotPAdicInteger, PrecisionMismatch
 from ..padic import OddPrime, _prime_int
 
-__all__ = ["TERM_KINDS", "kernel_residues", "truncated_sum", "weighted_sum"]
+__all__ = ["TERM_KINDS", "kernel_residues", "truncated_sum", "weighted_prefixes", "weighted_sum"]
 
 
 def _central_sq(k: int, d: int) -> int:
@@ -85,24 +89,39 @@ TERM_KINDS: dict[str, Callable[[int, int], int]] = {
 }
 
 
-def weighted_sum(terms: Sequence[int], m: int, a: int = 0, b: int = 0, c: int = 0) -> Fraction:
-    """sum_{k=0}^{u} (a + b k + c/(k+1)) terms[k] / m^k, exact, with u = len(terms) - 1.
+def weighted_prefixes(
+    terms: Iterable[int], m: int, a: int = 0, b: int = 0, c: int = 0
+) -> Iterator[tuple[int, int]]:
+    """Yield (num, big) for u = 0, 1, ...: the prefix sum of weighted_sum up to u is num / (big m^u).
 
-    One integer numerator is accumulated over the common denominator
-    lcm(1..u+1) m^u (the lcm only when c is nonzero) and reduced to a
-    Fraction once.
+    big is lcm(1..u+1) when c is nonzero, else 1. Each step multiplies the
+    numerator by m, and by the factor the lcm grows by, then adds term u, so
+    a caller that extends a sum by one term pays for one term.
     """
-    u = len(terms) - 1
-    big = lcm(*range(1, u + 2)) if c else 1
-    num = 0
+    num, big = 0, 1
     for k, t in enumerate(terms):
         num *= m
+        if c and big % (k + 1):
+            grow = (k + 1) // gcd(big, k + 1)
+            big *= grow
+            num *= grow
         if t:
             w = (a + b * k) * big
             if c:
                 w += c * (big // (k + 1))
             num += w * t
-    return Fraction(num, big * m**u)
+        yield num, big
+
+
+def weighted_sum(terms: Sequence[int], m: int, a: int = 0, b: int = 0, c: int = 0) -> Fraction:
+    """sum_{k=0}^{u} (a + b k + c/(k+1)) terms[k] / m^k, exact, with u = len(terms) - 1.
+
+    The last prefix of weighted_prefixes: one integer numerator over
+    lcm(1..u+1) m^u (the lcm only when c is nonzero), reduced to a Fraction
+    once.
+    """
+    num, big = deque(weighted_prefixes(terms, m, a, b, c), maxlen=1).pop()
+    return Fraction(num, big * m ** (len(terms) - 1))
 
 
 # (k_factor, catalan_weight) -> (a, b, c); both set is k/(k+1) = 1 - 1/(k+1)

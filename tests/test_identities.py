@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from functools import partial
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -211,6 +211,99 @@ _COMB_GENERATORS = {
 def test_row_generators_match_comb_generators(ident_id):
     catalog = {ident.id: ident for ident in identity_catalog()}
     assert list(catalog[ident_id].cases(30)) == list(_COMB_GENERATORS[ident_id](30))
+
+
+# The I1-I5 generators as they were before their partial sums carried across
+# n: every (n, m) and every I5 shift summed afresh from k = 0 over the final
+# denominator lcm(1..u+1) m^u, with the evaluator copied alongside.
+
+
+def _fresh_weighted_sum(terms, m, a=0, b=0, c=0):
+    u = len(terms) - 1
+    big = lcm(*range(1, u + 2)) if c else 1
+    num = 0
+    for k, t in enumerate(terms):
+        num *= m
+        if t:
+            w = (a + b * k) * big
+            if c:
+                w += c * (big // (k + 1))
+            num += w * t
+    return Fraction(num, big * m**u)
+
+
+def _fresh_partial_sum(kind, c, base, scale, upper, closed, bases=None):
+    def cases(max_n):
+        term = TERM_KINDS[kind]
+        for n in range(1, max_n + 1):
+            u = upper(n)
+            t = [term(k, 0) for k in range(n + 1)]
+            closed_n = Fraction(closed(n, t[n]))
+            for m in bases or _m_values(n):
+                lhs = _fresh_weighted_sum(t[: u + 1], m, b=base - m, c=scale * c) / scale
+                params = {"n": n} if bases else {"n": n, "m": m}
+                yield IdentityCase(params, lhs, closed_n / m**u)
+
+    return cases
+
+
+def _fresh_i5(max_n, gap=1):
+    term = TERM_KINDS["central_shift"]
+    for n in range(1, max_n + 1):
+        s = [_fresh_weighted_sum([term(k, d) for k in range(n + 1)], 16, a=1) for d in range(n + gap + 1)]
+        rn = comb(2 * n, n)
+        for m in range(n + 1):
+            rhs = Fraction((2 * n + 1) * rn * comb(2 * n + 1, n - m), 16**n)
+            yield IdentityCase({"n": n, "m": m}, (2 * m + 1) * (s[m] - s[m + gap]), rhs)
+
+
+def _fresh_i4_closed(n, t):
+    return Fraction((2 * n + 1) ** 2 * t, n + 1)
+
+
+_FRESH_GENERATORS = {
+    "I1": _fresh_partial_sum("cubic", 6, 27, 1, lambda n: n - 1, lambda n, t: n * t),
+    "I2": _fresh_partial_sum("quartic", 12, 64, 1, lambda n: n - 1, lambda n, t: n * t),
+    "I3": _fresh_partial_sum("sextic", 60, 432, 1, lambda n: n - 1, lambda n, t: n * t),
+    "I4": _fresh_partial_sum("central_sq", 1, 16, 4, lambda n: n, _fresh_i4_closed, bases=(16,)),
+    "I4a": _fresh_partial_sum("central_sq", 1, 16, 4, lambda n: n, _fresh_i4_closed),
+    "I5": _fresh_i5,
+}
+
+
+@pytest.mark.parametrize("ident_id", sorted(_FRESH_GENERATORS))
+def test_carried_partial_sums_match_fresh_generators(ident_id):
+    # I1-I3 sum to u = n-1, I4 and I4a to u = n, all with c != 0, so the
+    # carried lcm(1..u+1) is rescaled at every prime power up to 41
+    catalog = {ident.id: ident for ident in identity_catalog()}
+    got = list(catalog[ident_id].cases(40))
+    want = list(_FRESH_GENERATORS[ident_id](40))
+    assert [list(case.params) for case in got] == [list(case.params) for case in want]
+    assert got == want
+    if ident_id == "I5":
+        # every shift d <= n + 1 enters a case at each n
+        assert [case.params["m"] for case in got if case.params["n"] == 40] == list(range(41))
+    elif ident_id != "I4":
+        # the five random bases per n start from k = 0, even one that equals
+        # a base of M_SET (n = 18 draws 72)
+        assert [case.params["m"] for case in got] == [m for n in range(1, 41) for m in _m_values(n)]
+
+
+@pytest.mark.parametrize("ident_id", sorted(_FRESH_GENERATORS))
+def test_carried_state_stays_inside_one_call(ident_id):
+    ident = {ident.id: ident for ident in identity_catalog()}[ident_id]
+    first = list(ident.cases(30))
+    assert list(ident.cases(30)) == first
+    # two calls stepped in lockstep share no accumulator
+    assert list(zip(ident.cases(30), ident.cases(30))) == list(zip(first, first))
+
+
+def test_shared_kernel_in_either_order():
+    # I4 and I4a sum the same central_sq kernel
+    def outcome(results):
+        return sorted((r.id, r.checked, r.failed, r.vacuous, r.failures) for r in results)
+
+    assert outcome(run_identities(["I4", "I4a"], 30)) == outcome(run_identities(["I4a", "I4"], 30))
 
 
 def test_lemma_residues_match_comb():
