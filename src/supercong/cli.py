@@ -50,9 +50,15 @@ def _prime_cap() -> int:
     return cap
 
 
-def _parse_primes(spec: str) -> list[int]:
+def _check_cap(p: int) -> None:
     cap = _prime_cap()
+    if p > cap:
+        raise ConfigError(f"{p} exceeds the cap {cap} (set SUPERCONG_MAX_PRIME to raise)")
+
+
+def _parse_primes(spec: str) -> list[int]:
     if ".." in spec:
+        cap = _prime_cap()
         lo_s, _, hi_s = spec.partition("..")
         try:
             lo, hi = int(lo_s), int(hi_s)
@@ -71,8 +77,7 @@ def _parse_primes(spec: str) -> list[int]:
         raise ConfigError(f"bad prime spec {spec!r}; expected a prime or lo..hi")
     if p < 5:
         raise ConfigError(f"primes below 5 are out of scope, got {p}")
-    if p > cap:
-        raise ConfigError(f"{p} exceeds the cap {cap} (set SUPERCONG_MAX_PRIME to raise)")
+    _check_cap(p)
     if not is_prime(p):
         raise ConfigError(f"{p} is not prime")
     return [p]
@@ -128,9 +133,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"  counterexample {row.family} p={row.p} {row.params}: "
             f"{row.lhs} != {row.rhs} (mod {row.modulus})"
         )
+    passed, failed, skipped = report.counts()
     print(
         f"checked {len(report.cases)} cases over {len(primes)} primes: "
-        f"{report.passed} pass, {report.failed} fail, {report.skipped} skipped "
+        f"{passed} pass, {failed} fail, {skipped} skipped "
         f"({report.elapsed:.1f}s)"
     )
     if args.out:
@@ -139,7 +145,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             write_csv(report, args.out)
         print(f"report written to {args.out}")
-    return 0 if report.ok else 1
+    return 0 if failed == 0 else 1
 
 
 def _cmd_identity(args: argparse.Namespace) -> int:
@@ -163,6 +169,7 @@ def _cmd_identity(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
+    _check_cap(args.p)  # before any O(p) table or loop
     _require_prime(args.p)
     p, lam = args.p, args.lam
     count = count_points(p, lam)

@@ -38,7 +38,7 @@ from .sums import _binomial_row, kernel_residues, truncated_sum
 __all__ = ["MAX_EXACT_PRIME", "CongruenceFamily", "FamilyCase", "family_catalog", "family_ids", "get_family"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FamilyCase:
     """One check; lhs and rhs are canonical residues in [0, p^K), K the family's modulus_power."""
 

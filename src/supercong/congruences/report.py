@@ -80,7 +80,8 @@ def _run_block(report: SuiteReport) -> dict:
 
 
 def _summary_block(report: SuiteReport) -> dict:
-    return {"pass": report.passed, "fail": report.failed, "skipped": report.skipped}
+    passed, failed, skipped = report.counts()
+    return {"pass": passed, "fail": failed, "skipped": skipped}
 
 
 def report_to_dict(report: SuiteReport) -> dict:

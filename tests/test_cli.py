@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from supercong import cli
 from supercong.cli import main
 
 
@@ -141,6 +142,20 @@ def test_curve_rejects_bad_prime_or_weight(capsys):
     assert main(["curve", "--p", "9", "--lambda", "2"]) == 2
     assert main(["curve", "--p", "7", "--lambda", "2", "--d", "4"]) == 2
     capsys.readouterr()
+
+
+def test_curve_rejects_prime_above_cap(monkeypatch, capsys):
+    # the cap check comes before any O(p) table: every curve routine fails if reached
+    def unreachable(*args):
+        raise AssertionError("curve table built above the cap")
+
+    for name in ("count_points", "char_sum_a", "weighted_char_sum", "thm11_rhs", "weighted_point_count"):
+        monkeypatch.setattr(cli, name, unreachable)
+    assert main(["curve", "--p", "2003", "--lambda", "2", "--d", "1"]) == 2
+    assert "exceeds the cap 2000" in capsys.readouterr().err
+    monkeypatch.setenv("SUPERCONG_MAX_PRIME", "10")
+    assert main(["curve", "--p", "11", "--lambda", "2"]) == 2
+    assert "exceeds the cap 10" in capsys.readouterr().err
 
 
 def test_decompose_output(capsys):

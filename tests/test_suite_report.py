@@ -1,6 +1,7 @@
 """Engine scheduling semantics and report serialization."""
 
 import csv
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -15,6 +16,7 @@ from supercong.congruences import engine, run_suite, verify_family_case
 from supercong.congruences.engine import SuiteReport, VerificationReport
 from supercong.congruences.families import (
     CongruenceFamily,
+    FamilyCase,
     _BY_ID,
     _case,
 )
@@ -168,6 +170,53 @@ def test_signed_views():
     (case,) = report_to_dict(SuiteReport({}, "", cases=[row]))["cases"]
     assert (case["lhs_signed"], case["rhs_signed"]) == (-1, 2)
     assert not row.skipped
+
+
+def test_rows_are_slotted_records():
+    report = run_suite([5, 7], ["I8", "E1.7"])
+    row = report.cases[0]
+    assert not hasattr(row, "__dict__")
+    assert not hasattr(FamilyCase({}, 0, 0), "__dict__")
+    bumped = dataclasses.replace(row, lhs=(row.lhs + 1) % row.modulus)
+    assert type(bumped) is VerificationReport
+    assert (bumped.lhs, bumped.rhs, bumped.params) == ((row.lhs + 1) % row.modulus, row.rhs, row.params)
+    assert dataclasses.replace(row, passed=None).skipped
+
+
+def test_row_built_once_per_evaluated_row(monkeypatch):
+    calls = {"_row": 0, "_marker": 0}
+    for name in calls:
+        original = getattr(engine, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(engine, name, counted)
+    report = run_suite(primes_between(5, 40), ["T1.1", "E1.7", "I8"])
+    assert calls == {"_row": len(report.cases), "_marker": 0}  # below the sweep cap: no marker rows
+    assert any(r.family == "E1.7" and r.skipped for r in report.cases)  # skips go through _row too
+
+
+class _CountedList(list):
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_summary_counts_in_one_pass():
+    rows = [
+        VerificationReport("F", 5, {}, 5, 1, 1, True),
+        VerificationReport("F", 5, {}, 5, 1, 2, False),
+        VerificationReport("F", 7, {}, 7, 0, 0, None, "skipped"),
+        VerificationReport("F", 7, {}, 7, 3, 3, True),
+    ]
+    report = SuiteReport({}, "", cases=_CountedList(rows))
+    assert report_to_dict(report)["summary"] == {"pass": 2, "fail": 1, "skipped": 1}
+    assert report.cases.iterations == 2  # the case rows, then one counting pass
+    assert report.counts() == (2, 1, 1) == (report.passed, report.failed, report.skipped)
 
 
 def test_json_shape_and_roundtrip(tmp_path):
