@@ -17,6 +17,7 @@ from .combinatorics import (
     euler_polynomial_half_grid,
 )
 from .congruences import (
+    CaseBlock,
     CongruenceFamily,
     ExactIdentity,
     FamilyCase,
@@ -64,6 +65,7 @@ from .padic import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "CaseBlock",
     "CongruenceFamily",
     "ExactIdentity",
     "FamilyCase",

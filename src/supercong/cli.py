@@ -24,7 +24,7 @@ from .curves import (
     weighted_point_count,
 )
 from .errors import SupercongError
-from .padic import is_prime, primes_between
+from .padic import MR_EXACT_BOUND, is_prime, primes_between
 
 DEFAULT_PRIME_CAP = 2000
 MAX_IDENTITY_N = 500
@@ -115,27 +115,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         time_limit=args.time_limit,
         sweep_cap=args.sweep_cap,
     )
-    by_family: dict[str, list] = {}
-    for row in report.cases:
-        by_family.setdefault(row.family, []).append(row)
+    tally = {fid: [0, 0, 0] for fid in families}  # rows, failures, skips
+    for block in report.blocks:
+        counts = tally[block.family]
+        counts[0] += len(block)
+        counts[1] += block.counts[1]
+        counts[2] += block.counts[2]
     for fid in families:
-        rows = by_family.get(fid, [])
+        rows, fails, skips = tally[fid]
         if not rows:
             print(f"{fid:>6s}  not applicable in this range")
             continue
-        fails = sum(1 for r in rows if r.passed is False)
-        skips = sum(1 for r in rows if r.passed is None)
         verdict = "FAIL" if fails else "pass"
         extra = f" skipped={skips}" if skips else ""
-        print(f"{fid:>6s}  {verdict}  cases={len(rows)} failures={fails}{extra}")
-    for row in report.failures()[:20]:
+        print(f"{fid:>6s}  {verdict}  cases={rows} failures={fails}{extra}")
+    for row in report.failures(limit=20):
         print(
             f"  counterexample {row.family} p={row.p} {row.params}: "
             f"{row.lhs} != {row.rhs} (mod {row.modulus})"
         )
     passed, failed, skipped = report.counts()
     print(
-        f"checked {len(report.cases)} cases over {len(primes)} primes: "
+        f"checked {passed + failed + skipped} cases over {len(primes)} primes: "
         f"{passed} pass, {failed} fail, {skipped} skipped "
         f"({report.elapsed:.1f}s)"
     )
@@ -195,6 +196,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    if args.p >= MR_EXACT_BOUND:
+        raise ConfigError(f"--p must lie below {MR_EXACT_BOUND}, the bound of the exact primality test")
     _require_prime(args.p)
     if args.p % 4 == 3:
         print(f"p={args.p} == 3 (mod 4): no representation as x^2 + y^2")

@@ -1,12 +1,13 @@
 """Congruence catalog, exact identities and the verification engine."""
 
-from .engine import SuiteReport, VerificationReport, run_suite, verify_family_case
+from .engine import CaseBlock, SuiteReport, VerificationReport, run_suite, verify_family_case
 from .families import CongruenceFamily, FamilyCase, family_catalog, family_ids, get_family
 from .identities import ExactIdentity, IdentityResult, identity_catalog, identity_ids, run_identities
 from .report import dumps_json, report_to_dict, write_csv, write_json
 from .sums import TERM_KINDS, truncated_sum
 
 __all__ = [
+    "CaseBlock",
     "CongruenceFamily",
     "ExactIdentity",
     "FamilyCase",

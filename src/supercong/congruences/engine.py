@@ -1,32 +1,39 @@
 """Suite runner: evaluates catalog families over a prime range.
 
 Work is scheduled one job per prime (so per-prime tables are built once),
-inline or in a pool of at most one worker per prime and per CPU, and rows are
-reassembled in (family, prime, case) order. A family's cases are plain int
-residues; every row of it at p gets the modulus p^K, with K the catalog
-entry's modulus_power. A time budget and fail-fast both act per prime: the
-primes they skip become marker rows, so the rows never depend on the
-scheduling. Rows (FamilyCase, VerificationReport) are slotted dataclasses,
-not frozen ones: a frozen __init__ sets each field through
-object.__setattr__, which made building rows the largest cost of a T1.1
-grid. Each row is built once and the package never mutates it.
+inline or in a pool of at most one worker per prime and per CPU. What one
+family gives at one prime is one CaseBlock, in columns rather than one object
+per row: the family, p and modulus once, where the modulus is p^K with K the
+catalog entry's modulus_power; one param-key tuple shared by every row with
+those keys, and a value column per key; the lhs and rhs residues (int64
+arrays where they fit) and the verdicts; the pass/fail/skip counts, taken
+once per block; and the notes of the rows that have one. Most families yield FamilyCase rows, which _pack folds into a
+block; T1.1 hands over its grids as CaseColumns, so none of its cells
+becomes an object. A SuiteReport keeps the blocks in (family, prime) order.
+Its summary, its failures and the report writers read the blocks, and
+report.cases builds VerificationReport rows from them on demand (a row
+assigned into that list is packed back into the blocks). A time
+budget and fail-fast both act per prime: the primes they skip become marker
+rows, so the rows never depend on the scheduling.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import groupby, islice
+from operator import attrgetter, eq
 from time import perf_counter
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..padic import odd_prime
-from .families import CongruenceFamily, FamilyCase, family_ids, get_family
+from .families import CaseColumns, CongruenceFamily, FamilyCase, family_ids, get_family
 
-__all__ = ["SuiteReport", "VerificationReport", "run_suite", "verify_family_case"]
+__all__ = ["CaseBlock", "SuiteReport", "VerificationReport", "run_suite", "verify_family_case"]
 
 DEFAULT_SWEEP_CAP = 100
 _BUDGET_NOTE = "not evaluated: time budget exhausted"
@@ -35,7 +42,7 @@ _STOP_NOTE = "not evaluated: stopped after earlier failure"
 
 @dataclass(slots=True)
 class VerificationReport:
-    """One verified (or skipped) case row."""
+    """One verified (or skipped) case row, as report.cases gives it."""
 
     family: str
     p: int
@@ -51,17 +58,86 @@ class VerificationReport:
         return self.passed is None
 
 
-@dataclass
+@dataclass(slots=True)
+class CaseBlock:
+    """The rows of one family at one prime, in columns.
+
+    runs holds [keys, stop, columns] per run of consecutive rows with the same
+    param keys: the run ends before row stop, keys is the block's one tuple
+    for that key set, and columns holds one value list per key. lhs and rhs
+    are lists or int64 arrays of the residues. verdicts is True, False or
+    None (skipped) per row, counts is (passed, failed, skipped), and notes
+    maps a row index to its note. Indexing or iterating gives
+    VerificationReport rows.
+    """
+
+    family: str
+    p: int
+    modulus: int
+    runs: list
+    lhs: list | array
+    rhs: list | array
+    verdicts: list
+    notes: dict[int, str]
+    counts: tuple[int, int, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        verdicts = self.verdicts
+        self.counts = (verdicts.count(True), verdicts.count(False), verdicts.count(None))
+
+    def __len__(self) -> int:
+        return len(self.verdicts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = range(len(self))[index]  # a negative index counts from the end; raises IndexError
+        start = 0
+        for keys, stop, columns in self.runs:
+            if i < stop:
+                return _row(self, i, dict(zip(keys, [column[i - start] for column in columns])))
+            start = stop
+
+    def __iter__(self) -> Iterator[VerificationReport]:
+        start = 0
+        for keys, stop, columns in self.runs:
+            for i, *values in zip(range(start, stop), *columns):
+                yield _row(self, i, dict(zip(keys, values)))
+            start = stop
+
+
 class SuiteReport:
-    config: dict
-    started: str
-    elapsed: float = 0.0
-    cases: list[VerificationReport] = field(default_factory=list)
+    """The blocks of one run, with its config, start time and elapsed seconds.
+
+    Rows given as cases are packed into one block per stretch of consecutive
+    rows with the same family, p and modulus.
+    """
+
+    __slots__ = ("config", "started", "elapsed", "blocks")
+
+    def __init__(
+        self,
+        config: dict,
+        started: str,
+        elapsed: float = 0.0,
+        cases: Iterable[VerificationReport] = (),
+        *,
+        blocks: Iterable[CaseBlock] = (),
+    ) -> None:
+        self.config = config
+        self.started = started
+        self.elapsed = elapsed
+        self.blocks = [*blocks, *_pack_rows(cases)]
+
+    @property
+    def cases(self) -> CaseRows:
+        """Every row, rebuilt from the blocks on each access."""
+        return CaseRows(self)
 
     def counts(self) -> tuple[int, int, int]:
-        """(passed, failed, skipped), counted in one pass over the rows."""
-        tally = Counter(c.passed for c in self.cases)
-        return tally[True], tally[False], tally[None]
+        """(passed, failed, skipped), summed over the blocks' counts."""
+        passed, failed, skipped = map(sum, zip((0, 0, 0), *(block.counts for block in self.blocks)))
+        return passed, failed, skipped
 
     @property
     def passed(self) -> int:
@@ -79,55 +155,122 @@ class SuiteReport:
     def ok(self) -> bool:
         return self.failed == 0
 
-    def failures(self) -> list[VerificationReport]:
-        return [c for c in self.cases if c.passed is False]
+    def failures(self, limit: int | None = None) -> list[VerificationReport]:
+        """The failing rows in report order, at most limit of them."""
+        rows = (
+            block[i]
+            for block in self.blocks
+            if block.counts[1]
+            for i, verdict in enumerate(block.verdicts)
+            if verdict is False
+        )
+        return list(islice(rows, limit))
 
 
-def _row(family: CongruenceFamily, p: int, modulus: int, case: FamilyCase) -> VerificationReport:
-    lhs, rhs = case.lhs, case.rhs
-    passed = None if case.skipped else lhs == rhs
-    return VerificationReport(family.id, p, case.params, modulus, lhs, rhs, passed, case.note)
+class CaseRows(list):
+    """The rows of a report, as report.cases builds them from its blocks.
+
+    Assigning to an index or a slice writes back: the report's blocks are
+    packed again from the rows. Any other change stays in this list.
+    """
+
+    def __init__(self, report: SuiteReport) -> None:
+        super().__init__(row for block in report.blocks for row in block)
+        self.report = report
+
+    def __setitem__(self, index, value) -> None:
+        super().__setitem__(index, value)
+        self.report.blocks = _pack_rows(self)
 
 
-def _marker(family: CongruenceFamily, p: int, params: dict, note: str) -> VerificationReport:
+def _row(block: CaseBlock, i: int, params: dict) -> VerificationReport:
+    """Row i of the block, with its params rebuilt by the caller."""
     return VerificationReport(
-        family=family.id,
-        p=p,
-        params=params,
-        modulus=p**family.modulus_power,
-        lhs=0,
-        rhs=0,
-        passed=None,
-        note=note,
+        block.family, block.p, params, block.modulus, block.lhs[i], block.rhs[i], block.verdicts[i], block.notes.get(i)
     )
 
 
-def verify_family_case(family_id: str, p: int, *, sweep_cap: int | None = None) -> list[VerificationReport]:
-    """All case rows for one family at one prime (empty when not applicable)."""
+def _row_fields(rows: Iterable[VerificationReport]) -> Iterator[tuple]:
+    return ((r.params, r.lhs, r.rhs, r.passed, r.note) for r in rows)
+
+
+def _pack_rows(rows: Iterable[VerificationReport]) -> list[CaseBlock]:
+    """One block per stretch of consecutive rows with the same family, p and modulus."""
+    stretches = groupby(rows, attrgetter("family", "p", "modulus"))
+    return [_pack(family, p, modulus, _row_fields(stretch)) for (family, p, modulus), stretch in stretches]
+
+
+def _pack(family: str, p: int, modulus: int, rows: Iterable[tuple]) -> CaseBlock:
+    """One block from (params, lhs, rhs, verdict, note) rows, in their order."""
+    runs: list = []
+    lhs, rhs, verdicts, notes = [], [], [], {}
+    shared: dict[tuple, tuple] = {}  # one key tuple per key set
+    keys = columns = None
+    for i, (params, left, right, verdict, note) in enumerate(rows):
+        row_keys = tuple(params)
+        if row_keys != keys:
+            keys = shared.setdefault(row_keys, row_keys)
+            columns = tuple([] for _ in keys)
+            runs.append([keys, i, columns])
+        runs[-1][1] = i + 1
+        for column, value in zip(columns, params.values()):
+            column.append(value)
+        lhs.append(left)
+        rhs.append(right)
+        verdicts.append(verdict)
+        if note is not None:
+            notes[i] = note
+    return CaseBlock(family, p, modulus, runs, _compact(lhs), _compact(rhs), verdicts, notes)
+
+
+def _compact(values: list) -> array | list:
+    """values as an int64 array when each is an int that fits, else the list itself.
+
+    An int64 holds a residue in 8 bytes, where a list holds a pointer to a
+    28-32 byte int object; most residues mod p^2 or p^3 are too large for
+    the cached small ints.
+    """
+    if {*map(type, values)} <= {int}:
+        try:
+            return array("q", values)
+        except OverflowError:
+            pass
+    return values
+
+
+def _block(family: CongruenceFamily, p: int, cases: Iterable[FamilyCase]) -> CaseBlock:
+    """The block of what family.cases(p) gave: CaseColumns as they are, FamilyCase rows packed."""
+    modulus = p**family.modulus_power
+    if type(cases) is CaseColumns:
+        runs = [[cases.keys, len(cases.lhs), cases.columns]]
+        return CaseBlock(family.id, p, modulus, runs, cases.lhs, cases.rhs, list(map(eq, cases.lhs, cases.rhs)), {})
+    rows = ((c.params, c.lhs, c.rhs, None if c.skipped else c.lhs == c.rhs, c.note) for c in cases)
+    return _pack(family.id, p, modulus, rows)
+
+
+def _marker(family: CongruenceFamily, p: int, params: dict, note: str) -> CaseBlock:
+    return _block(family, p, [FamilyCase(params, 0, 0, skipped=True, note=note)])
+
+
+def verify_family_case(family_id: str, p: int, *, sweep_cap: int | None = None) -> CaseBlock:
+    """The block of one family at one prime (empty when not applicable)."""
     family = get_family(family_id)
     odd_prime(p)  # raises InvalidPrime
     if not family.applies(p):
-        return []
+        return _block(family, p, ())
     if family.heavy and sweep_cap is not None and p > sweep_cap:
-        return [
-            _marker(
-                family,
-                p,
-                {"sweep_cap": sweep_cap},
-                f"heavy family capped at p <= {sweep_cap}; pass --sweep-cap to raise",
-            )
-        ]
-    modulus = p**family.modulus_power
-    return [_row(family, p, modulus, case) for case in family.cases(p)]
+        note = f"heavy family capped at p <= {sweep_cap}; pass --sweep-cap to raise"
+        return _marker(family, p, {"sweep_cap": sweep_cap}, note)
+    return _block(family, p, family.cases(p))
 
 
-def _eval_prime(ids: tuple[str, ...], p: int, sweep_cap: int) -> dict[str, list[VerificationReport]]:
+def _eval_prime(ids: tuple[str, ...], p: int, sweep_cap: int) -> dict[str, CaseBlock]:
     return {fid: verify_family_case(fid, p, sweep_cap=sweep_cap) for fid in ids}
 
 
-def _skip_prime(ids: tuple[str, ...], p: int, note: str) -> dict[str, list[VerificationReport]]:
+def _skip_prime(ids: tuple[str, ...], p: int, note: str) -> dict[str, CaseBlock]:
     families = [get_family(fid) for fid in ids]
-    return {fam.id: [_marker(fam, p, {}, note)] if fam.applies(p) else [] for fam in families}
+    return {fam.id: _marker(fam, p, {}, note) if fam.applies(p) else _block(fam, p, ()) for fam in families}
 
 
 def run_suite(
@@ -171,7 +314,7 @@ def run_suite(
     t0 = perf_counter()
 
     ids = tuple(selected)
-    results: dict[int, dict[str, list[VerificationReport]]] = {}
+    results: dict[int, dict[str, CaseBlock]] = {}
     # With fork, the pool starts all max_workers processes at once.
     workers = min(parallelism, len(prime_list), os.cpu_count() or 1)
     pooled = workers > 1
@@ -185,12 +328,15 @@ def run_suite(
                 results[p] = _skip_prime(ids, p, _STOP_NOTE if stopped else _BUDGET_NOTE)
                 continue
             results[p] = futures[p].result() if pooled else _eval_prime(ids, p, sweep_cap)
-            stopped = fail_fast and any(r.passed is False for rows in results[p].values() for r in rows)
+            stopped = fail_fast and any(block.counts[1] for block in results[p].values())
 
-    for row in (row for fid in selected for p in prime_list for row in results[p][fid]):
-        report.cases.append(row)
-        if fail_fast and row.passed is False:
+    for block in (results[p][fid] for fid in selected for p in prime_list):
+        if fail_fast and block.counts[1]:
+            # the report ends at its first failing row, which may fall inside this block
+            cut = block.verdicts.index(False) + 1
+            report.blocks.append(_pack(block.family, block.p, block.modulus, _row_fields(islice(block, cut))))
             break
+        report.blocks.append(block)
 
     report.elapsed = perf_counter() - t0
     return report

@@ -12,7 +12,8 @@ and E1.4's Euler side is taken mod p from power sums. All of it is exact,
 because every denominator involved is a p-adic unit or divides out exactly.
 The other closed forms stay exact integers or Fractions; they meet a residue
 only through ring operations with p-integral constants, and each side is
-reduced once per case.
+reduced once per case. T1.1, one row per (lam, d) cell, hands over its two
+grids as CaseColumns instead, so that no cell becomes an object of its own.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import chain, repeat
 from math import comb
 from operator import mul
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -35,7 +37,15 @@ from .identities import LEMMAS, CongruenceLemma
 from .sequences import SEQUENCE_IDS, sequence_terms
 from .sums import _binomial_row, kernel_residues, truncated_sum
 
-__all__ = ["MAX_EXACT_PRIME", "CongruenceFamily", "FamilyCase", "family_catalog", "family_ids", "get_family"]
+__all__ = [
+    "MAX_EXACT_PRIME",
+    "CaseColumns",
+    "CongruenceFamily",
+    "FamilyCase",
+    "family_catalog",
+    "family_ids",
+    "get_family",
+]
 
 
 @dataclass(slots=True)
@@ -53,6 +63,24 @@ class FamilyCase:
         return self.skipped or self.lhs == self.rhs
 
 
+@dataclass(slots=True)
+class CaseColumns:
+    """A family's rows at one prime as columns: row i has the params
+    dict(zip(keys, (column[i] for column in columns))) and the residues
+    lhs[i], rhs[i], and no row is skipped. Iterating gives the FamilyCase rows.
+    """
+
+    keys: tuple[str, ...]
+    columns: tuple[list, ...]
+    lhs: list[int]
+    rhs: list[int]
+
+    def __iter__(self) -> Iterator[FamilyCase]:
+        keys = self.keys
+        for *values, lhs, rhs in zip(*self.columns, self.lhs, self.rhs):
+            yield FamilyCase(dict(zip(keys, values)), lhs, rhs)
+
+
 @dataclass(frozen=True)
 class CongruenceFamily:
     """One catalog entry; cases(p) yields every residue check at that prime."""
@@ -61,7 +89,7 @@ class CongruenceFamily:
     description: str
     modulus_power: int
     applies: Callable[[int], bool]
-    cases: Callable[[int], Iterator[FamilyCase]]
+    cases: Callable[[int], Iterable[FamilyCase]]
     heavy: bool = False  # swept only up to the engine's sweep cap
 
 
@@ -130,12 +158,12 @@ def _weight_vectors(
 # -- T1.1: the weighted-trace closed form ------------------------------------
 
 
-def _t11_cases(q: int) -> Iterator[FamilyCase]:
-    lhs = weighted_char_sum_grid(q).tolist()
-    rhs = thm11_rhs_grid(q).tolist()
-    for d, (lhs_row, rhs_row) in enumerate(zip(lhs, rhs)):
-        for lam in range(q):
-            yield FamilyCase({"lam": lam, "d": d}, lhs_row[lam], rhs_row[lam])
+def _t11_cases(q: int) -> CaseColumns:
+    lhs = weighted_char_sum_grid(q)  # row d, column lam
+    rows = len(lhs)
+    lam = [*range(q)] * rows
+    d = list(chain.from_iterable(map(repeat, range(rows), repeat(q, rows))))
+    return CaseColumns(("lam", "d"), (lam, d), lhs.ravel().tolist(), thm11_rhs_grid(q).ravel().tolist())
 
 
 # -- E1.3 / E1.4: central binomial sums with shift d --------------------------

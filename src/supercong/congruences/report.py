@@ -3,23 +3,29 @@
 Key order is fixed so that parse -> serialize round-trips byte-identically.
 The JSON is exactly ``json.dumps(report_to_dict(r), indent=2,
 ensure_ascii=False) + "\\n"``, but only the small ``run`` and ``summary``
-blocks go through ``json.dumps``: each case row is written from its fields
-by one fixed template in that layout, because the indenting encoder is pure
-Python and would dominate a large report. A ``SuiteReport`` and its parsed
-dict share that row writer, and the CSV reads the same row fields. A test
-pins the equality with the ``json.dumps`` route.
+blocks go through ``json.dumps``, because the indenting encoder is pure
+Python and would dominate a large report. A ``SuiteReport`` is written from
+its case blocks: each run of rows with one param-key tuple gets one
+%-template in that layout, with the family, p, modulus and encoded keys
+already in it, and every row of the run only fills in its values. The CSV
+reads the blocks the same way. A parsed report dict is written row by row
+from each row's own fields. Rows off that schema (a key that is not text, a
+residue that is not an exact int, a verdict that is not a bool or None) go
+through ``json.dumps`` instead. Tests pin the equality with the
+``json.dumps`` route and with a CSV written row by row.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from json.encoder import encode_basestring
+from itertools import chain, islice, repeat
+from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from ..padic import signed_residue
-from .engine import SuiteReport, VerificationReport
+from .engine import CaseBlock, SuiteReport, VerificationReport
 
 __all__ = ["report_to_dict", "dumps_json", "write_json", "write_csv", "CSV_COLUMNS"]
 
@@ -39,11 +45,13 @@ _ROW_KEYS = CSV_COLUMNS[:-1]  # a row's keys; "note" follows only when there is 
 
 # One case row in the json.dumps(indent=2) layout, at its depth in the report.
 _ROW = (
-    '    {\n      "family": %s,\n      "p": %d,\n      "params": %s,\n      "modulus": %d,\n'
-    '      "lhs": %d,\n      "rhs": %d,\n      "lhs_signed": %d,\n      "rhs_signed": %d,\n'
+    '    {\n      "family": %s,\n      "p": %s,\n      "params": %s,\n      "modulus": %s,\n'
+    '      "lhs": %s,\n      "rhs": %s,\n      "lhs_signed": %s,\n      "rhs_signed": %s,\n'
     '      "pass": %s%s\n    }'
 )
+_NOTE = ',\n      "note": '
 _LITERAL = {True: "true", False: "false", None: "null"}
+_BATCH = 1024  # rows per written piece
 
 
 def _fields(row: VerificationReport) -> tuple:
@@ -97,23 +105,26 @@ def _nested(value, depth: int) -> str:
     return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n" + "  " * depth)
 
 
+def _value_text(value) -> str:
+    """A param value in the row layout."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return encode_basestring(value)
+    return _nested(value, 4)
+
+
+def _params_layout(items: Iterable[tuple[str, str]]) -> str:
+    """The params object of a row from (encoded key, value text) pairs."""
+    items = [f"{key}: {text}" for key, text in items]
+    return "{\n        " + ",\n        ".join(items) + "\n      }" if items else "{}"
+
+
 def _params_text(params) -> str:
-    if type(params) is not dict:
+    if type(params) is not dict or any(type(key) is not str for key in params):
         return _nested(params, 3)
-    if not params:
-        return "{}"
-    items = []
-    for key, value in params.items():
-        if type(key) is not str:
-            return _nested(params, 3)
-        kind = type(value)
-        if kind is int:  # %d of an exact int is its repr
-            items.append("%s: %d" % (encode_basestring(key), value))
-        elif kind is str:
-            items.append("%s: %s" % (encode_basestring(key), encode_basestring(value)))
-        else:
-            items.append("%s: %s" % (encode_basestring(key), _nested(value, 4)))
-    return "{\n        " + ",\n        ".join(items) + "\n      }"
+    return _params_layout((encode_basestring(key), _value_text(value)) for key, value in params.items())
 
 
 def _row_text(fields: tuple) -> str:
@@ -126,7 +137,7 @@ def _row_text(fields: tuple) -> str:
     if note is None:
         tail = ""
     else:
-        tail = ',\n      "note": ' + (encode_basestring(note) if type(note) is str else _nested(note, 3))
+        tail = _NOTE + (encode_basestring(note) if type(note) is str else _nested(note, 3))
     return _ROW % (
         encode_basestring(family),
         p,
@@ -141,10 +152,6 @@ def _row_text(fields: tuple) -> str:
     )
 
 
-def _case_row_text(row: VerificationReport) -> str:
-    return _row_text(_fields(row))
-
-
 def _dict_row_text(case) -> str:
     keys = tuple(case) if type(case) is dict else None
     if keys == _ROW_KEYS or (keys == CSV_COLUMNS and case["note"] is not None):
@@ -152,28 +159,96 @@ def _dict_row_text(case) -> str:
     return "    " + _nested(case, 2)  # not a row of this schema: no template applies
 
 
-def _cases_text(rows: Iterable[str]) -> Iterator[str]:
+def _signed(residues: list, modulus: int) -> list:
+    """signed_residue of each value."""
+    half = modulus // 2
+    return [r - modulus if r > half else r for r in [v % modulus for v in residues]]
+
+
+def _literal(template: str) -> str:
+    """Text to put into a %-template as it is."""
+    return template.replace("%", "%%")
+
+
+def _slots(columns: tuple[list, ...], text) -> tuple[list, list[str]]:
+    """Each value column as %-template arguments, and its slot: a column of
+    exact ints as it is under %d (their repr), any other through text under %s."""
+    values, slots = [], []
+    for column in columns:
+        if {*map(type, column)} == {int}:
+            values.append(column)
+            slots.append("%d")
+        else:
+            values.append(map(text, column))
+            slots.append("%s")
+    return values, slots
+
+
+def _fits_templates(block: CaseBlock) -> bool:
+    """Whether every row of the block fits the row templates: text family
+    and notes, exact int p, modulus and residues, boolean or None verdicts."""
+    return (
+        type(block.family) is str
+        and type(block.p) is type(block.modulus) is int
+        and {*map(type, block.lhs), *map(type, block.rhs)} <= {int}
+        and {*map(type, block.verdicts)} <= {bool, type(None)}
+        and all(type(note) is str for note in block.notes.values())
+        and all(type(key) is str for keys, _stop, _columns in block.runs for key in keys)
+    )
+
+
+def _block_rows(block: CaseBlock) -> Iterator[str]:
+    """The JSON text of every row of the block."""
+    if not _fits_templates(block):
+        return map(_row_text, map(_fields, block))
+    head = _literal(encode_basestring(block.family)), block.p
+    modulus, notes = block.modulus, block.notes
+    runs, start = [], 0
+    for keys, stop, columns in block.runs:
+        values, slots = _slots(columns, _value_text)
+        params = _params_layout(zip((_literal(encode_basestring(key)) for key in keys), slots))
+        template = _ROW % (*head, params, modulus, "%d", "%d", "%d", "%d", "%s", "%s")
+        lhs, rhs = block.lhs[start:stop], block.rhs[start:stop]
+        passes = map(_LITERAL.__getitem__, block.verdicts[start:stop])
+        if notes:
+            tails = (_NOTE + encode_basestring(notes[i]) if i in notes else "" for i in range(start, stop))
+        else:
+            tails = repeat("")
+        rows = zip(*values, lhs, rhs, _signed(lhs, modulus), _signed(rhs, modulus), passes, tails)
+        runs.append(map(template.__mod__, rows))
+        start = stop
+    return chain.from_iterable(runs)
+
+
+def _batches(texts: Iterator[str]) -> Iterator[str]:
+    """Row texts joined into pieces of at most _BATCH rows."""
+    while batch := list(islice(texts, _BATCH)):
+        yield ",\n".join(batch)
+
+
+def _cases_text(pieces: Iterable[str]) -> Iterator[str]:
     first = True
-    for text in rows:
+    for text in pieces:
         yield ("[\n" if first else ",\n") + text
         first = False
     yield "[]" if first else "\n  ]"
 
 
 def _json_chunks(report: SuiteReport | dict) -> Iterator[str]:
-    """The report's JSON text, in pieces of at most one row each."""
-    if isinstance(report, dict):
-        blocks, row_text = report, _dict_row_text
+    """The report's JSON text, in pieces of at most _BATCH rows each."""
+    parsed = isinstance(report, dict)
+    if parsed:
+        blocks = report
     else:
-        blocks = {"run": _run_block(report), "cases": report.cases, "summary": _summary_block(report)}
-        row_text = _case_row_text
+        blocks = {"run": _run_block(report), "cases": report.blocks, "summary": _summary_block(report)}
     if not blocks or any(type(key) is not str for key in blocks):
         yield json.dumps(blocks, indent=2, ensure_ascii=False) + "\n"
         return
     for i, (key, value) in enumerate(blocks.items()):
         yield ("{\n  " if i == 0 else ",\n  ") + encode_basestring(key) + ": "
         if key == "cases" and type(value) is list:
-            yield from _cases_text(map(row_text, value))
+            rows = map(_dict_row_text, value) if parsed else chain.from_iterable(map(_block_rows, value))
+            yield from _cases_text(_batches(rows))
         else:
             yield _nested(value, 1)
     yield "\n}\n"
@@ -188,28 +263,66 @@ def write_json(report: SuiteReport | dict, path: str | Path) -> None:
         fh.writelines(_json_chunks(report))
 
 
+def _csv_value(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _csv_pass(passed) -> str:
+    return "null" if passed is None else str(passed).lower()
+
+
 def _csv_row(fields: tuple) -> list:
     family, p, params, modulus, lhs, rhs, lhs_signed, rhs_signed, passed, note = fields
     return [
         str(family),
         str(p),
-        json.dumps(params, separators=(",", ":")),
+        _csv_value(params),
         str(modulus),
         str(lhs),
         str(rhs),
         str(lhs_signed),
         str(rhs_signed),
-        "null" if passed is None else str(passed).lower(),
+        _csv_pass(passed),
         "" if note is None else note,
     ]
 
 
+def _csv_params(keys: tuple, columns: tuple) -> Iterator[str]:
+    """The compact JSON params of each row of one run."""
+    if any(type(key) is not str for key in keys):
+        return (_csv_value(dict(zip(keys, values))) for values in zip(*columns))
+    values, slots = _slots(columns, _csv_value)
+    items = (f"{_literal(encode_basestring_ascii(key))}:{slot}" for key, slot in zip(keys, slots))
+    template = "{" + ",".join(items) + "}"
+    return map(template.__mod__, zip(*values)) if columns else repeat("{}")
+
+
+def _csv_block_rows(block: CaseBlock) -> Iterator[tuple]:
+    family, p, modulus, notes = str(block.family), str(block.p), str(block.modulus), block.notes
+    start = 0
+    for keys, stop, columns in block.runs:
+        lhs, rhs = block.lhs[start:stop], block.rhs[start:stop]
+        yield from zip(
+            repeat(family),
+            repeat(p),
+            _csv_params(keys, columns),
+            repeat(modulus),
+            map(str, lhs),
+            map(str, rhs),
+            map(str, _signed(lhs, block.modulus)),
+            map(str, _signed(rhs, block.modulus)),
+            map(_csv_pass, block.verdicts[start:stop]),
+            (notes.get(i, "") for i in range(start, stop)),
+        )
+        start = stop
+
+
 def write_csv(report: SuiteReport | dict, path: str | Path) -> None:
     if isinstance(report, dict):
-        fields = map(_dict_fields, report["cases"])
+        rows = map(_csv_row, map(_dict_fields, report["cases"]))
     else:
-        fields = map(_fields, report.cases)
+        rows = chain.from_iterable(map(_csv_block_rows, report.blocks))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        writer.writerows(map(_csv_row, fields))
+        writer.writerows(rows)

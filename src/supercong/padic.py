@@ -19,6 +19,7 @@ from functools import lru_cache
 from .errors import InvalidPrime, NotPAdicInteger, PrecisionMismatch
 
 __all__ = [
+    "MR_EXACT_BOUND",
     "OddPrime",
     "is_prime",
     "legendre_symbol",
@@ -28,11 +29,19 @@ __all__ = [
     "signed_residue",
 ]
 
-# Deterministic Miller-Rabin witness set, exact below 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witnesses: the first 13 primes. MR_EXACT_BOUND (about
+# 3.317 * 10^24) is the least odd composite that is a strong probable prime
+# to all of them; without 41 the bound would be 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime, exactly for n < MR_EXACT_BOUND.
+
+    At or above the bound, True only means a strong probable prime to the
+    fixed bases: MR_EXACT_BOUND itself is composite and passes.
+    """
     if n < 2:
         return False
     for b in _MR_BASES:

@@ -2,11 +2,13 @@
 
 import csv
 import json
+import re
 
 import pytest
 
 from supercong import cli
 from supercong.cli import main
+from supercong.congruences import families
 
 
 def test_verify_small_range(capsys):
@@ -66,6 +68,54 @@ def test_verify_sweep_cap_note(capsys):
     assert main(["verify", "--primes", "101..103", "--families", "T1.1"]) == 0
     out = capsys.readouterr().out
     assert "skipped=" in out
+
+
+_SUMMARY_ARGS = ["verify", "--primes", "5..40", "--families", "T1.1,A1,E1.7,E1.14"]
+_SUMMARY_LINES = """\
+  T1.1  {t11}  cases=2453 failures={fails}
+    A1  pass  cases=15 failures=0
+  E1.7  pass  cases=101 failures=0 skipped=53
+ E1.14  pass  cases=60 failures=0
+"""
+# T1.1 cells at p = 13 whose right side the planted grid below bumps by one
+_PLANTED = [
+    (0, 1, 0, 1), (1, 1, 12, 0), (2, 1, 7, 8), (3, 1, 10, 11), (4, 1, 12, 0),
+    (5, 1, 3, 4), (6, 1, 9, 10), (7, 1, 3, 4), (8, 1, 2, 3), (9, 1, 12, 0),
+    (10, 1, 3, 4), (11, 1, 5, 6), (12, 1, 0, 1), (0, 2, 0, 1), (1, 2, 12, 0),
+    (2, 2, 5, 6), (3, 2, 3, 4), (4, 2, 7, 8), (5, 2, 0, 1), (6, 2, 7, 8),
+]
+
+
+def _verify_stdout(capsys, args):
+    code = main(args)
+    return code, re.sub(r"\(\d+\.\ds\)\n", "(elapsed)\n", capsys.readouterr().out)
+
+
+def test_verify_summary_is_pinned(capsys, monkeypatch):
+    # the per-family lines, counterexamples and totals read from the case blocks
+    code, out = _verify_stdout(capsys, _SUMMARY_ARGS)
+    assert code == 0
+    assert out == _SUMMARY_LINES.format(t11="pass", fails=0) + (
+        "checked 2629 cases over 10 primes: 2576 pass, 0 fail, 53 skipped (elapsed)\n"
+    )
+    grid = families.thm11_rhs_grid
+
+    def planted(p):
+        out = grid(p).copy()
+        if p in (13, 29):
+            out[1:, :] = (out[1:, :] + 1) % p
+        return out
+
+    monkeypatch.setattr(families, "thm11_rhs_grid", planted)
+    code, out = _verify_stdout(capsys, _SUMMARY_ARGS)
+    assert code == 1
+    counterexamples = "".join(
+        f"  counterexample T1.1 p=13 {{'lam': {lam}, 'd': {d}}}: {lhs} != {rhs} (mod 13)\n"
+        for lam, d, lhs, rhs in _PLANTED
+    )
+    assert out == _SUMMARY_LINES.format(t11="FAIL", fails=484) + counterexamples + (
+        "checked 2629 cases over 10 primes: 2092 pass, 484 fail, 53 skipped (elapsed)\n"
+    )
 
 
 def test_verify_writes_json_report(tmp_path, capsys):
@@ -165,6 +215,14 @@ def test_decompose_output(capsys):
     assert "no representation" in capsys.readouterr().out
     assert main(["decompose", "--p", "15"]) == 2
     capsys.readouterr()
+
+
+def test_decompose_rejects_p_past_the_exact_primality_bound(capsys):
+    # 2^89 - 1 is prime, but above MR_EXACT_BOUND is_prime only gives a probable answer
+    assert main(["decompose", "--p", str(2**89 - 1)]) == 2
+    assert "bound of the exact primality test" in capsys.readouterr().err
+    assert main(["decompose", "--p", "3317044064679887385961813"]) == 0  # the largest prime below it
+    assert "p=3317044064679887385961813 = (" in capsys.readouterr().out
 
 
 def test_argparse_usage_error_is_exit_two(capsys):

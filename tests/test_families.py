@@ -476,7 +476,7 @@ def test_polynomial_spot_skips_non_integral_x():
 def test_negative_control_family_fails_outside_its_range():
     # the harness must detect a genuine counterexample when forced to run one
     assert not get_family("B4").applies(5)
-    assert verify_family_case("B4", 5) == []
+    assert len(verify_family_case("B4", 5)) == 0
     forced = list(get_family("B4").cases(5))
     assert len(forced) == 1
     assert forced[0].lhs != forced[0].rhs

@@ -8,6 +8,7 @@ import pytest
 
 from supercong.errors import InvalidPrime, NotPAdicInteger, PrecisionMismatch
 from supercong.padic import (
+    MR_EXACT_BOUND,
     OddPrime,
     is_prime,
     legendre_symbol,
@@ -39,6 +40,16 @@ def test_is_prime_large_composites():
     assert not is_prime(3215031751)
     assert is_prime(2**31 - 1)
     assert not is_prime(2**32 + 1)
+
+
+def test_is_prime_exact_below_its_stated_bound():
+    # the least strong pseudoprime to the primes up to 37 lies below the bound,
+    # so base 41 must catch it; the bound itself is the one up to 41
+    psi12 = 399165290221 * 798330580441
+    assert psi12 < MR_EXACT_BOUND
+    assert not is_prime(psi12)
+    assert MR_EXACT_BOUND == 1287836182261 * 2575672364521
+    assert is_prime(MR_EXACT_BOUND)  # a strong probable prime, past the exact range
 
 
 def test_primes_between_closed_interval():

@@ -2,9 +2,11 @@
 
 import csv
 import dataclasses
+import gc
 import json
 import multiprocessing
 import os
+from collections import Counter
 from concurrent.futures import Future
 from fractions import Fraction
 
@@ -12,13 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercong.congruences import engine, run_suite, verify_family_case
-from supercong.congruences.engine import SuiteReport, VerificationReport
+from supercong.congruences import engine, families, run_suite, verify_family_case
+from supercong.congruences.engine import CaseBlock, SuiteReport, VerificationReport
 from supercong.congruences.families import (
     CongruenceFamily,
     FamilyCase,
     _BY_ID,
     _case,
+    family_ids,
+    get_family,
 )
 from supercong.congruences.report import (
     CSV_COLUMNS,
@@ -28,7 +32,7 @@ from supercong.congruences.report import (
     write_json,
 )
 from supercong.errors import InvalidPrime, UnknownId
-from supercong.padic import primes_between
+from supercong.padic import primes_between, signed_residue
 
 
 def test_rows_come_in_family_then_prime_order():
@@ -172,51 +176,114 @@ def test_signed_views():
     assert not row.skipped
 
 
-def test_rows_are_slotted_records():
-    report = run_suite([5, 7], ["I8", "E1.7"])
-    row = report.cases[0]
-    assert not hasattr(row, "__dict__")
-    assert not hasattr(FamilyCase({}, 0, 0), "__dict__")
-    bumped = dataclasses.replace(row, lhs=(row.lhs + 1) % row.modulus)
-    assert type(bumped) is VerificationReport
-    assert (bumped.lhs, bumped.rhs, bumped.params) == ((row.lhs + 1) % row.modulus, row.rhs, row.params)
-    assert dataclasses.replace(row, passed=None).skipped
+def _alternating_keys(fid):
+    # key sets a, b, a at every prime: a block of three runs and two key sets
+    def cases(q):
+        yield FamilyCase({"a": 1}, 1, 1)
+        yield FamilyCase({"b": "x"}, 2, 2)
+        yield FamilyCase({"a": 3}, 0, 1)
+
+    return CongruenceFamily(fid, "synthetic: key sets a, b, a", 1, lambda q: True, cases)
 
 
-def test_row_built_once_per_evaluated_row(monkeypatch):
-    calls = {"_row": 0, "_marker": 0}
-    for name in calls:
-        original = getattr(engine, name)
-
-        def counted(*args, name=name, original=original):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(engine, name, counted)
-    report = run_suite(primes_between(5, 40), ["T1.1", "E1.7", "I8"])
-    assert calls == {"_row": len(report.cases), "_marker": 0}  # below the sweep cap: no marker rows
-    assert any(r.family == "E1.7" and r.skipped for r in report.cases)  # skips go through _row too
-
-
-class _CountedList(list):
-    iterations = 0
-
-    def __iter__(self):
-        self.iterations += 1
-        return super().__iter__()
+def test_blocks_share_one_key_tuple_per_key_set(monkeypatch):
+    fid = "XKEYS-TEST"
+    monkeypatch.setitem(_BY_ID, fid, _alternating_keys(fid))
+    block = verify_family_case(fid, 5)
+    (a1, stop1, cols1), (b, stop2, cols2), (a2, stop3, cols3) = block.runs
+    assert (a1, b) == (("a",), ("b",)) and a2 is a1
+    assert (stop1, stop2, stop3) == (1, 2, 3)
+    assert (cols1, cols2, cols3) == ((([1],)), (["x"],), ([3],))
+    assert (list(block.lhs), list(block.rhs), block.verdicts) == ([1, 2, 0], [1, 2, 1], [True, True, False])
+    # T1.1 is one run: its grids as columns, and the same keys for every cell
+    t11 = verify_family_case("T1.1", 7)
+    ((keys, stop, (lam, d)),) = t11.runs
+    assert keys == ("lam", "d") and stop == len(t11) == 7 * 4
+    assert lam == [*range(7)] * 4 and d == [k for k in range(4) for _ in range(7)]
+    # A1 and E1.14 each carry two key sets at one prime
+    assert [run[0] for run in verify_family_case("A1", 7).runs] == [("lam",), ("pair",)]
+    assert [run[0] for run in verify_family_case("E1.14", 11).runs] == [("coefficients",), ("x",)]
 
 
-def test_summary_counts_in_one_pass():
-    rows = [
-        VerificationReport("F", 5, {}, 5, 1, 1, True),
-        VerificationReport("F", 5, {}, 5, 1, 2, False),
-        VerificationReport("F", 7, {}, 7, 0, 0, None, "skipped"),
-        VerificationReport("F", 7, {}, 7, 3, 3, True),
+def _reachable_containers(root):
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen:
+            seen[id(obj)] = obj
+            stack.extend(r for r in gc.get_referents(obj) if type(r) in (list, tuple, dict))
+    return list(seen.values())
+
+
+def test_blocks_hold_no_per_row_params_dict():
+    report = run_suite([5, 7, 11], ["T1.1", "E1.7", "A1", "E1.14", "R1.4a"])
+    for block in report.blocks:
+        assert not hasattr(block, "__dict__")
+        dicts = [obj for obj in _reachable_containers(block) if type(obj) is dict]
+        assert dicts == [block.notes], (block.family, block.p)
+        assert all(type(note) is str for note in block.notes.values())
+    assert any(block.notes for block in report.blocks)  # E1.7's parity skips
+
+
+class _CountingList(list):
+    calls = 0
+
+    def count(self, value):
+        self.calls += 1
+        return super().count(value)
+
+
+def test_counts_are_taken_once_per_block(tmp_path):
+    report = run_suite([5, 7, 11, 13], ["T1.1", "E1.7", "I8"])
+    tally = Counter(row.passed for row in report.cases)
+    assert report.counts() == (tally[True], tally[False], tally[None]) == (
+        report.passed,
+        report.failed,
+        report.skipped,
+    )
+    verdicts = _CountingList([True, False, None, True])
+    block = CaseBlock("F", 5, 5, [[(), 4, ()]], [1, 1, 0, 3], [1, 2, 0, 3], verdicts, {2: "skipped"})
+    assert block.counts == (2, 1, 1) and verdicts.calls == 3  # once per outcome, at construction
+    report = SuiteReport({}, "", blocks=[block, block])
+    assert report.counts() == (4, 2, 2)
+    assert report_to_dict(report)["summary"] == {"pass": 4, "fail": 2, "skipped": 2}
+    assert json.loads(dumps_json(report))["summary"] == {"pass": 4, "fail": 2, "skipped": 2}
+    write_csv(report, tmp_path / "r.csv")
+    assert report.ok is False and verdicts.calls == 3  # the summary never recounts a block
+
+
+def _old_rows(fid, q):
+    """The rows as the engine built them one by one, from the family's cases."""
+    fam = get_family(fid)
+    if not fam.applies(q):
+        return []
+    modulus = q**fam.modulus_power
+    return [
+        VerificationReport(fid, q, c.params, modulus, c.lhs, c.rhs, None if c.skipped else c.lhs == c.rhs, c.note)
+        for c in fam.cases(q)
     ]
-    report = SuiteReport({}, "", cases=_CountedList(rows))
-    assert report_to_dict(report)["summary"] == {"pass": 2, "fail": 1, "skipped": 1}
-    assert report.cases.iterations == 2  # the case rows, then one counting pass
-    assert report.counts() == (2, 1, 1) == (report.passed, report.failed, report.skipped)
+
+
+def test_cases_view_rebuilds_the_rows_exactly():
+    primes = primes_between(5, 31)
+    report = run_suite(primes)
+    assert report.cases == [row for fid in family_ids() for q in primes for row in _old_rows(fid, q)]
+    assert report.cases is not report.cases  # built on each access, not held
+    block = verify_family_case("E1.7", 13)
+    assert list(block) == _old_rows("E1.7", 13)
+    assert [block[i] for i in range(-len(block), len(block))] == list(block) * 2
+    assert block[2:5] == list(block)[2:5]
+    with pytest.raises(IndexError):
+        block[len(block)]
+    # a report packed from rows gives back the same rows
+    rows = report.cases
+    assert SuiteReport({}, "", cases=rows).cases == rows
+    # assigning a row of the view writes it back into the blocks
+    bumped = dataclasses.replace(rows[0], lhs=(rows[0].lhs + 1) % rows[0].modulus, passed=False)
+    rows[0] = bumped
+    assert report.cases[0] == bumped and report.cases[1:] == rows[1:]
+    assert report.failures() == [bumped] and report.counts()[1] == 1
+    assert json.loads(dumps_json(report))["cases"][0]["lhs"] == bumped.lhs
 
 
 def test_json_shape_and_roundtrip(tmp_path):
@@ -355,4 +422,76 @@ def test_csv_matches_dict_route(tmp_path):
     write_csv(report, tmp_path / "rows.csv")
     write_csv(json.loads(dumps_json(report)), tmp_path / "dict.csv")
     assert (tmp_path / "rows.csv").read_bytes() == want
+    assert (tmp_path / "dict.csv").read_bytes() == want
+
+
+def _planted_t11_failure(monkeypatch, q, d, lam):
+    grid = families.thm11_rhs_grid
+
+    def planted(p):
+        out = grid(p).copy()
+        if p == q:
+            out[d, lam] = (out[d, lam] + 1) % p
+        return out
+
+    monkeypatch.setattr(families, "thm11_rhs_grid", planted)
+
+
+def _csv_from_cases(report, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for row in report.cases:
+            writer.writerow(
+                [
+                    row.family,
+                    row.p,
+                    json.dumps(row.params, separators=(",", ":")),
+                    row.modulus,
+                    row.lhs,
+                    row.rhs,
+                    signed_residue(row.lhs, row.modulus),
+                    signed_residue(row.rhs, row.modulus),
+                    "null" if row.passed is None else str(row.passed).lower(),
+                    "" if row.note is None else row.note,
+                ]
+            )
+
+
+def test_block_writers_match_row_routes_on_a_mixed_report(tmp_path, monkeypatch):
+    mixed = ["T1.1", "A1", "E1.14", "E1.7"]
+    capped = run_suite(primes_between(5, 40), mixed, sweep_cap=30)  # T1.1 cells, then sweep-cap markers
+    budget = run_suite(primes_between(5, 20), mixed, time_limit=0.0)  # time-budget markers
+    _planted_t11_failure(monkeypatch, 13, 3, 5)
+    cut = run_suite(primes_between(5, 20), mixed, fail_fast=True)  # cut after cell (lam 5, d 3) at p = 13
+    last = cut.blocks[-1]
+    assert (last.family, last.p, len(last)) == ("T1.1", 13, 3 * 13 + 6)
+    assert last.verdicts[-1] is False and last.counts == (3 * 13 + 5, 1, 0)
+    report = SuiteReport(
+        {"primes": [5, 40], "families": mixed},
+        "2000-01-01T00:00:00+00:00",
+        1.5,
+        blocks=[*capped.blocks, *budget.blocks, *cut.blocks],
+    )
+    rows = report.cases
+    assert {row.note for row in rows} >= {
+        None,
+        "not evaluated: time budget exhausted",
+        "heavy family capped at p <= 30; pass --sweep-cap to raise",
+        "all coefficients agree",
+    }
+    assert any(row.note and row.note.startswith("parity outside the claim") for row in rows)
+    assert {tuple(row.params) for row in rows} >= {("lam", "d"), ("lam",), ("pair",), ("coefficients",), ("x",)}
+
+    blob = dumps_json(report)
+    assert blob == _json_oracle(report)
+    assert dumps_json(json.loads(blob)) == blob
+    write_json(report, tmp_path / "r.json")
+    assert (tmp_path / "r.json").read_text(encoding="utf-8") == blob
+
+    _csv_from_cases(report, tmp_path / "rows.csv")
+    want = (tmp_path / "rows.csv").read_bytes()
+    write_csv(report, tmp_path / "blocks.csv")
+    write_csv(json.loads(blob), tmp_path / "dict.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == want
     assert (tmp_path / "dict.csv").read_bytes() == want
