@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 from math import comb
 
 import numpy as np
@@ -21,10 +22,13 @@ from supercong.congruences import (
 from supercong.congruences import families
 from supercong.congruences.families import (
     _SPOTS_CUBIC,
+    Sum,
     _binom_mod_matrix,
     _dual_family,
+    _family,
     _l1_lhs,
     _poly_family,
+    _shift_family,
     _weight_residues,
     _weight_vectors,
 )
@@ -291,13 +295,18 @@ def _failing_rows(gen, primes):
     return [case for q in primes for case in gen(q) if not case.passed]
 
 
+def _entry(gen, power):
+    """cases(p) of a catalog entry around gen, built as the catalog builds its own."""
+    return _family("mutant", "", power, gen).cases
+
+
 @pytest.mark.parametrize(
     ("mutant", "spot_must_fail"),
     [
-        (_poly_family("cubic", 27, lambda q: -_EPS["cubic"](q), spots=_SPOTS_CUBIC), True),
-        (_poly_family("cubic", 27, lambda q: -_EPS["cubic"](q), deriv=True, spots=_SPOTS_CUBIC), True),
-        (_poly_family("cubic", 26, _EPS["cubic"], spots=_SPOTS_CUBIC), False),
-        (_dual_family("cubic", 27, lambda q: -_EPS["cubic"](q)), False),
+        (_entry(_poly_family("cubic", 27, lambda q: -_EPS["cubic"](q), spots=_SPOTS_CUBIC), 2), True),
+        (_entry(_poly_family("cubic", 27, lambda q: -_EPS["cubic"](q), deriv=True, spots=_SPOTS_CUBIC), 2), True),
+        (_entry(_poly_family("cubic", 26, _EPS["cubic"], spots=_SPOTS_CUBIC), 2), False),
+        (_entry(_dual_family("cubic", 27, lambda q: -_EPS["cubic"](q)), 2), False),
     ],
     ids=["poly-flipped-sign", "poly-k-weighted-flipped-sign", "poly-base-26", "dual-flipped-sign"],
 )
@@ -330,7 +339,20 @@ def _quartered_doubles(kind, q, upper, m, **kwargs):
         ("E1.3", "truncated_sum", _rebased(16, 15), None),
         ("E1.4", "euler_half_grid_mod_p", lambda q, count: [0] * count, None),
         ("R1.4a", "truncated_sum", _quartered_doubles, None),
-        ("E1.7", None, None, families._e17_family(lambda q: (q - 1) // 2 % 2)),
+        (
+            "E1.7",
+            None,
+            None,
+            _entry(
+                _shift_family(
+                    lambda q: range((q + 1) // 2),
+                    (Sum("central_shift", 8, half=True),),
+                    lambda q, ds: repeat(0),
+                    parity=lambda q: (q - 1) // 2 % 2,
+                ),
+                1,
+            ),
+        ),
         ("L1", "_l1_lhs", partial(_l1_lhs, offset=3), None),
         ("L1", "_l1_lhs", partial(_l1_lhs, base=16), None),
     ],
@@ -350,6 +372,93 @@ def test_sum_family_mutants_fail(fid, attr, replacement, gen, monkeypatch):
         monkeypatch.setattr(families, attr, replacement)
     failing = _failing_rows(gen or get_family(fid).cases, primes_between(7, 50))
     assert failing, fid
+
+
+# Every family that calls truncated_sum. The per-d families call it again at
+# each shift d; the others make the same calls at every prime.
+_SUM_FAMILIES = [
+    "E1.3", "E1.4", "E1.5", "E1.6", "E1.7", "E1.8", "E1.9", "E1.10", "R1.4a", "R1.4b",
+    *(f"C1.1{c}" for c in "abcdef"), *(f"C1.2{c}" for c in "abcdefgh"),
+    "E1.20", "E1.21", "E1.22", "E1.23", "T1.6", "G3", "G4", "D-base",
+]
+_PER_D = {"E1.3", "E1.4", "E1.7", "R1.4a", "R1.4b", "D-base"}
+
+
+class _NotAUnit(Exception):
+    """The mutated base is not a unit at this prime, so the mutant is undefined there."""
+
+
+def _sum_mutant(target, mutant):
+    """truncated_sum with its target-th call in one fam.cases(p) run mutated."""
+    calls = 0
+
+    def patched(kind, q, upper, m, **kwargs):
+        nonlocal calls
+        i, calls = calls, calls + 1
+        if i == target and mutant == "base+1":
+            if (m + 1) % q == 0:
+                raise _NotAUnit
+            m += 1
+        elif i == target:
+            kwargs["k_factor"] = not kwargs["k_factor"]
+        return truncated_sum(kind, q, upper, m, **kwargs)
+
+    return patched
+
+
+def _sum_calls(fam, q, monkeypatch):
+    calls = []
+    monkeypatch.setattr(families, "truncated_sum", _recording(truncated_sum, lambda *a, **k: None, calls))
+    list(fam.cases(q))
+    return len(calls)
+
+
+@pytest.mark.parametrize("mutant", ["base+1", "k_factor"])
+@pytest.mark.parametrize("fid", _SUM_FAMILIES)
+def test_planted_sum_mutant_fails_every_sum_family(fid, mutant, monkeypatch):
+    # One truncated_sum call at a time gets base m + 1 (primes where m + 1 is
+    # not a unit are left out) or the opposite k_factor: every call of a chain,
+    # the first call of a per-d family. Two other generic mutants are not
+    # asserted, because they need not change the result. The other upper
+    # bound survives mod p^K for the first call of E1.3, E1.7, R1.4a, R1.4b and
+    # D-base, for every sum of E1.5, E1.6, T1.6 and G3, and for G4's members 2
+    # and 4: their terms past the other bound vanish mod p^K. And d + 1 is a
+    # no-op on a d-free kind (central_sq, cubic, quartic, sextic).
+    fam = get_family(fid)
+    primes = [q for q in primes_between(7, 50) if fam.applies(q)]
+    targets = [0] if fid in _PER_D else range(_sum_calls(fam, primes[0], monkeypatch))
+    assert targets
+    for target in targets:
+        failing = []
+        for q in primes:
+            monkeypatch.setattr(families, "truncated_sum", _sum_mutant(target, mutant))
+            try:
+                failing += [case for case in fam.cases(q) if not case.passed]
+            except _NotAUnit:
+                continue
+        assert failing, (fid, mutant, target)
+
+
+def test_catalog_constructor_states_k_once(monkeypatch):
+    # The catalog's own E1.6 chain and E1.3 shifts, built by its constructor
+    # at K = 3: every reduction must follow, so no generator holds its own K.
+    powers = []
+    spies = {
+        "truncated_sum": lambda kind, q, upper, m, *, power=None, **kwargs: power,
+        "padic_from_rational": lambda value, p, precision: precision,
+    }
+    for name, power_of in spies.items():
+        monkeypatch.setattr(families, name, _recording(getattr(families, name), power_of, powers))
+    for fid in ("E1.6", "E1.3"):
+        entry = _family(fid, "", 3, get_family(fid).cases.func)
+        for q in (7, 11, 13, 19, 23):
+            if not get_family(fid).applies(q):
+                continue
+            powers.clear()
+            rows = list(entry.cases(q))
+            assert rows and set(powers) == {3}, (fid, q, powers)
+            for row in rows:
+                assert 0 <= row.lhs < q**3 and 0 <= row.rhs < q**3, (fid, q, row.params)
 
 
 def test_t11_rows_match_scalar_routes():
