@@ -1,15 +1,20 @@
 """Exact identities and recurrences underlying the congruence catalog.
 
 Every case is an equality of exact rationals (or of residues, for the
-prime-parameterized lemmas I8-I11). I1-I5 carry their partial sums across
-n: each is extended from n-1 to n by one step of sums.weighted_prefixes, the
-one evaluator behind weighted_sum and the catalog's exact truncated_sum, and
-only the random bases of I1-I3 and I4a, new at every n, start from k = 0.
-I1-I4a and Z2-Z4 take their kernels N_kind(k) from sums.TERM_KINDS, each
-value computed once per run. The binomials inside I5, I6, Z1 and the Z2-Z4
-tails come from rows built once per run (C(2k, .) rows and Pascal rows), and
-those of I9-I11 from the catalog's residue tables; the right sides of I5, I6
-and Z2-Z4 stay on math.comb, so both sides of a check take different routes.
+prime-parameterized lemmas I8-I11), held as two integer numerators over one
+shared denominator: lcm(1..u+1) m^u scale times the closed form's
+denominator for I1-I4a, 16^n for I5, base^(n-1) for Z2-Z4 and 1 for the
+rest. A check compares the numerators, or reduces their difference mod the
+lemma's modulus, with no gcd and no Fraction; the sides become Fractions
+only when shown. I1-I5 carry their partial sums across n: each is extended
+from n-1 to n by one step of sums.weighted_prefixes, the one evaluator
+behind weighted_sum and the catalog's exact truncated_sum, and only the
+random bases of I1-I3 and I4a, new at every n, start from k = 0. I1-I4a and
+Z2-Z4 take their kernels N_kind(k) from sums.TERM_KINDS, each value computed
+once per run. The binomials inside I5, I6, Z1 and the Z2-Z4 tails come from
+rows built once per run (C(2k, .) rows and Pascal rows), and those of I9-I11
+from the catalog's residue tables; the right sides of I5, I6 and Z2-Z4 stay
+on math.comb, so both sides of a check take different routes.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, islice, repeat
-from math import comb, gcd
+from math import comb
 from operator import add, mul
 from time import perf_counter
 from typing import Callable, Iterator
@@ -60,12 +65,32 @@ def _m_values(n: int) -> list[int]:
     return list(M_SET) + extra
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class IdentityCase:
+    """lhs = a/den against rhs = b/den, exactly over Q or mod modulus.
+
+    den may be negative (an odd power of a negative base). Two cases are
+    equal when their params, modulus and sides as rationals are.
+    """
+
     params: dict
-    lhs: Fraction
-    rhs: Fraction
+    a: int
+    b: int
+    den: int = 1
     modulus: int | None = None  # None means exact equality over Q
+
+    @property
+    def lhs(self) -> Fraction:
+        return Fraction(self.a, self.den)
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(self.b, self.den)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IdentityCase):
+            return NotImplemented
+        return (self.params, self.modulus, self.lhs, self.rhs) == (other.params, other.modulus, other.lhs, other.rhs)
 
 
 @dataclass(frozen=True)
@@ -128,15 +153,16 @@ def _partial_sum_cases(
     base: int,
     scale: int,
     upper: Callable[[int], int],
-    closed: Callable[[int, int], Fraction],
+    closed: Callable[[int, int], Fraction | int],
     bases: tuple[int, ...] | None = None,
 ) -> Callable[[int], Iterator[IdentityCase]]:
     """sum_{k<=u} (c/(k+1) + (base-m) k/scale) N_kind(k)/m^k = closed(n, N_kind(n))/m^u.
 
     u = upper(n). m runs over _m_values(n) and is a case parameter, unless
     bases fixes it as part of the statement. Each fixed base (M_SET, or
-    bases) carries one numerator over lcm(1..u+1) m^u across n, one
-    weighted_prefixes step per new term.
+    bases) carries one numerator num over big = lcm(1..u+1) m^u across n,
+    one weighted_prefixes step per new term. With closed(n, .) = cn/cd, both
+    sides go over big m^u scale cd: num cd against cn big scale.
     """
 
     def cases(max_n: int) -> Iterator[IdentityCase]:
@@ -157,10 +183,10 @@ def _partial_sum_cases(
             ms = bases or _m_values(n)
             fresh = [next(islice(prefixes(m), u, None)) for m in ms[len(fixed) :]]
             closed_n = closed(n, kernel(n))
+            cn, cd = closed_n.numerator, closed_n.denominator
             for m, (num, big) in zip(ms, [*sums, *fresh]):
-                mu = m**u
                 params = {"n": n} if bases else {"n": n, "m": m}
-                yield IdentityCase(params, Fraction(num, big * mu * scale), Fraction(closed_n, mu))
+                yield IdentityCase(params, num * cd, cn * big * scale, big * m**u * scale * cd)
 
     return cases
 
@@ -193,8 +219,8 @@ def _i5_cases(max_n: int, gap: int = 1) -> Iterator[IdentityCase]:
         rn = comb(2 * n, n)
         den = 16**n
         for m in range(n + 1):
-            rhs = Fraction((2 * n + 1) * rn * comb(2 * n + 1, n - m), den)
-            yield IdentityCase({"n": n, "m": m}, Fraction((2 * m + 1) * (s[m] - s[m + gap]), den), rhs)
+            rhs = (2 * n + 1) * rn * comb(2 * n + 1, n - m)
+            yield IdentityCase({"n": n, "m": m}, (2 * m + 1) * (s[m] - s[m + gap]), rhs, den)
 
 
 def _i6_cases(max_n: int, trim: int = 0) -> Iterator[IdentityCase]:
@@ -206,7 +232,7 @@ def _i6_cases(max_n: int, trim: int = 0) -> Iterator[IdentityCase]:
         for d in range(k + 1):
             # binom(2d, d-c) for c = -d+trim..d is row(d)[2d-trim], ..., row(d)[0]
             window = sum(map(mul, rk[k - d + trim : k + d + 1], reversed(row(d)[: 2 * d + 1 - trim])))
-            yield IdentityCase({"k": k, "d": d}, Fraction(window), Fraction(comb(2 * k + 2 * d, k + d)))
+            yield IdentityCase({"k": k, "d": d}, window, comb(2 * k + 2 * d, k + d))
 
 
 def _i7_cases(max_n: int) -> Iterator[IdentityCase]:
@@ -227,8 +253,7 @@ def _i7_cases(max_n: int) -> Iterator[IdentityCase]:
         for k in range(n // 2 + 1):
             closed[k] = comb(n, 2 * k) * comb(2 * k, k)
         got = poly[n]
-        lhs = Fraction(0)
-        rhs = Fraction(0)
+        lhs = rhs = 0
         # compare coefficient vectors; encode mismatch position in params
         mismatch = None
         for j in range(max(len(got), len(closed))):
@@ -236,9 +261,9 @@ def _i7_cases(max_n: int) -> Iterator[IdentityCase]:
             b = closed[j] if j < len(closed) else 0
             if a != b and mismatch is None:
                 mismatch = j
-                lhs, rhs = Fraction(a), Fraction(b)
+                lhs, rhs = a, b
         if mismatch is None:
-            yield IdentityCase({"n": n, "coeffs": n // 2 + 1}, Fraction(1), Fraction(1))
+            yield IdentityCase({"n": n, "coeffs": n // 2 + 1}, 1, 1)
         else:
             yield IdentityCase({"n": n, "coeff_of": mismatch}, lhs, rhs)
 
@@ -325,7 +350,7 @@ def _lemma_identity(lemma: CongruenceLemma) -> ExactIdentity:
         for p in primes_between(5, 2 * max_n + 1):
             m = p**lemma.power
             for params, lhs, rhs in lemma.residues(p):
-                yield IdentityCase({"p": p, **params}, Fraction(lhs), Fraction(rhs), modulus=m)
+                yield IdentityCase({"p": p, **params}, lhs, rhs, modulus=m)
 
     return ExactIdentity(lemma.id, lemma.description, "congruence", cases)
 
@@ -347,7 +372,7 @@ def _z1_cases(max_n: int) -> Iterator[IdentityCase]:
         for d in range(n - 1):
             lhs = (n - d - 1) * (n + d + 2) * (2 * d + 1) * f[d + 2]
             rhs = (2 * n + 1) ** 2 * (d + 1) * f[d + 1] - (n - d) * (n + d + 1) * (2 * d + 3) * f[d]
-            yield IdentityCase({"n": n, "d": d}, Fraction(lhs), Fraction(rhs))
+            yield IdentityCase({"n": n, "d": d}, lhs, rhs)
 
 
 def _z_family(kind: str, base: int, a: int, b: Callable[[int], int]) -> Callable[[int], Iterator[IdentityCase]]:
@@ -373,7 +398,7 @@ def _z_family(kind: str, base: int, a: int, b: Callable[[int], int]) -> Callable
             for m in range(n - 1):
                 lhs = a * (m + 1) ** 2 * tails[m + 1] + b(m) * tails[m]
                 rhs = rhs_core * comb(n - 1, m)
-                yield IdentityCase({"n": n, "m": m}, Fraction(lhs, scale), Fraction(rhs, scale))
+                yield IdentityCase({"n": n, "m": m}, lhs, rhs, scale)
 
     return cases
 
@@ -478,13 +503,15 @@ def identity_ids() -> list[str]:
 
 
 def _case_passes(case: IdentityCase) -> bool:
-    if case.modulus is None:
-        return case.lhs == case.rhs
     m = case.modulus
-    d = case.lhs - case.rhs
-    if gcd(d.denominator, m) != 1:
-        return False  # not an m-adic integer, so never congruent to zero
-    return d.numerator * pow(d.denominator, -1, m) % m == 0
+    if m is None:
+        return case.a == case.b  # one shared denominator, so equal over Q
+    d = case.a - case.b
+    if case.den != 1 or type(d) is not int:
+        # (a - b)/den in lowest terms is an m-adic integer divisible by m
+        # exactly when m divides its numerator
+        d = Fraction(d, case.den).numerator
+    return d % m == 0
 
 
 def run_identities(

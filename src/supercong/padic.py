@@ -131,8 +131,9 @@ def padic_from_rational(q: Fraction | int, p: OddPrime | int, precision: int) ->
     if precision not in (1, 2, 3):
         raise PrecisionMismatch(f"precision must be 1, 2 or 3, got {precision}")
     prime = _prime_int(p)
-    q = Fraction(q)
+    m = prime**precision
+    if isinstance(q, int):
+        return q % m
     if q.denominator % prime == 0:
         raise NotPAdicInteger(f"{q} has {prime} in its denominator")
-    m = prime**precision
     return q.numerator * pow(q.denominator, -1, m) % m

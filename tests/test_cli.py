@@ -8,7 +8,7 @@ import pytest
 
 from supercong import cli
 from supercong.cli import main
-from supercong.congruences import families
+from supercong.congruences import families, identities
 
 
 def test_verify_small_range(capsys):
@@ -170,6 +170,34 @@ def test_identity_rejects_bad_inputs(capsys):
     assert main(["identity", "--ids", "I1", "--max-n", "501"]) == 2
     assert main(["identity", "--ids", "I1", "--max-n", "-1"]) == 2
     capsys.readouterr()
+
+
+def test_identity_witness_lines_are_pinned(monkeypatch, capsys):
+    # planted failures: I4 summed one term short over the negative base -16,
+    # a lemma whose sides differ by p mod p^3, and Z2 with a = 10 for 9
+    short = identities._partial_sum_cases("central_sq", 1, 16, 4, lambda n: n - 1, identities._i4_closed, bases=(-16,))
+    lemma = identities.CongruenceLemma("I8", "planted", 3, lambda p: iter([({"k": 1}, p, 0)]))
+    z2 = identities._z_family("cubic", 27, 10, lambda m: (3 * m + 1) * (3 * m + 2))
+    monkeypatch.setitem(identities._BY_ID, "I4", identities.ExactIdentity("I4", "planted", "identity", short))
+    monkeypatch.setitem(identities._BY_ID, "I8", identities._lemma_identity(lemma))
+    monkeypatch.setitem(identities._BY_ID, "Z2", identities.ExactIdentity("Z2", "planted", "recurrence", z2))
+    assert main(["identity", "--ids", "I4,I8,Z2", "--max-n", "4"]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if "witness" in line] == [
+        "      witness n=1: lhs=1 rhs=18",
+        "      witness n=2: lhs=-9/8 rhs=-75/4",
+        "      witness n=3: lhs=75/64 rhs=1225/64",
+        "      witness n=4: lhs=-1225/1024 rhs=-19845/1024",
+        "      witness p=5, k=1: lhs=5 rhs=0 (mod 125)",
+        "      witness p=7, k=1: lhs=7 rhs=0 (mod 343)",
+        "      witness n=2, m=0: lhs=14/3 rhs=40/9",
+        "      witness n=3, m=0: lhs=598/81 rhs=560/81",
+        "      witness n=3, m=1: lhs=1160/81 rhs=1120/81",
+        "      witness n=4, m=0: lhs=66358/6561 rhs=61600/6561",
+        "      witness n=4, m=1: lhs=21640/729 rhs=61600/2187",
+    ]
+    assert "  I4  FAIL  cases=4 failures=4 (" in out
+    assert "  Z2  FAIL  cases=6 failures=6 (" in out
 
 
 def test_curve_output(capsys):

@@ -1,5 +1,6 @@
 """Identity suite: independent re-derivations, runner semantics, witnesses."""
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from math import comb, lcm
@@ -339,6 +340,19 @@ def test_identity_mutants_fail(mutant):
     assert any(not _case_passes(case) for case in mutant(10))
 
 
+@pytest.mark.parametrize("ident_id", ["I1", "I4", "I5", "Z2"])
+def test_one_over_the_shared_denominator_fails(ident_id):
+    # +1 in one numerator at the largest n moves that side by exactly 1/den,
+    # the smallest difference the shared denominator can hold
+    cases = list({ident.id: ident for ident in identity_catalog()}[ident_id].cases(20))
+    assert all(map(_case_passes, cases))
+    last = [case for case in cases if case.params["n"] == 20]
+    widest = max(last, key=lambda case: abs(case.den))
+    for planted in (replace(widest, a=widest.a + 1), replace(last[0], b=last[0].b + 1)):
+        assert abs(planted.lhs - planted.rhs) == Fraction(1, abs(planted.den))
+        assert not _case_passes(planted), planted.params
+
+
 def test_vacuous_domain_counts_as_pass():
     results = run_identities(["I6"], 0)
     assert len(results) == 1
@@ -375,3 +389,14 @@ def test_case_pass_semantics():
     assert not _case_passes(IdentityCase({}, Fraction(1, 3), Fraction(0), modulus=7))
     # a difference that is not even an m-adic integer can never pass
     assert not _case_passes(IdentityCase({}, Fraction(1, 7), Fraction(0), modulus=49))
+    # int numerators over one shared denominator, also a negative one
+    assert _case_passes(IdentityCase({}, 3, 3, -7))
+    assert not _case_passes(IdentityCase({}, 3, -3, -7))
+    assert _case_passes(IdentityCase({}, 10, 3, -2, modulus=7))  # -7/2
+    assert not _case_passes(IdentityCase({}, 10, 4, -2, modulus=7))  # -3
+    # ... and over a denominator that is not a unit mod the modulus
+    assert _case_passes(IdentityCase({}, 49, 0, 7, modulus=7))  # 7
+    assert not _case_passes(IdentityCase({}, 7, 0, 7, modulus=7))  # 1
+    assert not _case_passes(IdentityCase({}, 14, 0, 49, modulus=7))  # 2/7
+    assert not _case_passes(IdentityCase({}, 0, 7, -49, modulus=49))  # 1/7
+    assert _case_passes(IdentityCase({}, 5 * 343, 0, -35, modulus=49))  # -49

@@ -134,6 +134,17 @@ def test_from_rational_reduction():
     assert padic_from_rational(Fraction(5, 10), 5, 1) == 3
 
 
+def test_from_rational_int_and_fraction_agree():
+    # an int is reduced directly, with no Fraction; it must land where the
+    # Fraction of the same value does, negatives and bools included
+    for q in primes_between(5, 40):
+        for k in (1, 2, 3):
+            for value in (0, 1, -1, 7, -52, q, -q, q**3 + 2, -(q**4) - 5, 10**30 + 1, True, False):
+                r = padic_from_rational(value, q, k)
+                assert type(r) is int and 0 <= r < q**k
+                assert r == padic_from_rational(Fraction(value), q, k), (value, q, k)
+
+
 @pytest.mark.parametrize("value", [0.5, 2.0, "1/2", "3"], ids=["float", "integral-float", "str", "integral-str"])
 def test_from_rational_rejects_inexact_input(value):
     # Fraction() would accept each of these; a residue is only taken of exact input
