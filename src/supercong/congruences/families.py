@@ -13,7 +13,8 @@ Such a family is data: its members are Sum specs (kind, base, half or full
 upper bound, flags, coefficient) and closed forms, read by one of two
 evaluators. _chain_family compares consecutive members; _shift_family does
 the same for each shift d, with the sums taken at d. A Sum arrives as its
-residue mod p^K (sums.truncated_sum with power=K). The families that are
+residue mod p^K (sums.truncated_sum with power=K); a per-d family takes each
+Sum at every shift of a prime in one call. The families that are
 linear in the weights N(k)/base^k (E1.11-E1.19, R1.4c, R1.5) work with those
 weights mod p^K. L1 convolves binom(2k,k)^2 mod p^K, and E1.4's Euler side is
 taken mod p from power sums. All of it is exact, because every denominator
@@ -32,7 +33,7 @@ from functools import lru_cache, partial
 from itertools import chain, repeat
 from math import comb
 from operator import mul
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -148,21 +149,29 @@ def _legendre(a: int, scale: Fraction | int = 1) -> Callable[[int, int], Fractio
     return lambda q, d: scale * legendre_symbol(a, q)
 
 
-def _value(member, q: int, power: int, d: int = 0):
-    """A member's exact value at p and shift d: a Sum is its coefficient times its residue
-    mod p^K, a Residue fn(p, K), a tuple the sum of its members, and a closed form member(p)."""
+def _sum_values(member: Sum, q: int, power: int, ds: Sequence[int]) -> list:
+    """A Sum's exact value at each shift of ds, from one truncated_sum call: its
+    coefficient at d times its residue mod p^K."""
+    upper = (q - 1) // 2 if member.half else q - 1
+    residues = truncated_sum(
+        member.kind, q, upper, member.base,
+        d=ds, k_factor=member.k_factor, catalan_weight=member.catalan_weight, power=power,
+    )
+    coef = member.coef
+    coefs = map(coef, repeat(q), ds) if callable(coef) else repeat(coef)
+    return list(map(mul, coefs, residues))
+
+
+def _value(member, q: int, power: int):
+    """A member's exact value at p: a Sum at shift 0 (see _sum_values), a Residue
+    fn(p, K), a tuple the sum of its members, and a closed form member(p)."""
     kind = type(member)
     if kind is Sum:
-        coef = member.coef(q, d) if callable(member.coef) else member.coef
-        upper = (q - 1) // 2 if member.half else q - 1
-        return coef * truncated_sum(
-            member.kind, q, upper, member.base,
-            d=d, k_factor=member.k_factor, catalan_weight=member.catalan_weight, power=power,
-        )
+        return _sum_values(member, q, power, (0,))[0]
     if kind is Residue:
         return member.fn(q, power)
     if kind is tuple:
-        return sum(_value(part, q, power, d) for part in member)
+        return sum(_value(part, q, power) for part in member)
     return member(q)
 
 
@@ -189,6 +198,8 @@ def _chain_family(members: tuple, labels: tuple[str, ...] | None = None, extra: 
 def _shift_family(shifts: Callable, sums: tuple[Sum, ...], closed: Callable, labels=None, parity=None):
     """Rows per shift d in shifts(p): the sums at d, then the closed form, compared in turn.
 
+    Each sum is one truncated_sum call over every d of the prime, so its
+    tables are reduced mod p^K once, and its coefficient is applied per d.
     closed(p, ds) gives the closed form for each d of ds, so that a per-prime
     table (E1.4's Euler values) is built once. With parity, a d of the other
     parity than parity(p) is a skip whose note shows the first sum's residue.
@@ -197,8 +208,8 @@ def _shift_family(shifts: Callable, sums: tuple[Sum, ...], closed: Callable, lab
     def gen(q: int, power: int) -> Iterator[FamilyCase]:
         ds = shifts(q)
         claimed = parity(q) if parity else None
-        for d, rhs in zip(ds, closed(q, ds)):
-            values = [_value(member, q, power, d) for member in sums]
+        columns = [_sum_values(member, q, power, ds) for member in sums]
+        for d, rhs, *values in zip(ds, closed(q, ds), *columns):
             if parity and d % 2 != claimed:
                 yield _skip({"d": d}, f"parity outside the claim; informational residue {values[0]}")
             else:
@@ -290,9 +301,16 @@ def _t11_cases(q: int) -> CaseColumns:
 # -- E1.11-E1.13 and R1.4c: sequence-quantified congruences -------------------
 
 
+@lru_cache(maxsize=2)
 def _sequence_matrix(q: int, modulus: int) -> np.ndarray:
-    """Row i holds the first p terms of sequence SEQUENCE_IDS[i] mod modulus."""
-    return np.array([[t % modulus for t in sequence_terms(s, q)] for s in SEQUENCE_IDS], dtype=np.int64)
+    """Row i holds the first p terms of sequence SEQUENCE_IDS[i] mod modulus.
+
+    Built once per prime for E1.11-E1.13 and R1.4c, and read-only, so that no
+    caller can change the cached copy.
+    """
+    seqs = np.array([[t % modulus for t in sequence_terms(s, q)] for s in SEQUENCE_IDS], dtype=np.int64)
+    seqs.flags.writeable = False
+    return seqs
 
 
 def _dual_family(kind: str, base: int, eps: Callable[[int], int]):

@@ -8,13 +8,20 @@ its last prefix, reduced to a Fraction once; truncated_sum(power=None) takes
 it. The identity suite's I1-I5 carry their partial sums across n on the same
 generator, one step per n.
 
-truncated_sum sums a kernel over (p-1)/2 or p-1 terms. With power=None it
-returns that exact Fraction, the reference the tests check against. With
-power=K it returns the canonical residue mod p^K, summed from per-prime
-tables mod p^4 (binomial rows, factorials, m^-k) built on first use. That is
+truncated_sum sums a kernel over (p-1)/2 or p-1 terms, at one shift d or at
+each of a sequence of shifts in one call. With power=None it returns the
+exact Fraction, the reference the tests check against. With power=K it
+returns the canonical residue mod p^K. The per-prime tables are built on
+first use and kept mod p^4: the binomial rows, the factorials and the d-free
+factors of the terms (m^-k and the weights included). For a kernel with a
+shift, each call reduces its d-free terms mod p^K once and shares them,
+with the factorials or the C(2j, j) row also reduced mod p^K, across all of
+its shifts; C(2k, k+d) is (2k)!/((k+d)! (k-d)!) there, so each shift is one
+pass of products. Exact comb still runs where the tables stop: C(2k, k+d) for
+k > (p-1)/2, C(2j, j) for j >= p, and the Catalan term at k = p - 1. That is
 exact: reduction mod p^K is a ring homomorphism on Z_(p), and every divisor
 is a p-adic unit except k+1 = p in the Catalan weight, whose term is reduced
-mod p^(K+1) and divided by p exactly (NotPAdicInteger when it cannot be).
+mod p^4 and divided by p exactly (NotPAdicInteger when it cannot be).
 The catalog families use the residue path; kernel_residues gives the
 sequence and polynomial families their weights N_kind(k)/m^k mod p^K from
 the same tables.
@@ -25,6 +32,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import comb, gcd, prod
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
@@ -190,7 +198,7 @@ def _binomial_row(q: int, a: int, b: int) -> list[int]:
     return row
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=64)  # one prime of the catalog needs 41
 def _weighted_kernel(kind: str, q: int, m: int, a: int, b: int, c: int) -> tuple[list[int], int]:
     """The d-free factors of the terms of sum_k (a + b k + c/(k+1)) N_kind(k, d) / m^k, mod p^4.
 
@@ -217,49 +225,64 @@ def _weighted_kernel(kind: str, q: int, m: int, a: int, b: int, c: int) -> tuple
     return terms, tail
 
 
-def _right_factors(right: str, q: int, upper: int, d: int) -> list[int]:
-    """R(k, d) for k <= upper from the tables where they reach, else exact (the caller reduces)."""
-    if right == "double":
-        # C(2j, j) with j = k + d: tabled below p
-        row = _binomial_row(q, 2, 1)
-        return row[d : d + upper + 1] + [comb(2 * j, j) for j in range(max(q, d), d + upper + 1)]
-    # (2k)! is a unit for 2k < p, so there C(2k, k+d) = (2k)!/((k+d)! (k-d)!), and 0 for k < d
-    fact, inv_fact = _factorials(q)
-    half = min(upper, (q - 1) // 2)
-    lo = min(d, half + 1)
-    tops = map(mul, fact[2 * lo : 2 * half + 1 : 2], inv_fact[2 * lo : half + lo + 1])
-    unit_part = [0] * lo + list(map(mul, tops, inv_fact[: half - lo + 1]))
-    return unit_part + [comb(2 * k, k + d) for k in range(half + 1, upper + 1)]
-
-
 def kernel_residues(kind: str, q: int, m: int, count: int, power: int) -> list[int]:
     """N_kind(k, 0)/m^k mod p^power for k < count, from the same tables as truncated_sum.
 
     The tables stop at k = p - 1; terms beyond are reduced from the exact kernel.
     """
     mod = q**power
-    tabled = min(count, q)
     terms, _tail = _weighted_kernel(kind, q, m, 1, 0, 0)
     right = _RESIDUE_KERNELS[kind][1]
-    r = [1] * tabled if isinstance(right, tuple) else _right_factors(right, q, tabled - 1, 0)
+    # at d = 0 both C(2k, k+d) and C(2k+2d, k+d) are C(2k, k)
+    r = repeat(1) if isinstance(right, tuple) else _binomial_row(q, 2, 1)
     beyond = [TERM_KINDS[kind](k, 0) * pow(m, -k, mod) % mod for k in range(q, count)]
-    return [t * x % mod for t, x in zip(terms, r)] + beyond
+    return [t * x % mod for t, x in zip(terms[:count], r)] + beyond
 
 
-def _residue_sum(kind: str, q: int, upper: int, m: int, d: int, weights: tuple[int, int, int], power: int) -> int:
+def _residue_sums(
+    kind: str, q: int, upper: int, m: int, ds: list[int], weights: tuple[int, int, int], power: int
+) -> list[int]:
+    """The residues mod p^power of truncated_sum at every shift of ds, in one pass per shift."""
+    mod = q**power
     terms, tail = _weighted_kernel(kind, q, m, *weights)
     right = _RESIDUE_KERNELS[kind][1]
     if isinstance(right, tuple):
-        total, last = sum(terms[: upper + 1]), 1
+        totals = [sum(terms[: upper + 1])] * len(ds)
+    elif right == "double":
+        # C(2j, j) at j = k + d: the table below p, exact comb from p on
+        a = [t % mod for t in terms[: upper + 1]]
+        row = [c % mod for c in _binomial_row(q, 2, 1)]
+        row += [comb(2 * j, j) % mod for j in range(q, max(ds, default=0) + upper + 1)]
+        totals = [sum(map(mul, a, row[d:])) for d in ds]
     else:
-        r = _right_factors(right, q, upper, d)
-        total, last = sum(map(mul, terms, r)), r[-1]
+        # C(2k, k+d) = (2k)!/((k+d)! (k-d)!) where (2k)! is a unit, k <= (p-1)/2,
+        # so terms[k] (2k)! is folded once; exact comb past that, and 0 for k < d
+        fact, inv_fact = _factorials(q)
+        half = min(upper, (q - 1) // 2)
+        lead = [t * f % mod for t, f in zip(terms[: half + 1], fact[::2])]
+        inv = [x % mod for x in inv_fact]
+        totals = [
+            sum(map(mul, map(mul, lead[d:], inv[2 * d :]), inv))
+            + sum(terms[k] * comb(2 * k, k + d) for k in range(half + 1, upper + 1))
+            for d in ds
+        ]
     if tail and upper == q - 1:
-        numerator = tail * last % q**_TABLE_POWER
-        if numerator % q:
-            raise NotPAdicInteger(f"the sum has {q} in its denominator (Catalan term at k = {q - 1})")
-        total += numerator // q
-    return total % q**power
+        # the Catalan part of the term at k = p - 1: c R(p-1, d) times the
+        # d-free factors, mod p^4 with R exact, then divided by p exactly
+        full = q**_TABLE_POWER
+        for i, d in enumerate(ds):
+            j = q - 1 + d
+            if isinstance(right, tuple):
+                last = 1
+            elif right == "double":
+                last = comb(2 * j, j)
+            else:
+                last = comb(2 * q - 2, j)
+            numerator = tail * last % full
+            if numerator % q:
+                raise NotPAdicInteger(f"the sum has {q} in its denominator (Catalan term at k = {q - 1})")
+            totals[i] += numerator // q
+    return [t % mod for t in totals]
 
 
 def truncated_sum(
@@ -268,11 +291,11 @@ def truncated_sum(
     upper: int,
     m: int,
     *,
-    d: int = 0,
+    d: int | Iterable[int] = 0,
     k_factor: bool = False,
     catalan_weight: bool = False,
     power: int | None = None,
-) -> Fraction | int:
+) -> Fraction | int | list[Fraction] | list[int]:
     """sum_{k=0}^{upper} N_kind(k, d) [k] / ((k+1) m^k): exact, or its residue mod p^power.
 
     [k] is present when k_factor is set, the (k+1) divisor when
@@ -281,6 +304,12 @@ def truncated_sum(
     {1, 2, 3} it is the canonical residue in [0, p^K), an int equal to
     padic_from_rational(exact, p, K) and raising NotPAdicInteger whenever
     that does.
+
+    d is one shift or a sequence of them. A sequence is one call that
+    returns the list of the values at its shifts, in order; it shares one
+    reduction of the tables mod p^K across them (see the module docstring)
+    and raises when the call at any one of its shifts would. The per-d
+    families sum every shift of a prime this way.
     """
     q = _prime_int(p)
     n = (q - 1) // 2
@@ -288,12 +317,15 @@ def truncated_sum(
         raise ValueError(f"upper must be (p-1)/2 or p-1, got {upper} for p={q}")
     if m == 0 or m % q == 0:
         raise NonUnitDivisor(f"base {m} is not a unit modulo {q}")
-    if d < 0:
-        raise ValueError(f"shift d must be >= 0, got {d}")
+    ds = [d] if isinstance(d, int) else list(d)
+    if any(x < 0 for x in ds):
+        raise ValueError(f"shift d must be >= 0, got {min(ds)}")
     weights = _FLAG_WEIGHTS[k_factor, catalan_weight]
     if power is None:
         term = TERM_KINDS[kind]
-        return weighted_sum([term(k, d) for k in range(upper + 1)], m, *weights)
-    if power not in (1, 2, 3):
+        values = [weighted_sum([term(k, x) for k in range(upper + 1)], m, *weights) for x in ds]
+    elif power not in (1, 2, 3):
         raise PrecisionMismatch(f"precision must be 1, 2 or 3, got {power}")
-    return _residue_sum(kind, q, upper, m, d, weights, power)
+    else:
+        values = _residue_sums(kind, q, upper, m, ds, weights, power)
+    return values[0] if isinstance(d, int) else values

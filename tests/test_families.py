@@ -327,10 +327,18 @@ def _rebased(old, new):
     return patched
 
 
+def _per_shift(fn, value, d):
+    """fn applied to a truncated_sum result: to each shift's value when d is a sequence."""
+    return fn(value) if isinstance(d, int) else [fn(v) for v in value]
+
+
 def _quartered_doubles(kind, q, upper, m, **kwargs):
     """truncated_sum with the double-shift sums divided by 4 once more."""
     value = truncated_sum(kind, q, upper, m, **kwargs)
-    return value * pow(4, -1, q ** kwargs["power"]) % q ** kwargs["power"] if kind.endswith("_double") else value
+    if not kind.endswith("_double"):
+        return value
+    mod = q ** kwargs["power"]
+    return _per_shift(lambda v: v * pow(4, -1, mod) % mod, value, kwargs.get("d", 0))
 
 
 @pytest.mark.parametrize(
@@ -374,8 +382,8 @@ def test_sum_family_mutants_fail(fid, attr, replacement, gen, monkeypatch):
     assert failing, fid
 
 
-# Every family that calls truncated_sum. The per-d families call it again at
-# each shift d; the others make the same calls at every prime.
+# Every family that calls truncated_sum. The per-d families call it once per
+# member, over every shift d; the others make the same calls at every prime.
 _SUM_FAMILIES = [
     "E1.3", "E1.4", "E1.5", "E1.6", "E1.7", "E1.8", "E1.9", "E1.10", "R1.4a", "R1.4b",
     *(f"C1.1{c}" for c in "abcdef"), *(f"C1.2{c}" for c in "abcdefgh"),
@@ -418,12 +426,13 @@ def _sum_calls(fam, q, monkeypatch):
 def test_planted_sum_mutant_fails_every_sum_family(fid, mutant, monkeypatch):
     # One truncated_sum call at a time gets base m + 1 (primes where m + 1 is
     # not a unit are left out) or the opposite k_factor: every call of a chain,
-    # the first call of a per-d family. Two other generic mutants are not
-    # asserted, because they need not change the result. The other upper
-    # bound survives mod p^K for the first call of E1.3, E1.7, R1.4a, R1.4b and
-    # D-base, for every sum of E1.5, E1.6, T1.6 and G3, and for G4's members 2
-    # and 4: their terms past the other bound vanish mod p^K. And d + 1 is a
-    # no-op on a d-free kind (central_sq, cubic, quartic, sextic).
+    # the first call of a per-d family, which holds every shift. Two other
+    # generic mutants are not asserted, because they need not change the
+    # result. The other upper bound survives mod p^K for the first call of
+    # E1.3, E1.7, R1.4a, R1.4b and D-base, for every sum of E1.5, E1.6, T1.6
+    # and G3, and for G4's members 2 and 4: their terms past the other bound
+    # vanish mod p^K. And d + 1 is a no-op on a d-free kind (central_sq,
+    # cubic, quartic, sextic).
     fam = get_family(fid)
     primes = [q for q in primes_between(7, 50) if fam.applies(q)]
     targets = [0] if fid in _PER_D else range(_sum_calls(fam, primes[0], monkeypatch))
@@ -522,14 +531,16 @@ def test_l1_holds_one_power_beyond_its_claim():
 
 @pytest.mark.parametrize("fid", ["E1.3", "E1.4", "E1.7", "R1.4a", "R1.4b", "D-base"])
 def test_sum_family_rows_match_exact_route_at_a_large_prime(fid, monkeypatch):
-    rows = verify_family_case(fid, 251)
-
     def exact_route(kind, q, upper, m, *, power, **kwargs):
-        return padic_from_rational(truncated_sum(kind, q, upper, m, **kwargs), q, power)
+        value = truncated_sum(kind, q, upper, m, **kwargs)
+        return _per_shift(partial(padic_from_rational, p=q, precision=power), value, kwargs.get("d", 0))
 
-    monkeypatch.setattr(families, "truncated_sum", exact_route)
-    assert rows == verify_family_case(fid, 251)
-    assert len(rows) > 1 or fid == "D-base"
+    for q in (251, 257):  # 3 and 1 mod 4
+        rows = verify_family_case(fid, q)
+        with monkeypatch.context() as patch:
+            patch.setattr(families, "truncated_sum", exact_route)
+            assert rows == verify_family_case(fid, q)
+        assert len(rows) > 1 or fid == "D-base"
 
 
 @pytest.mark.parametrize("fid", ["E1.11", "R1.4c", "E1.14"])

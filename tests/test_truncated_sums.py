@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from supercong.congruences import TERM_KINDS, sums, truncated_sum
+from supercong.congruences import TERM_KINDS, family_catalog, sums, truncated_sum
 from supercong.congruences.identities import M_SET
 from supercong.errors import NonUnitDivisor, NotPAdicInteger, PrecisionMismatch
 from supercong.padic import padic_from_rational, primes_between
@@ -178,3 +178,95 @@ def test_residue_path_input_rules():
         with pytest.raises(PrecisionMismatch):
             truncated_sum("central_sq", 7, 3, 16, power=power)
     assert truncated_sum("central_shift", 7, 3, 8, d=2, power=1) == 0  # 21/64, a multiple of 7
+
+
+_SHIFTED_KINDS = [kind for kind in TERM_KINDS if "shift" in kind or "double" in kind]
+
+
+def _shift_sequence(q, upper):
+    """Shifts in and past both bounds, past p, one repeated, in no order."""
+    n = (q - 1) // 2
+    return [upper, 0, 1, n, n + 1, 1, q + 2, upper // 2]
+
+
+def test_shift_sequence_is_its_scalar_calls_and_the_exact_route(monkeypatch):
+    # One call over a sequence of shifts must be the list of the scalar calls,
+    # exact and mod p^K, and the reduction of each exact sum. K rises 1, 2, 3
+    # at one (kind, p, base, flags), so a table reduced mod p^K and cached
+    # without K would fail.
+    for kind, term in TERM_KINDS.items():
+        monkeypatch.setitem(sums.TERM_KINDS, kind, lru_cache(maxsize=None)(term))
+    rng = random.Random(1404)
+    checked = 0
+    for q in [*primes_between(5, 40), 101]:
+        for kind in _SHIFTED_KINDS:
+            m = rng.choice([b for b in _CATALOG_BASES if b % q])
+            for upper in ((q - 1) // 2, q - 1):
+                ds = _shift_sequence(q, upper)
+                for k_factor, catalan_weight in _FLAGS:
+                    flags = {"k_factor": k_factor, "catalan_weight": catalan_weight}
+                    exact = truncated_sum(kind, q, upper, m, d=ds, **flags)
+                    assert exact == [truncated_sum(kind, q, upper, m, d=d, **flags) for d in ds]
+                    assert truncated_sum(kind, q, upper, m, d=[], **flags) == []
+                    for power in (1, 2, 3):
+                        got = truncated_sum(kind, q, upper, m, d=ds, power=power, **flags)
+                        scalar = [truncated_sum(kind, q, upper, m, d=d, power=power, **flags) for d in ds]
+                        reduced = [padic_from_rational(x, q, power) for x in exact]
+                        assert got == scalar == reduced, (kind, q, upper, m, flags, power)
+                        assert truncated_sum(kind, q, upper, m, d=(), power=power, **flags) == []
+                        checked += 1
+    assert checked == (len(primes_between(5, 40)) + 1) * len(_SHIFTED_KINDS) * 2 * len(_FLAGS) * 3
+    with pytest.raises(ValueError):
+        truncated_sum("central_shift", 7, 3, 16, d=[1, -1], power=2)
+
+
+@pytest.mark.parametrize(
+    ("term", "spec"),
+    [
+        (lambda k, d: 1, ((1, 0), (1, 0))),
+        (lambda k, d: comb(2 * k, k + d), ((1, 0), "shift")),
+        (lambda k, d: comb(2 * (k + d), k + d), ((1, 0), "double")),
+    ],
+    ids=["ones", "shift-alone", "double-alone"],
+)
+def test_shift_sequence_raises_when_a_scalar_call_raises(term, spec, monkeypatch):
+    # The planted kernels of test_residue_path_raises_like_exact_reduction: a
+    # sequence raises NotPAdicInteger exactly when one of its shifts does alone.
+    monkeypatch.setitem(sums.TERM_KINDS, "planted", term)
+    monkeypatch.setitem(sums._RESIDUE_KERNELS, "planted", spec)
+    outcomes = set()
+    for q in primes_between(5, 30):
+        for upper in ((q - 1) // 2, q - 1):
+            sequences = [list(range(upper + 1)), *([d, d + 1, d] for d in range(upper + 1))]
+            for k_factor, catalan_weight in _FLAGS:
+                flags = {"k_factor": k_factor, "catalan_weight": catalan_weight}
+                for power in (1, 2, 3):
+                    for ds in sequences:
+                        scalar = [_residue("planted", q, upper, 16, d, k_factor, catalan_weight, power) for d in ds]
+                        want = NotPAdicInteger if NotPAdicInteger in scalar else scalar
+                        try:
+                            got = truncated_sum("planted", q, upper, 16, d=ds, power=power, **flags)
+                        except NotPAdicInteger:
+                            got = NotPAdicInteger
+                        assert got == want, (q, upper, ds, k_factor, catalan_weight, power)
+                        outcomes.add(want is NotPAdicInteger)
+    assert outcomes == {True, False}
+
+
+def test_weighted_kernel_cache_holds_one_prime(monkeypatch):
+    # Every table one prime of the catalog needs fits in the cache at once, so
+    # no table is built twice, whatever order the families run in.
+    keys = []
+    kernel = sums._weighted_kernel
+
+    def spy(*args):
+        keys.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(sums, "_weighted_kernel", spy)
+    kernel.cache_clear()
+    for fam in family_catalog():
+        if fam.id != "T1.1" and fam.applies(149):
+            list(fam.cases(149))
+    assert len(keys) > len(set(keys))
+    assert kernel.cache_info().misses == len(set(keys))
