@@ -2,17 +2,17 @@
 
 Key order is fixed so that parse -> serialize round-trips byte-identically.
 The JSON is exactly ``json.dumps(report_to_dict(r), indent=2,
-ensure_ascii=False) + "\\n"``, but only the small ``run`` and ``summary``
-blocks go through ``json.dumps``, because the indenting encoder is pure
-Python and would dominate a large report. A ``SuiteReport`` is written from
-its case blocks: each run of rows with one param-key tuple gets one
-%-template in that layout, with the family, p, modulus and encoded keys
-already in it, and every row of the run only fills in its values. The CSV
-reads the blocks the same way. A parsed report dict is written row by row
-from each row's own fields. Rows off that schema (a key that is not text, a
-residue that is not an exact int, a verdict that is not a bool or None) go
-through ``json.dumps`` instead. Tests pin the equality with the
-``json.dumps`` route and with a CSV written row by row.
+ensure_ascii=False) + "\\n"``. The only hand-written layout is the per-run
+block template, because the indenting encoder is pure Python and would
+dominate a large report: a ``SuiteReport`` is written from its case blocks,
+each run of rows with one param-key tuple gets one %-template in that
+layout, with the family, p, modulus and encoded keys already in it, and
+every row of the run only fills in its values. Everything else goes through
+``json.dumps``: the small ``run`` and ``summary`` blocks, the rows of a
+block off that schema (a key that is not text, a residue that is not an
+exact int, a verdict that is not a bool or None), and a parsed report dict
+as a whole. The CSV reads the blocks the same way. Tests pin the equality
+with the ``json.dumps`` route and with a CSV written row by row.
 """
 
 from __future__ import annotations
@@ -116,47 +116,9 @@ def _value_text(value) -> str:
 
 
 def _params_layout(items: Iterable[tuple[str, str]]) -> str:
-    """The params object of a row from (encoded key, value text) pairs."""
+    """The params object of a row template from (encoded key, value slot) pairs."""
     items = [f"{key}: {text}" for key, text in items]
     return "{\n        " + ",\n        ".join(items) + "\n      }" if items else "{}"
-
-
-def _params_text(params) -> str:
-    if type(params) is not dict or any(type(key) is not str for key in params):
-        return _nested(params, 3)
-    return _params_layout((encode_basestring(key), _value_text(value)) for key, value in params.items())
-
-
-def _row_text(fields: tuple) -> str:
-    family, p, params, modulus, lhs, rhs, lhs_signed, rhs_signed, passed, note = fields
-    if type(family) is not str or not (
-        type(p) is type(modulus) is type(lhs) is type(rhs) is type(lhs_signed) is type(rhs_signed) is int
-    ):
-        return "    " + _nested(_as_dict(fields), 2)
-    pass_text = _LITERAL[passed] if passed is None or type(passed) is bool else _nested(passed, 3)
-    if note is None:
-        tail = ""
-    else:
-        tail = _NOTE + (encode_basestring(note) if type(note) is str else _nested(note, 3))
-    return _ROW % (
-        encode_basestring(family),
-        p,
-        _params_text(params),
-        modulus,
-        lhs,
-        rhs,
-        lhs_signed,
-        rhs_signed,
-        pass_text,
-        tail,
-    )
-
-
-def _dict_row_text(case) -> str:
-    keys = tuple(case) if type(case) is dict else None
-    if keys == _ROW_KEYS or (keys == CSV_COLUMNS and case["note"] is not None):
-        return _row_text(_dict_fields(case))
-    return "    " + _nested(case, 2)  # not a row of this schema: no template applies
 
 
 def _signed(residues: list, modulus: int) -> list:
@@ -200,7 +162,7 @@ def _fits_templates(block: CaseBlock) -> bool:
 def _block_rows(block: CaseBlock) -> Iterator[str]:
     """The JSON text of every row of the block."""
     if not _fits_templates(block):
-        return map(_row_text, map(_fields, block))
+        return ("    " + _nested(_as_dict(_fields(row)), 2) for row in block)
     head = _literal(encode_basestring(block.family)), block.p
     modulus, notes = block.modulus, block.notes
     runs, start = [], 0
@@ -235,23 +197,13 @@ def _cases_text(pieces: Iterable[str]) -> Iterator[str]:
 
 
 def _json_chunks(report: SuiteReport | dict) -> Iterator[str]:
-    """The report's JSON text, in pieces of at most _BATCH rows each."""
-    parsed = isinstance(report, dict)
-    if parsed:
-        blocks = report
-    else:
-        blocks = {"run": _run_block(report), "cases": report.blocks, "summary": _summary_block(report)}
-    if not blocks or any(type(key) is not str for key in blocks):
-        yield json.dumps(blocks, indent=2, ensure_ascii=False) + "\n"
+    """The report's JSON text, with the cases in pieces of at most _BATCH rows each."""
+    if isinstance(report, dict):
+        yield json.dumps(report, indent=2, ensure_ascii=False) + "\n"
         return
-    for i, (key, value) in enumerate(blocks.items()):
-        yield ("{\n  " if i == 0 else ",\n  ") + encode_basestring(key) + ": "
-        if key == "cases" and type(value) is list:
-            rows = map(_dict_row_text, value) if parsed else chain.from_iterable(map(_block_rows, value))
-            yield from _cases_text(_batches(rows))
-        else:
-            yield _nested(value, 1)
-    yield "\n}\n"
+    yield '{\n  "run": ' + _nested(_run_block(report), 1) + ',\n  "cases": '
+    yield from _cases_text(_batches(chain.from_iterable(map(_block_rows, report.blocks))))
+    yield ',\n  "summary": ' + _nested(_summary_block(report), 1) + "\n}\n"
 
 
 def dumps_json(report: SuiteReport | dict) -> str:

@@ -9,7 +9,6 @@ length never changes earlier terms.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 
 __all__ = ["SEQUENCE_IDS", "sequence_terms"]
 
@@ -25,10 +24,18 @@ SEQUENCE_IDS: tuple[str, ...] = (
 )
 
 
-@lru_cache(maxsize=64)
-def _random_prefix(i: int, length: int) -> tuple[int, ...]:
-    rng = random.Random(_RANDOM_SEED_BASE + i)
-    return tuple(rng.randint(-9, 9) for _ in range(length))
+# i -> (the generator of rand{i}, the terms drawn from it so far)
+_RANDOM_STREAMS: dict[int, tuple[random.Random, list[int]]] = {}
+
+
+def _random_prefix(i: int, length: int) -> list[int]:
+    """The first `length` terms of rand{i}: one stream per sequence, drawn
+    further only when a longer prefix is asked for."""
+    if i not in _RANDOM_STREAMS:
+        _RANDOM_STREAMS[i] = random.Random(_RANDOM_SEED_BASE + i), []
+    rng, terms = _RANDOM_STREAMS[i]
+    terms.extend(rng.randint(-9, 9) for _ in range(length - len(terms)))
+    return terms[:length]
 
 
 def sequence_terms(seq_id: str, length: int) -> list[int]:
@@ -40,5 +47,5 @@ def sequence_terms(seq_id: str, length: int) -> list[int]:
         j = int(seq_id[3:])
         return [k**j for k in range(length)]
     if seq_id.startswith("rand"):
-        return list(_random_prefix(int(seq_id[4:]), length))
+        return _random_prefix(int(seq_id[4:]), length)
     raise KeyError(f"unknown sequence id {seq_id!r}")

@@ -12,11 +12,12 @@ truncated_sum sums a kernel over (p-1)/2 or p-1 terms, at one shift d or at
 each of a sequence of shifts in one call. With power=None it returns the
 exact Fraction, the reference the tests check against. With power=K it
 returns the canonical residue mod p^K. The per-prime tables are built on
-first use and kept mod p^4: the binomial rows, the factorials and the d-free
-factors of the terms (m^-k and the weights included). For a kernel with a
-shift, each call reduces its d-free terms mod p^K once and shares them,
-with the factorials or the C(2j, j) row also reduced mod p^K, across all of
-its shifts; C(2k, k+d) is (2k)!/((k+d)! (k-d)!) there, so each shift is one
+first use and kept mod p^4: the binomial rows, the factorials and one table
+of the d-free factors of the terms (m^-k included) per kind, prime and base.
+Each call reduces that table mod p^K once, times its weight
+a + b k + c/(k+1). For a kernel with a shift, it shares those terms, with
+the factorials or the C(2j, j) row also reduced mod p^K, across all of its
+shifts; C(2k, k+d) is (2k)!/((k+d)! (k-d)!) there, so each shift is one
 pass of products. Exact comb still runs where the tables stop: C(2k, k+d) for
 k > (p-1)/2, C(2j, j) for j >= p, and the Catalan term at k = p - 1. That is
 exact: reduction mod p^K is a ring homomorphism on Z_(p), and every divisor
@@ -198,31 +199,21 @@ def _binomial_row(q: int, a: int, b: int) -> list[int]:
     return row
 
 
-@lru_cache(maxsize=64)  # one prime of the catalog needs 41
-def _weighted_kernel(kind: str, q: int, m: int, a: int, b: int, c: int) -> tuple[list[int], int]:
-    """The d-free factors of the terms of sum_k (a + b k + c/(k+1)) N_kind(k, d) / m^k, mod p^4.
-
-    Returns (terms, tail). terms[k], for k < p, is the left binomial times
-    the d-free right one (1 for shift and double kernels) times the weight
-    over m^k, without the c/(k+1) part at k = p - 1. tail is that part's
-    numerator, c times the same product, still to be divided by p.
-    """
+@lru_cache(maxsize=32)  # one prime of the catalog needs 25
+def _kernel_table(kind: str, q: int, m: int) -> list[int]:
+    """The d-free factors of N_kind(k, d) / m^k mod p^4 for k < p: the left
+    binomial times the d-free right one (1 for shift and double kernels) over m^k."""
     (la, lb), right = _RESIDUE_KERNELS[kind]
     mod = q**_TABLE_POWER
     left = _binomial_row(q, la, lb)
-    fixed = _binomial_row(q, *right) if isinstance(right, tuple) else [1] * q
-    fact, inv_fact = _factorials(q)
+    fixed = _binomial_row(q, *right) if isinstance(right, tuple) else repeat(1)
     inv_m = pow(m, -1, mod)
-    terms = []
+    table = []
     scale = 1  # m^-k
-    for k in range(q):
-        weight = a + b * k
-        if c and k < q - 1:
-            weight += c * fact[k] * inv_fact[k + 1]  # 1/(k+1) = k!/(k+1)!
-        terms.append(left[k] * fixed[k] % mod * scale % mod * weight % mod)
+    for x, y in zip(left, fixed):
+        table.append(x * y % mod * scale % mod)
         scale = scale * inv_m % mod
-    tail = c * left[q - 1] * fixed[q - 1] * pow(inv_m, q - 1, mod) % mod
-    return terms, tail
+    return table
 
 
 def kernel_residues(kind: str, q: int, m: int, count: int, power: int) -> list[int]:
@@ -231,12 +222,12 @@ def kernel_residues(kind: str, q: int, m: int, count: int, power: int) -> list[i
     The tables stop at k = p - 1; terms beyond are reduced from the exact kernel.
     """
     mod = q**power
-    terms, _tail = _weighted_kernel(kind, q, m, 1, 0, 0)
+    table = _kernel_table(kind, q, m)
     right = _RESIDUE_KERNELS[kind][1]
     # at d = 0 both C(2k, k+d) and C(2k+2d, k+d) are C(2k, k)
     r = repeat(1) if isinstance(right, tuple) else _binomial_row(q, 2, 1)
     beyond = [TERM_KINDS[kind](k, 0) * pow(m, -k, mod) % mod for k in range(q, count)]
-    return [t * x % mod for t, x in zip(terms[:count], r)] + beyond
+    return [t * x % mod for t, x in zip(table[:count], r)] + beyond
 
 
 def _residue_sums(
@@ -244,16 +235,26 @@ def _residue_sums(
 ) -> list[int]:
     """The residues mod p^power of truncated_sum at every shift of ds, in one pass per shift."""
     mod = q**power
-    terms, tail = _weighted_kernel(kind, q, m, *weights)
+    table = _kernel_table(kind, q, m)
+    a, b, c = weights
+    if weights == (1, 0, 0):
+        terms = [t % mod for t in table[: upper + 1]]
+    else:
+        # the weight a + b k + c/(k+1), with 1/(k+1) = k!/(k+1)!; the c part
+        # at k = p - 1 is the Catalan tail below
+        fact, inv_fact = _factorials(q)
+        terms = [
+            t * (a + b * k + (c * fact[k] * inv_fact[k + 1] if c and k < q - 1 else 0)) % mod
+            for k, t in enumerate(table[: upper + 1])
+        ]
     right = _RESIDUE_KERNELS[kind][1]
     if isinstance(right, tuple):
-        totals = [sum(terms[: upper + 1])] * len(ds)
+        totals = [sum(terms)] * len(ds)
     elif right == "double":
         # C(2j, j) at j = k + d: the table below p, exact comb from p on
-        a = [t % mod for t in terms[: upper + 1]]
-        row = [c % mod for c in _binomial_row(q, 2, 1)]
+        row = [x % mod for x in _binomial_row(q, 2, 1)]
         row += [comb(2 * j, j) % mod for j in range(q, max(ds, default=0) + upper + 1)]
-        totals = [sum(map(mul, a, row[d:])) for d in ds]
+        totals = [sum(map(mul, terms, row[d:])) for d in ds]
     else:
         # C(2k, k+d) = (2k)!/((k+d)! (k-d)!) where (2k)! is a unit, k <= (p-1)/2,
         # so terms[k] (2k)! is folded once; exact comb past that, and 0 for k < d
@@ -266,10 +267,11 @@ def _residue_sums(
             + sum(terms[k] * comb(2 * k, k + d) for k in range(half + 1, upper + 1))
             for d in ds
         ]
-    if tail and upper == q - 1:
+    if c and upper == q - 1:
         # the Catalan part of the term at k = p - 1: c R(p-1, d) times the
         # d-free factors, mod p^4 with R exact, then divided by p exactly
         full = q**_TABLE_POWER
+        tail = c * table[q - 1]
         for i, d in enumerate(ds):
             j = q - 1 + d
             if isinstance(right, tuple):

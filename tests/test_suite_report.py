@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supercong.congruences import engine, families, run_suite, verify_family_case
+from supercong.congruences import report as report_module
 from supercong.congruences.engine import CaseBlock, SuiteReport, VerificationReport
 from supercong.congruences.families import (
     CongruenceFamily,
@@ -321,9 +322,11 @@ def test_csv_mirror(tmp_path):
 
 # -- the row writer against the json.dumps route -------------------------------
 #
-# dumps_json and write_csv write each row from its fields. The whole-document
-# json.dumps route and the old per-row dict CSV writer below are kept here only
-# as the oracles those writers must match byte for byte.
+# dumps_json writes the rows of a SuiteReport from its block templates, the
+# only fast path; off-schema rows and parsed dicts go through json.dumps, and
+# write_csv writes each row from its fields. The whole-document json.dumps
+# route and the old per-row dict CSV writer below are kept here only as the
+# oracles those writers must match byte for byte.
 
 
 def _json_oracle(report):
@@ -377,8 +380,12 @@ def test_row_writer_matches_json_dumps(report):
     ],
     ids=["all-5..60", "T1.1-sweep-cap-markers", "T1.1-budget-markers"],
 )
-def test_real_reports_match_json_dumps(make):
+def test_real_reports_match_json_dumps(make, monkeypatch):
+    fits = []
+    real = report_module._fits_templates
+    monkeypatch.setattr(report_module, "_fits_templates", lambda block: fits.append(real(block)) or fits[-1])
     _assert_json_matches_oracle(make())
+    assert fits and all(fits)  # every block of a real report takes the templates
 
 
 def test_dict_rows_off_the_schema_fall_back_to_json_dumps():

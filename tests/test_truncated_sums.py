@@ -253,17 +253,17 @@ def test_shift_sequence_raises_when_a_scalar_call_raises(term, spec, monkeypatch
     assert outcomes == {True, False}
 
 
-def test_weighted_kernel_cache_holds_one_prime(monkeypatch):
+def test_kernel_table_cache_holds_one_prime(monkeypatch):
     # Every table one prime of the catalog needs fits in the cache at once, so
     # no table is built twice, whatever order the families run in.
     keys = []
-    kernel = sums._weighted_kernel
+    kernel = sums._kernel_table
 
     def spy(*args):
         keys.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(sums, "_weighted_kernel", spy)
+    monkeypatch.setattr(sums, "_kernel_table", spy)
     kernel.cache_clear()
     for fam in family_catalog():
         if fam.id != "T1.1" and fam.applies(149):
