@@ -12,7 +12,7 @@ import os
 import sys
 
 from .congruences.engine import DEFAULT_SWEEP_CAP, run_suite
-from .congruences.families import MAX_EXACT_PRIME, family_ids
+from .congruences.families import family_ids
 from .congruences.identities import identity_ids, run_identities
 from .congruences.report import write_csv, write_json
 from .curves import (
@@ -42,11 +42,8 @@ def _prime_cap() -> int:
         cap = int(raw)
     except ValueError:
         raise ConfigError(f"SUPERCONG_MAX_PRIME must be an integer, got {raw!r}")
-    if cap > MAX_EXACT_PRIME:
-        raise ConfigError(
-            f"SUPERCONG_MAX_PRIME {cap} exceeds {MAX_EXACT_PRIME}, "
-            "the largest prime the int64 residue paths handle exactly"
-        )
+    if cap >= MR_EXACT_BOUND:
+        raise ConfigError(f"SUPERCONG_MAX_PRIME must lie below {MR_EXACT_BOUND}, the bound of the exact primality test")
     return cap
 
 

@@ -14,15 +14,15 @@ upper bound, flags, coefficient) and closed forms, read by one of two
 evaluators. _chain_family compares consecutive members; _shift_family does
 the same for each shift d, with the sums taken at d. A Sum arrives as its
 residue mod p^K (sums.truncated_sum with power=K); a per-d family takes each
-Sum at every shift of a prime in one call. The families that are
-linear in the weights N(k)/base^k (E1.11-E1.19, R1.4c, R1.5) work with those
-weights mod p^K. L1 convolves binom(2k,k)^2 mod p^K, and E1.4's Euler side is
-taken mod p from power sums. All of it is exact, because every denominator
-involved is a p-adic unit or divides out exactly. The other closed forms stay
-exact integers or Fractions; they meet a residue only through ring
-operations with p-integral constants, and each side is reduced once per
-case. T1.1, one row per (lam, d) cell, hands over its two mod-p grids as
-CaseColumns instead, so that no cell becomes an object of its own.
+Sum at every shift of a prime in one call. The families linear in the weights
+N(k)/base^k (E1.11-E1.19, R1.4c, R1.5) take them mod p^K, and their binomial
+dual from one bigint convolution (_convolve), as L1 convolves binom(2k,k)^2
+mod p^K; E1.4's Euler side is taken mod p from power sums. All of it is exact
+Python ints at any p: every denominator involved is a p-adic unit or divides
+out exactly. The other closed forms stay exact integers or Fractions; they
+meet a residue only through ring operations with p-integral constants, and
+each side is reduced once per case. T1.1, one row per (lam, d) cell, hands
+over its two mod-p grids as CaseColumns, so no cell becomes an object.
 """
 
 from __future__ import annotations
@@ -44,10 +44,9 @@ from ..errors import UnknownId
 from ..padic import legendre_symbol, padic_from_rational
 from .identities import LEMMAS, CongruenceLemma
 from .sequences import SEQUENCE_IDS, sequence_terms
-from .sums import _binomial_row, kernel_residues, truncated_sum
+from .sums import _binomial_row, _factorials, kernel_residues, truncated_sum
 
 __all__ = [
-    "MAX_EXACT_PRIME",
     "CaseColumns",
     "CongruenceFamily",
     "FamilyCase",
@@ -244,16 +243,21 @@ def _t16_closed(q: int) -> Fraction | int:
     return Fraction(3 * l6 * comb((q + 1) // 2, (q + 1) // 4), 4)
 
 
-# The int64 residue paths (_dual_family, _r14c_cases, _poly_family) sum up to
-# p products of residues below p^2. The sums are exact only while
-# p (p^2 - 1)^2 < 2^63, which holds up to this bound and K <= 2;
-# _weight_vectors checks both.
-MAX_EXACT_PRIME = 6208
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """c[n] = sum_{i+j=n} a[i] b[j], exact, for non-empty lists of non-negative ints, by Kronecker
+    substitution: one bigint product of the lists packed into slots of `width` bytes, wide enough
+    for every entry and every c[n], so that no slot carries into the next."""
+    top_a, top_b = max(a), max(b)
+    width = max(min(len(a), len(b)) * top_a * top_b, top_a, top_b).bit_length() // 8 + 1
+    x, y = (int.from_bytes(b"".join(map(int.to_bytes, xs, repeat(width), repeat("big"))), "big") for xs in (a, b))
+    product = (x * y).to_bytes(width * (len(a) + len(b) - 1), "big")
+    return [int.from_bytes(product[i : i + width], "big") for i in range(0, len(product), width)]
 
 
 @lru_cache(maxsize=4)
 def _binom_mod_matrix(modulus: int, size: int) -> np.ndarray:
-    """M[k, j] = binom(k, j) (-1)^j mod modulus, as int64."""
+    """M[k, j] = binom(k, j) (-1)^j mod modulus, as int64. No family calls it: it is the dense
+    cross-check of test_dual_matrix_matches_exact_transform, and perfbench/tracing.py wraps it."""
     rows = np.zeros((size, size), dtype=np.int64)
     rows[0, 0] = 1
     for k in range(1, size):
@@ -264,27 +268,30 @@ def _binom_mod_matrix(modulus: int, size: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _weight_residues(kind: str, base: int, q: int, power: int, count: int) -> np.ndarray:
+def _weight_residues(kind: str, base: int, q: int, power: int, count: int) -> tuple[int, ...]:
     """Residues of N_kind(k, 0)/base^k mod p^power for k < count."""
-    return np.array(kernel_residues(kind, q, base, count, power), dtype=np.int64)
+    return tuple(kernel_residues(kind, q, base, count, power))
 
 
+@lru_cache(maxsize=16)  # a prime of the catalog needs 8; E1.14-E1.16 reuse E1.11-E1.13's
 def _weight_vectors(
-    kind: str, base: int, q: int, power: int, count: int, *, k_weighted: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weights w[k] = N_kind(k)/base^k mod p^power for k < count, and their dual M^T w.
+    kind: str, base: int, q: int, power: int, count: int, *, k_weighted: bool
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Weights w[k] = N_kind(k)/base^k mod p^power for k < count <= p, and their dual M^T w.
 
-    With k_weighted, w[k] is (k+1) N_kind(k+1)/base^(k+1) for k < count - 1.
-    Since w . (M a) = (M^T w) . a, a sum over a dual sequence is one dot product.
+    With k_weighted (no default, so equal calls share a cache key), w[k] is
+    (k+1) N_kind(k+1)/base^(k+1) for k < count - 1. Since w . (M a) = (M^T w) . a,
+    a sum over a dual sequence is one dot product. Each k! is a p-adic unit, so
+    (M^T w)_j = (-1)^j/j! sum_{k>=j} w_k k!/(k-j)!, one _convolve, exact for power <= 4.
     """
-    if q > MAX_EXACT_PRIME or power > 2:
-        raise ValueError(f"p^K = {q}^{power} is past MAX_EXACT_PRIME = {MAX_EXACT_PRIME} or K = 2; int64 sums overflow")
     mod = q**power
     w = _weight_residues(kind, base, q, power, count)
     if k_weighted:
-        w = (np.arange(count, dtype=np.int64) * w % mod)[1:]
-    size = len(w)
-    return w, _binom_mod_matrix(mod, q)[:size, :size].T @ w % mod
+        w = tuple(k * x % mod for k, x in enumerate(w))[1:]
+    fact, inv_fact = _factorials(q)
+    inv = [x % mod for x in inv_fact[: len(w)]]
+    tails = _convolve([x * f % mod for x, f in zip(w, fact)][::-1], inv)[len(w) - 1 :: -1]
+    return w, tuple((-t if j % 2 else t) * x % mod for j, (t, x) in enumerate(zip(tails, inv)))
 
 
 # -- T1.1: the weighted-trace closed form ------------------------------------
@@ -302,25 +309,18 @@ def _t11_cases(q: int) -> CaseColumns:
 
 
 @lru_cache(maxsize=2)
-def _sequence_matrix(q: int, modulus: int) -> np.ndarray:
-    """Row i holds the first p terms of sequence SEQUENCE_IDS[i] mod modulus.
-
-    Built once per prime for E1.11-E1.13 and R1.4c, and read-only, so that no
-    caller can change the cached copy.
-    """
-    seqs = np.array([[t % modulus for t in sequence_terms(s, q)] for s in SEQUENCE_IDS], dtype=np.int64)
-    seqs.flags.writeable = False
-    return seqs
+def _sequence_matrix(q: int, modulus: int) -> tuple[tuple[int, ...], ...]:
+    """Row i holds the first p terms of sequence SEQUENCE_IDS[i] mod modulus, for E1.11-E1.13 and R1.4c."""
+    return tuple(tuple(t % modulus for t in sequence_terms(s, q)) for s in SEQUENCE_IDS)
 
 
 def _dual_family(kind: str, base: int, eps: Callable[[int], int]):
     def gen(q: int, power: int) -> Iterator[FamilyCase]:
         mod = q**power
-        w, dual = _weight_vectors(kind, base, q, power, q)
-        seqs = _sequence_matrix(q, mod)
-        lhs, rhs = seqs @ w % mod, eps(q) * (seqs @ dual % mod) % mod
-        for seq_id, left, right in zip(SEQUENCE_IDS, lhs.tolist(), rhs.tolist()):
-            yield FamilyCase({"sequence": seq_id}, left, right)
+        w, dual = _weight_vectors(kind, base, q, power, q, k_weighted=False)
+        e = eps(q)
+        for seq_id, seq in zip(SEQUENCE_IDS, _sequence_matrix(q, mod)):
+            yield FamilyCase({"sequence": seq_id}, sum(map(mul, seq, w)) % mod, e * sum(map(mul, seq, dual)) % mod)
 
     return gen
 
@@ -328,10 +328,11 @@ def _dual_family(kind: str, base: int, eps: Callable[[int], int]):
 def _r14c_cases(q: int, power: int) -> Iterator[FamilyCase]:
     n = (q - 1) // 2
     mod = q**power
-    w, dual = _weight_vectors("central_sq", 16, q, power, n + 1)
-    lhs = _sequence_matrix(q, mod)[:, : n + 1] @ ((w - legendre_symbol(-1, q) * dual) % mod) % mod
-    for seq_id, left in zip(SEQUENCE_IDS, lhs.tolist()):
-        yield FamilyCase({"sequence": seq_id}, left, 0)
+    e = legendre_symbol(-1, q)
+    w, dual = _weight_vectors("central_sq", 16, q, power, n + 1, k_weighted=False)
+    vec = [x - e * y for x, y in zip(w, dual)]
+    for seq_id, seq in zip(SEQUENCE_IDS, _sequence_matrix(q, mod)):
+        yield FamilyCase({"sequence": seq_id}, sum(map(mul, seq, vec)) % mod, 0)
 
 
 # -- E1.14-E1.19 and R1.5: coefficient-wise polynomial congruences ------------
@@ -358,15 +359,14 @@ def _poly_family(
         e = -eps_fun(q) if deriv else eps_fun(q)
         vec, dual = _weight_vectors(kind, base, q, power, upper_fun(q) + 1, k_weighted=deriv)
         size = len(vec)
-        rhs_vec = e * dual % mod
-        mismatch = np.nonzero(vec != rhs_vec)[0]
-        if mismatch.size:
-            j = int(mismatch[0])
-            note = f"{mismatch.size} of {size} coefficients disagree"
-            yield FamilyCase({"coefficient": j}, int(vec[j]), int(rhs_vec[j]), note=note)
+        rhs_vec = [e * x % mod for x in dual]
+        mismatch = [j for j, (x, y) in enumerate(zip(vec, rhs_vec)) if x != y]
+        if mismatch:
+            j = mismatch[0]
+            note = f"{len(mismatch)} of {size} coefficients disagree"
+            yield FamilyCase({"coefficient": j}, vec[j], rhs_vec[j], note=note)
         else:
             yield FamilyCase({"coefficients": size}, 0, 0, note="all coefficients agree")
-        coeffs = vec.tolist()
         for x in spots:
             params = {"x": str(x)}
             if x.denominator % q == 0:
@@ -375,7 +375,7 @@ def _poly_family(
             xr = x.numerator * pow(x.denominator, -1, mod) % mod
             yr = (1 - xr) % mod
             total, xp, yp = 0, 1, 1
-            for c in coeffs:
+            for c in vec:
                 total += c * (xp - e * yp)
                 xp = xp * xr % mod
                 yp = yp * yr % mod
@@ -390,18 +390,17 @@ def _poly_family(
 def _l1_lhs(q: int, power: int, *, base: int = -16, offset: int = 1) -> int:
     """sum_{h<p} (2h + offset)/base^h sum_{k<=h} u_k u_(h-k) mod p^power, u_k = binom(2k,k)^2.
 
-    The convolution runs once over u_k mod p^power (power <= 4, the table
-    precision); every divisor is a power of base, a unit. L1 is base = -16,
-    offset = 1; the parameters exist so the tests can plant mutants.
+    The inner sums are one _convolve of u_k mod p^power (power <= 4, the table
+    precision) with itself; every divisor is a power of base, a unit. L1 is
+    base = -16, offset = 1; the parameters exist so the tests can plant mutants.
     """
     mod = q**power
     u = [c * c % mod for c in _binomial_row(q, 2, 1)]
-    reverse = u[::-1]
+    conv = _convolve(u, u)
     inv = pow(base, -1, mod)
     total, w = 0, 1
     for h in range(q):
-        conv = sum(map(mul, u, reverse[q - 1 - h :]))  # sum_{k<=h} u_k u_(h-k)
-        total += (2 * h + offset) * (conv % mod) * w
+        total += (2 * h + offset) * conv[h] * w
         w = w * inv % mod
     return total % mod
 

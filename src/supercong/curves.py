@@ -173,13 +173,21 @@ def char_sum_table(p: OddPrime | int) -> np.ndarray:
     return out
 
 
+def _grid_prime(p: OddPrime | int) -> int:
+    """p as an int, where both T1.1 grids are exact int64 products: (p+1)/2 (p-1)^2 < 2^63."""
+    q = _prime_int(p)
+    if (q + 1) // 2 * (q - 1) ** 2 >= 2**63:
+        raise ValueError(f"p = {q} is past the int64 bound of the T1.1 grids, (p+1)/2 (p-1)^2 < 2^63")
+    return q
+
+
 def weighted_char_sum_grid(p: OddPrime | int) -> np.ndarray:
     """Canonical residues of a_p^(d)(lambda) mod p, shape (n + 1, p).
 
-    Row d, column lambda. Partial products stay below p^2 (p - 1), far inside
-    int64 for any prime this package accepts.
+    Row d, column lambda. Partial products stay below p^2 (p - 1); past the
+    tighter bound of thm11_rhs_grid it raises ValueError before allocating.
     """
-    q = _prime_int(p)
+    q = _grid_prime(p)
     n = (q - 1) // 2
     chi = np.array(_chi_table(q), dtype=np.int64)
     xs = np.arange(q, dtype=np.int64)
@@ -194,29 +202,19 @@ def weighted_char_sum_grid(p: OddPrime | int) -> np.ndarray:
 
 
 def thm11_rhs_grid(p: OddPrime | int) -> np.ndarray:
-    """Canonical residues of the thm11_rhs closed form, same shape and layout
-    as weighted_char_sum_grid. Computed from the binomial side only."""
-    q = _prime_int(p)
+    """Canonical residues of the thm11_rhs closed form, same shape and layout as
+    weighted_char_sum_grid, from the binomial side only. An entry of coeff @ lampow
+    sums (p+1)/2 products below p^2: exact up to p = 2,642,239, ValueError past it."""
+    q = _grid_prime(p)
     n = (q - 1) // 2
     cb = np.array(central_binomials_mod(q), dtype=np.int64)
     idx = np.arange(n + 1)
-    inv16 = pow(16, -1, q)
-    i16 = np.empty(n + 1, dtype=np.int64)
-    w = 1
-    for k in range(n + 1):
-        i16[k] = w
-        w = w * inv16 % q
-    coeff = cb[idx[:, None] + idx[None, :]] * (cb[idx] * i16 % q)[None, :] % q
+    i4 = np.array([pow(4, -d, q) for d in range(n + 1)], dtype=np.int64)  # 4^-d, and 16^-k = (4^-k)^2
+    coeff = cb[idx[:, None] + idx[None, :]] * (cb[idx] * (i4 * i4 % q) % q)[None, :] % q
     lam = np.arange(q, dtype=np.int64)
     lampow = np.ones((n + 1, q), dtype=np.int64)
     for k in range(1, n + 1):
         lampow[k] = lampow[k - 1] * lam % q
-    inv4 = pow(4, -1, q)
-    i4 = np.empty(n + 1, dtype=np.int64)
-    w = 1
-    for d_ in range(n + 1):
-        i4[d_] = w
-        w = w * inv4 % q
     out = (coeff @ lampow) % q * lampow % q * i4[:, None] % q
     if (q + 1) // 2 % 2:
         out = (-out) % q

@@ -9,6 +9,7 @@ import pytest
 from supercong import cli
 from supercong.cli import main
 from supercong.congruences import families, identities
+from supercong.padic import MR_EXACT_BOUND
 
 
 def test_verify_small_range(capsys):
@@ -56,12 +57,16 @@ def test_prime_cap_env_override(monkeypatch, capsys):
     assert main(["verify", "--primes", "5..7", "--families", "B1"]) == 2
     monkeypatch.setenv("SUPERCONG_MAX_PRIME", "2200")
     assert main(["verify", "--primes", "2111", "--families", "B1"]) == 0
-    capsys.readouterr()
-    # above the int64 bound of the residue fast paths, as a cap or a prime
+    # the weight families are exact at any prime: 9001 was past an old int64 bound
     monkeypatch.setenv("SUPERCONG_MAX_PRIME", "9001")
-    assert main(["verify", "--primes", "9001", "--families", "E1.11"]) == 2
+    assert main(["verify", "--primes", "9001", "--families", "E1.11"]) == 0
+    capsys.readouterr()
+    # is_prime is exact only below MR_EXACT_BOUND, so the cap must lie below it
+    monkeypatch.setenv("SUPERCONG_MAX_PRIME", str(MR_EXACT_BOUND))
     assert main(["verify", "--primes", "5..7", "--families", "B1"]) == 2
-    assert "int64" in capsys.readouterr().err
+    assert "exact primality test" in capsys.readouterr().err
+    monkeypatch.setenv("SUPERCONG_MAX_PRIME", str(MR_EXACT_BOUND - 1))
+    assert main(["verify", "--primes", "5..7", "--families", "B1"]) == 0
 
 
 def test_verify_sweep_cap_note(capsys):

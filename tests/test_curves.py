@@ -6,6 +6,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
+from supercong import curves
 from supercong.curves import (
     TwoSquares,
     char_sum_a,
@@ -20,7 +21,7 @@ from supercong.curves import (
     weighted_point_count,
 )
 from supercong.errors import WeightZero, WrongResidueClass
-from supercong.padic import odd_prime, primes_between
+from supercong.padic import is_prime, odd_prime, primes_between
 
 
 def test_spec_anchor_values():
@@ -115,6 +116,25 @@ def test_grids_match_scalar_routes():
 def test_grids_agree_at_a_larger_prime():
     q = 211
     assert np.array_equal(weighted_char_sum_grid(q), thm11_rhs_grid(q))
+
+
+def test_grids_reject_primes_past_their_int64_bound(monkeypatch):
+    # coeff @ lampow sums (p+1)/2 products below p^2: exact while
+    # (p+1)/2 (p-1)^2 < 2^63; both grids must refuse before they allocate
+    first = 2642239 + 1
+    while not is_prime(first):
+        first += 1
+    assert (first + 1) // 2 * (first - 1) ** 2 >= 2**63 > 1321120 * 2642238**2
+    assert curves._grid_prime(2642239) == 2642239  # the last prime below the bound
+
+    def never(*args, **kwargs):
+        raise AssertionError("grid allocated past its int64 bound")
+
+    monkeypatch.setattr(curves.np, "ones", never)
+    monkeypatch.setattr(curves.np, "array", never)
+    for grid in (weighted_char_sum_grid, thm11_rhs_grid):
+        with pytest.raises(ValueError, match="int64 bound"):
+            grid(first)
 
 
 def _brute_two_squares(q):

@@ -5,9 +5,12 @@ from fractions import Fraction
 from functools import partial
 from itertools import repeat
 from math import comb
+from operator import mul
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from supercong.combinatorics import dual_transform, euler_polynomial
 from supercong.congruences import (
@@ -24,6 +27,7 @@ from supercong.congruences.families import (
     _SPOTS_CUBIC,
     Sum,
     _binom_mod_matrix,
+    _convolve,
     _dual_family,
     _family,
     _l1_lhs,
@@ -205,6 +209,9 @@ def test_binomial_families_match_direct_arithmetic():
 
 
 def test_dual_matrix_matches_exact_transform():
+    # the dense matrix M, and the convolution route _weight_vectors takes for
+    # M^T w, against the exact transform a* = M a: M a == a*, M^T w equals
+    # the dense product, and (M^T w) . a == w . a*, mod p^2 and mod p (R1.5)
     rng = random.Random(7331)
     weight_rng = random.Random(7332)
     for _ in range(50):
@@ -217,15 +224,33 @@ def test_dual_matrix_matches_exact_transform():
         got = mat @ a_mod % m
         want = [t % m for t in dual_transform(a)]
         assert list(got) == want
-        # transposed form, as the residue families use it: (M^T w) . a == w . a*
         kind = weight_rng.choice(sorted(TERM_KINDS))
         base = weight_rng.choice([b for b in M_SET if b % q])
         k_weighted = weight_rng.random() < 0.5
-        w, dual = _weight_vectors(kind, base, q, 2, size + 1 if k_weighted else size, k_weighted=k_weighted)
+        power = weight_rng.choice((1, 2))
+        mod = q**power
+        w, dual = _weight_vectors(kind, base, q, power, size + 1 if k_weighted else size, k_weighted=k_weighted)
         assert len(w) == len(dual) == size
-        lhs = int(dual @ a_mod % m)
-        rhs = sum(int(wi) * ai for wi, ai in zip(w, dual_transform(a))) % m
-        assert lhs == rhs, (q, size, kind, base, k_weighted)
+        assert list(dual) == (mat.T @ np.array(w, dtype=np.int64) % mod).tolist()
+        lhs = sum(map(mul, dual, a)) % mod
+        rhs = sum(map(mul, w, dual_transform(a))) % mod
+        assert lhs == rhs, (q, size, kind, base, k_weighted, power)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 2**70), min_size=1, max_size=40),
+    st.lists(st.sampled_from([0, 1, 255, 256, 2**64 - 1, 2**64]) | st.integers(0, 2**70), min_size=1, max_size=40),
+)
+@example([0], [0])
+@example([7], [3, 0, 5])
+@example([2**70, 0], [0, 0, 0])  # all-zero products, wide entries
+@example([2**64 - 1] * 2, [2**64 - 1])  # every product fills its slot
+def test_convolve_matches_naive_sum(a, b):
+    # slot-wide values (255, 2^64 - 1) sit on a byte boundary of the packing
+    want = [sum(a[i] * b[n - i] for i in range(len(a)) if 0 <= n - i < len(b)) for n in range(len(a) + len(b) - 1)]
+    assert _convolve(a, b) == want
+    assert _convolve(b, a) == want
 
 
 def test_weight_residues_match_exact_reduction():
@@ -237,7 +262,7 @@ def test_weight_residues_match_exact_reduction():
                 for power in (1, 2):
                     got = _weight_residues(kind, base, q, power, q)
                     want = [padic_from_rational(Fraction(term(k, 0), base**k), q, power) for k in range(q)]
-                    assert got.tolist() == want, (kind, base, q, power)
+                    assert list(got) == want, (kind, base, q, power)
 
 
 def _spot_value(kind, base, eps, upper, x, *, deriv):
@@ -543,21 +568,33 @@ def test_sum_family_rows_match_exact_route_at_a_large_prime(fid, monkeypatch):
         assert len(rows) > 1 or fid == "D-base"
 
 
-@pytest.mark.parametrize("fid", ["E1.11", "R1.4c", "E1.14"])
-def test_residue_families_reject_primes_above_int64_bound(fid, monkeypatch):
-    # 6211 is the first prime above MAX_EXACT_PRIME; the check must come
-    # before any weight vector or (~300 MB) binomial matrix is built
-    assert families.MAX_EXACT_PRIME < 6211
+def test_weight_families_hold_past_the_old_int64_bound():
+    # at p = 9001 the int64 dense-matrix route overflowed and gave a false
+    # E1.11 counterexample; the exact route passes there, and its dual
+    # matches the direct sum (M^T w)_j = sum_k C(k, j) (-1)^j w_k mod p^2
+    q = 9001
+    report = run_suite([q], ["E1.11", "E1.14", "R1.4c"])
+    assert report.ok
+    assert len(report.cases) == 19 + 6 + 19
+    mod = q * q
+    w, dual = _weight_vectors("cubic", 27, q, 2, q, k_weighted=False)
+    rng = random.Random(9001)
+    for j in sorted(rng.sample(range(q), 16)):
+        binom, total = 1, 0  # C(k, j), exact, stepped from k = j
+        for k in range(j, q):
+            total += binom * w[k]
+            binom = binom * (k + 1) // (k + 1 - j)
+        assert dual[j] == (-1) ** j * total % mod, j
 
+
+def test_no_family_builds_the_dense_matrix(monkeypatch):
     def never(*args):
-        raise AssertionError("residue tables built above MAX_EXACT_PRIME")
+        raise AssertionError("a family built the dense binomial matrix")
 
-    monkeypatch.setattr(families, "_weight_residues", never)
     monkeypatch.setattr(families, "_binom_mod_matrix", never)
-    with pytest.raises(ValueError, match="MAX_EXACT_PRIME"):
-        verify_family_case(fid, 6211)
-    with pytest.raises(ValueError, match="MAX_EXACT_PRIME"):
-        run_suite([6211], [fid])
+    families._weight_vectors.cache_clear()
+    fids = [fid for fid in family_ids() if fid != "T1.1"]
+    assert run_suite([5, 7, 13, 31, 101], fids).ok
 
 
 def test_parity_skip_rows_carry_a_note():
