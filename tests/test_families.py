@@ -568,14 +568,19 @@ def test_sum_family_rows_match_exact_route_at_a_large_prime(fid, monkeypatch):
         assert len(rows) > 1 or fid == "D-base"
 
 
-def test_weight_families_hold_past_the_old_int64_bound():
+@pytest.mark.parametrize(("fid", "n_cases"), [("E1.11", 19), ("R1.4c", 19), ("E1.14", 6)], ids=["E1.11", "R1.4c", "E1.14"])
+def test_weight_families_hold_past_the_old_int64_bound(fid, n_cases):
     # at p = 9001 the int64 dense-matrix route overflowed and gave a false
-    # E1.11 counterexample; the exact route passes there, and its dual
-    # matches the direct sum (M^T w)_j = sum_k C(k, j) (-1)^j w_k mod p^2
-    q = 9001
-    report = run_suite([q], ["E1.11", "E1.14", "R1.4c"])
+    # E1.11 counterexample; the exact route passes there
+    report = run_suite([9001], [fid])
     assert report.ok
-    assert len(report.cases) == 19 + 6 + 19
+    assert len(report.cases) == n_cases
+
+
+def test_exact_dual_matches_direct_sum_past_the_old_int64_bound():
+    # the dual at p = 9001 equals the direct sum
+    # (M^T w)_j = sum_k C(k, j) (-1)^j w_k mod p^2 at 16 seeded j
+    q = 9001
     mod = q * q
     w, dual = _weight_vectors("cubic", 27, q, 2, q, k_weighted=False)
     rng = random.Random(9001)
