@@ -5,16 +5,18 @@ inline or in a pool of at most one worker per prime and per CPU. What one
 family gives at one prime is one CaseBlock, in columns rather than one object
 per row: the family, p and modulus once, where the modulus is p^K with K the
 catalog entry's modulus_power; one param-key tuple shared by every row with
-those keys, and a value column per key; the lhs and rhs residues (int64
-arrays where they fit) and the verdicts; the pass/fail/skip counts, taken
-once per block; and the notes of the rows that have one. Most families yield FamilyCase rows, which _pack folds into a
-block; T1.1 hands over its grids as CaseColumns, so none of its cells
-becomes an object. A SuiteReport keeps the blocks in (family, prime) order.
-Its summary, its failures and the report writers read the blocks, and
-report.cases builds VerificationReport rows from them on demand (a row
-assigned into that list is packed back into the blocks). A time
-budget and fail-fast both act per prime: the primes they skip become marker
-rows, so the rows never depend on the scheduling.
+those keys, and a value column per key; the lhs and rhs residues (int64 arrays
+where they fit) and the verdicts; the pass/fail/skip counts, taken once per
+block; and the notes of the rows that have one. A family hands over its rows
+at a prime as CaseColumns, already in that shape, and _block wraps its runs
+and notes as they are, takes the verdicts in one pass and stores the residues
+compactly; no row becomes an object. A SuiteReport keeps the blocks in
+(family, prime) order. Its summary, its failures and the report writers read
+the blocks, and report.cases builds VerificationReport rows from them on
+demand. Rows given as a report's cases, or assigned into that list, are packed
+back into blocks by _pack. A time budget and fail-fast both act per prime: the
+primes they skip become marker rows, so the rows never depend on the
+scheduling; the fail-fast cut slices its block's columns.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from time import perf_counter
 from typing import Iterable, Iterator, Sequence
 
 from ..padic import odd_prime
-from .families import CaseColumns, CongruenceFamily, FamilyCase, family_ids, get_family
+from .columns import CaseColumns, _columns, _runs, _skip
+from .families import CongruenceFamily, family_ids, get_family
 
 __all__ = ["CaseBlock", "SuiteReport", "VerificationReport", "run_suite", "verify_family_case"]
 
@@ -202,25 +205,17 @@ def _pack_rows(rows: Iterable[VerificationReport]) -> list[CaseBlock]:
 
 def _pack(family: str, p: int, modulus: int, rows: Iterable[tuple]) -> CaseBlock:
     """One block from (params, lhs, rhs, verdict, note) rows, in their order."""
-    runs: list = []
-    lhs, rhs, verdicts, notes = [], [], [], {}
-    shared: dict[tuple, tuple] = {}  # one key tuple per key set
-    keys = columns = None
-    for i, (params, left, right, verdict, note) in enumerate(rows):
-        row_keys = tuple(params)
-        if row_keys != keys:
-            keys = shared.setdefault(row_keys, row_keys)
-            columns = tuple([] for _ in keys)
-            runs.append([keys, i, columns])
-        runs[-1][1] = i + 1
-        for column, value in zip(columns, params.values()):
-            column.append(value)
-        lhs.append(left)
-        rhs.append(right)
-        verdicts.append(verdict)
-        if note is not None:
-            notes[i] = note
-    return CaseBlock(family, p, modulus, runs, _compact(lhs), _compact(rhs), verdicts, notes)
+    rows = list(rows)
+    return CaseBlock(
+        family,
+        p,
+        modulus,
+        _runs(row[0] for row in rows),
+        _compact([row[1] for row in rows]),
+        _compact([row[2] for row in rows]),
+        [row[3] for row in rows],
+        {i: row[4] for i, row in enumerate(rows) if row[4] is not None},
+    )
 
 
 def _compact(values: list) -> array | list:
@@ -230,6 +225,8 @@ def _compact(values: list) -> array | list:
     28-32 byte int object; most residues mod p^2 or p^3 are too large for
     the cached small ints.
     """
+    if type(values) is array:
+        return values
     if {*map(type, values)} <= {int}:
         try:
             return array("q", values)
@@ -238,18 +235,36 @@ def _compact(values: list) -> array | list:
     return values
 
 
-def _block(family: CongruenceFamily, p: int, cases: Iterable[FamilyCase]) -> CaseBlock:
-    """The block of what family.cases(p) gave: CaseColumns as they are, FamilyCase rows packed."""
+def _block(family: CongruenceFamily, p: int, cases: CaseColumns) -> CaseBlock:
+    """The block of what family.cases(p) gave: its runs and notes as they are, the
+    verdicts lhs == rhs with None at the skips, and each side through _compact."""
+    verdicts = list(map(eq, cases.lhs, cases.rhs))
+    for i in cases.skips:
+        verdicts[i] = None
     modulus = p**family.modulus_power
-    if type(cases) is CaseColumns:
-        runs = [[cases.keys, len(cases.lhs), cases.columns]]
-        return CaseBlock(family.id, p, modulus, runs, cases.lhs, cases.rhs, list(map(eq, cases.lhs, cases.rhs)), {})
-    rows = ((c.params, c.lhs, c.rhs, None if c.skipped else c.lhs == c.rhs, c.note) for c in cases)
-    return _pack(family.id, p, modulus, rows)
+    return CaseBlock(family.id, p, modulus, cases.runs, _compact(cases.lhs), _compact(cases.rhs), verdicts, cases.notes)
 
 
 def _marker(family: CongruenceFamily, p: int, params: dict, note: str) -> CaseBlock:
-    return _block(family, p, [FamilyCase(params, 0, 0, skipped=True, note=note)])
+    return _block(family, p, _columns([_skip(params, note)]))
+
+
+def _not_applicable(family: CongruenceFamily, p: int) -> CaseBlock:
+    return _block(family, p, CaseColumns([], [], []))
+
+
+def _head(block: CaseBlock, stop: int) -> CaseBlock:
+    """The block's first stop rows, with its columns sliced."""
+    runs, start = [], 0
+    for keys, end, columns in block.runs:
+        if start >= stop:
+            break
+        end = min(end, stop)
+        runs.append([keys, end, tuple(column[: end - start] for column in columns)])
+        start = end
+    notes = {i: note for i, note in block.notes.items() if i < stop}
+    lhs, rhs, verdicts = block.lhs[:stop], block.rhs[:stop], block.verdicts[:stop]
+    return CaseBlock(block.family, block.p, block.modulus, runs, lhs, rhs, verdicts, notes)
 
 
 def verify_family_case(family_id: str, p: int, *, sweep_cap: int | None = None) -> CaseBlock:
@@ -257,7 +272,7 @@ def verify_family_case(family_id: str, p: int, *, sweep_cap: int | None = None) 
     family = get_family(family_id)
     odd_prime(p)  # raises InvalidPrime
     if not family.applies(p):
-        return _block(family, p, ())
+        return _not_applicable(family, p)
     if family.heavy and sweep_cap is not None and p > sweep_cap:
         note = f"heavy family capped at p <= {sweep_cap}; pass --sweep-cap to raise"
         return _marker(family, p, {"sweep_cap": sweep_cap}, note)
@@ -270,7 +285,7 @@ def _eval_prime(ids: tuple[str, ...], p: int, sweep_cap: int) -> dict[str, CaseB
 
 def _skip_prime(ids: tuple[str, ...], p: int, note: str) -> dict[str, CaseBlock]:
     families = [get_family(fid) for fid in ids]
-    return {fam.id: _marker(fam, p, {}, note) if fam.applies(p) else _block(fam, p, ()) for fam in families}
+    return {fam.id: _marker(fam, p, {}, note) if fam.applies(p) else _not_applicable(fam, p) for fam in families}
 
 
 def run_suite(
@@ -333,8 +348,7 @@ def run_suite(
     for block in (results[p][fid] for fid in selected for p in prime_list):
         if fail_fast and block.counts[1]:
             # the report ends at its first failing row, which may fall inside this block
-            cut = block.verdicts.index(False) + 1
-            report.blocks.append(_pack(block.family, block.p, block.modulus, _row_fields(islice(block, cut))))
+            report.blocks.append(_head(block, block.verdicts.index(False) + 1))
             break
         report.blocks.append(block)
 

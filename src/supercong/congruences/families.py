@@ -1,39 +1,45 @@
 """The congruence family catalog.
 
-Each CongruenceFamily turns a prime p, a plain int, into a stream of
-FamilyCase rows: two canonical residues, ints in [0, p^K), that the
-underlying theorem says must agree modulo p^K. K is the entry's
-modulus_power, stated once there: _family, the catalog's constructor, hands
-it to the entry's generator as gen(p, K), every generator reduces at that K,
-and the engine takes each row's modulus from it. A spy test checks that no
-generator reduces at any other power.
+Each CongruenceFamily turns a prime p, a plain int, into its rows at p as
+CaseColumns (columns.py), the columns of the engine's block: per row two
+canonical residues, ints in [0, p^K), that the underlying theorem says must
+agree modulo p^K, its params, and whether it is skipped and why. K is the
+entry's modulus_power, stated once there: _family, the catalog's constructor,
+hands it to the entry's generator as gen(p, K), every generator reduces at
+that K, and the engine takes each row's modulus from it. A spy test checks
+that no generator reduces at any other power.
 
 Most claims are a truncated sum, or a chain of them, against a closed form.
 Such a family is data: its members are Sum specs (kind, base, half or full
 upper bound, flags, coefficient) and closed forms, read by one of two
-evaluators. _chain_family compares consecutive members; _shift_family does
-the same for each shift d, with the sums taken at d. A Sum arrives as its
-residue mod p^K (sums.truncated_sum with power=K); a per-d family takes each
-Sum at every shift of a prime in one call. The families linear in the weights
-N(k)/base^k (E1.11-E1.19, R1.4c, R1.5) take them mod p^K, and their binomial
-dual from one bigint convolution (_convolve), as L1 convolves binom(2k,k)^2
-mod p^K; E1.4's Euler side is taken mod p from power sums. All of it is exact
-Python ints at any p: every denominator involved is a p-adic unit or divides
-out exactly. The other closed forms stay exact integers or Fractions; they
-meet a residue only through ring operations with p-integral constants, and
-each side is reduced once per case. T1.1, one row per (lam, d) cell, hands
-over its two mod-p grids as CaseColumns, so no cell becomes an object.
+evaluators. _chain_family compares consecutive members; _shift_family does the
+same for each shift d, with the sums taken at d. A Sum arrives as its residue
+mod p^K (sums.truncated_sum with power=K); a per-d family takes each Sum at
+every shift of a prime in one call, applies its coefficient to that residue
+column, and lays out its rows from the columns; the sequence families and the
+lemmas do the same, and a family of a few rows packs them with _columns. The
+families linear in the weights N(k)/base^k (E1.11-E1.19, R1.4c, R1.5) take
+them mod p^K, and their binomial dual from one bigint convolution (_convolve),
+as L1 convolves binom(2k,k)^2 mod p^K; E1.4's Euler side is taken mod p from
+power sums. All of it is exact Python ints at any p: every denominator
+involved is a p-adic unit or divides out exactly. The other closed forms stay
+exact integers or Fractions; they meet a residue only through ring operations
+with p-integral constants, and each side is reduced once per case. T1.1, one
+row per (lam, d) cell, hands over its two mod-p grids as int64 arrays. No row
+becomes an object on the way to the engine; FamilyCase is what iterating a
+CaseColumns gives.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, repeat
 from math import comb
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -42,6 +48,7 @@ from ..combinatorics import euler_polynomial_half_grid  # noqa: F401  (perfbench
 from ..curves import cornacchia_two_squares, thm11_rhs_grid, weighted_char_sum, weighted_char_sum_grid
 from ..errors import UnknownId
 from ..padic import legendre_symbol, padic_from_rational
+from .columns import CaseColumns, FamilyCase, _columns, _skip
 from .identities import LEMMAS, CongruenceLemma
 from .sequences import SEQUENCE_IDS, sequence_terms
 from .sums import _binomial_row, _factorials, kernel_residues, truncated_sum
@@ -56,60 +63,21 @@ __all__ = [
 ]
 
 
-@dataclass(slots=True)
-class FamilyCase:
-    """One check; lhs and rhs are canonical residues in [0, p^K), K the family's modulus_power."""
-
-    params: dict
-    lhs: int
-    rhs: int
-    skipped: bool = False
-    note: str | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.skipped or self.lhs == self.rhs
-
-
-@dataclass(slots=True)
-class CaseColumns:
-    """A family's rows at one prime as columns: row i has the params
-    dict(zip(keys, (column[i] for column in columns))) and the residues
-    lhs[i], rhs[i], and no row is skipped. Iterating gives the FamilyCase rows.
-    """
-
-    keys: tuple[str, ...]
-    columns: tuple[list, ...]
-    lhs: list[int]
-    rhs: list[int]
-
-    def __iter__(self) -> Iterator[FamilyCase]:
-        keys = self.keys
-        for *values, lhs, rhs in zip(*self.columns, self.lhs, self.rhs):
-            yield FamilyCase(dict(zip(keys, values)), lhs, rhs)
-
-
 @dataclass(frozen=True)
 class CongruenceFamily:
-    """One catalog entry; cases(p) yields every residue check at that prime."""
+    """One catalog entry; cases(p) gives every residue check at that prime."""
 
     id: str
     description: str
     modulus_power: int
     applies: Callable[[int], bool]
-    cases: Callable[[int], Iterable[FamilyCase]]
+    cases: Callable[[int], CaseColumns]
     heavy: bool = False  # swept only up to the engine's sweep cap
 
 
-# -- small arithmetic helpers ------------------------------------------------
-
-
-def _case(q: int, power: int, params: dict, lhs, rhs) -> FamilyCase:
-    return FamilyCase(params, padic_from_rational(lhs, q, power), padic_from_rational(rhs, q, power))
-
-
-def _skip(params: dict, note: str) -> FamilyCase:
-    return FamilyCase(params, 0, 0, skipped=True, note=note)
+def _case(q: int, power: int, params: dict, lhs, rhs) -> tuple:
+    """The row comparing two exact values, each reduced mod p^K."""
+    return params, padic_from_rational(lhs, q, power), padic_from_rational(rhs, q, power), False, None
 
 
 # -- sum families as data: members, and the chain and shift evaluators --------
@@ -120,7 +88,8 @@ class Sum:
     """A member coef * sum_{k<=upper} N_kind(k, d) [k] / ((k+1) base^k), as sums.truncated_sum.
 
     upper is (p-1)/2 when half, else p-1; k_factor and catalan_weight are the
-    [k] and 1/(k+1) weights. coef is a number or a function of (p, d).
+    [k] and 1/(k+1) weights. coef is a p-integral number, or a function of
+    (p, K, ds) giving its residue mod p^K at each shift of ds.
     """
 
     kind: str
@@ -128,7 +97,7 @@ class Sum:
     half: bool = False
     k_factor: bool = False
     catalan_weight: bool = False
-    coef: Fraction | int | Callable[[int, int], Fraction | int] = 1
+    coef: Fraction | int | Callable[[int, int, Sequence[int]], Iterable[int]] = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,35 +107,38 @@ class Residue:
     fn: Callable[[int, int], int]
 
 
-def _over_4_to_d(q: int, d: int) -> Fraction:
-    """The Sum coefficient 1/4^d."""
-    return Fraction(1, 4**d)
+def _over_4_to_d(q: int, power: int, ds: Sequence[int]) -> list[int]:
+    """The Sum coefficient 1/4^d, mod p^K at each shift of ds."""
+    mod = q**power
+    return [pow(4, -d, mod) for d in ds]
 
 
-def _legendre(a: int, scale: Fraction | int = 1) -> Callable[[int, int], Fraction | int]:
-    """The Sum coefficient scale * (a/p)."""
-    return lambda q, d: scale * legendre_symbol(a, q)
+def _legendre(a: int, scale: Fraction | int = 1) -> Callable[[int, int, Sequence[int]], Iterable[int]]:
+    """The Sum coefficient scale * (a/p), reduced once per prime."""
+    return lambda q, power, ds: repeat(padic_from_rational(scale * legendre_symbol(a, q), q, power))
 
 
-def _sum_values(member: Sum, q: int, power: int, ds: Sequence[int]) -> list:
-    """A Sum's exact value at each shift of ds, from one truncated_sum call: its
-    coefficient at d times its residue mod p^K."""
+def _sum_residues(member: Sum, q: int, power: int, ds: Sequence[int]) -> list[int]:
+    """A Sum's residue mod p^K at each shift of ds: one truncated_sum call, times its coefficient."""
     upper = (q - 1) // 2 if member.half else q - 1
     residues = truncated_sum(
         member.kind, q, upper, member.base,
         d=ds, k_factor=member.k_factor, catalan_weight=member.catalan_weight, power=power,
     )
     coef = member.coef
-    coefs = map(coef, repeat(q), ds) if callable(coef) else repeat(coef)
-    return list(map(mul, coefs, residues))
+    if coef == 1:
+        return residues
+    mod = q**power
+    coefs = coef(q, power, ds) if callable(coef) else repeat(padic_from_rational(coef, q, power))
+    return [c * r % mod for c, r in zip(coefs, residues)]
 
 
 def _value(member, q: int, power: int):
-    """A member's exact value at p: a Sum at shift 0 (see _sum_values), a Residue
-    fn(p, K), a tuple the sum of its members, and a closed form member(p)."""
+    """A member's value at p: a Sum at shift 0 (see _sum_residues) and a Residue
+    fn(p, K) as residues, a tuple the sum of its members, a closed form member(p)."""
     kind = type(member)
     if kind is Sum:
-        return _sum_values(member, q, power, (0,))[0]
+        return _sum_residues(member, q, power, (0,))[0]
     if kind is Residue:
         return member.fn(q, power)
     if kind is tuple:
@@ -174,22 +146,17 @@ def _value(member, q: int, power: int):
     return member(q)
 
 
-def _compare(q: int, power: int, values: list, labels, head: dict, tail: dict) -> Iterator[FamilyCase]:
-    """One row per consecutive pair of values; with labels its params get "pair": "a=b" between head and tail."""
-    for i in range(len(values) - 1):
-        pair = {"pair": f"{labels[i]}={labels[i + 1]}"} if labels else {}
-        yield _case(q, power, {**head, **pair, **tail}, values[i], values[i + 1])
-
-
 def _chain_family(members: tuple, labels: tuple[str, ...] | None = None, extra: Callable[[int], dict] | None = None):
     """Rows comparing consecutive members of a chain of claimed-congruent values.
 
-    extra(p) adds params after the pair label (T1.6's branch).
+    With labels a row's params are "pair": "a=b"; extra(p) adds params after it (T1.6's branch).
     """
 
-    def gen(q: int, power: int) -> Iterator[FamilyCase]:
+    def gen(q: int, power: int) -> CaseColumns:
         values = [_value(member, q, power) for member in members]
-        yield from _compare(q, power, values, labels, {}, extra(q) if extra else {})
+        tail = extra(q) if extra else {}
+        pairs = ({"pair": f"{a}={b}"} for a, b in zip(labels, labels[1:])) if labels else repeat({})
+        return _columns(_case(q, power, {**pair, **tail}, x, y) for pair, x, y in zip(pairs, values, values[1:]))
 
     return gen
 
@@ -198,21 +165,35 @@ def _shift_family(shifts: Callable, sums: tuple[Sum, ...], closed: Callable, lab
     """Rows per shift d in shifts(p): the sums at d, then the closed form, compared in turn.
 
     Each sum is one truncated_sum call over every d of the prime, so its
-    tables are reduced mod p^K once, and its coefficient is applied per d.
-    closed(p, ds) gives the closed form for each d of ds, so that a per-prime
-    table (E1.4's Euler values) is built once. With parity, a d of the other
-    parity than parity(p) is a skip whose note shows the first sum's residue.
+    tables are reduced mod p^K once, and its coefficient is applied to the
+    residue column. closed(p, ds) gives the closed form's integer value at each
+    d of ds, so that a per-prime table (E1.4's Euler values) is built once. The
+    rows of shift d are its consecutive pairs, with params "d" and, with labels,
+    "pair": "a=b". With parity, which takes one sum and no labels, a d of the
+    other parity than parity(p) is a skip whose note shows the sum's residue.
     """
 
-    def gen(q: int, power: int) -> Iterator[FamilyCase]:
-        ds = shifts(q)
-        claimed = parity(q) if parity else None
-        columns = [_sum_values(member, q, power, ds) for member in sums]
-        for d, rhs, *values in zip(ds, closed(q, ds), *columns):
-            if parity and d % 2 != claimed:
-                yield _skip({"d": d}, f"parity outside the claim; informational residue {values[0]}")
-            else:
-                yield from _compare(q, power, [*values, rhs], labels, {"d": d}, {})
+    def gen(q: int, power: int) -> CaseColumns:
+        ds = list(shifts(q))
+        mod = q**power
+        values = [_sum_residues(member, q, power, ds) for member in sums]
+        values.append([c % mod for _d, c in zip(ds, closed(q, ds))])
+        if parity:
+            claimed = parity(q)
+            skips = [i for i, d in enumerate(ds) if d % 2 != claimed]
+            lhs, rhs = values[0][:], values[1]
+            notes = {i: f"parity outside the claim; informational residue {lhs[i]}" for i in skips}
+            for i in skips:
+                lhs[i] = rhs[i] = 0
+            return CaseColumns([[("d",), len(ds), (ds,)]], lhs, rhs, skips, notes)
+        pairs = len(values) - 1
+        lhs = list(chain.from_iterable(zip(*values[:-1])))
+        rhs = list(chain.from_iterable(zip(*values[1:])))
+        d = list(chain.from_iterable(map(repeat, ds, repeat(pairs))))
+        if labels:
+            names = [f"{a}={b}" for a, b in zip(labels, labels[1:])]
+            return CaseColumns([[("d", "pair"), len(lhs), (d, names * len(ds))]], lhs, rhs)
+        return CaseColumns([[("d",), len(lhs), (d,)]], lhs, rhs)
 
     return gen
 
@@ -243,14 +224,17 @@ def _t16_closed(q: int) -> Fraction | int:
     return Fraction(3 * l6 * comb((q + 1) // 2, (q + 1) // 4), 4)
 
 
-def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """c[n] = sum_{i+j=n} a[i] b[j], exact, for non-empty lists of non-negative ints, by Kronecker
-    substitution: one bigint product of the lists packed into slots of `width` bytes, wide enough
-    for every entry and every c[n], so that no slot carries into the next."""
+def _convolve(a: Sequence[int], b: Sequence[int], count: int | None = None) -> list[int]:
+    """c[n] = sum_{i+j=n} a[i] b[j] for n < count (default: every n), exact, for non-empty lists of
+    non-negative ints, by Kronecker substitution: one bigint product of the lists packed into slots
+    of `width` bytes, wide enough for every entry and every c[n], so that no slot carries into the
+    next. c[0] is the top slot of the product, so only its top count slots are decoded."""
     top_a, top_b = max(a), max(b)
     width = max(min(len(a), len(b)) * top_a * top_b, top_a, top_b).bit_length() // 8 + 1
     x, y = (int.from_bytes(b"".join(map(int.to_bytes, xs, repeat(width), repeat("big"))), "big") for xs in (a, b))
-    product = (x * y).to_bytes(width * (len(a) + len(b) - 1), "big")
+    size = len(a) + len(b) - 1
+    count = size if count is None else min(count, size)
+    product = ((x * y) >> (8 * width * (size - count))).to_bytes(width * count, "big")
     return [int.from_bytes(product[i : i + width], "big") for i in range(0, len(product), width)]
 
 
@@ -290,7 +274,7 @@ def _weight_vectors(
         w = tuple(k * x % mod for k, x in enumerate(w))[1:]
     fact, inv_fact = _factorials(q)
     inv = [x % mod for x in inv_fact[: len(w)]]
-    tails = _convolve([x * f % mod for x, f in zip(w, fact)][::-1], inv)[len(w) - 1 :: -1]
+    tails = _convolve([x * f % mod for x, f in zip(w, fact)][::-1], inv, len(w))[::-1]
     return w, tuple((-t if j % 2 else t) * x % mod for j, (t, x) in enumerate(zip(tails, inv)))
 
 
@@ -298,11 +282,16 @@ def _weight_vectors(
 
 
 def _t11_cases(q: int) -> CaseColumns:
-    lhs = weighted_char_sum_grid(q)  # row d, column lam
-    rows = len(lhs)
+    # each grid (row d, column lam) is packed into an int64 array before the next is built
+    lhs = _int64s(weighted_char_sum_grid(q))
+    rows = len(lhs) // q
     lam = [*range(q)] * rows
     d = list(chain.from_iterable(map(repeat, range(rows), repeat(q, rows))))
-    return CaseColumns(("lam", "d"), (lam, d), lhs.ravel().tolist(), thm11_rhs_grid(q).ravel().tolist())
+    return CaseColumns([[("lam", "d"), len(lhs), (lam, d)]], lhs, _int64s(thm11_rhs_grid(q)))
+
+
+def _int64s(grid: np.ndarray) -> array:
+    return array("q", np.asarray(grid, dtype=np.int64).tobytes())
 
 
 # -- E1.11-E1.13 and R1.4c: sequence-quantified congruences -------------------
@@ -314,25 +303,32 @@ def _sequence_matrix(q: int, modulus: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(t % modulus for t in sequence_terms(s, q)) for s in SEQUENCE_IDS)
 
 
+def _sequence_columns(lhs: list[int], rhs: list[int]) -> CaseColumns:
+    """One row per sampled sequence, in SEQUENCE_IDS order."""
+    return CaseColumns([[("sequence",), len(lhs), (list(SEQUENCE_IDS),)]], lhs, rhs)
+
+
 def _dual_family(kind: str, base: int, eps: Callable[[int], int]):
-    def gen(q: int, power: int) -> Iterator[FamilyCase]:
+    def gen(q: int, power: int) -> CaseColumns:
         mod = q**power
         w, dual = _weight_vectors(kind, base, q, power, q, k_weighted=False)
         e = eps(q)
-        for seq_id, seq in zip(SEQUENCE_IDS, _sequence_matrix(q, mod)):
-            yield FamilyCase({"sequence": seq_id}, sum(map(mul, seq, w)) % mod, e * sum(map(mul, seq, dual)) % mod)
+        seqs = _sequence_matrix(q, mod)
+        return _sequence_columns(
+            [sum(map(mul, seq, w)) % mod for seq in seqs], [e * sum(map(mul, seq, dual)) % mod for seq in seqs]
+        )
 
     return gen
 
 
-def _r14c_cases(q: int, power: int) -> Iterator[FamilyCase]:
+def _r14c_cases(q: int, power: int) -> CaseColumns:
     n = (q - 1) // 2
     mod = q**power
     e = legendre_symbol(-1, q)
     w, dual = _weight_vectors("central_sq", 16, q, power, n + 1, k_weighted=False)
     vec = [x - e * y for x, y in zip(w, dual)]
-    for seq_id, seq in zip(SEQUENCE_IDS, _sequence_matrix(q, mod)):
-        yield FamilyCase({"sequence": seq_id}, sum(map(mul, seq, vec)) % mod, 0)
+    lhs = [sum(map(mul, seq, vec)) % mod for seq in _sequence_matrix(q, mod)]
+    return _sequence_columns(lhs, [0] * len(lhs))
 
 
 # -- E1.14-E1.19 and R1.5: coefficient-wise polynomial congruences ------------
@@ -352,9 +348,9 @@ def _poly_family(
     upper_fun: Callable[[int], int] = lambda q: q - 1,
     spots: tuple[Fraction, ...],
 ):
-    # Both claims read sum_j vec[j] (x^j - e (1-x)^j) == 0, i.e. vec == e M^T vec,
+    # Both claims read P(x) - e P(1-x) == 0 with P(x) = sum_j vec[j] x^j, i.e. vec == e M^T vec,
     # with vec = w and e = eps, or, when deriv, vec[j] = (j+1) w[j+1] and e = -eps.
-    def gen(q: int, power: int) -> Iterator[FamilyCase]:
+    def gen(q: int, power: int) -> CaseColumns:
         mod = q**power
         e = -eps_fun(q) if deriv else eps_fun(q)
         vec, dual = _weight_vectors(kind, base, q, power, upper_fun(q) + 1, k_weighted=deriv)
@@ -363,25 +359,27 @@ def _poly_family(
         mismatch = [j for j, (x, y) in enumerate(zip(vec, rhs_vec)) if x != y]
         if mismatch:
             j = mismatch[0]
-            note = f"{len(mismatch)} of {size} coefficients disagree"
-            yield FamilyCase({"coefficient": j}, vec[j], rhs_vec[j], note=note)
+            rows = [({"coefficient": j}, vec[j], rhs_vec[j], False, f"{len(mismatch)} of {size} coefficients disagree")]
         else:
-            yield FamilyCase({"coefficients": size}, 0, 0, note="all coefficients agree")
+            rows = [({"coefficients": size}, 0, 0, False, "all coefficients agree")]
         for x in spots:
             params = {"x": str(x)}
             if x.denominator % q == 0:
-                yield _skip(params, "x is not a p-adic integer at this prime")
+                rows.append(_skip(params, "x is not a p-adic integer at this prime"))
                 continue
             xr = x.numerator * pow(x.denominator, -1, mod) % mod
-            yr = (1 - xr) % mod
-            total, xp, yp = 0, 1, 1
-            for c in vec:
-                total += c * (xp - e * yp)
-                xp = xp * xr % mod
-                yp = yp * yr % mod
-            yield FamilyCase(params, total % mod, 0)
+            rows.append((params, (_horner(vec, xr, mod) - e * _horner(vec, 1 - xr, mod)) % mod, 0, False, None))
+        return _columns(rows)
 
     return gen
+
+
+def _horner(coefficients: Sequence[int], x: int, mod: int) -> int:
+    """sum_j coefficients[j] x^j mod mod, one multiply-mod per coefficient."""
+    total = 0
+    for c in reversed(coefficients):
+        total = (total * x + c) % mod
+    return total
 
 
 # -- L1 and A1/A2 --------------------------------------------------------------
@@ -396,7 +394,7 @@ def _l1_lhs(q: int, power: int, *, base: int = -16, offset: int = 1) -> int:
     """
     mod = q**power
     u = [c * c % mod for c in _binomial_row(q, 2, 1)]
-    conv = _convolve(u, u)
+    conv = _convolve(u, u, q)
     inv = pow(base, -1, mod)
     total, w = 0, 1
     for h in range(q):
@@ -405,21 +403,26 @@ def _l1_lhs(q: int, power: int, *, base: int = -16, offset: int = 1) -> int:
     return total % mod
 
 
-def _a1_cases(q: int, power: int) -> Iterator[FamilyCase]:
+def _a1_cases(q: int, power: int) -> CaseColumns:
     a2 = weighted_char_sum(q, 2, 0)
     am1 = weighted_char_sum(q, -1, 0)
-    yield _case(q, power, {"lam": 2}, Fraction(a2), Fraction(0))
-    yield _case(q, power, {"lam": -1}, Fraction(am1), Fraction(0))
-    yield _case(q, power, {"pair": "lam2=lam-1"}, Fraction(a2), Fraction(am1))
+    return _columns(
+        [
+            _case(q, power, {"lam": 2}, a2, 0),
+            _case(q, power, {"lam": -1}, am1, 0),
+            _case(q, power, {"pair": "lam2=lam-1"}, a2, am1),
+        ]
+    )
 
 
-def _a2_cases(q: int, power: int) -> Iterator[FamilyCase]:
+def _a2_cases(q: int, power: int) -> CaseColumns:
     n = (q - 1) // 2
-    lhs = Fraction(weighted_char_sum(q, 2, 1))
-    closed = Fraction((-1) ** ((q - 3) // 4) * comb(n, (n - 1) // 2))
-    split = Fraction(weighted_char_sum(q, -1, 0) + weighted_char_sum(q, -1, 1))
-    yield _case(q, power, {"pair": "closed"}, lhs, closed)
-    yield _case(q, power, {"pair": "shifted-split"}, lhs, split)
+    lhs = weighted_char_sum(q, 2, 1)
+    closed = (-1) ** ((q - 3) // 4) * comb(n, (n - 1) // 2)
+    split = weighted_char_sum(q, -1, 0) + weighted_char_sum(q, -1, 1)
+    return _columns(
+        [_case(q, power, {"pair": "closed"}, lhs, closed), _case(q, power, {"pair": "shifted-split"}, lhs, split)]
+    )
 
 
 def _always(q: int) -> bool:
@@ -433,8 +436,9 @@ def _family(fid: str, description: str, power: int, gen: Callable, applies: Call
 
 def _lemma_family(lemma: CongruenceLemma) -> CongruenceFamily:
     # a lemma reduces at its own power, which is also its catalog K
-    def gen(q: int) -> Iterator[FamilyCase]:
-        return (FamilyCase(*row) for row in lemma.residues(q))
+    def gen(q: int) -> CaseColumns:
+        keys, columns, lhs, rhs = lemma.residues(q)
+        return CaseColumns([[keys, len(lhs), columns]], lhs, rhs)
 
     return CongruenceFamily(lemma.id, lemma.description, lemma.power, _always, gen)
 

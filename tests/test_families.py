@@ -22,9 +22,10 @@ from supercong.congruences import (
     truncated_sum,
     verify_family_case,
 )
-from supercong.congruences import families
+from supercong.congruences import engine, families
 from supercong.congruences.families import (
     _SPOTS_CUBIC,
+    CaseColumns,
     Sum,
     _binom_mod_matrix,
     _convolve,
@@ -73,14 +74,28 @@ def test_every_family_passes_small_primes():
 
 
 def test_every_row_is_canonical_mod_its_catalog_modulus():
+    # and every family's columns are well formed: runs whose stops increase to
+    # the row count, a column of its run's length per key, skips and notes in range
     for q in primes_between(5, 60):
         for fam in family_catalog():
             if not fam.applies(q):
                 continue
             modulus = q**fam.modulus_power
-            for case in fam.cases(q):
+            cases = fam.cases(q)
+            assert type(cases) is CaseColumns, fam.id
+            for case in cases:
                 assert type(case.lhs) is int and type(case.rhs) is int, (fam.id, q, case.params)
                 assert 0 <= case.lhs < modulus and 0 <= case.rhs < modulus, (fam.id, q, case.params)
+            rows = len(cases.lhs)
+            assert len(cases.rhs) == rows, (fam.id, q)
+            start = 0
+            for keys, stop, columns in cases.runs:
+                assert start < stop and len(keys) == len(columns), (fam.id, q, keys)
+                assert all(len(column) == stop - start for column in columns), (fam.id, q, keys)
+                start = stop
+            assert start == rows, (fam.id, q)
+            assert list(cases.skips) == sorted(set(cases.skips)), (fam.id, q)
+            assert all(0 <= i < rows for i in (*cases.skips, *cases.notes)), (fam.id, q)
 
 
 def _recording(original, power_of, powers):
@@ -251,6 +266,9 @@ def test_convolve_matches_naive_sum(a, b):
     want = [sum(a[i] * b[n - i] for i in range(len(a)) if 0 <= n - i < len(b)) for n in range(len(a) + len(b) - 1)]
     assert _convolve(a, b) == want
     assert _convolve(b, a) == want
+    # the first count slots only, as the dual and L1 read them
+    for count in {1, len(a), len(b), len(want)}:
+        assert _convolve(a, b, count) == want[:count]
 
 
 def test_weight_residues_match_exact_reduction():
@@ -600,6 +618,17 @@ def test_no_family_builds_the_dense_matrix(monkeypatch):
     families._weight_vectors.cache_clear()
     fids = [fid for fid in family_ids() if fid != "T1.1"]
     assert run_suite([5, 7, 13, 31, 101], fids).ok
+
+
+def test_no_family_packs_rows_or_builds_a_family_case(monkeypatch):
+    # every family hands the engine columns; FamilyCase is only what iterating them gives
+    def never(*args, **kwargs):
+        raise AssertionError("a family's rows took the FamilyCase or _pack route")
+
+    monkeypatch.setattr(engine, "_pack", never)
+    monkeypatch.setattr(families.FamilyCase, "__init__", never)
+    report = run_suite([5, 7, 13, 31, 101], family_ids())
+    assert report.ok and len(report.blocks) == len(family_ids()) * 5
 
 
 def test_parity_skip_rows_carry_a_note():

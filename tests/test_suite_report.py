@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import gc
+import hashlib
 import json
 import multiprocessing
 import os
@@ -19,9 +20,9 @@ from supercong.congruences import report as report_module
 from supercong.congruences.engine import CaseBlock, SuiteReport, VerificationReport
 from supercong.congruences.families import (
     CongruenceFamily,
-    FamilyCase,
     _BY_ID,
     _case,
+    _columns,
     family_ids,
     get_family,
 )
@@ -116,9 +117,13 @@ def test_time_budget_turns_pairs_into_markers():
 
 def _synthetic_family(fid):
     def cases(q):
-        yield _case(q, 1, {"k": 0}, Fraction(1), Fraction(1))
-        yield _case(q, 1, {"k": 1}, Fraction(1), Fraction(2))
-        yield _case(q, 1, {"k": 2}, Fraction(2), Fraction(2))
+        return _columns(
+            [
+                _case(q, 1, {"k": 0}, Fraction(1), Fraction(1)),
+                _case(q, 1, {"k": 1}, Fraction(1), Fraction(2)),
+                _case(q, 1, {"k": 2}, Fraction(2), Fraction(2)),
+            ]
+        )
 
     return CongruenceFamily(fid, "synthetic: passes, fails, passes", 1, lambda q: True, cases)
 
@@ -136,7 +141,7 @@ def test_fail_fast_truncates_at_first_failing_row(monkeypatch):
 
 def _fails_at_seven(fid):
     def cases(q):
-        yield _case(q, 1, {}, Fraction(1), Fraction(2 if q == 7 else 1))
+        return _columns([_case(q, 1, {}, Fraction(1), Fraction(2 if q == 7 else 1))])
 
     return CongruenceFamily(fid, "synthetic: fails only at p = 7", 1, lambda q: True, cases)
 
@@ -180,9 +185,8 @@ def test_signed_views():
 def _alternating_keys(fid):
     # key sets a, b, a at every prime: a block of three runs and two key sets
     def cases(q):
-        yield FamilyCase({"a": 1}, 1, 1)
-        yield FamilyCase({"b": "x"}, 2, 2)
-        yield FamilyCase({"a": 3}, 0, 1)
+        rows = [({"a": 1}, 1, 1), ({"b": "x"}, 2, 2), ({"a": 3}, 0, 1)]
+        return _columns((params, lhs, rhs, False, None) for params, lhs, rhs in rows)
 
     return CongruenceFamily(fid, "synthetic: key sets a, b, a", 1, lambda q: True, cases)
 
@@ -285,6 +289,20 @@ def test_cases_view_rebuilds_the_rows_exactly():
     assert report.cases[0] == bumped and report.cases[1:] == rows[1:]
     assert report.failures() == [bumped] and report.counts()[1] == 1
     assert json.loads(dumps_json(report))["cases"][0]["lhs"] == bumped.lhs
+
+
+# SHA-256 of the sorted (family, p, params, modulus, lhs, rhs, pass, note)
+# rows of every family but T1.1 over the primes in [5, 150]: 15,806 rows. The
+# benchmark's digest leaves out note, which holds E1.7's parity residues.
+_SWEEP_ROWS_SHA256 = "82423f7f83802c5a414394ac47c89512a93dbcaef821dee62eca68ee74a3f4cb"
+
+
+def test_sweep_rows_match_the_pinned_digest():
+    report = run_suite(primes_between(5, 150), [fid for fid in family_ids() if fid != "T1.1"])
+    rows = ([r.family, r.p, r.params, r.modulus, r.lhs, r.rhs, r.passed, r.note] for r in report.cases)
+    lines = sorted(json.dumps(row, sort_keys=True, separators=(",", ":")) for row in rows)
+    assert len(lines) == 15806
+    assert hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest() == _SWEEP_ROWS_SHA256
 
 
 def test_json_shape_and_roundtrip(tmp_path):
