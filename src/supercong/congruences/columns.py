@@ -47,11 +47,18 @@ class CaseColumns:
     notes: dict[int, str] = field(default_factory=dict)
 
     def __iter__(self) -> Iterator[FamilyCase]:
-        skips, notes, start = set(self.skips), self.notes, 0
-        for keys, stop, columns in self.runs:
-            for i, *values in zip(range(start, stop), *columns):
-                yield FamilyCase(dict(zip(keys, values)), self.lhs[i], self.rhs[i], i in skips, notes.get(i))
-            start = stop
+        skips, notes = set(self.skips), self.notes
+        for i, params in _params(self.runs):
+            yield FamilyCase(params, self.lhs[i], self.rhs[i], i in skips, notes.get(i))
+
+
+def _params(runs: list) -> Iterator[tuple[int, dict]]:
+    """(i, params) per row of the runs, in order."""
+    start = 0
+    for keys, stop, columns in runs:
+        for i, *values in zip(range(start, stop), *columns):
+            yield i, dict(zip(keys, values))
+        start = stop
 
 
 def _runs(params: Iterable[dict]) -> list:

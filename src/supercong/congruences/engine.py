@@ -33,7 +33,7 @@ from time import perf_counter
 from typing import Iterable, Iterator, Sequence
 
 from ..padic import odd_prime
-from .columns import CaseColumns, _columns, _runs, _skip
+from .columns import CaseColumns, _columns, _params, _skip
 from .families import CongruenceFamily, family_ids, get_family
 
 __all__ = ["CaseBlock", "SuiteReport", "VerificationReport", "run_suite", "verify_family_case"]
@@ -102,11 +102,7 @@ class CaseBlock:
             start = stop
 
     def __iter__(self) -> Iterator[VerificationReport]:
-        start = 0
-        for keys, stop, columns in self.runs:
-            for i, *values in zip(range(start, stop), *columns):
-                yield _row(self, i, dict(zip(keys, values)))
-            start = stop
+        return (_row(self, i, params) for i, params in _params(self.runs))
 
 
 class SuiteReport:
@@ -193,29 +189,17 @@ def _row(block: CaseBlock, i: int, params: dict) -> VerificationReport:
     )
 
 
-def _row_fields(rows: Iterable[VerificationReport]) -> Iterator[tuple]:
-    return ((r.params, r.lhs, r.rhs, r.passed, r.note) for r in rows)
-
-
 def _pack_rows(rows: Iterable[VerificationReport]) -> list[CaseBlock]:
     """One block per stretch of consecutive rows with the same family, p and modulus."""
     stretches = groupby(rows, attrgetter("family", "p", "modulus"))
-    return [_pack(family, p, modulus, _row_fields(stretch)) for (family, p, modulus), stretch in stretches]
+    return [_pack(family, p, modulus, list(stretch)) for (family, p, modulus), stretch in stretches]
 
 
-def _pack(family: str, p: int, modulus: int, rows: Iterable[tuple]) -> CaseBlock:
-    """One block from (params, lhs, rhs, verdict, note) rows, in their order."""
-    rows = list(rows)
-    return CaseBlock(
-        family,
-        p,
-        modulus,
-        _runs(row[0] for row in rows),
-        _compact([row[1] for row in rows]),
-        _compact([row[2] for row in rows]),
-        [row[3] for row in rows],
-        {i: row[4] for i, row in enumerate(rows) if row[4] is not None},
-    )
+def _pack(family: str, p: int, modulus: int, rows: list[VerificationReport]) -> CaseBlock:
+    """One block from rows, in their order: their columns by _columns, their verdicts as given."""
+    cols = _columns((r.params, r.lhs, r.rhs, r.skipped, r.note) for r in rows)
+    verdicts = [r.passed for r in rows]
+    return CaseBlock(family, p, modulus, cols.runs, _compact(cols.lhs), _compact(cols.rhs), verdicts, cols.notes)
 
 
 def _compact(values: list) -> array | list:

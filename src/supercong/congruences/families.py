@@ -224,17 +224,15 @@ def _t16_closed(q: int) -> Fraction | int:
     return Fraction(3 * l6 * comb((q + 1) // 2, (q + 1) // 4), 4)
 
 
-def _convolve(a: Sequence[int], b: Sequence[int], count: int | None = None) -> list[int]:
-    """c[n] = sum_{i+j=n} a[i] b[j] for n < count (default: every n), exact, for non-empty lists of
-    non-negative ints, by Kronecker substitution: one bigint product of the lists packed into slots
-    of `width` bytes, wide enough for every entry and every c[n], so that no slot carries into the
-    next. c[0] is the top slot of the product, so only its top count slots are decoded."""
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """c[n] = sum_{i+j=n} a[i] b[j] for n < len(a), exact, for non-empty lists of non-negative ints,
+    by Kronecker substitution: one bigint product of the lists packed into slots of `width` bytes,
+    wide enough for every entry and every c[n], so that no slot carries into the next. c[0] is the
+    top slot of the product, so only its top len(a) slots are decoded: both callers read no more."""
     top_a, top_b = max(a), max(b)
     width = max(min(len(a), len(b)) * top_a * top_b, top_a, top_b).bit_length() // 8 + 1
     x, y = (int.from_bytes(b"".join(map(int.to_bytes, xs, repeat(width), repeat("big"))), "big") for xs in (a, b))
-    size = len(a) + len(b) - 1
-    count = size if count is None else min(count, size)
-    product = ((x * y) >> (8 * width * (size - count))).to_bytes(width * count, "big")
+    product = ((x * y) >> (8 * width * (len(b) - 1))).to_bytes(width * len(a), "big")
     return [int.from_bytes(product[i : i + width], "big") for i in range(0, len(product), width)]
 
 
@@ -274,7 +272,7 @@ def _weight_vectors(
         w = tuple(k * x % mod for k, x in enumerate(w))[1:]
     fact, inv_fact = _factorials(q)
     inv = [x % mod for x in inv_fact[: len(w)]]
-    tails = _convolve([x * f % mod for x, f in zip(w, fact)][::-1], inv, len(w))[::-1]
+    tails = _convolve([x * f % mod for x, f in zip(w, fact)][::-1], inv)[::-1]
     return w, tuple((-t if j % 2 else t) * x % mod for j, (t, x) in enumerate(zip(tails, inv)))
 
 
@@ -394,7 +392,7 @@ def _l1_lhs(q: int, power: int, *, base: int = -16, offset: int = 1) -> int:
     """
     mod = q**power
     u = [c * c % mod for c in _binomial_row(q, 2, 1)]
-    conv = _convolve(u, u, q)
+    conv = _convolve(u, u)
     inv = pow(base, -1, mod)
     total, w = 0, 1
     for h in range(q):
@@ -436,11 +434,7 @@ def _family(fid: str, description: str, power: int, gen: Callable, applies: Call
 
 def _lemma_family(lemma: CongruenceLemma) -> CongruenceFamily:
     # a lemma reduces at its own power, which is also its catalog K
-    def gen(q: int) -> CaseColumns:
-        keys, columns, lhs, rhs = lemma.residues(q)
-        return CaseColumns([[keys, len(lhs), columns]], lhs, rhs)
-
-    return CongruenceFamily(lemma.id, lemma.description, lemma.power, _always, gen)
+    return CongruenceFamily(lemma.id, lemma.description, lemma.power, _always, lemma.residues)
 
 
 _CATALOG: tuple[CongruenceFamily, ...] = (

@@ -31,6 +31,7 @@ from typing import Callable, Iterator
 from ..combinatorics import catalan  # noqa: F401  (perfbench/tracing.py wraps identities.catalan)
 from ..errors import UnknownId
 from ..padic import primes_between
+from .columns import CaseColumns
 from .sums import TERM_KINDS, _binomial_row, _factorials, weighted_prefixes
 
 __all__ = [
@@ -271,15 +272,10 @@ def _i7_cases(max_n: int) -> Iterator[IdentityCase]:
 # -- prime-parameterized congruence lemmas ----------------------------------
 
 
-# (keys, columns, lhs, rhs): the rows of a lemma at one prime, as one run of
-# an engine block. keys holds at most one name, and row i has the params
-# dict(zip(keys, (c[i] for c in columns))).
-LemmaColumns = tuple[tuple[str, ...], tuple[list, ...], list[int], list[int]]
-
-
-def _i8_residues(p: int) -> LemmaColumns:
+def _i8_residues(p: int) -> CaseColumns:
     m3 = p**3
-    return (), (), [comb(p - 1, (p - 1) // 2) % m3], [(-1) ** ((p - 1) // 2) * pow(4, p - 1, m3) % m3]
+    lhs, rhs = [comb(p - 1, (p - 1) // 2) % m3], [(-1) ** ((p - 1) // 2) * pow(4, p - 1, m3) % m3]
+    return CaseColumns([[(), 1, ()]], lhs, rhs)
 
 
 # I9-I11 read their binomials from the catalog's tables mod p^4: C(2j, j) for
@@ -296,48 +292,48 @@ def _powers(x: int, size: int, mod: int) -> list[int]:
     return powers
 
 
-def _i9_residues(p: int) -> LemmaColumns:
+def _i9_residues(p: int) -> CaseColumns:
     m2 = p * p
     n = (p - 1) // 2
     fact, inv_fact = _factorials(p)
     ks = range(n + 1)
     lhs = [fact[n + k] * inv_fact[2 * k] * inv_fact[n - k] % m2 for k in ks]
     rhs = [c * w % m2 for c, w in zip(_binomial_row(p, 2, 1), _powers(pow(-16, -1, m2), n + 1, m2))]
-    return ("k",), ([*ks],), lhs, rhs
+    return CaseColumns([[("k",), len(ks), ([*ks],)]], lhs, rhs)
 
 
-def _i10_residues(p: int) -> LemmaColumns:
+def _i10_residues(p: int) -> CaseColumns:
     n = (p - 1) // 2
     fact, inv_fact = _factorials(p)
     ks = range(p)
     lhs = [fact[n] * inv_fact[k] * inv_fact[n - k] % p if k <= n else 0 for k in ks]
     rhs = [c * w % p for c, w in zip(_binomial_row(p, 2, 1), _powers(pow(-4, -1, p), p, p))]
-    return ("k",), ([*ks],), lhs, rhs
+    return CaseColumns([[("k",), len(ks), ([*ks],)]], lhs, rhs)
 
 
-def _i11_residues(p: int) -> LemmaColumns:
+def _i11_residues(p: int) -> CaseColumns:
     n = (p - 1) // 2
     fact, inv_fact = _factorials(p)
     ks = range(n + 1)
     lhs = [fact[n] * inv_fact[2 * k] * inv_fact[n - 2 * k] % p if 2 * k <= n else 0 for k in ks]
     # binom(4k, 2k) = C(2j, j) at j = 2k
     rhs = [c * w % p for c, w in zip(_binomial_row(p, 2, 1)[::2], _powers(pow(16, -1, p), n + 1, p))]
-    return ("k",), ([*ks],), lhs, rhs
+    return CaseColumns([[("k",), len(ks), ([*ks],)]], lhs, rhs)
 
 
 @dataclass(frozen=True)
 class CongruenceLemma:
     """A binomial congruence at one prime, in both catalogs under one id.
 
-    residues(p) gives its rows as LemmaColumns, with both sides canonical
-    mod p^power. The identity suite sweeps it over primes; the congruence
+    residues(p) gives its rows as one run of CaseColumns, with at most one
+    param key and both sides canonical mod p^power. The identity suite sweeps it over primes; the congruence
     catalog runs it as a family.
     """
 
     id: str
     description: str
     power: int
-    residues: Callable[[int], LemmaColumns]
+    residues: Callable[[int], CaseColumns]
 
 
 LEMMAS: tuple[CongruenceLemma, ...] = (
@@ -356,9 +352,10 @@ def _lemma_identity(lemma: CongruenceLemma) -> ExactIdentity:
     def cases(max_n: int) -> Iterator[IdentityCase]:
         for p in primes_between(5, 2 * max_n + 1):
             m = p**lemma.power
-            keys, columns, lhs, rhs = lemma.residues(p)
+            cols = lemma.residues(p)
+            ((keys, _, columns),) = cols.runs
             params = ({"p": p, keys[0]: value} for value in columns[0]) if keys else [{"p": p}]
-            for row, a, b in zip(params, lhs, rhs):
+            for row, a, b in zip(params, cols.lhs, cols.rhs):
                 yield IdentityCase(row, a, b, modulus=m)
 
     return ExactIdentity(lemma.id, lemma.description, "congruence", cases)

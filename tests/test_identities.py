@@ -319,9 +319,10 @@ def test_lemma_residues_match_comb():
             "I11": [(comb(n, 2 * k) % p, comb(4 * k, 2 * k) * pow(16, -k, p) % p) for k in range(n + 1)],
         }
         for ident_id, pairs in want.items():
-            keys, (ks,), lhs, rhs = lemmas[ident_id].residues(p)
-            assert keys == ("k",) and ks == [*range(len(pairs))], (ident_id, p)
-            assert [*zip(lhs, rhs)] == pairs, (ident_id, p)
+            cols = lemmas[ident_id].residues(p)
+            ((keys, stop, (ks,)),) = cols.runs
+            assert keys == ("k",) and stop == len(pairs) and ks == [*range(len(pairs))], (ident_id, p)
+            assert [*zip(cols.lhs, cols.rhs)] == pairs, (ident_id, p)
 
 
 @pytest.mark.parametrize(
