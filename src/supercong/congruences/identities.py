@@ -326,8 +326,8 @@ class CongruenceLemma:
     """A binomial congruence at one prime, in both catalogs under one id.
 
     residues(p) gives its rows as one run of CaseColumns, with at most one
-    param key and both sides canonical mod p^power. The identity suite sweeps it over primes; the congruence
-    catalog runs it as a family.
+    param key and both sides canonical mod p^power. The identity suite sweeps
+    it over primes; the congruence catalog runs it as a family.
     """
 
     id: str
