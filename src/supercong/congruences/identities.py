@@ -9,12 +9,17 @@ lemma's modulus, with no gcd and no Fraction; the sides become Fractions
 only when shown. I1-I5 carry their partial sums across n: each is extended
 from n-1 to n by one step of sums.weighted_prefixes, the one evaluator
 behind weighted_sum and the catalog's exact truncated_sum, and only the
-random bases of I1-I3 and I4a, new at every n, start from k = 0. I1-I4a and
-Z2-Z4 take their kernels N_kind(k) from sums.TERM_KINDS, each value computed
-once per run. The binomials inside I5, I6, Z1 and the Z2-Z4 tails come from
-rows built once per run (C(2k, .) rows and Pascal rows), and those of I9-I11
-from the catalog's residue tables; the right sides of I5, I6 and Z2-Z4 stay
-on math.comb, so both sides of a check take different routes.
+random bases of I1-I3 and I4a, new at every n, start from k = 0, over the
+kernel's list of values. I1-I4a and Z2-Z4 take their kernels N_kind(k) from
+sums.TERM_KINDS, each value computed once per run. The binomials inside I5,
+I6, Z1 and the Z2-Z4 tails come from rows built once per run (C(2k, .) rows
+and Pascal rows), and those of I9-I11 from the catalog's residue tables. Z1
+carries the diagonals C(2k, k+d) across n, one k per n, so each f(d) is one
+sum(map(mul)). I7 builds (t^2 + t + x)^n across n as one int per power of t,
+with x -> 2^width (Kronecker substitution), keeps the powers of t that a later
+n reads, and decodes the coefficient of t^n slot by slot. The right sides of
+I5, I6, I7 and Z2-Z4 stay on math.comb, so both sides of a check take
+different routes.
 """
 
 from __future__ import annotations
@@ -22,11 +27,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, islice, repeat
+from itertools import chain, count, islice, repeat
 from math import comb
-from operator import add, mul
+from operator import add, lshift, mul
 from time import perf_counter
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from ..combinatorics import catalan  # noqa: F401  (perfbench/tracing.py wraps identities.catalan)
 from ..errors import UnknownId
@@ -121,8 +126,8 @@ class IdentityResult:
 # -- m-parameterized partial-sum identities ---------------------------------
 
 
-def _kernel(kind: str) -> Callable[[int], int]:
-    """kernel(k) is N_kind(k, 0); each value is computed once."""
+def _kernel(kind: str) -> tuple[Callable[[int], int], list[int]]:
+    """kernel(k) is N_kind(k, 0), appended to values; each value is computed once."""
     term = TERM_KINDS[kind]
     values: list[int] = []
 
@@ -131,7 +136,7 @@ def _kernel(kind: str) -> Callable[[int], int]:
             values.append(term(len(values), 0))
         return values[k]
 
-    return kernel
+    return kernel, values
 
 
 def _central_rows() -> Callable[[int], list[int]]:
@@ -167,23 +172,23 @@ def _partial_sum_cases(
     """
 
     def cases(max_n: int) -> Iterator[IdentityCase]:
-        kernel = _kernel(kind)
+        kernel, values = _kernel(kind)
 
-        def prefixes(m: int) -> Iterator[tuple[int, int]]:
-            return weighted_prefixes(map(kernel, count()), m, b=base - m, c=scale * c)
+        def prefixes(terms: Iterable[int], m: int) -> Iterator[tuple[int, int]]:
+            return weighted_prefixes(terms, m, b=base - m, c=scale * c)
 
         # _m_values(n) lists M_SET first, then the random bases, which are
-        # new at every n and so are summed from k = 0
+        # new at every n and so are summed from k = 0 over the kernel's values
         fixed = bases or M_SET
-        carried = [prefixes(m) for m in fixed]
+        carried = [prefixes(map(kernel, count()), m) for m in fixed]
         at, sums = -1, []
         for n in range(1, max_n + 1):
             u = upper(n)
             while at < u:
                 sums, at = [next(prefix) for prefix in carried], at + 1
-            ms = bases or _m_values(n)
-            fresh = [next(islice(prefixes(m), u, None)) for m in ms[len(fixed) :]]
             closed_n = closed(n, kernel(n))
+            ms = bases or _m_values(n)
+            fresh = [next(islice(prefixes(values, m), u, None)) for m in ms[len(fixed) :]]
             cn, cd = closed_n.numerator, closed_n.denominator
             for m, (num, big) in zip(ms, [*sums, *fresh]):
                 params = {"n": n} if bases else {"n": n, "m": m}
@@ -236,37 +241,33 @@ def _i6_cases(max_n: int, trim: int = 0) -> Iterator[IdentityCase]:
             yield IdentityCase({"k": k, "d": d}, window, comb(2 * k + 2 * d, k + d))
 
 
-def _i7_cases(max_n: int) -> Iterator[IdentityCase]:
-    # coefficient of t^n in (t^2 + t + x)^n vs its closed binomial form,
-    # with the power built up incrementally across n
-    poly: list[list[int]] = [[1]]
+def _i7_cases(max_n: int, top: int = 2) -> Iterator[IdentityCase]:
+    # coefficient of t^n in (t^top + t + x)^n vs its closed binomial form, true
+    # for top = 2; the parameter exists so the tests can plant t^3. The power
+    # is built up across n with x -> 2^width: poly[i] packs the coefficient of
+    # t^(lo+i), its x^j in bits [j width, (j+1) width). Every coefficient is
+    # below 3^n, their sum at t = x = 1, so no slot carries into the next.
+    width = (3**max_n).bit_length() + 1
+    mask = (1 << width) - 1
+    poly, lo = [1], 0
+    pad = [0] * top
     for n in range(1, max_n + 1):
-        width = n + 1
-        new = [[0] * width for _ in range(len(poly) + 2)]
-        for i, row in enumerate(poly):
-            for j, c in enumerate(row):
-                if c:
-                    new[i][j + 1] += c
-                    new[i + 1][j] += c
-                    new[i + 2][j] += c
-        poly = new
-        closed = [0] * (n // 2 + 1)
-        for k in range(n // 2 + 1):
-            closed[k] = comb(n, 2 * k) * comb(2 * k, k)
-        got = poly[n]
-        lhs = rhs = 0
-        # compare coefficient vectors; encode mismatch position in params
-        mismatch = None
-        for j in range(max(len(got), len(closed))):
-            a = got[j] if j < len(got) else 0
-            b = closed[j] if j < len(closed) else 0
-            if a != b and mismatch is None:
-                mismatch = j
-                lhs, rhs = a, b
+        # times t^top + t + x: new[i] = old[i-top] + old[i-1] + x old[i]
+        times_x = chain(map(lshift, poly, repeat(width)), pad)
+        poly = [*map(add, map(add, pad + poly, [0, *poly, *pad[1:]]), times_x)]
+        v = poly[n - lo]
+        # s steps on, t^i reaches t^(i + top s) at most and step n + s reads
+        # t^(n+s), so only n - (top-1)(max_n - n) <= i <= max_n is read again
+        cut = max(0, n - (top - 1) * (max_n - n) - lo)
+        poly, lo = poly[cut : max_n + 1 - lo], lo + cut
+        got = [v >> width * j & mask for j in range(n + 1)]
+        closed = [comb(n, 2 * k) * comb(2 * k, k) for k in range(n // 2 + 1)] + [0] * (n - n // 2)
+        # compare coefficient vectors; encode the first mismatch position in params
+        mismatch = next((j for j, (g, w) in enumerate(zip(got, closed)) if g != w), None)
         if mismatch is None:
             yield IdentityCase({"n": n, "coeffs": n // 2 + 1}, 1, 1)
         else:
-            yield IdentityCase({"n": n, "coeff_of": mismatch}, lhs, rhs)
+            yield IdentityCase({"n": n, "coeff_of": mismatch}, got[mismatch], closed[mismatch])
 
 
 # -- prime-parameterized congruence lemmas ----------------------------------
@@ -364,17 +365,22 @@ def _lemma_identity(lemma: CongruenceLemma) -> ExactIdentity:
 # -- recurrences -------------------------------------------------------------
 
 
-def _z1_cases(max_n: int) -> Iterator[IdentityCase]:
+def _z1_cases(max_n: int, weight: int = -2) -> Iterator[IdentityCase]:
+    # true for weight = -2; the parameter exists so the tests can plant -3
     row = _central_rows()
+    diags: list[list[int]] = []  # diags[d] = [binom(2k, k+d) for d <= k <= n]
     for n in range(2, max_n + 1):
-        # a[k] = binom(n+k, 2k) (-2)^k, the binomial stepped by its term ratio
+        # a[k] = binom(n+k, 2k) weight^k, the binomial stepped by its term ratio
         a, c = [], 1
         for k in range(n + 1):
-            a.append(c * (-2) ** k)
+            a.append(c * weight**k)
             c = c * (n + k + 1) * (n - k) // ((2 * k + 1) * (2 * k + 2))
         # f[d] = sum_k a[k] binom(2k, k+d), exact integers; binom(2k, k+d) = 0 for k < d
-        rows = [row(k) for k in range(n + 1)]
-        f = [sum(a[k] * rows[k][k + d] for k in range(d, n + 1)) for d in range(n + 1)]
+        for k in range(len(diags), n + 1):
+            diags.append([])
+            for diag, entry in zip(diags, row(k)[k:]):
+                diag.append(entry)
+        f = [sum(map(mul, a[d:], diag)) for d, diag in enumerate(diags)]
         for d in range(n - 1):
             lhs = (n - d - 1) * (n + d + 2) * (2 * d + 1) * f[d + 2]
             rhs = (2 * n + 1) ** 2 * (d + 1) * f[d + 1] - (n - d) * (n + d + 1) * (2 * d + 3) * f[d]
@@ -390,7 +396,7 @@ def _z_family(kind: str, base: int, a: int, b: Callable[[int], int]) -> Callable
     """
 
     def cases(max_n: int) -> Iterator[IdentityCase]:
-        kernel = _kernel(kind)
+        kernel, _ = _kernel(kind)
         tails: list[int] = []  # S_(n-1), one entry per m <= n-2
         pascal = [1]  # binom(n-1, m) for m <= n-1
         for n in range(1, max_n + 1):

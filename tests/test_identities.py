@@ -1,5 +1,7 @@
 """Identity suite: independent re-derivations, runner semantics, witnesses."""
 
+import hashlib
+import json
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
@@ -17,8 +19,10 @@ from supercong.congruences.identities import (
     _i4_closed,
     _i5_cases,
     _i6_cases,
+    _i7_cases,
     _m_values,
     _partial_sum_cases,
+    _z1_cases,
     _z_family,
 )
 from supercong.congruences.sums import TERM_KINDS
@@ -156,7 +160,8 @@ def test_shift_recurrence_direct():
 
 
 # The I6, Z1 and Z2-Z4 generators as they were before their binomials came
-# from shared rows: every binomial from math.comb, recomputed per term.
+# from shared rows: every binomial from math.comb, recomputed per term. I7's
+# oracle is its generator as it was before the power was packed into ints.
 
 
 def _comb_i6(max_n):
@@ -199,8 +204,40 @@ def _comb_z(kind, base, a, b):
     return cases
 
 
+def _nested_i7(max_n):
+    # the power as a table of t^i x^j coefficients, multiplied out term by term
+    poly = [[1]]
+    for n in range(1, max_n + 1):
+        width = n + 1
+        new = [[0] * width for _ in range(len(poly) + 2)]
+        for i, row in enumerate(poly):
+            for j, c in enumerate(row):
+                if c:
+                    new[i][j + 1] += c
+                    new[i + 1][j] += c
+                    new[i + 2][j] += c
+        poly = new
+        closed = [0] * (n // 2 + 1)
+        for k in range(n // 2 + 1):
+            closed[k] = comb(n, 2 * k) * comb(2 * k, k)
+        got = poly[n]
+        lhs = rhs = 0
+        mismatch = None
+        for j in range(max(len(got), len(closed))):
+            a = got[j] if j < len(got) else 0
+            b = closed[j] if j < len(closed) else 0
+            if a != b and mismatch is None:
+                mismatch = j
+                lhs, rhs = a, b
+        if mismatch is None:
+            yield IdentityCase({"n": n, "coeffs": n // 2 + 1}, 1, 1)
+        else:
+            yield IdentityCase({"n": n, "coeff_of": mismatch}, lhs, rhs)
+
+
 _COMB_GENERATORS = {
     "I6": _comb_i6,
+    "I7": _nested_i7,
     "Z1": _comb_z1,
     "Z2": _comb_z("cubic", 27, 9, lambda m: (3 * m + 1) * (3 * m + 2)),
     "Z3": _comb_z("quartic", 64, 16, lambda m: (4 * m + 1) * (4 * m + 3)),
@@ -212,6 +249,29 @@ _COMB_GENERATORS = {
 def test_row_generators_match_comb_generators(ident_id):
     catalog = {ident.id: ident for ident in identity_catalog()}
     assert list(catalog[ident_id].cases(30)) == list(_COMB_GENERATORS[ident_id](30))
+
+
+@pytest.mark.parametrize("ident_id", ["I7", "Z1"])
+def test_carried_generators_match_their_oracles_deeper(ident_id):
+    # I7's packed slots and Z1's carried diagonals, further out
+    catalog = {ident.id: ident for ident in identity_catalog()}
+    assert list(catalog[ident_id].cases(60)) == list(_COMB_GENERATORS[ident_id](60))
+
+
+# SHA-256 of (id, params, a, b, den, modulus), one JSON line per case in
+# catalog and yield order, over all 16 ids at max-n 100: 47,232 cases.
+_IDENTITY_CASES_SHA256 = "55f6fadbd16c593a3a0d4d7b8c203eef4da38d414ae778054cd4ff1ac94c34e9"
+
+
+def test_identity_cases_match_the_pinned_digest():
+    digest, checked = hashlib.sha256(), 0
+    for ident in identity_catalog():
+        for case in ident.cases(100):
+            row = [ident.id, case.params, case.a, case.b, case.den, case.modulus]
+            digest.update((json.dumps(row, separators=(",", ":")) + "\n").encode())
+            checked += 1
+    assert checked == 47232
+    assert digest.hexdigest() == _IDENTITY_CASES_SHA256
 
 
 # The I1-I5 generators as they were before their partial sums carried across
@@ -333,9 +393,14 @@ def test_lemma_residues_match_comb():
         _partial_sum_cases("central_sq", 1, 16, 4, lambda n: n - 1, _i4_closed),
         partial(_i5_cases, gap=2),
         partial(_i6_cases, trim=1),
+        partial(_i7_cases, top=3),
+        partial(_z1_cases, weight=-3),
         _z_family("cubic", 27, 10, lambda m: (3 * m + 1) * (3 * m + 2)),
     ],
-    ids=["I1-base-26", "I1-c-5", "I4a-upper-n-1", "I5-gap-2", "I6-window-from-1-d", "Z2-a-10"],
+    ids=[
+        "I1-base-26", "I1-c-5", "I4a-upper-n-1", "I5-gap-2", "I6-window-from-1-d",
+        "I7-t-cubed", "Z1-weight-minus-3", "Z2-a-10",
+    ],
 )
 def test_identity_mutants_fail(mutant):
     # each planted error in a factory parameter must show within max-n 10
