@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--families", default="all", help="comma-separated family ids, or 'all'")
     p_verify.add_argument("--out", help="write a report to this path")
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
-    p_verify.add_argument("--parallelism", type=int, default=1, help="worker processes")
+    p_verify.add_argument("--parallelism", type=int, default=1, help="processes, this one included")
     p_verify.add_argument("--fail-fast", action="store_true", help="stop at the first failure")
     p_verify.add_argument(
         "--sweep-cap",

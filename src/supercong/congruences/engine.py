@@ -1,11 +1,15 @@
 """Suite runner: evaluates catalog families over a prime range.
 
-Work is scheduled one job per prime (so per-prime tables are built once),
-inline or in a pool of at most one worker per prime and per CPU. What one
-family gives at one prime is one CaseBlock, in columns rather than one object
-per row: the family, p and modulus once, where the modulus is p^K with K the
-catalog entry's modulus_power; one param-key tuple shared by every row with
-those keys, and a value column per key; the lhs and rhs residues (int64 arrays
+Work is scheduled one job per prime (so per-prime tables are built once), on
+at most one worker per prime and per CPU, this process included. It runs
+inline when that leaves one. Otherwise a pool of the other workers takes the
+primes from the top of the range while this process evaluates them from the
+bottom, and the two meet where their costs balance; blocks come back from
+the pool pickled as constructor arguments. What one family gives at one
+prime is one CaseBlock, in columns rather than one object per row: the
+family, p and modulus once, where the modulus is p^K with K the catalog
+entry's modulus_power; one param-key tuple shared by every row with those
+keys, and a value column per key; the lhs and rhs residues (int64 arrays
 where they fit) and the verdicts; the pass/fail/skip counts, taken once per
 block; and the notes of the rows that have one. A family hands over its rows
 at a prime as CaseColumns, already in that shape, and _block wraps its runs
@@ -14,9 +18,11 @@ compactly; no row becomes an object. A SuiteReport keeps the blocks in
 (family, prime) order. Its summary, its failures and the report writers read
 the blocks, and report.cases builds VerificationReport rows from them on
 demand. Rows given as a report's cases, or assigned into that list, are packed
-back into blocks by _pack. A time budget and fail-fast both act per prime: the
-primes they skip become marker rows, so the rows never depend on the
-scheduling; the fail-fast cut slices its block's columns.
+back into blocks by _pack. A time budget and fail-fast both act per prime,
+read in prime order: the primes they skip become marker rows, so the rows
+never depend on the scheduling; the fail-fast cut slices its block's columns.
+A stopped run still waits for the pool's running and queued calls, at most
+2 * workers - 1 primes, taken from the top of the range, and discards them.
 """
 
 from __future__ import annotations
@@ -103,6 +109,11 @@ class CaseBlock:
 
     def __iter__(self) -> Iterator[VerificationReport]:
         return (_row(self, i, params) for i, params in _params(self.runs))
+
+    def __reduce__(self):
+        # Pickled as constructor arguments, one call on load; counts is taken
+        # again there. A slots dataclass pickles field by field otherwise.
+        return CaseBlock, (self.family, self.p, self.modulus, self.runs, self.lhs, self.rhs, self.verdicts, self.notes)
 
 
 class SuiteReport:
@@ -288,11 +299,19 @@ def run_suite(
     row unevaluated, then cuts the report after its first failing row. The
     primes either one skips appear as marker rows, and the exit verdict
     reflects only what was actually evaluated. parallelism is an upper
-    bound: the pool starts at most one worker per prime and per CPU, and
-    none when that leaves one. A pooled run still finishes the primes already
-    handed to workers before it returns: up to workers + 1 primes, because
-    ProcessPoolExecutor queues max_workers + EXTRA_QUEUED_CALLS (1) calls and
-    cancel() cannot recall them.
+    bound on the processes, this one included: at most one worker per prime
+    and per CPU, and no pool when that leaves one. The pool of workers - 1
+    processes is handed the primes in descending order, and this process
+    walks them in ascending order, evaluating each one whose call it can
+    still cancel and reading the pool's result for the others. Results are
+    read and stopped in prime order, so the rows do not depend on which
+    process evaluated a prime. A pooled run still finishes the pool's
+    running and queued calls before it returns, and cancel() cannot recall
+    them: at most 2 * workers - 1 primes, taken from the top of the range,
+    because each of the max_workers processes runs one call while
+    ProcessPoolExecutor queues max_workers + EXTRA_QUEUED_CALLS (1) more.
+    After a stop these are the largest primes not yet read, not the next
+    ones; their results are discarded.
     """
     selected = list(families) if families is not None else family_ids()
     for fid in selected:
@@ -317,8 +336,10 @@ def run_suite(
     # With fork, the pool starts all max_workers processes at once.
     workers = min(parallelism, len(prime_list), os.cpu_count() or 1)
     pooled = workers > 1
-    with ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext() as pool:
-        futures = {p: pool.submit(_eval_prime, ids, p, sweep_cap) for p in prime_list} if pooled else {}
+    with ProcessPoolExecutor(max_workers=workers - 1) if pooled else nullcontext() as pool:
+        # The pool takes the primes from the top; a call it has not queued
+        # yet cancels, and this process evaluates that prime itself.
+        futures = {p: pool.submit(_eval_prime, ids, p, sweep_cap) for p in reversed(prime_list)} if pooled else {}
         stopped = False
         for p in prime_list:
             if stopped or (time_limit is not None and perf_counter() - t0 > time_limit):
@@ -326,7 +347,8 @@ def run_suite(
                     futures[p].cancel()  # best effort; a result that ran anyway is never read
                 results[p] = _skip_prime(ids, p, _STOP_NOTE if stopped else _BUDGET_NOTE)
                 continue
-            results[p] = futures[p].result() if pooled else _eval_prime(ids, p, sweep_cap)
+            taken = pooled and not futures[p].cancel()
+            results[p] = futures[p].result() if taken else _eval_prime(ids, p, sweep_cap)
             stopped = fail_fast and any(block.counts[1] for block in results[p].values())
 
     for block in (results[p][fid] for fid in selected for p in prime_list):

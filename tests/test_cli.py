@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,15 @@ def test_verify_small_range(capsys):
     out = capsys.readouterr().out
     assert "checked" in out and " 0 fail" in out
     assert "E1.4  pass" in out
+
+
+def test_module_entry_point_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "supercong", "verify", "--primes", "5..30", "--families", "B1"]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "B1  pass" in done.stdout
 
 
 def test_verify_single_prime_and_family(capsys):

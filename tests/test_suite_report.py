@@ -7,6 +7,8 @@ import hashlib
 import json
 import multiprocessing
 import os
+import pickle
+from array import array
 from collections import Counter
 from concurrent.futures import Future
 from fractions import Fraction
@@ -86,14 +88,118 @@ def test_pool_is_bounded_by_primes_and_cpus(monkeypatch):
     monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
     want = min(2, os.cpu_count() or 1)
     report = run_suite([5, 7], ["B1"], parallelism=64)
-    assert requested == ([want] if want > 1 else [])
+    assert requested == ([want - 1] if want > 1 else [])  # this process is the other worker
     assert report.config["parallelism"] == 64
     assert report_to_dict(report)["cases"] == report_to_dict(run_suite([5, 7], ["B1"]))["cases"]
-    for cpus, primes, workers in [(3, primes_between(5, 30), [3]), (1, [5, 7], []), (None, [5, 7], [])]:
+    for cpus, primes, workers in [(3, primes_between(5, 30), [2]), (1, [5, 7], []), (None, [5, 7], [])]:
         monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
         requested.clear()
         run_suite(primes, ["B1"], parallelism=64)
         assert requested == workers, cpus
+
+
+class _LazyFuture(Future):
+    """A future whose call runs when it is read, as if a pool worker ran it then."""
+
+    def __init__(self, call, ran):
+        super().__init__()
+        self.call, self.ran = call, ran
+
+    def result(self, timeout=None):
+        if not self.done():
+            fn, args = self.call
+            self.ran.append(args[1])
+            self.set_result(fn(*args))
+        return super().result(timeout)
+
+
+class _LazyPool:
+    """A stand-in for ProcessPoolExecutor whose futures stay pending until read.
+
+    The first `queued` calls submitted are marked running at once, as the
+    executor does when it moves a call into its call queue: those cannot be
+    cancelled any more.
+    """
+
+    def __init__(self, queued):
+        self.queued, self.futures, self.ran, self.max_workers = queued, {}, [], None
+
+    def __call__(self, max_workers):
+        self.max_workers = max_workers
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = _LazyFuture((fn, args), self.ran)
+        if len(self.futures) < self.queued:
+            future.set_running_or_notify_cancel()
+        self.futures[args[1]] = future
+        return future
+
+
+def _lazy_pool(monkeypatch, queued):
+    pool = _LazyPool(queued)
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    evaluated = []
+
+    def counted(ids, p, sweep_cap):
+        evaluated.append(p)
+        return eval_prime(ids, p, sweep_cap)
+
+    eval_prime = engine._eval_prime
+    monkeypatch.setattr(engine, "_eval_prime", counted)
+    return pool, evaluated
+
+
+def test_caller_takes_the_primes_from_the_bottom(monkeypatch):
+    pool, evaluated = _lazy_pool(monkeypatch, queued=3)
+    primes = primes_between(5, 60)
+    report = run_suite(primes, ["B1", "E1.4"], parallelism=3)
+    assert pool.max_workers == 2
+    assert list(pool.futures) == primes[::-1]  # submitted from the top
+    assert pool.ran == primes[-3:]  # the pool's queued calls, read in prime order
+    assert Counter(evaluated) == Counter(primes)  # every prime once
+    caller = Counter(evaluated) - Counter(pool.ran)
+    assert sorted(caller) == [p for p, future in pool.futures.items() if future.cancelled()][::-1]
+    assert sorted(caller) == primes[:-3]
+    inline = run_suite(primes, ["B1", "E1.4"])
+    assert report_to_dict(report)["cases"] == report_to_dict(inline)["cases"]
+
+
+def test_fail_fast_cancels_every_pending_call(monkeypatch):
+    fid = "XFAIL7-TEST"
+    monkeypatch.setitem(_BY_ID, fid, _fails_at_seven(fid))
+    pool, evaluated = _lazy_pool(monkeypatch, queued=2)
+    primes = primes_between(5, 60)
+    report = run_suite(primes, ["B1", fid], parallelism=2, fail_fast=True)
+    assert evaluated == [5, 7] and pool.ran == []  # the caller took both; the stop came at 7
+    assert [p for p, future in pool.futures.items() if not future.cancelled()] == primes[:-3:-1]
+    assert all(pool.futures[p].running() for p in primes[-2:])  # queued before the stop: not recalled
+    assert report.failed == 1
+
+
+def test_blocks_pickle_as_they_are(monkeypatch):
+    fid = "XKEYS-TEST"
+    monkeypatch.setitem(_BY_ID, fid, _alternating_keys(fid))
+    int64 = verify_family_case("E1.4", 13)
+    big = 5**30 - 1  # past int64: the residues stay a list of ints
+    bigints = CaseBlock("F", 5, 5**30, [[("k",), 2, ([0, 1],)]], [big, 1], [big, 2], [True, False], {})
+    noted = verify_family_case("E1.7", 13)
+    cut = engine._head(verify_family_case(fid, 5), 2)
+    assert type(int64.lhs) is array and type(bigints.lhs) is list and noted.notes and len(cut.runs) == 2
+    for block in (int64, bigints, noted, cut):
+        back = pickle.loads(pickle.dumps(block))
+        assert type(back) is CaseBlock
+        for f in dataclasses.fields(CaseBlock):
+            assert getattr(back, f.name) == getattr(block, f.name), (block.family, f.name)
+            assert type(getattr(back, f.name)) is type(getattr(block, f.name))
+        assert list(back) == list(block)
 
 
 def test_sweep_cap_inserts_marker_row():
