@@ -19,10 +19,13 @@ from __future__ import annotations
 
 import csv
 import json
+from array import array
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from ..padic import signed_residue
 from .engine import CaseBlock, SuiteReport, VerificationReport
@@ -121,9 +124,19 @@ def _params_layout(items: Iterable[tuple[str, str]]) -> str:
     return "{\n        " + ",\n        ".join(items) + "\n      }" if items else "{}"
 
 
-def _signed(residues: list, modulus: int) -> list:
-    """signed_residue of each value."""
+def _is_int64_array(residues: list | array) -> bool:
+    """Whether residues is an int64 array, as _compact stores a side that fits."""
+    return type(residues) is array and residues.typecode == "q"
+
+
+def _signed(residues: list | array, modulus: int) -> list:
+    """signed_residue of each value. An int64 array is reduced in numpy while
+    0 < modulus < 2^63: modulus is then an int64 too, and so is each result."""
     half = modulus // 2
+    if _is_int64_array(residues) and 0 < modulus < 2**63:
+        r = np.frombuffer(residues, np.int64) % modulus
+        r[r > half] -= modulus
+        return r.tolist()
     return [r - modulus if r > half else r for r in [v % modulus for v in residues]]
 
 
@@ -152,7 +165,7 @@ def _fits_templates(block: CaseBlock) -> bool:
     return (
         type(block.family) is str
         and type(block.p) is type(block.modulus) is int
-        and {*map(type, block.lhs), *map(type, block.rhs)} <= {int}
+        and all(_is_int64_array(side) or {*map(type, side)} <= {int} for side in (block.lhs, block.rhs))
         and {*map(type, block.verdicts)} <= {bool, type(None)}
         and all(type(note) is str for note in block.notes.values())
         and all(type(key) is str for keys, _stop, _columns in block.runs for key in keys)

@@ -3,6 +3,13 @@
 Scalar routines here are the reference implementations; the *_grid variants
 vectorize the full (lambda, d) sweep with numpy and are cross-checked against
 the scalar route in the tests.
+
+Both grids are matrix products of integers below p, taken in float64 so that
+BLAS computes them. A float64 holds every integer below 2^53 exactly, and each
+grid bounds the absolute value of every partial sum of its product below that
+(p(p - 1) and (p+1)/2 (p - 1)^2). Every addition and fused multiply-add then
+rounds nothing, so the product is exact in whatever order dgemm sums it.
+_grid_prime enforces (p+1)/2 (p - 1)^2 < 2^53, which holds up to p = 262,139.
 """
 
 from __future__ import annotations
@@ -174,48 +181,72 @@ def char_sum_table(p: OddPrime | int) -> np.ndarray:
 
 
 def _grid_prime(p: OddPrime | int) -> int:
-    """p as an int, where both T1.1 grids are exact int64 products: (p+1)/2 (p-1)^2 < 2^63."""
+    """p as an int, where both T1.1 grids are exact float64 products: (p+1)/2 (p-1)^2 < 2^53."""
     q = _prime_int(p)
-    if (q + 1) // 2 * (q - 1) ** 2 >= 2**63:
-        raise ValueError(f"p = {q} is past the int64 bound of the T1.1 grids, (p+1)/2 (p-1)^2 < 2^63")
+    if (q + 1) // 2 * (q - 1) ** 2 >= 2**53:
+        raise ValueError(f"p = {q} is past the float64 bound of the T1.1 grids, (p+1)/2 (p-1)^2 < 2^53")
     return q
+
+
+@lru_cache(maxsize=1)
+def _power_table(q: int) -> np.ndarray:
+    """x^k mod q at row k <= (q-1)/2 and column x < q, as a read-only int64 array.
+
+    Built by doubling: rows [m, 2m) are rows [0, m) times x^m, so it takes
+    log2 q numpy steps. One prime's two grids share it.
+    """
+    n = (q - 1) // 2
+    table = np.empty((n + 1, q), dtype=np.int64)
+    table[0] = 1
+    xm, m = np.arange(q, dtype=np.int64), 1  # x^m
+    while m <= n:
+        rows = min(m, n + 1 - m)
+        table[m : m + rows] = table[:rows] * xm % q
+        xm = xm * xm % q
+        m *= 2
+    table.flags.writeable = False
+    return table
 
 
 def weighted_char_sum_grid(p: OddPrime | int) -> np.ndarray:
     """Canonical residues of a_p^(d)(lambda) mod p, shape (n + 1, p).
 
-    Row d, column lambda. Partial products stay below p^2 (p - 1); past the
+    Row d, column lambda: x^d mod p times the chi block, a float64 product.
+    Each entry sums p products of a power below p and a chi value in
+    {-1, 0, 1}, so every partial sum is an integer of absolute value below
+    p(p - 1) < 2^53 and dgemm is exact in any summation order. Past the
     tighter bound of thm11_rhs_grid it raises ValueError before allocating.
     """
     q = _grid_prime(p)
     n = (q - 1) // 2
-    chi = np.array(_chi_table(q), dtype=np.int64)
+    chi = np.array(_chi_table(q), dtype=np.float64)
     xs = np.arange(q, dtype=np.int64)
-    xpow = np.ones((n + 1, q), dtype=np.int64)
-    for d in range(1, n + 1):
-        xpow[d] = xpow[d - 1] * xs % q
+    xpow = _power_table(q).astype(np.float64)
     out = np.empty((n + 1, q), dtype=np.int64)
     for lo in range(0, q, 512):
         cols = xs[lo : lo + 512]
-        out[:, lo : lo + 512] = xpow @ _chi_grid_block(q, chi, xs, cols) % q
+        out[:, lo : lo + 512] = (xpow @ _chi_grid_block(q, chi, xs, cols)).astype(np.int64) % q
     return out
 
 
 def thm11_rhs_grid(p: OddPrime | int) -> np.ndarray:
     """Canonical residues of the thm11_rhs closed form, same shape and layout as
-    weighted_char_sum_grid, from the binomial side only. An entry of coeff @ lampow
-    sums (p+1)/2 products below p^2: exact up to p = 2,642,239, ValueError past it."""
+    weighted_char_sum_grid, from the binomial side only.
+
+    coeff @ lampow is a float64 product. An entry sums (p+1)/2 products of two
+    residues below p, so every partial sum is an integer below
+    (p+1)/2 (p - 1)^2, and dgemm is exact in any summation order while that is
+    below 2^53: up to p = 262,139. Past it, ValueError before allocating.
+    """
     q = _grid_prime(p)
     n = (q - 1) // 2
     cb = np.array(central_binomials_mod(q), dtype=np.int64)
     idx = np.arange(n + 1)
-    i4 = np.array([pow(4, -d, q) for d in range(n + 1)], dtype=np.int64)  # 4^-d, and 16^-k = (4^-k)^2
+    lampow = _power_table(q)
+    i4 = lampow[:, pow(4, -1, q)]  # 4^-d, and 16^-k = (4^-k)^2
     coeff = cb[idx[:, None] + idx[None, :]] * (cb[idx] * (i4 * i4 % q) % q)[None, :] % q
-    lam = np.arange(q, dtype=np.int64)
-    lampow = np.ones((n + 1, q), dtype=np.int64)
-    for k in range(1, n + 1):
-        lampow[k] = lampow[k - 1] * lam % q
-    out = (coeff @ lampow) % q * lampow % q * i4[:, None] % q
+    s = (coeff.astype(np.float64) @ lampow.astype(np.float64)).astype(np.int64)
+    out = s % q * lampow % q * i4[:, None] % q
     if (q + 1) // 2 % 2:
         out = (-out) % q
     out[n, :] = (out[n, :] - 1) % q

@@ -118,22 +118,41 @@ def test_grids_agree_at_a_larger_prime():
     assert np.array_equal(weighted_char_sum_grid(q), thm11_rhs_grid(q))
 
 
-def test_grids_reject_primes_past_their_int64_bound(monkeypatch):
-    # coeff @ lampow sums (p+1)/2 products below p^2: exact while
-    # (p+1)/2 (p-1)^2 < 2^63; both grids must refuse before they allocate
-    first = 2642239 + 1
+@pytest.mark.parametrize("q", [997, 1999])
+def test_grids_match_scalar_routes_at_seeded_cells(q):
+    n = (q - 1) // 2
+    wg, tg = weighted_char_sum_grid(q), thm11_rhs_grid(q)
+    rng = random.Random(q)
+    cells = [(0, 0), (q - 1, n)] + [(rng.randrange(q), rng.randrange(n + 1)) for _ in range(200)]
+    for lam, d in cells:
+        assert wg[d, lam] == weighted_char_sum(q, lam, d) % q, (lam, d)
+        assert tg[d, lam] == thm11_rhs(q, lam, d), (lam, d)
+
+
+def test_power_table_matches_pow():
+    for q in (5, 7, 13, 211):
+        table = curves._power_table(q)
+        assert not table.flags.writeable
+        assert table.tolist() == [[pow(x, k, q) for x in range(q)] for k in range((q - 1) // 2 + 1)]
+
+
+def test_grids_reject_primes_past_their_float64_bound(monkeypatch):
+    # coeff @ lampow sums (p+1)/2 products below p^2 in float64: exact while
+    # (p+1)/2 (p-1)^2 < 2^53; both grids must refuse before they allocate
+    first = 262139 + 1
     while not is_prime(first):
         first += 1
-    assert (first + 1) // 2 * (first - 1) ** 2 >= 2**63 > 1321120 * 2642238**2
-    assert curves._grid_prime(2642239) == 2642239  # the last prime below the bound
+    assert first == 262147
+    assert (first + 1) // 2 * (first - 1) ** 2 >= 2**53 > 131070 * 262138**2
+    assert curves._grid_prime(262139) == 262139  # the last prime below the bound
 
     def never(*args, **kwargs):
-        raise AssertionError("grid allocated past its int64 bound")
+        raise AssertionError("grid allocated past its float64 bound")
 
-    monkeypatch.setattr(curves.np, "ones", never)
-    monkeypatch.setattr(curves.np, "array", never)
+    for name in ("ones", "array", "empty"):
+        monkeypatch.setattr(curves.np, name, never)
     for grid in (weighted_char_sum_grid, thm11_rhs_grid):
-        with pytest.raises(ValueError, match="int64 bound"):
+        with pytest.raises(ValueError, match="float64 bound"):
             grid(first)
 
 

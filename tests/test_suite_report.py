@@ -288,6 +288,25 @@ def test_signed_views():
     assert not row.skipped
 
 
+def test_signed_of_an_int64_array_equals_the_list_route(monkeypatch):
+    reduced = []
+    frombuffer = report_module.np.frombuffer
+    monkeypatch.setattr(report_module.np, "frombuffer", lambda *a: reduced.append(1) or frombuffer(*a))
+    # numpy reduces an int64 array below 2^63; at 2^63 and past it the list route runs
+    for modulus, numpy_route in ((2**62 - 57, True), (2**63, False), (2**63 + 9, False)):
+        half = modulus // 2
+        canonical = [0, 1, 2, half - 1, half, half + 1, modulus - 2, modulus - 1]
+        canonical = [v for v in canonical if v < 2**63]
+        negative = [-1, -2, -half, -half - 1, 1 - 2**62, -(2**63)]
+        past = [v for v in (modulus, modulus + 1, modulus + half, 2**63 - 1) if v < 2**63]
+        values = canonical + negative + past
+        reduced.clear()
+        got = report_module._signed(array("q", values), modulus)
+        assert bool(reduced) is numpy_route
+        assert got == report_module._signed(values, modulus) == [signed_residue(v, modulus) for v in values]
+        assert {*map(type, got)} == {int}
+
+
 def _alternating_keys(fid):
     # key sets a, b, a at every prime: a block of three runs and two key sets
     def cases(q):
