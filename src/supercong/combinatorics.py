@@ -1,13 +1,19 @@
-"""Exact integer and rational combinatorics used by the congruence engine.
+"""Exact integer and rational combinatorics, and the per-prime residue tables.
 
-Everything here is exact: big integers and fractions.Fraction, no floats.
+The exact values are big integers and fractions.Fraction, no floats. The
+per-prime tables hold what every claim of the catalog is checked from, mod
+p^4: the factorials j! and 1/j! for j < p and the binomial rows C(a k, b k)
+for k < p; _powers gives the columns x^k mod any modulus (m^-k, base^-h,
+(lambda/16)^k). The sums, the families, the identity suite's lemmas and
+curves' C(2k, k) row all read them here, the one evaluator of each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, perm
 from typing import Sequence
 
 from .padic import OddPrime, _prime_int
@@ -207,3 +213,52 @@ def binomial_p_valuation(n: int, k: int, p: OddPrime | int) -> int:
         a //= q
         b //= q
     return carries
+
+
+# -- per-prime residue tables --------------------------------------------------
+
+# The residue path keeps its tables mod p^4: precision K <= 3, plus one power
+# of p for the Catalan tail at k = p - 1, the only term whose weight 1/(k+1)
+# is not a p-adic unit.
+_TABLE_POWER = 4
+
+
+@lru_cache(maxsize=4)
+def _factorials(q: int) -> tuple[list[int], list[int]]:
+    """j! and 1/j! mod p^4 for j < p; every one is a p-adic unit."""
+    mod = q**_TABLE_POWER
+    fact = [1] * q
+    for j in range(1, q):
+        fact[j] = fact[j - 1] * j % mod
+    inv = [1] * q
+    inv[q - 1] = pow(fact[q - 1], -1, mod)
+    for j in range(q - 1, 1, -1):
+        inv[j - 1] = inv[j] * j % mod
+    return fact, inv
+
+
+@lru_cache(maxsize=16)
+def _binomial_row(q: int, a: int, b: int) -> list[int]:
+    """C(a k, b k) mod p^4 for k < p.
+
+    Stepped exactly from C(a (k-1), b (k-1)) by the new factors of (a k)!
+    over those of (b k)! and ((a-b) k)!, so each step costs a few
+    multiplications by small ints; comb(6k, 3k) from scratch for every
+    k < 1999 takes about 100 times longer.
+    """
+    mod = q**_TABLE_POWER
+    row = [1] * q
+    exact = 1
+    for k in range(1, q):
+        exact = exact * perm(a * k, a) // (perm(b * k, b) * perm((a - b) * k, a - b))
+        row[k] = exact % mod
+    return row
+
+
+def _powers(x: int, size: int, mod: int) -> list[int]:
+    """x^k mod mod for k < size."""
+    powers, w = [], 1
+    for _ in range(size):
+        powers.append(w)
+        w = w * x % mod
+    return powers

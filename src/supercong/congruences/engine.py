@@ -21,8 +21,10 @@ demand. Rows given as a report's cases, or assigned into that list, are packed
 back into blocks by _pack. A time budget and fail-fast both act per prime,
 read in prime order: the primes they skip become marker rows, so the rows
 never depend on the scheduling; the fail-fast cut slices its block's columns.
-A stopped run still waits for the pool's running and queued calls, at most
-2 * workers - 1 primes, taken from the top of the range, and discards them.
+A run that stops, by fail-fast, the budget or an error, cancels every call
+the pool has not queued yet; it still waits for the running and queued ones,
+at most 2 * workers - 1 primes, taken from the top of the range, and
+discards them.
 """
 
 from __future__ import annotations
@@ -305,13 +307,15 @@ def run_suite(
     walks them in ascending order, evaluating each one whose call it can
     still cancel and reading the pool's result for the others. Results are
     read and stopped in prime order, so the rows do not depend on which
-    process evaluated a prime. A pooled run still finishes the pool's
-    running and queued calls before it returns, and cancel() cannot recall
-    them: at most 2 * workers - 1 primes, taken from the top of the range,
-    because each of the max_workers processes runs one call while
-    ProcessPoolExecutor queues max_workers + EXTRA_QUEUED_CALLS (1) more.
-    After a stop these are the largest primes not yet read, not the next
-    ones; their results are discarded.
+    process evaluated a prime. When the loop ends, by a stop, a budget stop,
+    an error or its last prime, every call not yet taken is cancelled before
+    the pool shuts down. A pooled run still finishes the pool's running and
+    queued calls, which cancel() cannot recall: at most 2 * workers - 1
+    primes, taken from the top of the range, because each of the
+    max_workers processes runs one call while ProcessPoolExecutor queues
+    max_workers + EXTRA_QUEUED_CALLS (1) more. After a stop or an error
+    these are the largest primes not yet read, not the next ones; their
+    results are discarded, and an error propagates once they finish.
     """
     selected = list(families) if families is not None else family_ids()
     for fid in selected:
@@ -341,15 +345,19 @@ def run_suite(
         # yet cancels, and this process evaluates that prime itself.
         futures = {p: pool.submit(_eval_prime, ids, p, sweep_cap) for p in reversed(prime_list)} if pooled else {}
         stopped = False
-        for p in prime_list:
-            if stopped or (time_limit is not None and perf_counter() - t0 > time_limit):
-                if pooled:
-                    futures[p].cancel()  # best effort; a result that ran anyway is never read
-                results[p] = _skip_prime(ids, p, _STOP_NOTE if stopped else _BUDGET_NOTE)
-                continue
-            taken = pooled and not futures[p].cancel()
-            results[p] = futures[p].result() if taken else _eval_prime(ids, p, sweep_cap)
-            stopped = fail_fast and any(block.counts[1] for block in results[p].values())
+        try:
+            for p in prime_list:
+                if stopped or (time_limit is not None and perf_counter() - t0 > time_limit):
+                    results[p] = _skip_prime(ids, p, _STOP_NOTE if stopped else _BUDGET_NOTE)
+                    continue
+                taken = pooled and not futures[p].cancel()
+                results[p] = futures[p].result() if taken else _eval_prime(ids, p, sweep_cap)
+                stopped = fail_fast and any(block.counts[1] for block in results[p].values())
+        finally:
+            # however the loop ends, before the pool waits for its calls: a call it has
+            # not queued yet cancels, and a result that ran anyway is never read
+            for future in futures.values():
+                future.cancel()
 
     for block in (results[p][fid] for fid in selected for p in prime_list):
         if fail_fast and block.counts[1]:

@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..combinatorics import euler_half_grid_mod_p
+from ..combinatorics import _binomial_row, _factorials, _powers, euler_half_grid_mod_p
 from ..combinatorics import euler_polynomial_half_grid  # noqa: F401  (perfbench/tracing.py wraps it here)
 from ..curves import cornacchia_two_squares, thm11_rhs_grid, weighted_char_sum, weighted_char_sum_grid
 from ..errors import UnknownId
@@ -51,7 +51,7 @@ from ..padic import legendre_symbol, padic_from_rational
 from .columns import CaseColumns, FamilyCase, _columns, _skip
 from .identities import LEMMAS, CongruenceLemma
 from .sequences import SEQUENCE_IDS, sequence_terms
-from .sums import _binomial_row, _factorials, kernel_residues, truncated_sum
+from .sums import kernel_residues, truncated_sum
 
 __all__ = [
     "CaseColumns",
@@ -393,12 +393,8 @@ def _l1_lhs(q: int, power: int, *, base: int = -16, offset: int = 1) -> int:
     mod = q**power
     u = [c * c % mod for c in _binomial_row(q, 2, 1)]
     conv = _convolve(u, u)
-    inv = pow(base, -1, mod)
-    total, w = 0, 1
-    for h in range(q):
-        total += (2 * h + offset) * conv[h] * w
-        w = w * inv % mod
-    return total % mod
+    weights = _powers(pow(base, -1, mod), q, mod)  # base^-h
+    return sum((2 * h + offset) * c * w for h, (c, w) in enumerate(zip(conv, weights))) % mod
 
 
 def _a1_cases(q: int, power: int) -> CaseColumns:

@@ -13,7 +13,7 @@ random bases of I1-I3 and I4a, new at every n, start from k = 0, over the
 kernel's list of values. I1-I4a and Z2-Z4 take their kernels N_kind(k) from
 sums.TERM_KINDS, each value computed once per run. The binomials inside I5,
 I6, Z1 and the Z2-Z4 tails come from rows built once per run (C(2k, .) rows
-and Pascal rows), and those of I9-I11 from the catalog's residue tables. Z1
+and Pascal rows), and those of I9-I11 from combinatorics' residue tables. Z1
 carries the diagonals C(2k, k+d) across n, one k per n, so each f(d) is one
 sum(map(mul)). I7 builds (t^2 + t + x)^n across n as one int per power of t,
 with x -> 2^width (Kronecker substitution), keeps the powers of t that a later
@@ -33,11 +33,12 @@ from operator import add, lshift, mul
 from time import perf_counter
 from typing import Callable, Iterable, Iterator
 
+from ..combinatorics import _binomial_row, _factorials, _powers
 from ..combinatorics import catalan  # noqa: F401  (perfbench/tracing.py wraps identities.catalan)
 from ..errors import UnknownId
 from ..padic import primes_between
 from .columns import CaseColumns
-from .sums import TERM_KINDS, _binomial_row, _factorials, weighted_prefixes
+from .sums import TERM_KINDS, weighted_prefixes
 
 __all__ = [
     "CongruenceLemma",
@@ -279,18 +280,9 @@ def _i8_residues(p: int) -> CaseColumns:
     return CaseColumns([[(), 1, ()]], lhs, rhs)
 
 
-# I9-I11 read their binomials from the catalog's tables mod p^4: C(2j, j) for
+# I9-I11 read their binomials from combinatorics' tables mod p^4: C(2j, j) for
 # j < p from its row, and C(a, b) with b <= a < p from the factorials, which
 # are all units.
-
-
-def _powers(x: int, size: int, mod: int) -> list[int]:
-    """x^k mod mod for k < size."""
-    powers, w = [], 1
-    for _ in range(size):
-        powers.append(w)
-        w = w * x % mod
-    return powers
 
 
 def _i9_residues(p: int) -> CaseColumns:

@@ -11,8 +11,9 @@ every row of the run only fills in its values. Everything else goes through
 ``json.dumps``: the small ``run`` and ``summary`` blocks, the rows of a
 block off that schema (a key that is not text, a residue that is not an
 exact int, a verdict that is not a bool or None), and a parsed report dict
-as a whole. The CSV reads the blocks the same way. Tests pin the equality
-with the ``json.dumps`` route and with a CSV written row by row.
+as a whole. The CSV is written from a ``SuiteReport`` only, reading its
+blocks the same way; a parsed report dict has no CSV route. Tests pin the
+equality with the ``json.dumps`` route and with a CSV written row by row.
 """
 
 from __future__ import annotations
@@ -74,10 +75,6 @@ def _fields(row: VerificationReport) -> tuple:
     )
 
 
-def _dict_fields(case: dict) -> tuple:
-    return (*(case[key] for key in _ROW_KEYS), case.get("note"))
-
-
 def _as_dict(fields: tuple) -> dict:
     *values, note = fields
     out = dict(zip(_ROW_KEYS, values))
@@ -132,12 +129,11 @@ def _is_int64_array(residues: list | array) -> bool:
 def _signed(residues: list | array, modulus: int) -> list:
     """signed_residue of each value. An int64 array is reduced in numpy while
     0 < modulus < 2^63: modulus is then an int64 too, and so is each result."""
-    half = modulus // 2
     if _is_int64_array(residues) and 0 < modulus < 2**63:
         r = np.frombuffer(residues, np.int64) % modulus
-        r[r > half] -= modulus
+        r[r > modulus // 2] -= modulus
         return r.tolist()
-    return [r - modulus if r > half else r for r in [v % modulus for v in residues]]
+    return list(map(signed_residue, residues, repeat(modulus)))
 
 
 def _literal(template: str) -> str:
@@ -236,22 +232,6 @@ def _csv_pass(passed) -> str:
     return "null" if passed is None else str(passed).lower()
 
 
-def _csv_row(fields: tuple) -> list:
-    family, p, params, modulus, lhs, rhs, lhs_signed, rhs_signed, passed, note = fields
-    return [
-        str(family),
-        str(p),
-        _csv_value(params),
-        str(modulus),
-        str(lhs),
-        str(rhs),
-        str(lhs_signed),
-        str(rhs_signed),
-        _csv_pass(passed),
-        "" if note is None else note,
-    ]
-
-
 def _csv_params(keys: tuple, columns: tuple) -> Iterator[str]:
     """The compact JSON params of each row of one run."""
     if any(type(key) is not str for key in keys):
@@ -282,12 +262,8 @@ def _csv_block_rows(block: CaseBlock) -> Iterator[tuple]:
         start = stop
 
 
-def write_csv(report: SuiteReport | dict, path: str | Path) -> None:
-    if isinstance(report, dict):
-        rows = map(_csv_row, map(_dict_fields, report["cases"]))
-    else:
-        rows = chain.from_iterable(map(_csv_block_rows, report.blocks))
+def write_csv(report: SuiteReport, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
+        writer.writerows(chain.from_iterable(map(_csv_block_rows, report.blocks)))

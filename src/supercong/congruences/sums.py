@@ -11,10 +11,10 @@ generator, one step per n.
 truncated_sum sums a kernel over (p-1)/2 or p-1 terms, at one shift d or at
 each of a sequence of shifts in one call. With power=None it returns the
 exact Fraction, the reference the tests check against. With power=K it
-returns the canonical residue mod p^K. The per-prime tables are built on
-first use and kept mod p^4: the binomial rows, the factorials and one table
-of the d-free factors of the terms (m^-k included) per kind, prime and base.
-Each call reduces that table mod p^K once, times its weight
+returns the canonical residue mod p^K. It reads the binomial rows, the
+factorials and the powers from combinatorics' per-prime tables mod p^4, and
+keeps one table of the d-free factors of the terms (m^-k included) per kind,
+prime and base. Each call reduces that table mod p^K once, times its weight
 a + b k + c/(k+1). For a kernel with a shift, it shares those terms, with
 the factorials or the C(2j, j) row also reduced mod p^K, across all of its
 shifts; C(2k, k+d) is (2k)!/((k+d)! (k-d)!) there, so each shift is one
@@ -34,10 +34,11 @@ from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import comb, gcd, prod
+from math import comb, gcd
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
+from ..combinatorics import _TABLE_POWER, _binomial_row, _factorials, _powers
 from ..errors import NonUnitDivisor, NotPAdicInteger, PrecisionMismatch
 from ..padic import OddPrime, _prime_int
 
@@ -142,11 +143,6 @@ _FLAG_WEIGHTS = {
 }
 
 
-# The residue path keeps its tables mod p^4: precision K <= 3, plus one power
-# of p for the Catalan tail at k = p - 1, the only term whose weight 1/(k+1)
-# is not a p-adic unit.
-_TABLE_POWER = 4
-
 # kind -> (left, right) with N_kind(k, d) = C(a k, b k) R(k, d) for left = (a, b);
 # right is "shift" for C(2k, k+d), "double" for C(2k+2d, k+d), or a pair (a, b)
 # for a d-free C(a k, b k). The same kernels as TERM_KINDS, which stays the
@@ -165,40 +161,6 @@ _RESIDUE_KERNELS: dict[str, tuple[tuple[int, int], tuple[int, int] | str]] = {
 }
 
 
-@lru_cache(maxsize=4)
-def _factorials(q: int) -> tuple[list[int], list[int]]:
-    """j! and 1/j! mod p^4 for j < p; every one is a p-adic unit."""
-    mod = q**_TABLE_POWER
-    fact = [1] * q
-    for j in range(1, q):
-        fact[j] = fact[j - 1] * j % mod
-    inv = [1] * q
-    inv[q - 1] = pow(fact[q - 1], -1, mod)
-    for j in range(q - 1, 1, -1):
-        inv[j - 1] = inv[j] * j % mod
-    return fact, inv
-
-
-@lru_cache(maxsize=16)
-def _binomial_row(q: int, a: int, b: int) -> list[int]:
-    """C(a k, b k) mod p^4 for k < p.
-
-    Stepped exactly from C(a (k-1), b (k-1)) by the new factors of (a k)!
-    over those of (b k)! and ((a-b) k)!, so each step costs a few
-    multiplications by small ints; comb(6k, 3k) from scratch for every
-    k < 1999 takes about 100 times longer.
-    """
-    mod = q**_TABLE_POWER
-    row = [1] * q
-    exact = 1
-    for k in range(1, q):
-        top = prod(range(a * k - a + 1, a * k + 1))
-        bottom = prod(range(b * k - b + 1, b * k + 1)) * prod(range((a - b) * (k - 1) + 1, (a - b) * k + 1))
-        exact = exact * top // bottom
-        row[k] = exact % mod
-    return row
-
-
 @lru_cache(maxsize=32)  # one prime of the catalog needs 25
 def _kernel_table(kind: str, q: int, m: int) -> list[int]:
     """The d-free factors of N_kind(k, d) / m^k mod p^4 for k < p: the left
@@ -207,13 +169,7 @@ def _kernel_table(kind: str, q: int, m: int) -> list[int]:
     mod = q**_TABLE_POWER
     left = _binomial_row(q, la, lb)
     fixed = _binomial_row(q, *right) if isinstance(right, tuple) else repeat(1)
-    inv_m = pow(m, -1, mod)
-    table = []
-    scale = 1  # m^-k
-    for x, y in zip(left, fixed):
-        table.append(x * y % mod * scale % mod)
-        scale = scale * inv_m % mod
-    return table
+    return [x * y % mod * s % mod for x, y, s in zip(left, fixed, _powers(pow(m, -1, mod), q, mod))]
 
 
 def kernel_residues(kind: str, q: int, m: int, count: int, power: int) -> list[int]:

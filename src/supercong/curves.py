@@ -2,7 +2,9 @@
 
 Scalar routines here are the reference implementations; the *_grid variants
 vectorize the full (lambda, d) sweep with numpy and are cross-checked against
-the scalar route in the tests.
+the scalar route in the tests. Both closed-form routes read C(2k, k) mod p from
+central_binomials_mod, which reduces combinatorics' row C(2k, k) mod p^4, the
+same row the truncated sums use.
 
 Both grids are matrix products of integers below p, taken in float64 so that
 BLAS computes them. A float64 holds every integer below 2^53 exactly, and each
@@ -20,6 +22,7 @@ from math import isqrt
 
 import numpy as np
 
+from .combinatorics import _binomial_row, _powers
 from .errors import WeightZero, WrongResidueClass
 from .padic import OddPrime, _prime_int, odd_prime
 
@@ -76,15 +79,9 @@ def _sq_count(q: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=32)
-def central_binomials_mod(q: int, power: int = 1) -> tuple[int, ...]:
-    """binom(2m, m) mod q^power for m = 0..q-1, via the exact ratio recurrence."""
-    m = q**power
-    out = []
-    c = 1
-    for i in range(q):
-        out.append(c % m)
-        c = c * (4 * i + 2) // (i + 1)
-    return tuple(out)
+def central_binomials_mod(q: int) -> tuple[int, ...]:
+    """binom(2m, m) mod q for m = 0..q-1, the combinatorics row C(2k, k) mod q^4 reduced."""
+    return tuple(c % q for c in _binomial_row(q, 2, 1))
 
 
 def char_sum_a(p: OddPrime | int, lam: int) -> int:
@@ -145,12 +142,8 @@ def thm11_rhs(p: OddPrime | int, lam: int, d: int) -> int:
     if not 0 <= d <= n:
         raise ValueError(f"d must lie in [0, (p-1)/2], got {d}")
     cb = central_binomials_mod(q)
-    winc = lam * pow(16, -1, q) % q
-    acc = 0
-    w = 1
-    for k in range(n + 1):
-        acc = (acc + cb[k] * cb[k + d] % q * w) % q
-        w = w * winc % q
+    w = _powers(lam * pow(16, -1, q) % q, n + 1, q)  # (lambda/16)^k
+    acc = sum(x * y * z for x, y, z in zip(cb, cb[d:], w)) % q
     r = acc * pow(lam, d, q) % q * pow(pow(4, -1, q), d, q) % q
     if (q + 1) // 2 % 2:
         r = -r

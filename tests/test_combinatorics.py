@@ -1,13 +1,17 @@
-"""Exact combinatorics: duals, Bernoulli/Euler data, Euler polynomials."""
+"""Exact combinatorics: duals, Bernoulli/Euler data, Euler polynomials, per-prime tables."""
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from supercong.combinatorics import (
+    _TABLE_POWER,
     RationalPolynomial,
+    _binomial_row,
+    _factorials,
+    _powers,
     bernoulli_number,
     binomial_p_valuation,
     catalan,
@@ -165,3 +169,26 @@ def test_kummer_valuation_matches_factorization():
                 assert binomial_p_valuation(n, k, p) == _valuation(comb(n, k), p), (n, k, p)
     with pytest.raises(ValueError):
         binomial_p_valuation(3, 5, 7)
+
+
+@pytest.mark.parametrize("q", [5, 7, 101, 1999])
+def test_residue_tables_match_exact_values(q):
+    mod = q**_TABLE_POWER
+    # every k below 1000; past it every 16th k and the last two, since comb takes
+    # 7.7 s for the four rows at 1999 and a wrong step corrupts every later k
+    ks = range(q) if q < 1000 else sorted({*range(0, q, 16), q - 2, q - 1})
+    # the catalog's rows: C(2k, k), C(3k, k), C(4k, 2k) and C(6k, 3k)
+    for a, b in ((2, 1), (3, 1), (4, 2), (6, 3)):
+        row = _binomial_row(q, a, b)
+        assert len(row) == q and [row[k] for k in ks] == [comb(a * k, b * k) % mod for k in ks], (a, b)
+    fact, inv_fact = _factorials(q)
+    for j in (0, 1, 2, 3, q // 2, q - 2, q - 1):
+        assert fact[j] * inv_fact[j] % mod == 1 and fact[j] == factorial(j) % mod, j
+
+
+def test_powers_match_pow():
+    rng = random.Random(5)
+    for m in (2, 7, 49, 1999**4, 2**70 + 1):
+        for x in (0, 1, -1, m - 1, -16, rng.randrange(m), rng.randrange(-(m**2), m**2)):
+            assert _powers(x, 40, m) == [pow(x, k, m) for k in range(40)], (x, m)
+    assert _powers(3, 0, 7) == []

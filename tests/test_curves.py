@@ -85,10 +85,8 @@ def test_weighted_count_rejects_weight_zero():
 def test_central_binomials_mod():
     from math import comb
 
-    for q, power in ((7, 1), (13, 2), (5, 3)):
-        got = central_binomials_mod(q, power)
-        m = q**power
-        assert got == tuple(comb(2 * i, i) % m for i in range(q))
+    for q in (*primes_between(5, 300), 1999):
+        assert central_binomials_mod(q) == tuple(comb(2 * i, i) % q for i in range(q)), q
 
 
 def test_closed_form_matches_weighted_sum_scalar():

@@ -184,6 +184,25 @@ def test_fail_fast_cancels_every_pending_call(monkeypatch):
     assert report.failed == 1
 
 
+def test_an_error_cancels_every_pending_call(monkeypatch):
+    pool, evaluated = _lazy_pool(monkeypatch, queued=2)
+    eval_prime = engine._eval_prime
+
+    def raises_at_five(ids, p, sweep_cap):
+        if p == 5:
+            raise RuntimeError("planted at p = 5")
+        return eval_prime(ids, p, sweep_cap)
+
+    monkeypatch.setattr(engine, "_eval_prime", raises_at_five)
+    primes = primes_between(5, 60)
+    with pytest.raises(RuntimeError, match="planted at p = 5"):
+        run_suite(primes, ["B1"], parallelism=2)
+    assert evaluated == [] and pool.ran == []  # the caller's first prime, 5, raised; nothing else ran
+    # only the two calls queued before the error are left to run
+    assert [p for p, future in pool.futures.items() if not future.cancelled()] == primes[:-3:-1]
+    assert all(pool.futures[p].running() for p in primes[-2:])
+
+
 def test_blocks_pickle_as_they_are(monkeypatch):
     fid = "XKEYS-TEST"
     monkeypatch.setitem(_BY_ID, fid, _alternating_keys(fid))
@@ -467,9 +486,9 @@ def test_csv_mirror(tmp_path):
 #
 # dumps_json writes the rows of a SuiteReport from its block templates, the
 # only fast path; off-schema rows and parsed dicts go through json.dumps, and
-# write_csv writes each row from its fields. The whole-document json.dumps
-# route and the old per-row dict CSV writer below are kept here only as the
-# oracles those writers must match byte for byte.
+# write_csv writes a SuiteReport's rows from its blocks. The whole-document
+# json.dumps route and the old per-row dict CSV writer below are kept here only
+# as the oracles those writers must match byte for byte.
 
 
 def _json_oracle(report):
@@ -570,9 +589,7 @@ def test_csv_matches_dict_route(tmp_path):
     _csv_oracle(report, tmp_path / "oracle.csv")
     want = (tmp_path / "oracle.csv").read_bytes()
     write_csv(report, tmp_path / "rows.csv")
-    write_csv(json.loads(dumps_json(report)), tmp_path / "dict.csv")
     assert (tmp_path / "rows.csv").read_bytes() == want
-    assert (tmp_path / "dict.csv").read_bytes() == want
 
 
 def _planted_t11_failure(monkeypatch, q, d, lam):
@@ -642,6 +659,4 @@ def test_block_writers_match_row_routes_on_a_mixed_report(tmp_path, monkeypatch)
     _csv_from_cases(report, tmp_path / "rows.csv")
     want = (tmp_path / "rows.csv").read_bytes()
     write_csv(report, tmp_path / "blocks.csv")
-    write_csv(json.loads(blob), tmp_path / "dict.csv")
     assert (tmp_path / "blocks.csv").read_bytes() == want
-    assert (tmp_path / "dict.csv").read_bytes() == want
