@@ -55,7 +55,6 @@ from .errors import (
     WrongResidueClass,
 )
 from .padic import (
-    OddPrime,
     is_prime,
     legendre_symbol,
     padic_from_rational,
@@ -73,7 +72,6 @@ __all__ = [
     "InvalidPrime",
     "NonUnitDivisor",
     "NotPAdicInteger",
-    "OddPrime",
     "PrecisionMismatch",
     "SuiteReport",
     "SupercongError",

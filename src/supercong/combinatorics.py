@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import comb, perm
 from typing import Sequence
 
-from .padic import OddPrime, _prime_int
+from .padic import odd_prime
 
 __all__ = [
     "RationalPolynomial",
@@ -177,7 +177,7 @@ def euler_polynomial_half_grid(n: int, count: int) -> list[Fraction]:
     return vals
 
 
-def euler_half_grid_mod_p(p: OddPrime | int, count: int) -> list[int]:
+def euler_half_grid_mod_p(p: int, count: int) -> list[int]:
     """Residues of E_(p-3)(d + 1/2) mod p for d = 0..count-1, from power sums; p >= 5.
 
     E_n(x) = 2/(n+1) (B_(n+1)(x) - 2^(n+1) B_(n+1)(x/2)), and for y congruent to
@@ -188,7 +188,7 @@ def euler_half_grid_mod_p(p: OddPrime | int, count: int) -> list[int]:
     No Euler number is built; euler_polynomial_half_grid is the exact oracle
     in the tests.
     """
-    q = _prime_int(p)
+    q = odd_prime(p)
     inv2 = (q + 1) // 2
     s = [0, 0]  # s[y] = S(y) for y < p
     for j in range(1, q - 1):
@@ -200,9 +200,9 @@ def euler_half_grid_mod_p(p: OddPrime | int, count: int) -> list[int]:
     return grid
 
 
-def binomial_p_valuation(n: int, k: int, p: OddPrime | int) -> int:
+def binomial_p_valuation(n: int, k: int, p: int) -> int:
     """p-adic valuation of binom(n, k): carries when adding k and n-k base p."""
-    q = _prime_int(p)
+    q = odd_prime(p)
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n} k={k}")
     a, b = k, n - k

@@ -25,8 +25,9 @@ class FamilyCase:
     note: str | None = None
 
     @property
-    def passed(self) -> bool:
-        return self.skipped or self.lhs == self.rhs
+    def passed(self) -> bool | None:
+        """lhs == rhs, or None on a skipped row, as on VerificationReport."""
+        return None if self.skipped else self.lhs == self.rhs
 
 
 @dataclass(slots=True)

@@ -11,19 +11,21 @@ generator, one step per n.
 truncated_sum sums a kernel over (p-1)/2 or p-1 terms, at one shift d or at
 each of a sequence of shifts in one call. With power=None it returns the
 exact Fraction, the reference the tests check against. With power=K it
-returns the canonical residue mod p^K. It reads the binomial rows, the
-factorials and the powers from combinatorics' per-prime tables mod p^4, and
-keeps one table of the d-free factors of the terms (m^-k included) per kind,
-prime and base. Each call reduces that table mod p^K once, times its weight
-a + b k + c/(k+1). For a kernel with a shift, it shares those terms, with
-the factorials or the C(2j, j) row also reduced mod p^K, across all of its
-shifts; C(2k, k+d) is (2k)!/((k+d)! (k-d)!) there, so each shift is one
-pass of products. Exact comb still runs where the tables stop: C(2k, k+d) for
-k > (p-1)/2, C(2j, j) for j >= p, and the Catalan term at k = p - 1. That is
-exact: reduction mod p^K is a ring homomorphism on Z_(p), and every divisor
-is a p-adic unit except k+1 = p in the Catalan weight, whose term is reduced
-mod p^4 and divided by p exactly (NotPAdicInteger when it cannot be).
-The catalog families use the residue path; kernel_residues gives the
+returns the canonical residue mod p^K: from the residue path when every
+term lies in combinatorics' per-prime tables mod p^4, else the exact sum
+reduced once per shift (no catalog family makes such a call).
+
+The residue path reads the binomial rows, the factorials and the powers
+from the tables, and keeps one table of the d-free factors of the terms
+(m^-k included) per kind, prime and base. Each call reduces that table mod
+p^K once, times its weight a + b k + c/(k+1). For a kernel with a shift, it
+shares those terms, with the factorials or the C(2j, j) row also reduced mod
+p^K, across all of its shifts; C(2k, k+d) is (2k)!/((k+d)! (k-d)!) there,
+so each shift is one pass of products. That is exact: reduction mod p^K is
+a ring homomorphism on Z_(p), and every divisor is a p-adic unit except
+k+1 = p in the Catalan weight of a d-free kernel summed to p - 1, whose term
+is reduced mod p^4 and divided by p exactly (NotPAdicInteger when it cannot
+be). The catalog families use the residue path; kernel_residues gives the
 sequence and polynomial families their weights N_kind(k)/m^k mod p^K from
 the same tables.
 """
@@ -40,7 +42,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from ..combinatorics import _TABLE_POWER, _binomial_row, _factorials, _powers
 from ..errors import NonUnitDivisor, NotPAdicInteger, PrecisionMismatch
-from ..padic import OddPrime, _prime_int
+from ..padic import odd_prime, padic_from_rational
 
 __all__ = ["TERM_KINDS", "kernel_residues", "truncated_sum", "weighted_prefixes", "weighted_sum"]
 
@@ -189,7 +191,10 @@ def kernel_residues(kind: str, q: int, m: int, count: int, power: int) -> list[i
 def _residue_sums(
     kind: str, q: int, upper: int, m: int, ds: list[int], weights: tuple[int, int, int], power: int
 ) -> list[int]:
-    """The residues mod p^power of truncated_sum at every shift of ds, in one pass per shift."""
+    """The residues mod p^power of truncated_sum at every shift of ds, in one pass per shift.
+
+    Every term lies in the tables: truncated_sum checks the domain.
+    """
     mod = q**power
     table = _kernel_table(kind, q, m)
     a, b, c = weights
@@ -205,47 +210,32 @@ def _residue_sums(
         ]
     right = _RESIDUE_KERNELS[kind][1]
     if isinstance(right, tuple):
-        totals = [sum(terms)] * len(ds)
-    elif right == "double":
-        # C(2j, j) at j = k + d: the table below p, exact comb from p on
+        total = sum(terms)
+        if c and upper == q - 1:
+            # the Catalan part of the term at k = p - 1: c times its factors
+            # mod p^4, divided by p exactly
+            numerator = c * table[q - 1] % q**_TABLE_POWER
+            if numerator % q:
+                raise NotPAdicInteger(f"the sum has {q} in its denominator (Catalan term at k = {q - 1})")
+            total += numerator // q
+        return [total % mod] * len(ds)
+    if right == "double":
+        # C(2j, j) at j = k + d <= p - 1
         row = [x % mod for x in _binomial_row(q, 2, 1)]
-        row += [comb(2 * j, j) % mod for j in range(q, max(ds, default=0) + upper + 1)]
         totals = [sum(map(mul, terms, row[d:])) for d in ds]
     else:
         # C(2k, k+d) = (2k)!/((k+d)! (k-d)!) where (2k)! is a unit, k <= (p-1)/2,
-        # so terms[k] (2k)! is folded once; exact comb past that, and 0 for k < d
+        # so terms[k] (2k)! is folded once; 0 for k < d
         fact, inv_fact = _factorials(q)
-        half = min(upper, (q - 1) // 2)
-        lead = [t * f % mod for t, f in zip(terms[: half + 1], fact[::2])]
+        lead = [t * f % mod for t, f in zip(terms, fact[::2])]
         inv = [x % mod for x in inv_fact]
-        totals = [
-            sum(map(mul, map(mul, lead[d:], inv[2 * d :]), inv))
-            + sum(terms[k] * comb(2 * k, k + d) for k in range(half + 1, upper + 1))
-            for d in ds
-        ]
-    if c and upper == q - 1:
-        # the Catalan part of the term at k = p - 1: c R(p-1, d) times the
-        # d-free factors, mod p^4 with R exact, then divided by p exactly
-        full = q**_TABLE_POWER
-        tail = c * table[q - 1]
-        for i, d in enumerate(ds):
-            j = q - 1 + d
-            if isinstance(right, tuple):
-                last = 1
-            elif right == "double":
-                last = comb(2 * j, j)
-            else:
-                last = comb(2 * q - 2, j)
-            numerator = tail * last % full
-            if numerator % q:
-                raise NotPAdicInteger(f"the sum has {q} in its denominator (Catalan term at k = {q - 1})")
-            totals[i] += numerator // q
+        totals = [sum(map(mul, map(mul, lead[d:], inv[2 * d :]), inv)) for d in ds]
     return [t % mod for t in totals]
 
 
 def truncated_sum(
     kind: str,
-    p: OddPrime | int,
+    p: int,
     upper: int,
     m: int,
     *,
@@ -269,7 +259,7 @@ def truncated_sum(
     and raises when the call at any one of its shifts would. The per-d
     families sum every shift of a prime this way.
     """
-    q = _prime_int(p)
+    q = odd_prime(p)
     n = (q - 1) // 2
     if upper not in (n, q - 1):
         raise ValueError(f"upper must be (p-1)/2 or p-1, got {upper} for p={q}")
@@ -278,12 +268,19 @@ def truncated_sum(
     ds = [d] if isinstance(d, int) else list(d)
     if any(x < 0 for x in ds):
         raise ValueError(f"shift d must be >= 0, got {min(ds)}")
+    if power not in (None, 1, 2, 3):
+        raise PrecisionMismatch(f"precision must be 1, 2 or 3, got {power}")
     weights = _FLAG_WEIGHTS[k_factor, catalan_weight]
-    if power is None:
+    # The residue path's domain: every term in the tables, k < p. A d-free
+    # kernel qualifies at either upper bound; a shifted one only summed to
+    # (p-1)/2 at shifts d <= (p-1)/2, where k + d <= p - 1 and 2k <= p - 1.
+    if power is not None and (
+        isinstance(_RESIDUE_KERNELS[kind][1], tuple) or (upper == n and all(x <= n for x in ds))
+    ):
+        values = _residue_sums(kind, q, upper, m, ds, weights, power)
+    else:
         term = TERM_KINDS[kind]
         values = [weighted_sum([term(k, x) for k in range(upper + 1)], m, *weights) for x in ds]
-    elif power not in (1, 2, 3):
-        raise PrecisionMismatch(f"precision must be 1, 2 or 3, got {power}")
-    else:
-        values = _residue_sums(kind, q, upper, m, ds, weights, power)
+        if power is not None:
+            values = [padic_from_rational(v, q, power) for v in values]
     return values[0] if isinstance(d, int) else values

@@ -24,7 +24,7 @@ import numpy as np
 
 from .combinatorics import _binomial_row, _powers
 from .errors import WeightZero, WrongResidueClass
-from .padic import OddPrime, _prime_int, odd_prime
+from .padic import odd_prime
 
 __all__ = [
     "TwoSquares",
@@ -44,16 +44,17 @@ __all__ = [
 class TwoSquares:
     """p = x^2 + y^2 with the normalization x == 1 (mod 4), y even and >= 0."""
 
-    p: OddPrime
+    p: int
     x: int
     y: int
 
     def __post_init__(self) -> None:
+        odd_prime(self.p)  # raises InvalidPrime
         ok = (
             self.x % 4 == 1
             and self.y >= 0
             and self.y % 2 == 0
-            and self.x * self.x + self.y * self.y == self.p.value
+            and self.x * self.x + self.y * self.y == self.p
         )
         if not ok:
             raise ValueError(f"({self.x}, {self.y}) is not normalized for {self.p}")
@@ -84,29 +85,29 @@ def central_binomials_mod(q: int) -> tuple[int, ...]:
     return tuple(c % q for c in _binomial_row(q, 2, 1))
 
 
-def char_sum_a(p: OddPrime | int, lam: int) -> int:
+def char_sum_a(p: int, lam: int) -> int:
     """Trace term a_p(lambda) = sum_x chi(x(x-1)(x-lambda)), exact."""
-    q = _prime_int(p)
+    q = odd_prime(p)
     lam %= q
     chi = _chi_table(q)
     return sum(chi[x * (x - 1) % q * (x - lam) % q] for x in range(q))
 
 
-def count_points(p: OddPrime | int, lam: int) -> int:
+def count_points(p: int, lam: int) -> int:
     """#E_p(lambda) including the point at infinity.
 
     Counts square roots per x directly, so the identity
     count_points = p + 1 + char_sum_a is a genuine two-route check.
     """
-    q = _prime_int(p)
+    q = odd_prime(p)
     lam %= q
     sq = _sq_count(q)
     return 1 + sum(sq[x * (x - 1) % q * (x - lam) % q] for x in range(q))
 
 
-def weighted_char_sum(p: OddPrime | int, lam: int, d: int) -> int:
+def weighted_char_sum(p: int, lam: int, d: int) -> int:
     """a_p^(d)(lambda) = sum_x x^d chi(x(x-1)(x-lambda)) as an exact integer."""
-    q = _prime_int(p)
+    q = odd_prime(p)
     lam %= q
     if not 0 <= d <= (q - 1) // 2:
         raise ValueError(f"d must lie in [0, (p-1)/2], got {d}")
@@ -114,13 +115,13 @@ def weighted_char_sum(p: OddPrime | int, lam: int, d: int) -> int:
     return sum(x**d * chi[x * (x - 1) % q * (x - lam) % q] for x in range(q))
 
 
-def weighted_point_count(p: OddPrime | int, lam: int, d: int) -> int:
+def weighted_point_count(p: int, lam: int, d: int) -> int:
     """1 + sum_x x^d #{y : y^2 = x(x-1)(x-lambda)} for d >= 1, exact.
 
     Modulo p this equals 1 + weighted_char_sum(p, lam, d). The unweighted
     count (d = 0) is count_points; asking for weight x^0 here is an error.
     """
-    q = _prime_int(p)
+    q = odd_prime(p)
     if d == 0:
         raise WeightZero("weight x^0 is count_points, not a weighted count")
     if not 1 <= d <= (q - 1) // 2:
@@ -130,13 +131,13 @@ def weighted_point_count(p: OddPrime | int, lam: int, d: int) -> int:
     return 1 + sum(x**d * sq[x * (x - 1) % q * (x - lam) % q] for x in range(q))
 
 
-def thm11_rhs(p: OddPrime | int, lam: int, d: int) -> int:
+def thm11_rhs(p: int, lam: int, d: int) -> int:
     """Mod-p closed form for a_p^(d)(lambda), as a canonical residue in [0, p).
 
     (-1)^((p+1)/2) (lambda/4)^d sum_{k<=n} binom(2k,k) binom(2(k+d),k+d)
     (lambda/16)^k, minus 1 when d = n = (p-1)/2.
     """
-    q = _prime_int(p)
+    q = odd_prime(p)
     n = (q - 1) // 2
     lam %= q
     if not 0 <= d <= n:
@@ -161,9 +162,9 @@ def _chi_grid_block(q: int, chi: np.ndarray, xs: np.ndarray, cols: np.ndarray) -
     return chi[block]
 
 
-def char_sum_table(p: OddPrime | int) -> np.ndarray:
+def char_sum_table(p: int) -> np.ndarray:
     """a_p(lambda) for every lambda in [0, p), exact values in an int64 array."""
-    q = _prime_int(p)
+    q = odd_prime(p)
     chi = np.array(_chi_table(q), dtype=np.int64)
     xs = np.arange(q, dtype=np.int64)
     out = np.empty(q, dtype=np.int64)
@@ -173,9 +174,9 @@ def char_sum_table(p: OddPrime | int) -> np.ndarray:
     return out
 
 
-def _grid_prime(p: OddPrime | int) -> int:
+def _grid_prime(p: int) -> int:
     """p as an int, where both T1.1 grids are exact float64 products: (p+1)/2 (p-1)^2 < 2^53."""
-    q = _prime_int(p)
+    q = odd_prime(p)
     if (q + 1) // 2 * (q - 1) ** 2 >= 2**53:
         raise ValueError(f"p = {q} is past the float64 bound of the T1.1 grids, (p+1)/2 (p-1)^2 < 2^53")
     return q
@@ -201,7 +202,7 @@ def _power_table(q: int) -> np.ndarray:
     return table
 
 
-def weighted_char_sum_grid(p: OddPrime | int) -> np.ndarray:
+def weighted_char_sum_grid(p: int) -> np.ndarray:
     """Canonical residues of a_p^(d)(lambda) mod p, shape (n + 1, p).
 
     Row d, column lambda: x^d mod p times the chi block, a float64 product.
@@ -222,7 +223,7 @@ def weighted_char_sum_grid(p: OddPrime | int) -> np.ndarray:
     return out
 
 
-def thm11_rhs_grid(p: OddPrime | int) -> np.ndarray:
+def thm11_rhs_grid(p: int) -> np.ndarray:
     """Canonical residues of the thm11_rhs closed form, same shape and layout as
     weighted_char_sum_grid, from the binomial side only.
 
@@ -246,10 +247,9 @@ def thm11_rhs_grid(p: OddPrime | int) -> np.ndarray:
     return out
 
 
-def cornacchia_two_squares(p: OddPrime | int) -> TwoSquares:
+def cornacchia_two_squares(p: int) -> TwoSquares:
     """Two-square decomposition of p == 1 (mod 4) by Cornacchia descent."""
-    prime = odd_prime(_prime_int(p))
-    q = prime.value
+    q = odd_prime(p)
     if q % 4 != 1:
         raise WrongResidueClass(f"{q} is not 1 mod 4, so p = x^2 + y^2 is impossible")
     z = 2
@@ -261,4 +261,4 @@ def cornacchia_two_squares(p: OddPrime | int) -> TwoSquares:
     u, v = b, isqrt(q - b * b)
     odd, even = (u, v) if u % 2 else (v, u)
     x = odd if odd % 4 == 1 else -odd
-    return TwoSquares(prime, x, even)
+    return TwoSquares(q, x, even)

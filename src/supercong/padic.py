@@ -1,18 +1,18 @@
 """Truncated p-adic residues: canonical residues mod p^K for K in {1, 2, 3}.
 
-A residue is a plain int in [0, p^K). K does not travel with it: the catalog
+A prime is a plain int, validated once by the cached odd_prime. A residue
+is a plain int in [0, p^K). K does not travel with it: the catalog
 entry that compares two residues states it once. padic_from_rational
 collapses an exact int or Fraction to its residue, once, at comparison time,
 and rejects anything else: a float or a string would be converted silently
 and inexactly. The truncated sums and the sequence and polynomial families
 work mod p^K directly, which is exact because every denominator they divide
-by is a p-adic unit (the one exception, the Catalan term at k = p - 1, is
-divided by p exactly).
+by is a p-adic unit (the one exception, the Catalan term at k = p - 1 of a
+d-free kernel, is divided by p exactly).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,7 +20,6 @@ from .errors import InvalidPrime, NotPAdicInteger, PrecisionMismatch
 
 __all__ = [
     "MR_EXACT_BOUND",
-    "OddPrime",
     "is_prime",
     "legendre_symbol",
     "odd_prime",
@@ -77,33 +76,13 @@ def primes_between(lo: int, hi: int) -> list[int]:
     return [n for n in range(max(lo, 2), hi + 1) if sieve[n]]
 
 
-@dataclass(frozen=True, order=True)
-class OddPrime:
-    """A prime >= 5; the only modulus base the engine accepts."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.value < 5 or not is_prime(self.value):
-            raise InvalidPrime(f"{self.value} is not a prime >= 5")
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
 @lru_cache(maxsize=None)
-def odd_prime(value: int) -> OddPrime:
-    """Validated OddPrime, cached so sweeps do not re-run primality tests."""
-    return OddPrime(value)
-
-
-def _prime_int(p: OddPrime | int) -> int:
-    if isinstance(p, OddPrime):
-        return p.value
-    return odd_prime(int(p)).value
+def odd_prime(p: int) -> int:
+    """p as an int when it is a prime >= 5, else InvalidPrime; cached so sweeps do not re-run primality tests."""
+    q = int(p)
+    if q < 5 or not is_prime(q):
+        raise InvalidPrime(f"{q} is not a prime >= 5")
+    return q
 
 
 def signed_residue(residue: int, modulus: int) -> int:
@@ -112,14 +91,14 @@ def signed_residue(residue: int, modulus: int) -> int:
     return r - modulus if r > modulus // 2 else r
 
 
-def legendre_symbol(a: int, p: OddPrime | int) -> int:
+def legendre_symbol(a: int, p: int) -> int:
     """Legendre symbol (a/p) in {-1, 0, 1}, by Euler's criterion."""
-    q = _prime_int(p)
+    q = odd_prime(p)
     r = pow(a % q, (q - 1) // 2, q)
     return r - q if r == q - 1 else r
 
 
-def padic_from_rational(q: Fraction | int, p: OddPrime | int, precision: int) -> int:
+def padic_from_rational(q: Fraction | int, p: int, precision: int) -> int:
     """Reduce an exact rational to its canonical residue in [0, p^precision).
 
     Raises NotPAdicInteger when p divides the (reduced) denominator, and
@@ -130,7 +109,7 @@ def padic_from_rational(q: Fraction | int, p: OddPrime | int, precision: int) ->
         raise TypeError(f"expected an int or a Fraction, got {type(q).__name__}")
     if precision not in (1, 2, 3):
         raise PrecisionMismatch(f"precision must be 1, 2 or 3, got {precision}")
-    prime = _prime_int(p)
+    prime = odd_prime(p)
     m = prime**precision
     if isinstance(q, int):
         return q % m

@@ -20,7 +20,7 @@ from supercong.curves import (
     weighted_char_sum_grid,
     weighted_point_count,
 )
-from supercong.errors import WeightZero, WrongResidueClass
+from supercong.errors import InvalidPrime, WeightZero, WrongResidueClass
 from supercong.padic import is_prime, odd_prime, primes_between
 
 
@@ -181,4 +181,6 @@ def test_two_squares_validates_normalization():
         TwoSquares(odd_prime(13), 3, 2)  # 3 != 1 mod 4
     with pytest.raises(ValueError):
         TwoSquares(odd_prime(13), -3, -2)
-    assert TwoSquares(odd_prime(13), -3, 2).p.value == 13
+    assert TwoSquares(odd_prime(13), -3, 2).p == 13
+    with pytest.raises(InvalidPrime):
+        TwoSquares(25, -3, 4)  # 25 = 9 + 16 is not a prime

@@ -22,7 +22,7 @@ from supercong.congruences import (
     truncated_sum,
     verify_family_case,
 )
-from supercong.congruences import engine, families
+from supercong.congruences import engine, families, sums
 from supercong.congruences.families import (
     _SPOTS_CUBIC,
     CaseColumns,
@@ -333,7 +333,7 @@ def test_polynomial_spot_rows_match_exact_rational_oracle():
 
 
 def _failing_rows(gen, primes):
-    return [case for q in primes for case in gen(q) if not case.passed]
+    return [case for q in primes for case in gen(q) if case.passed is False]
 
 
 def _entry(gen, power):
@@ -483,7 +483,7 @@ def test_planted_sum_mutant_fails_every_sum_family(fid, mutant, monkeypatch):
         for q in primes:
             monkeypatch.setattr(families, "truncated_sum", _sum_mutant(target, mutant))
             try:
-                failing += [case for case in fam.cases(q) if not case.passed]
+                failing += [case for case in fam.cases(q) if case.passed is False]
             except _NotAUnit:
                 continue
         assert failing, (fid, mutant, target)
@@ -616,6 +616,17 @@ def test_no_family_builds_the_dense_matrix(monkeypatch):
     families._weight_vectors.cache_clear()
     fids = [fid for fid in family_ids() if fid != "T1.1"]
     assert run_suite([5, 7, 13, 31, 101], fids).ok
+
+
+def test_no_family_takes_the_exact_sum_route(monkeypatch):
+    # every truncated_sum call of the catalog lies in the per-prime tables; a
+    # shifted kind summed to p - 1 would go exact, at O(p) bignum terms a shift
+    def never(*args):
+        raise AssertionError("a family's truncated_sum took the exact route")
+
+    monkeypatch.setattr(sums, "weighted_sum", never)
+    fids = [fid for fid in family_ids() if fid != "T1.1"]
+    assert run_suite([*primes_between(5, 60), 1999], fids).ok
 
 
 def test_no_family_packs_rows_or_builds_a_family_case(monkeypatch):

@@ -4,12 +4,12 @@ import operator
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from supercong.errors import InvalidPrime, NotPAdicInteger, PrecisionMismatch
 from supercong.padic import (
     MR_EXACT_BOUND,
-    OddPrime,
     is_prime,
     legendre_symbol,
     odd_prime,
@@ -64,9 +64,9 @@ def test_primes_between_closed_interval():
 def test_odd_prime_accepts_only_primes_at_least_five():
     for bad in (0, 1, 2, 3, 4, 6, 9, 15, 91):
         with pytest.raises(InvalidPrime):
-            OddPrime(bad)
-    assert int(OddPrime(5)) == 5
-    assert str(odd_prime(13)) == "13"
+            odd_prime(bad)
+    assert odd_prime(13) == 13
+    assert type(odd_prime(np.int64(11))) is int
     assert odd_prime(7) is odd_prime(7)  # cached
 
 
