@@ -36,9 +36,9 @@ class CaseColumns:
 
     runs holds [keys, stop, columns] per run of consecutive rows with the same
     param keys: the run ends before row stop, and columns holds one value list
-    per key. lhs and rhs are the residues (lists, or int64 arrays), skips the
-    indices of the skipped rows (whose residues are 0), and notes maps a row
-    index to its note. Iterating gives the FamilyCase rows.
+    (or int64 array) per key. lhs and rhs are the residues (lists, or int64
+    arrays), skips the indices of the skipped rows (whose residues are 0), and
+    notes maps a row index to its note. Iterating gives the FamilyCase rows.
     """
 
     runs: list

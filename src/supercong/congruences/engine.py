@@ -2,36 +2,36 @@
 
 Work is scheduled one job per prime (so per-prime tables are built once), on
 at most one worker per prime and per CPU, this process included. It runs
-inline when that leaves one. Otherwise a pool of the other workers takes the
-primes from the top of the range while this process evaluates them from the
-bottom, and the two meet where their costs balance; blocks come back from
-the pool pickled as constructor arguments. What one family gives at one
-prime is one CaseBlock, in columns rather than one object per row: the
-family, p and modulus once, where the modulus is p^K with K the catalog
-entry's modulus_power; one param-key tuple shared by every row with those
-keys, and a value column per key; the lhs and rhs residues (int64 arrays
-where they fit) and the verdicts; the pass/fail/skip counts, taken once per
-block; and the notes of the rows that have one. A family hands over its rows
-at a prime as CaseColumns, already in that shape, and _block wraps its runs
-and notes as they are, takes the verdicts in one pass and stores the residues
-compactly; no row becomes an object. A SuiteReport keeps the blocks in
-(family, prime) order. Its summary, its failures and the report writers read
-the blocks, and report.cases builds VerificationReport rows from them on
-demand. Rows given as a report's cases, or assigned into that list, are packed
-back into blocks by _pack. A time budget and fail-fast both act per prime,
-read in prime order: the primes they skip become marker rows, so the rows
-never depend on the scheduling; the fail-fast cut slices its block's columns.
-A run that stops, by fail-fast, the budget or an error, cancels every call
-the pool has not queued yet; it still waits for the running and queued ones,
-at most 2 * workers - 1 primes, taken from the top of the range, and
-discards them.
+inline when that leaves one, and then never imports the pool machinery
+(multiprocessing and concurrent.futures.process). Otherwise a pool of the
+other workers takes the primes from the top of the range while this process
+evaluates them from the bottom, and the two meet where their costs balance;
+blocks come back from the pool pickled as constructor arguments. What one
+family gives at one prime is one CaseBlock, in columns rather than one object
+per row: the family, p and modulus once, where the modulus is p^K with K the
+catalog entry's modulus_power; one param-key tuple shared by every row with
+those keys, and a value column per key; the lhs and rhs residues (int64
+arrays where they fit) and the verdicts; the pass/fail/skip counts, taken
+once per block; and the notes of the rows that have one. A family hands over
+its rows at a prime as CaseColumns, already in that shape, and _block wraps
+its runs and notes as they are, takes the verdicts in one pass and stores the
+residues compactly; no row becomes an object. A SuiteReport keeps the blocks
+in (family, prime) order. Its summary, its failures and the report writers
+read the blocks, and report.cases builds VerificationReport rows from them on
+demand. Rows given as a report's cases, or assigned into that list, are
+packed back into blocks by _pack. A time budget and fail-fast both act per
+prime, read in prime order: the primes they skip become marker rows, so the
+rows never depend on the scheduling; the fail-fast cut slices its block's
+columns. A run that stops, by fail-fast, the budget or an error, cancels
+every call the pool has not queued yet; it still waits for the running and
+queued ones, at most 2 * workers - 1 primes, taken from the top of the range,
+and discards them.
 """
 
 from __future__ import annotations
 
 import os
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -75,11 +75,11 @@ class CaseBlock:
 
     runs holds [keys, stop, columns] per run of consecutive rows with the same
     param keys: the run ends before row stop, keys is the block's one tuple
-    for that key set, and columns holds one value list per key. lhs and rhs
-    are lists or int64 arrays of the residues. verdicts is True, False or
-    None (skipped) per row, counts is (passed, failed, skipped), and notes
-    maps a row index to its note. Indexing or iterating gives
-    VerificationReport rows.
+    for that key set, and columns holds one value list (or int64 array) per
+    key. lhs and rhs are lists or int64 arrays of the residues. verdicts is
+    True, False or None (skipped) per row, counts is (passed, failed,
+    skipped), and notes maps a row index to its note. Indexing or iterating
+    gives VerificationReport rows.
     """
 
     family: str
@@ -340,6 +340,8 @@ def run_suite(
     # With fork, the pool starts all max_workers processes at once.
     workers = min(parallelism, len(prime_list), os.cpu_count() or 1)
     pooled = workers > 1
+    if pooled:  # only then, so that a run without a pool never imports multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers - 1) if pooled else nullcontext() as pool:
         # The pool takes the primes from the top; a call it has not queued
         # yet cancels, and this process evaluates that prime itself.

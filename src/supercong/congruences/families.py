@@ -25,9 +25,9 @@ power sums. All of it is exact Python ints at any p: every denominator
 involved is a p-adic unit or divides out exactly. The other closed forms stay
 exact integers or Fractions; they meet a residue only through ring operations
 with p-integral constants, and each side is reduced once per case. T1.1, one
-row per (lam, d) cell, hands over its two mod-p grids as int64 arrays. No row
-becomes an object on the way to the engine; FamilyCase is what iterating a
-CaseColumns gives.
+row per (lam, d) cell, hands over its two mod-p grids and its lam and d
+columns as int64 arrays. No row becomes an object on the way to the engine;
+FamilyCase is what iterating a CaseColumns gives.
 """
 
 from __future__ import annotations
@@ -280,11 +280,13 @@ def _weight_vectors(
 
 
 def _t11_cases(q: int) -> CaseColumns:
-    # each grid (row d, column lam) is packed into an int64 array before the next is built
+    # each grid (row d, column lam) is packed into an int64 array before the next is built;
+    # the lam and d columns are int64 arrays too, which pickle as their bytes, where a
+    # list unpickles to one int object per cell
     lhs = _int64s(weighted_char_sum_grid(q))
     rows = len(lhs) // q
-    lam = [*range(q)] * rows
-    d = list(chain.from_iterable(map(repeat, range(rows), repeat(q, rows))))
+    lam = array("q", range(q)) * rows
+    d = _int64s(np.arange(rows).repeat(q))
     return CaseColumns([[("lam", "d"), len(lhs), (lam, d)]], lhs, _int64s(thm11_rhs_grid(q)))
 
 

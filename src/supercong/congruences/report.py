@@ -11,7 +11,11 @@ every row of the run only fills in its values. Everything else goes through
 ``json.dumps``: the small ``run`` and ``summary`` blocks, the rows of a
 block off that schema (a key that is not text, a residue that is not an
 exact int, a verdict that is not a bool or None), and a parsed report dict
-as a whole. The CSV is written from a ``SuiteReport`` only, reading its
+as a whole. The JSON text comes in pieces of at most _BATCH rows, with each
+separator a piece of its own: write_json streams them to the file, and
+dumps_json appends them to one str, so it holds about one copy of the text.
+An int64 array column, as T1.1's residues and params are, fills its slots
+as it is. The CSV is written from a ``SuiteReport`` only, reading its
 blocks the same way; a parsed report dict has no CSV route. Tests pin the
 equality with the ``json.dumps`` route and with a CSV written row by row.
 """
@@ -141,12 +145,13 @@ def _literal(template: str) -> str:
     return template.replace("%", "%%")
 
 
-def _slots(columns: tuple[list, ...], text) -> tuple[list, list[str]]:
-    """Each value column as %-template arguments, and its slot: a column of
-    exact ints as it is under %d (their repr), any other through text under %s."""
+def _slots(columns: tuple[list | array, ...], text) -> tuple[list, list[str]]:
+    """Each value column as %-template arguments, and its slot: an int64 array
+    or a column of exact ints as it is under %d (their repr), any other through
+    text under %s."""
     values, slots = [], []
     for column in columns:
-        if {*map(type, column)} == {int}:
+        if _is_int64_array(column) or {*map(type, column)} == {int}:
             values.append(column)
             slots.append("%d")
         else:
@@ -198,9 +203,11 @@ def _batches(texts: Iterator[str]) -> Iterator[str]:
 
 
 def _cases_text(pieces: Iterable[str]) -> Iterator[str]:
+    """The cases list from its pieces, each separator a piece of its own, so no piece is copied."""
     first = True
     for text in pieces:
-        yield ("[\n" if first else ",\n") + text
+        yield "[\n" if first else ",\n"
+        yield text
         first = False
     yield "[]" if first else "\n  ]"
 
@@ -216,7 +223,14 @@ def _json_chunks(report: SuiteReport | dict) -> Iterator[str]:
 
 
 def dumps_json(report: SuiteReport | dict) -> str:
-    return "".join(_json_chunks(report))
+    # CPython grows a str in place on += while this local holds its only
+    # reference, so the peak is the text plus one piece, where "".join would
+    # hold every piece and the joined copy at once. Elsewhere the loop gives
+    # the same text, copying it on each piece.
+    text = ""
+    for piece in _json_chunks(report):
+        text += piece
+    return text
 
 
 def write_json(report: SuiteReport | dict, path: str | Path) -> None:

@@ -1,5 +1,6 @@
 """Engine scheduling semantics and report serialization."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import gc
@@ -8,10 +9,15 @@ import json
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
+import tempfile
+import tracemalloc
 from array import array
 from collections import Counter
 from concurrent.futures import Future
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -85,7 +91,8 @@ def test_pool_is_bounded_by_primes_and_cpus(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+    # run_suite imports the pool class from concurrent.futures when a pool runs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     want = min(2, os.cpu_count() or 1)
     report = run_suite([5, 7], ["B1"], parallelism=64)
     assert requested == ([want - 1] if want > 1 else [])  # this process is the other worker
@@ -144,7 +151,7 @@ class _LazyPool:
 
 def _lazy_pool(monkeypatch, queued):
     pool = _LazyPool(queued)
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
     evaluated = []
 
@@ -211,14 +218,17 @@ def test_blocks_pickle_as_they_are(monkeypatch):
     bigints = CaseBlock("F", 5, 5**30, [[("k",), 2, ([0, 1],)]], [big, 1], [big, 2], [True, False], {})
     noted = verify_family_case("E1.7", 13)
     cut = engine._head(verify_family_case(fid, 5), 2)
+    t11 = verify_family_case("T1.1", 13)
     assert type(int64.lhs) is array and type(bigints.lhs) is list and noted.notes and len(cut.runs) == 2
-    for block in (int64, bigints, noted, cut):
+    for block in (int64, bigints, noted, cut, t11):
         back = pickle.loads(pickle.dumps(block))
         assert type(back) is CaseBlock
         for f in dataclasses.fields(CaseBlock):
             assert getattr(back, f.name) == getattr(block, f.name), (block.family, f.name)
             assert type(getattr(back, f.name)) is type(getattr(block, f.name))
         assert list(back) == list(block)
+    # the last block back is T1.1's: its params come back as int64 arrays, not one int object per cell
+    assert [column.typecode for column in back.runs[0][2]] == ["q", "q"]
 
 
 def test_sweep_cap_inserts_marker_row():
@@ -348,7 +358,7 @@ def test_blocks_share_one_key_tuple_per_key_set(monkeypatch):
     t11 = verify_family_case("T1.1", 7)
     ((keys, stop, (lam, d)),) = t11.runs
     assert keys == ("lam", "d") and stop == len(t11) == 7 * 4
-    assert lam == [*range(7)] * 4 and d == [k for k in range(4) for _ in range(7)]
+    assert lam == array("q", [*range(7)] * 4) and d == array("q", [k for k in range(4) for _ in range(7)])
     # A1 and E1.14 each carry two key sets at one prime
     assert [run[0] for run in verify_family_case("A1", 7).runs] == [("lam",), ("pair",)]
     assert [run[0] for run in verify_family_case("E1.14", 11).runs] == [("coefficients",), ("x",)]
@@ -499,6 +509,10 @@ def _assert_json_matches_oracle(report):
     blob = dumps_json(report)
     assert blob == _json_oracle(report)
     assert dumps_json(json.loads(blob)) == blob
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        write_json(report, path)
+        assert path.read_bytes() == blob.encode("utf-8")
 
 
 _tricky_text = st.text(st.sampled_from('ab "\\\n\t\x00\x1f\x7f\u2028é✓𝔽')) | st.text()
@@ -548,6 +562,34 @@ def test_real_reports_match_json_dumps(make, monkeypatch):
     monkeypatch.setattr(report_module, "_fits_templates", lambda block: fits.append(real(block)) or fits[-1])
     _assert_json_matches_oracle(make())
     assert fits and all(fits)  # every block of a real report takes the templates
+
+
+def test_dumps_json_holds_about_one_copy_of_its_text(monkeypatch):
+    # 2,453 T1.1 rows in 39 pieces; "".join held every piece and the joined text at once
+    monkeypatch.setattr(report_module, "_BATCH", 64)
+    report = run_suite(primes_between(5, 40), ["T1.1"], sweep_cap=40)
+    tracemalloc.start()
+    try:
+        text = dumps_json(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.isascii() and text == _json_oracle(report)
+    assert peak < 1.5 * len(text), peak / len(text)
+
+
+def test_a_run_without_a_pool_never_imports_it():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "from supercong.congruences import run_suite\n"
+        "assert run_suite([5, 7], ['B1']).ok\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_dict_rows_off_the_schema_fall_back_to_json_dumps():
