@@ -2,35 +2,41 @@
 
 Work is scheduled one job per prime (so per-prime tables are built once), on
 at most one worker per prime and per CPU, this process included. It runs
-inline when that leaves one, and then never imports the pool machinery
-(multiprocessing and concurrent.futures.process). Otherwise a pool of the
-other workers takes the primes from the top of the range while this process
-evaluates them from the bottom, and the two meet where their costs balance;
-blocks come back from the pool pickled as constructor arguments. What one
-family gives at one prime is one CaseBlock, in columns rather than one object
-per row: the family, p and modulus once, where the modulus is p^K with K the
-catalog entry's modulus_power; one param-key tuple shared by every row with
-those keys, and a value column per key; the lhs and rhs residues (int64
-arrays where they fit) and the verdicts; the pass/fail/skip counts, taken
-once per block; and the notes of the rows that have one. A family hands over
-its rows at a prime as CaseColumns, already in that shape, and _block wraps
-its runs and notes as they are, takes the verdicts in one pass and stores the
-residues compactly; no row becomes an object. A SuiteReport keeps the blocks
-in (family, prime) order. Its summary, its failures and the report writers
-read the blocks, and report.cases builds VerificationReport rows from them on
-demand. Rows given as a report's cases, or assigned into that list, are
-packed back into blocks by _pack. A time budget and fail-fast both act per
-prime, read in prime order: the primes they skip become marker rows, so the
-rows never depend on the scheduling; the fail-fast cut slices its block's
-columns. A run that stops, by fail-fast, the budget or an error, cancels
-every call the pool has not queued yet; it still waits for the running and
-queued ones, at most 2 * workers - 1 primes, taken from the top of the range,
-and discards them.
+inline when that leaves one, and also wherever os.fork or os.memfd_create is
+missing, that is on every platform but Linux. Otherwise this process forks
+the other workers itself, as helpers, and never imports multiprocessing or
+concurrent.futures. The primes not claimed yet form a window, two int64
+counters in a memfd shared across the fork and moved under fcntl.lockf: this
+process claims primes from its bottom and each helper from its top, so they
+meet where their costs balance. Each helper pickles what it evaluated into a
+memfd of its own, its spool, which never blocks a writer the way a full pipe
+does; this process loads the spools once its own claims run out and every
+helper has exited. What one family gives at one prime is one CaseBlock, in
+columns rather than one object per row: the family, p and modulus once,
+where the modulus is p^K with K the catalog entry's modulus_power; one
+param-key tuple shared by every row with those keys, and a value column per
+key; the lhs and rhs residues (int64 arrays where they fit) and the
+verdicts; the pass/fail/skip counts, taken once per block; and the notes of
+the rows that have one. A family hands over its rows at a prime as
+CaseColumns, already in that shape, and _block wraps its runs and notes as
+they are, takes the verdicts in one pass and stores the residues compactly;
+no row becomes an object. A block crosses a spool pickled as its constructor
+arguments. A SuiteReport keeps the blocks in (family, prime) order. Its
+summary, its failures and the report writers read the blocks, and
+report.cases builds VerificationReport rows from them on demand. Rows given
+as a report's cases, or assigned into that list, are packed back into blocks
+by _pack. A time budget and fail-fast both act per prime, read in prime
+order: the primes they skip become marker rows, so the rows never depend on
+the scheduling; the fail-fast cut slices its block's columns. A run that
+stops, by fail-fast, the budget, an error or an interrupt, kills every helper
+still running and reads nothing any helper spooled.
 """
 
 from __future__ import annotations
 
+import gc
 import os
+import pickle
 from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -38,7 +44,7 @@ from datetime import datetime, timezone
 from itertools import groupby, islice
 from operator import attrgetter, eq
 from time import perf_counter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from ..padic import odd_prime
 from .columns import CaseColumns, _columns, _params, _skip
@@ -49,6 +55,9 @@ __all__ = ["CaseBlock", "SuiteReport", "VerificationReport", "run_suite", "verif
 DEFAULT_SWEEP_CAP = 100
 _BUDGET_NOTE = "not evaluated: time budget exhausted"
 _STOP_NOTE = "not evaluated: stopped after earlier failure"
+# A pooled run forks its helpers and shares memfds with them, which only Linux
+# offers; elsewhere every run takes the inline path.
+_FORKS = hasattr(os, "fork") and hasattr(os, "memfd_create")
 
 
 @dataclass(slots=True)
@@ -285,6 +294,133 @@ def _skip_prime(ids: tuple[str, ...], p: int, note: str) -> dict[str, CaseBlock]
     return {fam.id: _marker(fam, p, {}, note) if fam.applies(p) else _not_applicable(fam, p) for fam in families}
 
 
+class _Helpers:
+    """The helper processes of a pooled run, forked when made and killed on exit.
+
+    The window of prime indices [lo, hi) that no process has claimed yet is
+    two int64s in a memfd; a claim moves one end under fcntl.lockf, a lock
+    the kernel drops if the process holding it dies. Each helper claims from
+    the top until the ends meet, the time budget is spent or a prime raises,
+    and pickles (p, blocks), or (p, exception) before it stops, into its own
+    memfd spool. Leaving the with block kills and reaps every helper not
+    reaped yet, so no child outlives the run.
+    """
+
+    def __init__(
+        self,
+        count: int,
+        primes: Sequence[int],
+        evaluate: Callable[[int], dict[str, CaseBlock]],
+        over_budget: Callable[[], bool],
+    ) -> None:
+        self.window = os.memfd_create("supercong-window")
+        os.write(self.window, array("q", (0, len(primes))))
+        self.spools: list[int] = []
+        self.live: list[int] = []  # the pids not reaped yet
+        gc.freeze()  # a helper's collections then skip every object it inherits
+        try:
+            for _ in range(count):
+                self.spools.append(os.memfd_create("supercong-spool"))
+                pid = os.fork()
+                if pid == 0:
+                    self._serve(self.spools[-1], primes, evaluate, over_budget)
+                self.live.append(pid)
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            gc.unfreeze()
+
+    def __enter__(self) -> _Helpers:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Kill and reap every helper not reaped yet, and close the memfds."""
+        import signal
+
+        for pid in self.live:
+            os.kill(pid, signal.SIGKILL)
+        for pid in self.live:
+            os.waitpid(pid, 0)
+        self.live.clear()
+        for fd in (self.window, *self.spools):
+            os.close(fd)
+
+    def claim(self, top: bool = False) -> int | None:
+        """The next index from the top or the bottom of the window, or None once its ends meet."""
+        import fcntl
+
+        fcntl.lockf(self.window, fcntl.LOCK_EX)
+        try:
+            lo, hi = array("q", os.pread(self.window, 16, 0))
+            if lo == hi:
+                return None
+            index = hi - 1 if top else lo
+            os.pwrite(self.window, array("q", (lo, index) if top else (index + 1, hi)), 0)
+            return index
+        finally:
+            fcntl.lockf(self.window, fcntl.LOCK_UN)
+
+    def _serve(self, spool: int, primes: Sequence[int], evaluate, over_budget) -> NoReturn:
+        """A helper's whole life: it exits here and never returns into the caller's stack."""
+        code = 1
+        try:
+            with open(spool, "wb", closefd=False) as out:
+                while not over_budget() and (i := self.claim(top=True)) is not None:
+                    try:
+                        item = primes[i], evaluate(primes[i])
+                    except Exception as exc:
+                        item = primes[i], _portable(exc, primes[i])
+                    pickle.dump(item, out, pickle.HIGHEST_PROTOCOL)
+                    if isinstance(item[1], Exception):
+                        break
+            code = 0
+        except Exception:
+            import traceback
+
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+
+    def results(self) -> dict[int, dict[str, CaseBlock] | Exception]:
+        """What the helpers spooled, by prime, once every one has exited.
+
+        A helper that ended any other way than by exiting 0 raises RuntimeError.
+        """
+        while self.live:
+            pid, status = os.waitpid(self.live[0], 0)
+            self.live.remove(pid)
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"helper process {pid} ended with exit code {code}")
+        spooled = {}
+        for spool in self.spools:
+            size = os.fstat(spool).st_size
+            os.lseek(spool, 0, os.SEEK_SET)
+            with open(spool, "rb", closefd=False) as data:
+                while data.tell() < size:
+                    p, value = pickle.load(data)
+                    spooled[p] = value
+        return spooled
+
+
+def _portable(exc: Exception, p: int) -> Exception:
+    """exc, or a RuntimeError carrying its repr when exc does not survive a
+    pickle round trip, with a note holding where it was raised."""
+    import traceback
+
+    note = f"raised at p = {p} in a helper process:\n" + "".join(traceback.format_tb(exc.__traceback__))
+    try:
+        pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+    except Exception:
+        exc = RuntimeError(repr(exc))
+    exc.__notes__ = [*getattr(exc, "__notes__", ()), note]  # exc.add_note(note), also before Python 3.11
+    return exc
+
+
 def run_suite(
     primes: Sequence[int],
     families: Sequence[str] | None = None,
@@ -302,20 +438,20 @@ def run_suite(
     primes either one skips appear as marker rows, and the exit verdict
     reflects only what was actually evaluated. parallelism is an upper
     bound on the processes, this one included: at most one worker per prime
-    and per CPU, and no pool when that leaves one. The pool of workers - 1
-    processes is handed the primes in descending order, and this process
-    walks them in ascending order, evaluating each one whose call it can
-    still cancel and reading the pool's result for the others. Results are
+    and per CPU, and none but this one when that leaves one or the platform
+    lacks os.fork or os.memfd_create (all but Linux). Otherwise this process
+    forks workers - 1 helpers, which claim primes from the top of a shared
+    window while this process claims them from the bottom, and check the
+    budget before each claim as it does. Once its own claims run out, this
+    process waits for every helper and loads what each spooled. Results are
     read and stopped in prime order, so the rows do not depend on which
-    process evaluated a prime. When the loop ends, by a stop, a budget stop,
-    an error or its last prime, every call not yet taken is cancelled before
-    the pool shuts down. A pooled run still finishes the pool's running and
-    queued calls, which cancel() cannot recall: at most 2 * workers - 1
-    primes, taken from the top of the range, because each of the
-    max_workers processes runs one call while ProcessPoolExecutor queues
-    max_workers + EXTRA_QUEUED_CALLS (1) more. After a stop or an error
-    these are the largest primes not yet read, not the next ones; their
-    results are discarded, and an error propagates once they finish.
+    process evaluated a prime, and an exception a helper raised is raised
+    when its prime is read, with its type and message, or as a RuntimeError
+    carrying its repr when it does not pickle. A helper that dies raises
+    RuntimeError. When the loop ends, by a stop, a budget stop, an error, an
+    interrupt or its last prime, every helper still running is killed and
+    reaped before this returns; nothing a stopped run's helpers spooled is
+    read.
     """
     selected = list(families) if families is not None else family_ids()
     for fid in selected:
@@ -336,32 +472,35 @@ def run_suite(
     t0 = perf_counter()
 
     ids = tuple(selected)
-    results: dict[int, dict[str, CaseBlock]] = {}
-    # With fork, the pool starts all max_workers processes at once.
-    workers = min(parallelism, len(prime_list), os.cpu_count() or 1)
-    pooled = workers > 1
-    if pooled:  # only then, so that a run without a pool never imports multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers - 1) if pooled else nullcontext() as pool:
-        # The pool takes the primes from the top; a call it has not queued
-        # yet cancels, and this process evaluates that prime itself.
-        futures = {p: pool.submit(_eval_prime, ids, p, sweep_cap) for p in reversed(prime_list)} if pooled else {}
-        stopped = False
-        try:
-            for p in prime_list:
-                if stopped or (time_limit is not None and perf_counter() - t0 > time_limit):
-                    results[p] = _skip_prime(ids, p, _STOP_NOTE if stopped else _BUDGET_NOTE)
-                    continue
-                taken = pooled and not futures[p].cancel()
-                results[p] = futures[p].result() if taken else _eval_prime(ids, p, sweep_cap)
-                stopped = fail_fast and any(block.counts[1] for block in results[p].values())
-        finally:
-            # however the loop ends, before the pool waits for its calls: a call it has
-            # not queued yet cancels, and a result that ran anyway is never read
-            for future in futures.values():
-                future.cancel()
+    workers = min(parallelism, len(prime_list), os.cpu_count() or 1) if _FORKS else 1
 
-    for block in (results[p][fid] for fid in selected for p in prime_list):
+    def evaluate(p: int) -> dict[str, CaseBlock]:
+        return _eval_prime(ids, p, sweep_cap)
+
+    def over_budget() -> bool:
+        return time_limit is not None and perf_counter() - t0 > time_limit
+
+    evaluated: list[dict[str, CaseBlock]] = []  # by prime, up to a stop
+    stopped = False
+    with _Helpers(workers - 1, prime_list, evaluate, over_budget) if workers > 1 else nullcontext() as helpers:
+        spooled = None  # loaded once this process's claims run out
+        for p in prime_list:
+            if stopped or over_budget():
+                break
+            if spooled is None and (helpers is None or helpers.claim() is not None):
+                blocks = evaluate(p)
+            else:
+                if spooled is None:
+                    spooled = helpers.results()
+                blocks = spooled[p]
+                if isinstance(blocks, Exception):
+                    raise blocks
+            evaluated.append(blocks)
+            stopped = fail_fast and any(block.counts[1] for block in blocks.values())
+    note = _STOP_NOTE if stopped else _BUDGET_NOTE
+    results = [*evaluated, *(_skip_prime(ids, p, note) for p in prime_list[len(evaluated) :])]
+
+    for block in (results[i][fid] for fid in selected for i in range(len(prime_list))):
         if fail_fast and block.counts[1]:
             # the report ends at its first failing row, which may fall inside this block
             report.blocks.append(_head(block, block.verdicts.index(False) + 1))

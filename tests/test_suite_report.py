@@ -1,21 +1,19 @@
 """Engine scheduling semantics and report serialization."""
 
-import concurrent.futures
 import csv
 import dataclasses
 import gc
 import hashlib
 import json
-import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from array import array
 from collections import Counter
-from concurrent.futures import Future
 from fractions import Fraction
 from pathlib import Path
 
@@ -72,127 +70,122 @@ def test_parallel_run_matches_sequential():
     assert report_to_dict(seq)["summary"] == report_to_dict(par)["summary"]
 
 
-def test_pool_is_bounded_by_primes_and_cpus(monkeypatch):
-    # never start the real pool here: with fork it starts max_workers processes at once
-    requested = []
+def _count_forks(monkeypatch):
+    """The pids of the helpers run_suite forks from here on."""
+    forks, fork = [], os.fork
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
+    def counted():
+        pid = fork()
+        if pid:  # the helper itself appends nowhere this process can see
+            forks.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    # run_suite imports the pool class from concurrent.futures when a pool runs
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    want = min(2, os.cpu_count() or 1)
-    report = run_suite([5, 7], ["B1"], parallelism=64)
-    assert requested == ([want - 1] if want > 1 else [])  # this process is the other worker
-    assert report.config["parallelism"] == 64
-    assert report_to_dict(report)["cases"] == report_to_dict(run_suite([5, 7], ["B1"]))["cases"]
-    for cpus, primes, workers in [(3, primes_between(5, 30), [2]), (1, [5, 7], []), (None, [5, 7], [])]:
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
-        requested.clear()
-        run_suite(primes, ["B1"], parallelism=64)
-        assert requested == workers, cpus
+    monkeypatch.setattr(engine.os, "fork", counted)
+    return forks
 
 
-class _LazyFuture(Future):
-    """A future whose call runs when it is read, as if a pool worker ran it then."""
-
-    def __init__(self, call, ran):
-        super().__init__()
-        self.call, self.ran = call, ran
-
-    def result(self, timeout=None):
-        if not self.done():
-            fn, args = self.call
-            self.ran.append(args[1])
-            self.set_result(fn(*args))
-        return super().result(timeout)
+def _count_reads(monkeypatch):
+    """One entry per time the caller loads what its helpers spooled."""
+    reads, results = [], engine._Helpers.results
+    monkeypatch.setattr(engine._Helpers, "results", lambda helpers: reads.append(1) or results(helpers))
+    return reads
 
 
-class _LazyPool:
-    """A stand-in for ProcessPoolExecutor whose futures stay pending until read.
+def _record_evaluations(monkeypatch, tmp_path, *, caller_delay=0.0, helper_delay=0.0):
+    """Patch engine._eval_prime to log which process evaluates which prime.
 
-    The first `queued` calls submitted are marked running at once, as the
-    executor does when it moves a call into its call queue: those cannot be
-    cancelled any more.
+    Each evaluation appends one "pid p" line to a file opened for append, so
+    lines from the caller and its helpers never interleave. The returned
+    function reads the log back as (the caller's primes, {helper pid: its
+    primes}), each in evaluation order.
     """
+    log, parent, eval_prime = tmp_path / "evaluated", os.getpid(), engine._eval_prime
 
-    def __init__(self, queued):
-        self.queued, self.futures, self.ran, self.max_workers = queued, {}, [], None
-
-    def __call__(self, max_workers):
-        self.max_workers = max_workers
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = _LazyFuture((fn, args), self.ran)
-        if len(self.futures) < self.queued:
-            future.set_running_or_notify_cancel()
-        self.futures[args[1]] = future
-        return future
-
-
-def _lazy_pool(monkeypatch, queued):
-    pool = _LazyPool(queued)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
-    evaluated = []
-
-    def counted(ids, p, sweep_cap):
-        evaluated.append(p)
+    def recorded(ids, p, sweep_cap):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} {p}\n")
+        time.sleep(caller_delay if os.getpid() == parent else helper_delay)
         return eval_prime(ids, p, sweep_cap)
 
-    eval_prime = engine._eval_prime
-    monkeypatch.setattr(engine, "_eval_prime", counted)
-    return pool, evaluated
+    def evaluated():
+        by_pid = {}
+        for line in log.read_text().splitlines() if log.exists() else []:
+            pid, p = map(int, line.split())
+            by_pid.setdefault(pid, []).append(p)
+        return by_pid.pop(parent, []), by_pid
+
+    monkeypatch.setattr(engine, "_eval_prime", recorded)
+    return evaluated
 
 
-def test_caller_takes_the_primes_from_the_bottom(monkeypatch):
-    pool, evaluated = _lazy_pool(monkeypatch, queued=3)
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not engine._FORKS, reason="run_suite forks helpers only on Linux")
+
+
+@needs_fork
+def test_pool_is_bounded_by_primes_and_cpus(monkeypatch):
+    forks = _count_forks(monkeypatch)
+    want = min(2, os.cpu_count() or 1)
+    report = run_suite([5, 7], ["B1"], parallelism=64)
+    assert len(forks) == want - 1  # this process is the other worker
+    assert report.config["parallelism"] == 64
+    assert report_to_dict(report)["cases"] == report_to_dict(run_suite([5, 7], ["B1"]))["cases"]
+    for cpus, primes, helpers in [(3, primes_between(5, 30), 2), (4, [5, 7], 1), (1, [5, 7], 0), (None, [5, 7], 0)]:
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+        forks.clear()
+        run_suite(primes, ["B1"], parallelism=64)
+        assert len(forks) == helpers, cpus
+    monkeypatch.setattr(engine, "_FORKS", False)  # as where os.fork or os.memfd_create is missing
+    forks.clear()
+    assert report_to_dict(run_suite([5, 7], ["B1"], parallelism=64))["cases"] == report_to_dict(report)["cases"]
+    assert forks == []
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_caller_takes_the_primes_from_the_bottom(monkeypatch, tmp_path):
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    forks = _count_forks(monkeypatch)
+    # a slow caller leaves the helpers some of the top primes
+    evaluated = _record_evaluations(monkeypatch, tmp_path, caller_delay=0.05)
     primes = primes_between(5, 60)
     report = run_suite(primes, ["B1", "E1.4"], parallelism=3)
-    assert pool.max_workers == 2
-    assert list(pool.futures) == primes[::-1]  # submitted from the top
-    assert pool.ran == primes[-3:]  # the pool's queued calls, read in prime order
-    assert Counter(evaluated) == Counter(primes)  # every prime once
-    caller = Counter(evaluated) - Counter(pool.ran)
-    assert sorted(caller) == [p for p, future in pool.futures.items() if future.cancelled()][::-1]
-    assert sorted(caller) == primes[:-3]
+    caller, helpers = evaluated()
+    assert len(forks) == 2 and set(helpers) <= set(forks)
+    assert caller == primes[: len(caller)]  # claimed from the bottom, in order
+    assert all(taken == sorted(taken, reverse=True) for taken in helpers.values())  # each from the top down
+    assert sorted(p for taken in helpers.values() for p in taken) == primes[len(caller) :]  # every prime once
+    assert len(caller) < len(primes)
     inline = run_suite(primes, ["B1", "E1.4"])
     assert report_to_dict(report)["cases"] == report_to_dict(inline)["cases"]
+    _assert_no_child_left()
 
 
-def test_fail_fast_cancels_every_pending_call(monkeypatch):
+@needs_fork
+def test_fail_fast_kills_every_helper(monkeypatch, tmp_path):
     fid = "XFAIL7-TEST"
     monkeypatch.setitem(_BY_ID, fid, _fails_at_seven(fid))
-    pool, evaluated = _lazy_pool(monkeypatch, queued=2)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    evaluated = _record_evaluations(monkeypatch, tmp_path, helper_delay=0.05)
+    reads = _count_reads(monkeypatch)
     primes = primes_between(5, 60)
     report = run_suite(primes, ["B1", fid], parallelism=2, fail_fast=True)
-    assert evaluated == [5, 7] and pool.ran == []  # the caller took both; the stop came at 7
-    assert [p for p, future in pool.futures.items() if not future.cancelled()] == primes[:-3:-1]
-    assert all(pool.futures[p].running() for p in primes[-2:])  # queued before the stop: not recalled
+    caller, helpers = evaluated()
+    assert caller == [5, 7] and reads == []  # the caller took both, stopped at 7 and read no helper result
+    assert all(taken[0] == primes[-1] for taken in helpers.values())
     assert report.failed == 1
+    _assert_no_child_left()
 
 
-def test_an_error_cancels_every_pending_call(monkeypatch):
-    pool, evaluated = _lazy_pool(monkeypatch, queued=2)
+@needs_fork
+def test_an_error_kills_every_helper(monkeypatch, tmp_path):
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    evaluated = _record_evaluations(monkeypatch, tmp_path, helper_delay=0.05)
+    reads = _count_reads(monkeypatch)
     eval_prime = engine._eval_prime
 
     def raises_at_five(ids, p, sweep_cap):
@@ -204,10 +197,81 @@ def test_an_error_cancels_every_pending_call(monkeypatch):
     primes = primes_between(5, 60)
     with pytest.raises(RuntimeError, match="planted at p = 5"):
         run_suite(primes, ["B1"], parallelism=2)
-    assert evaluated == [] and pool.ran == []  # the caller's first prime, 5, raised; nothing else ran
-    # only the two calls queued before the error are left to run
-    assert [p for p, future in pool.futures.items() if not future.cancelled()] == primes[:-3:-1]
-    assert all(pool.futures[p].running() for p in primes[-2:])
+    caller, _ = evaluated()
+    assert caller == [] and reads == []  # the caller's first prime, 5, raised; no helper result was read
+    _assert_no_child_left()
+
+
+def _planted(fid, primes, helper_top):
+    """A family that passes at every prime, except that helper_top(q) runs
+    first when a helper evaluates the top prime; the caller is slow, so
+    the top prime is a helper's."""
+    parent = os.getpid()
+
+    def cases(q):
+        if os.getpid() == parent:
+            time.sleep(0.05)
+        elif q == primes[-1]:
+            helper_top(q)
+        return _columns([_case(q, 1, {}, Fraction(1), Fraction(1))])
+
+    return CongruenceFamily(fid, "synthetic: planted in a helper at the top prime", 1, lambda q: True, cases)
+
+
+@needs_fork
+def test_a_helper_that_dies_raises(monkeypatch):
+    fid, primes = "XDIES-TEST", primes_between(5, 60)
+    monkeypatch.setitem(_BY_ID, fid, _planted(fid, primes, lambda q: os._exit(3)))
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    with pytest.raises(RuntimeError, match="ended with exit code 3"):
+        run_suite(primes, [fid], parallelism=2)
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_a_helper_exception_reaches_the_caller(monkeypatch):
+    class Unpicklable(ValueError):
+        """Local, so pickle cannot find it by name."""
+
+    fid, primes = "XRAISES-TEST", primes_between(5, 60)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    for error in (ValueError, Unpicklable):
+
+        def raises(q):
+            raise error(f"planted at p = {q}")
+
+        monkeypatch.setitem(_BY_ID, fid, _planted(fid, primes, raises))
+        # an exception that does not pickle arrives as a RuntimeError carrying its repr
+        if error is ValueError:
+            kind, message = ValueError, "planted at p = 59"
+        else:
+            kind, message = RuntimeError, r"Unpicklable\('planted at p = 59'\)"
+        with pytest.raises(kind, match=message) as raised:
+            run_suite(primes, [fid], parallelism=2)
+        assert type(raised.value) is kind
+        assert "raised at p = 59 in a helper process" in raised.value.__notes__[0]
+        _assert_no_child_left()
+
+
+@needs_fork
+def test_a_stop_does_not_wait_for_the_helpers(monkeypatch):
+    fid, parent = "XSLOW-TEST", os.getpid()
+
+    def cases(q):
+        if q >= 50 and os.getpid() != parent:
+            time.sleep(5)
+        return _columns([_case(q, 1, {}, Fraction(1), Fraction(2 if q == 7 else 1))])
+
+    family = CongruenceFamily(fid, "synthetic: fails at 7, slow in helpers", 1, lambda q: True, cases)
+    monkeypatch.setitem(_BY_ID, fid, family)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    primes = primes_between(5, 60)
+    t0 = time.perf_counter()
+    pooled = run_suite(primes, ["B1", fid], parallelism=2, fail_fast=True)
+    assert time.perf_counter() - t0 < 2.5
+    _assert_no_child_left()
+    inline = run_suite(primes, ["B1", fid], parallelism=1, fail_fast=True)
+    assert report_to_dict(pooled)["cases"] == report_to_dict(inline)["cases"]
 
 
 def test_blocks_pickle_as_they_are(monkeypatch):
@@ -242,12 +306,15 @@ def test_sweep_cap_inserts_marker_row():
     assert uncapped.failed == 0 and uncapped.skipped == 0
 
 
-def test_time_budget_turns_pairs_into_markers():
-    report = run_suite(primes_between(5, 20), time_limit=0.0)
-    assert report.cases
-    assert all(r.passed is None for r in report.cases)
-    assert all(r.note == "not evaluated: time budget exhausted" for r in report.cases)
-    assert report.ok  # nothing failed, everything is accounted for
+def test_time_budget_turns_pairs_into_markers(monkeypatch):
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    for parallelism in (1, 2):  # helpers check the budget before each claim, as the caller does
+        report = run_suite(primes_between(5, 20), time_limit=0.0, parallelism=parallelism)
+        assert report.cases
+        assert all(r.passed is None for r in report.cases)
+        assert all(r.note == "not evaluated: time budget exhausted" for r in report.cases)
+        assert report.ok  # nothing failed, everything is accounted for
+        _assert_no_child_left()
 
 
 def _synthetic_family(fid):
@@ -281,10 +348,7 @@ def _fails_at_seven(fid):
     return CongruenceFamily(fid, "synthetic: fails only at p = 7", 1, lambda q: True, cases)
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="pool workers must inherit the patched catalog",
-)
+@needs_fork  # the helpers inherit the patched catalog
 def test_fail_fast_rows_do_not_depend_on_parallelism(monkeypatch):
     fid = "XFAIL7-TEST"
     monkeypatch.setitem(_BY_ID, fid, _fails_at_seven(fid))
@@ -582,10 +646,12 @@ def test_a_run_without_a_pool_never_imports_it():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     code = (
-        "import sys\n"
+        "import os, sys\n"
         "from supercong.congruences import run_suite\n"
         "assert run_suite([5, 7], ['B1']).ok\n"
-        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+        "os.cpu_count = lambda: 2\n"  # a pooled run, with one helper, on any runner
+        "assert run_suite([5, 7, 11, 13], ['B1'], parallelism=2).ok\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
