@@ -20,7 +20,6 @@ from .congruences import (
     CaseBlock,
     CongruenceFamily,
     ExactIdentity,
-    FamilyCase,
     IdentityResult,
     SuiteReport,
     TERM_KINDS,
@@ -67,7 +66,6 @@ __all__ = [
     "CaseBlock",
     "CongruenceFamily",
     "ExactIdentity",
-    "FamilyCase",
     "IdentityResult",
     "InvalidPrime",
     "NonUnitDivisor",

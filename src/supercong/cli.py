@@ -83,7 +83,7 @@ def _parse_primes(spec: str) -> list[int]:
 def _parse_ids(spec: str, known: list[str], what: str) -> list[str]:
     if spec == "all":
         return list(known)
-    ids = [s.strip() for s in spec.split(",") if s.strip()]
+    ids = list(dict.fromkeys(s.strip() for s in spec.split(",") if s.strip()))
     if not ids:
         raise ConfigError(f"no {what} selected")
     for ident in ids:

@@ -1,7 +1,8 @@
 """Congruence catalog, exact identities and the verification engine."""
 
-from .engine import CaseBlock, SuiteReport, VerificationReport, run_suite, verify_family_case
-from .families import CongruenceFamily, FamilyCase, family_catalog, family_ids, get_family
+from .columns import CaseBlock, VerificationReport
+from .engine import SuiteReport, run_suite, verify_family_case
+from .families import CongruenceFamily, family_catalog, family_ids, get_family
 from .identities import ExactIdentity, IdentityResult, identity_catalog, identity_ids, run_identities
 from .report import dumps_json, report_to_dict, write_csv, write_json
 from .sums import TERM_KINDS, truncated_sum
@@ -10,7 +11,6 @@ __all__ = [
     "CaseBlock",
     "CongruenceFamily",
     "ExactIdentity",
-    "FamilyCase",
     "IdentityResult",
     "SuiteReport",
     "TERM_KINDS",

@@ -1,56 +1,105 @@
-"""A family's rows at one prime, in columns: what a catalog family gives and the engine wraps.
+"""One family's rows at one prime, in columns, and the row type that indexing them gives.
 
-CaseColumns has the shape of the engine's CaseBlock, so the engine takes a
-family's columns as they are. The per-shift, sequence and lemma families lay
-theirs out directly; a family of a few rows writes each row as a tuple of
-FamilyCase's fields and packs them with _columns. FamilyCase is the public row
-type: what iterating a CaseColumns gives.
+A CaseBlock is what a catalog family's cases(p) gives and what a report
+holds. A family lays out its runs of params, its lhs and rhs residues, the
+indices of its skipped rows and its notes; the per-shift, sequence and lemma
+families build their columns directly, and a family of a few rows writes
+each row as a tuple (params, lhs, rhs, skipped, note) and packs them with
+_columns. The block takes its verdicts once, at construction: lhs == rhs, and
+None at the skips. The engine then stamps the block's family, p and modulus
+and stores its residues compactly. VerificationReport is the one row type:
+what indexing or iterating a block gives. No row is held as an object.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from operator import eq
 from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(slots=True)
-class FamilyCase:
-    """One row of a CaseColumns; lhs and rhs are canonical residues in [0, p^K), K the family's modulus_power."""
+class VerificationReport:
+    """One verified (or skipped) case row, as report.cases gives it."""
 
+    family: str
+    p: int
     params: dict
+    modulus: int
     lhs: int
     rhs: int
-    skipped: bool = False
+    passed: bool | None  # None marks a skipped row
     note: str | None = None
 
     @property
-    def passed(self) -> bool | None:
-        """lhs == rhs, or None on a skipped row, as on VerificationReport."""
-        return None if self.skipped else self.lhs == self.rhs
+    def skipped(self) -> bool:
+        return self.passed is None
 
 
 @dataclass(slots=True)
-class CaseColumns:
-    """A family's rows at one prime, in the columns of an engine CaseBlock.
+class CaseBlock:
+    """The rows of one family at one prime, in columns.
 
     runs holds [keys, stop, columns] per run of consecutive rows with the same
-    param keys: the run ends before row stop, and columns holds one value list
-    (or int64 array) per key. lhs and rhs are the residues (lists, or int64
-    arrays), skips the indices of the skipped rows (whose residues are 0), and
-    notes maps a row index to its note. Iterating gives the FamilyCase rows.
+    param keys: the run ends before row stop, keys is the block's one tuple
+    for that key set, and columns holds one value list (or int64 array) per
+    key. lhs and rhs are lists or int64 arrays of the residues, canonical in
+    [0, p^K), K the family's modulus_power; a skipped row's are 0. skips lists
+    the skipped rows, and notes maps a row index to its note. verdicts is
+    True, False or None (skipped) per row: lhs == rhs with None at the skips,
+    unless given. counts is (passed, failed, skipped). family, p and modulus
+    are None until the engine stamps them. Indexing or iterating gives
+    VerificationReport rows.
     """
 
     runs: list
-    lhs: list[int] | array
-    rhs: list[int] | array
-    skips: Sequence[int] = ()
+    lhs: list | array
+    rhs: list | array
+    skips: InitVar[Sequence[int]] = ()
     notes: dict[int, str] = field(default_factory=dict)
+    verdicts: list | None = None
+    family: str | None = None
+    p: int | None = None
+    modulus: int | None = None
+    counts: tuple[int, int, int] = field(init=False)
 
-    def __iter__(self) -> Iterator[FamilyCase]:
-        skips, notes = set(self.skips), self.notes
-        for i, params in _params(self.runs):
-            yield FamilyCase(params, self.lhs[i], self.rhs[i], i in skips, notes.get(i))
+    def __post_init__(self, skips: Sequence[int]) -> None:
+        if self.verdicts is None:
+            self.verdicts = list(map(eq, self.lhs, self.rhs))
+            for i in skips:
+                self.verdicts[i] = None
+        verdicts = self.verdicts
+        self.counts = (verdicts.count(True), verdicts.count(False), verdicts.count(None))
+
+    def __len__(self) -> int:
+        return len(self.verdicts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = range(len(self))[index]  # a negative index counts from the end; raises IndexError
+        start = 0
+        for keys, stop, columns in self.runs:
+            if i < stop:
+                return _row(self, i, dict(zip(keys, [column[i - start] for column in columns])))
+            start = stop
+
+    def __iter__(self) -> Iterator[VerificationReport]:
+        return (_row(self, i, params) for i, params in _params(self.runs))
+
+    def __reduce__(self):
+        # Pickled as constructor arguments, one call on load; counts is taken
+        # again there. A slots dataclass pickles field by field otherwise.
+        args = self.runs, self.lhs, self.rhs, (), self.notes, self.verdicts, self.family, self.p, self.modulus
+        return CaseBlock, args
+
+
+def _row(block: CaseBlock, i: int, params: dict) -> VerificationReport:
+    """Row i of the block, with its params rebuilt by the caller."""
+    return VerificationReport(
+        block.family, block.p, params, block.modulus, block.lhs[i], block.rhs[i], block.verdicts[i], block.notes.get(i)
+    )
 
 
 def _params(runs: list) -> Iterator[tuple[int, dict]]:
@@ -79,15 +128,16 @@ def _runs(params: Iterable[dict]) -> list:
     return runs
 
 
-def _columns(rows: Iterable[tuple]) -> CaseColumns:
-    """The columns of a few rows, each a tuple of FamilyCase's fields (params, lhs, rhs, skipped, note)."""
+def _columns(rows: Iterable[tuple], verdicts: list | None = None) -> CaseBlock:
+    """The block of a few rows, each a tuple (params, lhs, rhs, skipped, note), with verdicts if given."""
     rows = list(rows)
-    return CaseColumns(
+    return CaseBlock(
         _runs(row[0] for row in rows),
         [row[1] for row in rows],
         [row[2] for row in rows],
         [i for i, row in enumerate(rows) if row[3]],
         {i: row[4] for i, row in enumerate(rows) if row[4] is not None},
+        verdicts,
     )
 
 

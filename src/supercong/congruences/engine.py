@@ -11,25 +11,23 @@ process claims primes from its bottom and each helper from its top, so they
 meet where their costs balance. Each helper pickles what it evaluated into a
 memfd of its own, its spool, which never blocks a writer the way a full pipe
 does; this process loads the spools once its own claims run out and every
-helper has exited. What one family gives at one prime is one CaseBlock, in
-columns rather than one object per row: the family, p and modulus once,
-where the modulus is p^K with K the catalog entry's modulus_power; one
-param-key tuple shared by every row with those keys, and a value column per
-key; the lhs and rhs residues (int64 arrays where they fit) and the
-verdicts; the pass/fail/skip counts, taken once per block; and the notes of
-the rows that have one. A family hands over its rows at a prime as
-CaseColumns, already in that shape, and _block wraps its runs and notes as
-they are, takes the verdicts in one pass and stores the residues compactly;
-no row becomes an object. A block crosses a spool pickled as its constructor
-arguments. A SuiteReport keeps the blocks in (family, prime) order. Its
-summary, its failures and the report writers read the blocks, and
-report.cases builds VerificationReport rows from them on demand. Rows given
-as a report's cases, or assigned into that list, are packed back into blocks
-by _pack. A time budget and fail-fast both act per prime, read in prime
-order: the primes they skip become marker rows, so the rows never depend on
-the scheduling; the fail-fast cut slices its block's columns. A run that
-stops, by fail-fast, the budget, an error or an interrupt, kills every helper
-still running and reads nothing any helper spooled.
+helper has exited. What one family gives at one prime is one CaseBlock
+(columns.py), in columns rather than one object per row: one param-key tuple
+shared by every row with those keys and a value column per key, the lhs and
+rhs residues, the verdicts the family's block took at construction, the
+pass/fail/skip counts and the notes of the rows that have one. The engine
+only stamps the block's family, p and modulus, p^K with K the catalog
+entry's modulus_power, and stores its residues as int64 arrays where they
+fit; no row becomes an object. A block crosses a spool pickled as its
+constructor arguments. A SuiteReport keeps the blocks in (family, prime)
+order. Its summary, its failures and the report writers read the blocks, and
+report.cases builds VerificationReport rows from them on demand. Rows
+assigned into that list are packed back into blocks by _pack. A time budget
+and fail-fast both act per prime, read in prime order: the primes they skip
+become marker rows, so the rows never depend on the scheduling; the
+fail-fast cut slices its block's columns. A run that stops, by fail-fast,
+the budget, an error or an interrupt, kills every helper still running and
+reads nothing any helper spooled.
 """
 
 from __future__ import annotations
@@ -39,18 +37,18 @@ import os
 import pickle
 from array import array
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import groupby, islice
-from operator import attrgetter, eq
+from operator import attrgetter
 from time import perf_counter
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 from ..padic import odd_prime
-from .columns import CaseColumns, _columns, _params, _skip
+from .columns import CaseBlock, VerificationReport, _columns, _skip
+from .columns import _row  # noqa: F401  (perfbench/tracing.py wraps engine._row)
 from .families import CongruenceFamily, family_ids, get_family
 
-__all__ = ["CaseBlock", "SuiteReport", "VerificationReport", "run_suite", "verify_family_case"]
+__all__ = ["SuiteReport", "run_suite", "verify_family_case"]
 
 DEFAULT_SWEEP_CAP = 100
 _BUDGET_NOTE = "not evaluated: time budget exhausted"
@@ -60,95 +58,16 @@ _STOP_NOTE = "not evaluated: stopped after earlier failure"
 _FORKS = hasattr(os, "fork") and hasattr(os, "memfd_create")
 
 
-@dataclass(slots=True)
-class VerificationReport:
-    """One verified (or skipped) case row, as report.cases gives it."""
-
-    family: str
-    p: int
-    params: dict
-    modulus: int
-    lhs: int
-    rhs: int
-    passed: bool | None  # None marks a skipped row
-    note: str | None = None
-
-    @property
-    def skipped(self) -> bool:
-        return self.passed is None
-
-
-@dataclass(slots=True)
-class CaseBlock:
-    """The rows of one family at one prime, in columns.
-
-    runs holds [keys, stop, columns] per run of consecutive rows with the same
-    param keys: the run ends before row stop, keys is the block's one tuple
-    for that key set, and columns holds one value list (or int64 array) per
-    key. lhs and rhs are lists or int64 arrays of the residues. verdicts is
-    True, False or None (skipped) per row, counts is (passed, failed,
-    skipped), and notes maps a row index to its note. Indexing or iterating
-    gives VerificationReport rows.
-    """
-
-    family: str
-    p: int
-    modulus: int
-    runs: list
-    lhs: list | array
-    rhs: list | array
-    verdicts: list
-    notes: dict[int, str]
-    counts: tuple[int, int, int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        verdicts = self.verdicts
-        self.counts = (verdicts.count(True), verdicts.count(False), verdicts.count(None))
-
-    def __len__(self) -> int:
-        return len(self.verdicts)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = range(len(self))[index]  # a negative index counts from the end; raises IndexError
-        start = 0
-        for keys, stop, columns in self.runs:
-            if i < stop:
-                return _row(self, i, dict(zip(keys, [column[i - start] for column in columns])))
-            start = stop
-
-    def __iter__(self) -> Iterator[VerificationReport]:
-        return (_row(self, i, params) for i, params in _params(self.runs))
-
-    def __reduce__(self):
-        # Pickled as constructor arguments, one call on load; counts is taken
-        # again there. A slots dataclass pickles field by field otherwise.
-        return CaseBlock, (self.family, self.p, self.modulus, self.runs, self.lhs, self.rhs, self.verdicts, self.notes)
-
-
 class SuiteReport:
-    """The blocks of one run, with its config, start time and elapsed seconds.
-
-    Rows given as cases are packed into one block per stretch of consecutive
-    rows with the same family, p and modulus.
-    """
+    """The blocks of one run, with its config, start time and elapsed seconds."""
 
     __slots__ = ("config", "started", "elapsed", "blocks")
 
-    def __init__(
-        self,
-        config: dict,
-        started: str,
-        elapsed: float = 0.0,
-        cases: Iterable[VerificationReport] = (),
-        *,
-        blocks: Iterable[CaseBlock] = (),
-    ) -> None:
+    def __init__(self, config: dict, started: str, elapsed: float = 0.0, blocks: Iterable[CaseBlock] = ()) -> None:
         self.config = config
         self.started = started
         self.elapsed = elapsed
-        self.blocks = [*blocks, *_pack_rows(cases)]
+        self.blocks = list(blocks)
 
     @property
     def cases(self) -> CaseRows:
@@ -204,13 +123,6 @@ class CaseRows(list):
         self.report.blocks = _pack_rows(self)
 
 
-def _row(block: CaseBlock, i: int, params: dict) -> VerificationReport:
-    """Row i of the block, with its params rebuilt by the caller."""
-    return VerificationReport(
-        block.family, block.p, params, block.modulus, block.lhs[i], block.rhs[i], block.verdicts[i], block.notes.get(i)
-    )
-
-
 def _pack_rows(rows: Iterable[VerificationReport]) -> list[CaseBlock]:
     """One block per stretch of consecutive rows with the same family, p and modulus."""
     stretches = groupby(rows, attrgetter("family", "p", "modulus"))
@@ -218,10 +130,9 @@ def _pack_rows(rows: Iterable[VerificationReport]) -> list[CaseBlock]:
 
 
 def _pack(family: str, p: int, modulus: int, rows: list[VerificationReport]) -> CaseBlock:
-    """One block from rows, in their order: their columns by _columns, their verdicts as given."""
-    cols = _columns((r.params, r.lhs, r.rhs, r.skipped, r.note) for r in rows)
-    verdicts = [r.passed for r in rows]
-    return CaseBlock(family, p, modulus, cols.runs, _compact(cols.lhs), _compact(cols.rhs), verdicts, cols.notes)
+    """One block from rows, in their order, with their verdicts as given."""
+    block = _columns(((r.params, r.lhs, r.rhs, r.skipped, r.note) for r in rows), [r.passed for r in rows])
+    return _stamp(block, family, p, modulus)
 
 
 def _compact(values: list) -> array | list:
@@ -241,14 +152,16 @@ def _compact(values: list) -> array | list:
     return values
 
 
-def _block(family: CongruenceFamily, p: int, cases: CaseColumns) -> CaseBlock:
-    """The block of what family.cases(p) gave: its runs and notes as they are, the
-    verdicts lhs == rhs with None at the skips, and each side through _compact."""
-    verdicts = list(map(eq, cases.lhs, cases.rhs))
-    for i in cases.skips:
-        verdicts[i] = None
-    modulus = p**family.modulus_power
-    return CaseBlock(family.id, p, modulus, cases.runs, _compact(cases.lhs), _compact(cases.rhs), verdicts, cases.notes)
+def _stamp(block: CaseBlock, family: str, p: int, modulus: int) -> CaseBlock:
+    """The block, with its family, p and modulus set and each side through _compact."""
+    block.family, block.p, block.modulus = family, p, modulus
+    block.lhs, block.rhs = _compact(block.lhs), _compact(block.rhs)
+    return block
+
+
+def _block(family: CongruenceFamily, p: int, block: CaseBlock) -> CaseBlock:
+    """A block of the family at p, stamped with its id, p and modulus p^K."""
+    return _stamp(block, family.id, p, p**family.modulus_power)
 
 
 def _marker(family: CongruenceFamily, p: int, params: dict, note: str) -> CaseBlock:
@@ -256,7 +169,7 @@ def _marker(family: CongruenceFamily, p: int, params: dict, note: str) -> CaseBl
 
 
 def _not_applicable(family: CongruenceFamily, p: int) -> CaseBlock:
-    return _block(family, p, CaseColumns([], [], []))
+    return _block(family, p, CaseBlock([], [], []))
 
 
 def _head(block: CaseBlock, stop: int) -> CaseBlock:
@@ -270,7 +183,7 @@ def _head(block: CaseBlock, stop: int) -> CaseBlock:
         start = end
     notes = {i: note for i, note in block.notes.items() if i < stop}
     lhs, rhs, verdicts = block.lhs[:stop], block.rhs[:stop], block.verdicts[:stop]
-    return CaseBlock(block.family, block.p, block.modulus, runs, lhs, rhs, verdicts, notes)
+    return CaseBlock(runs, lhs, rhs, (), notes, verdicts, block.family, block.p, block.modulus)
 
 
 def verify_family_case(family_id: str, p: int, *, sweep_cap: int | None = None) -> CaseBlock:
@@ -430,7 +343,7 @@ def run_suite(
     time_limit: float | None = None,
     sweep_cap: int = DEFAULT_SWEEP_CAP,
 ) -> SuiteReport:
-    """Verify the selected families at every prime given.
+    """Verify the selected families, each once in first-seen order, at every prime given.
 
     time_limit is a soft wall-clock budget in seconds, checked before each
     prime. fail_fast leaves every prime after the first one with a failing
@@ -453,7 +366,7 @@ def run_suite(
     reaped before this returns; nothing a stopped run's helpers spooled is
     read.
     """
-    selected = list(families) if families is not None else family_ids()
+    selected = list(dict.fromkeys(families)) if families is not None else family_ids()
     for fid in selected:
         get_family(fid)  # raises UnknownId early
     prime_list = sorted({int(p) for p in primes})

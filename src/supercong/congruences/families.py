@@ -1,13 +1,13 @@
 """The congruence family catalog.
 
-Each CongruenceFamily turns a prime p, a plain int, into its rows at p as
-CaseColumns (columns.py), the columns of the engine's block: per row two
-canonical residues, ints in [0, p^K), that the underlying theorem says must
-agree modulo p^K, its params, and whether it is skipped and why. K is the
-entry's modulus_power, stated once there: _family, the catalog's constructor,
-hands it to the entry's generator as gen(p, K), every generator reduces at
-that K, and the engine takes each row's modulus from it. A spy test checks
-that no generator reduces at any other power.
+Each CongruenceFamily turns a prime p, a plain int, into its rows at p as one
+CaseBlock (columns.py), in columns: per row two canonical residues, ints in
+[0, p^K), that the underlying theorem says must agree modulo p^K, its
+params, and whether it is skipped and why. K is the entry's modulus_power,
+stated once there: _family, the catalog's constructor, hands it to the
+entry's generator as gen(p, K), every generator reduces at that K, and the
+engine takes each row's modulus from it. A spy test checks that no generator
+reduces at any other power.
 
 Most claims are a truncated sum, or a chain of them, against a closed form.
 Such a family is data: its members are Sum specs (kind, base, half or full
@@ -26,8 +26,9 @@ involved is a p-adic unit or divides out exactly. The other closed forms stay
 exact integers or Fractions; they meet a residue only through ring operations
 with p-integral constants, and each side is reduced once per case. T1.1, one
 row per (lam, d) cell, hands over its two mod-p grids and its lam and d
-columns as int64 arrays. No row becomes an object on the way to the engine;
-FamilyCase is what iterating a CaseColumns gives.
+columns as int64 arrays. The block takes each row's verdict as it is built,
+and the engine stamps it with the family, p and modulus; no row becomes an
+object on the way.
 """
 
 from __future__ import annotations
@@ -48,15 +49,13 @@ from ..combinatorics import euler_polynomial_half_grid  # noqa: F401  (perfbench
 from ..curves import cornacchia_two_squares, thm11_rhs_grid, weighted_char_sum, weighted_char_sum_grid
 from ..errors import UnknownId
 from ..padic import legendre_symbol, padic_from_rational
-from .columns import CaseColumns, FamilyCase, _columns, _skip
+from .columns import CaseBlock, _columns, _skip
 from .identities import LEMMAS, CongruenceLemma
 from .sequences import SEQUENCE_IDS, sequence_terms
 from .sums import kernel_residues, truncated_sum
 
 __all__ = [
-    "CaseColumns",
     "CongruenceFamily",
-    "FamilyCase",
     "family_catalog",
     "family_ids",
     "get_family",
@@ -71,7 +70,7 @@ class CongruenceFamily:
     description: str
     modulus_power: int
     applies: Callable[[int], bool]
-    cases: Callable[[int], CaseColumns]
+    cases: Callable[[int], CaseBlock]
     heavy: bool = False  # swept only up to the engine's sweep cap
 
 
@@ -152,7 +151,7 @@ def _chain_family(members: tuple, labels: tuple[str, ...] | None = None, extra: 
     With labels a row's params are "pair": "a=b"; extra(p) adds params after it (T1.6's branch).
     """
 
-    def gen(q: int, power: int) -> CaseColumns:
+    def gen(q: int, power: int) -> CaseBlock:
         values = [_value(member, q, power) for member in members]
         tail = extra(q) if extra else {}
         pairs = ({"pair": f"{a}={b}"} for a, b in zip(labels, labels[1:])) if labels else repeat({})
@@ -173,7 +172,7 @@ def _shift_family(shifts: Callable, sums: tuple[Sum, ...], closed: Callable, lab
     other parity than parity(p) is a skip whose note shows the sum's residue.
     """
 
-    def gen(q: int, power: int) -> CaseColumns:
+    def gen(q: int, power: int) -> CaseBlock:
         ds = list(shifts(q))
         mod = q**power
         values = [_sum_residues(member, q, power, ds) for member in sums]
@@ -185,15 +184,15 @@ def _shift_family(shifts: Callable, sums: tuple[Sum, ...], closed: Callable, lab
             notes = {i: f"parity outside the claim; informational residue {lhs[i]}" for i in skips}
             for i in skips:
                 lhs[i] = rhs[i] = 0
-            return CaseColumns([[("d",), len(ds), (ds,)]], lhs, rhs, skips, notes)
+            return CaseBlock([[("d",), len(ds), (ds,)]], lhs, rhs, skips, notes)
         pairs = len(values) - 1
         lhs = list(chain.from_iterable(zip(*values[:-1])))
         rhs = list(chain.from_iterable(zip(*values[1:])))
         d = list(chain.from_iterable(map(repeat, ds, repeat(pairs))))
         if labels:
             names = [f"{a}={b}" for a, b in zip(labels, labels[1:])]
-            return CaseColumns([[("d", "pair"), len(lhs), (d, names * len(ds))]], lhs, rhs)
-        return CaseColumns([[("d",), len(lhs), (d,)]], lhs, rhs)
+            return CaseBlock([[("d", "pair"), len(lhs), (d, names * len(ds))]], lhs, rhs)
+        return CaseBlock([[("d",), len(lhs), (d,)]], lhs, rhs)
 
     return gen
 
@@ -279,7 +278,7 @@ def _weight_vectors(
 # -- T1.1: the weighted-trace closed form ------------------------------------
 
 
-def _t11_cases(q: int) -> CaseColumns:
+def _t11_cases(q: int) -> CaseBlock:
     # each grid (row d, column lam) is packed into an int64 array before the next is built;
     # the lam and d columns are int64 arrays too, which pickle as their bytes, where a
     # list unpickles to one int object per cell
@@ -287,7 +286,7 @@ def _t11_cases(q: int) -> CaseColumns:
     rows = len(lhs) // q
     lam = array("q", range(q)) * rows
     d = _int64s(np.arange(rows).repeat(q))
-    return CaseColumns([[("lam", "d"), len(lhs), (lam, d)]], lhs, _int64s(thm11_rhs_grid(q)))
+    return CaseBlock([[("lam", "d"), len(lhs), (lam, d)]], lhs, _int64s(thm11_rhs_grid(q)))
 
 
 def _int64s(grid: np.ndarray) -> array:
@@ -303,13 +302,13 @@ def _sequence_matrix(q: int, modulus: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(t % modulus for t in sequence_terms(s, q)) for s in SEQUENCE_IDS)
 
 
-def _sequence_columns(lhs: list[int], rhs: list[int]) -> CaseColumns:
+def _sequence_columns(lhs: list[int], rhs: list[int]) -> CaseBlock:
     """One row per sampled sequence, in SEQUENCE_IDS order."""
-    return CaseColumns([[("sequence",), len(lhs), (list(SEQUENCE_IDS),)]], lhs, rhs)
+    return CaseBlock([[("sequence",), len(lhs), (list(SEQUENCE_IDS),)]], lhs, rhs)
 
 
 def _dual_family(kind: str, base: int, eps: Callable[[int], int]):
-    def gen(q: int, power: int) -> CaseColumns:
+    def gen(q: int, power: int) -> CaseBlock:
         mod = q**power
         w, dual = _weight_vectors(kind, base, q, power, q, k_weighted=False)
         e = eps(q)
@@ -321,7 +320,7 @@ def _dual_family(kind: str, base: int, eps: Callable[[int], int]):
     return gen
 
 
-def _r14c_cases(q: int, power: int) -> CaseColumns:
+def _r14c_cases(q: int, power: int) -> CaseBlock:
     n = (q - 1) // 2
     mod = q**power
     e = legendre_symbol(-1, q)
@@ -350,7 +349,7 @@ def _poly_family(
 ):
     # Both claims read P(x) - e P(1-x) == 0 with P(x) = sum_j vec[j] x^j, i.e. vec == e M^T vec,
     # with vec = w and e = eps, or, when deriv, vec[j] = (j+1) w[j+1] and e = -eps.
-    def gen(q: int, power: int) -> CaseColumns:
+    def gen(q: int, power: int) -> CaseBlock:
         mod = q**power
         e = -eps_fun(q) if deriv else eps_fun(q)
         vec, dual = _weight_vectors(kind, base, q, power, upper_fun(q) + 1, k_weighted=deriv)
@@ -399,7 +398,7 @@ def _l1_lhs(q: int, power: int, *, base: int = -16, offset: int = 1) -> int:
     return sum((2 * h + offset) * c * w for h, (c, w) in enumerate(zip(conv, weights))) % mod
 
 
-def _a1_cases(q: int, power: int) -> CaseColumns:
+def _a1_cases(q: int, power: int) -> CaseBlock:
     a2 = weighted_char_sum(q, 2, 0)
     am1 = weighted_char_sum(q, -1, 0)
     return _columns(
@@ -411,7 +410,7 @@ def _a1_cases(q: int, power: int) -> CaseColumns:
     )
 
 
-def _a2_cases(q: int, power: int) -> CaseColumns:
+def _a2_cases(q: int, power: int) -> CaseBlock:
     n = (q - 1) // 2
     lhs = weighted_char_sum(q, 2, 1)
     closed = (-1) ** ((q - 3) // 4) * comb(n, (n - 1) // 2)

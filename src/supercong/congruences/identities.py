@@ -37,7 +37,7 @@ from ..combinatorics import _binomial_row, _factorials, _powers
 from ..combinatorics import catalan  # noqa: F401  (perfbench/tracing.py wraps identities.catalan)
 from ..errors import UnknownId
 from ..padic import primes_between
-from .columns import CaseColumns
+from .columns import CaseBlock
 from .sums import TERM_KINDS, weighted_prefixes
 
 __all__ = [
@@ -274,10 +274,10 @@ def _i7_cases(max_n: int, top: int = 2) -> Iterator[IdentityCase]:
 # -- prime-parameterized congruence lemmas ----------------------------------
 
 
-def _i8_residues(p: int) -> CaseColumns:
+def _i8_residues(p: int) -> CaseBlock:
     m3 = p**3
     lhs, rhs = [comb(p - 1, (p - 1) // 2) % m3], [(-1) ** ((p - 1) // 2) * pow(4, p - 1, m3) % m3]
-    return CaseColumns([[(), 1, ()]], lhs, rhs)
+    return CaseBlock([[(), 1, ()]], lhs, rhs)
 
 
 # I9-I11 read their binomials from combinatorics' tables mod p^4: C(2j, j) for
@@ -285,48 +285,50 @@ def _i8_residues(p: int) -> CaseColumns:
 # are all units.
 
 
-def _i9_residues(p: int) -> CaseColumns:
+def _i9_residues(p: int) -> CaseBlock:
     m2 = p * p
     n = (p - 1) // 2
     fact, inv_fact = _factorials(p)
     ks = range(n + 1)
     lhs = [fact[n + k] * inv_fact[2 * k] * inv_fact[n - k] % m2 for k in ks]
     rhs = [c * w % m2 for c, w in zip(_binomial_row(p, 2, 1), _powers(pow(-16, -1, m2), n + 1, m2))]
-    return CaseColumns([[("k",), len(ks), ([*ks],)]], lhs, rhs)
+    return CaseBlock([[("k",), len(ks), ([*ks],)]], lhs, rhs)
 
 
-def _i10_residues(p: int) -> CaseColumns:
+def _i10_residues(p: int) -> CaseBlock:
     n = (p - 1) // 2
     fact, inv_fact = _factorials(p)
     ks = range(p)
     lhs = [fact[n] * inv_fact[k] * inv_fact[n - k] % p if k <= n else 0 for k in ks]
     rhs = [c * w % p for c, w in zip(_binomial_row(p, 2, 1), _powers(pow(-4, -1, p), p, p))]
-    return CaseColumns([[("k",), len(ks), ([*ks],)]], lhs, rhs)
+    return CaseBlock([[("k",), len(ks), ([*ks],)]], lhs, rhs)
 
 
-def _i11_residues(p: int) -> CaseColumns:
+def _i11_residues(p: int) -> CaseBlock:
     n = (p - 1) // 2
     fact, inv_fact = _factorials(p)
     ks = range(n + 1)
     lhs = [fact[n] * inv_fact[2 * k] * inv_fact[n - 2 * k] % p if 2 * k <= n else 0 for k in ks]
     # binom(4k, 2k) = C(2j, j) at j = 2k
     rhs = [c * w % p for c, w in zip(_binomial_row(p, 2, 1)[::2], _powers(pow(16, -1, p), n + 1, p))]
-    return CaseColumns([[("k",), len(ks), ([*ks],)]], lhs, rhs)
+    return CaseBlock([[("k",), len(ks), ([*ks],)]], lhs, rhs)
 
 
 @dataclass(frozen=True)
 class CongruenceLemma:
     """A binomial congruence at one prime, in both catalogs under one id.
 
-    residues(p) gives its rows as one run of CaseColumns, with at most one
-    param key and both sides canonical mod p^power. The identity suite sweeps
-    it over primes; the congruence catalog runs it as a family.
+    residues(p) gives its rows at p as a CaseBlock of one run, with at most
+    one param key, no skips and both sides canonical mod p^power. The
+    identity suite sweeps it over primes and compares the block's two sides
+    itself; the congruence catalog runs it as a family, whose blocks the
+    engine stamps with the id, p and modulus p^power like any other.
     """
 
     id: str
     description: str
     power: int
-    residues: Callable[[int], CaseColumns]
+    residues: Callable[[int], CaseBlock]
 
 
 LEMMAS: tuple[CongruenceLemma, ...] = (
@@ -521,9 +523,10 @@ def _case_passes(case: IdentityCase) -> bool:
 def run_identities(
     ids: list[str] | None, max_n: int, *, fail_fast: bool = False
 ) -> list[IdentityResult]:
-    """Check the named identities (all of them when ids is None) for the
-    1-based primary index up to max_n. Empty domains count as vacuous passes."""
-    selected = identity_ids() if ids is None else list(ids)
+    """Check the named identities (all of them when ids is None, each once in
+    first-seen order) for the 1-based primary index up to max_n. Empty domains
+    count as vacuous passes."""
+    selected = identity_ids() if ids is None else list(dict.fromkeys(ids))
     results = []
     for ident_id in selected:
         if ident_id not in _BY_ID:

@@ -33,7 +33,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ..padic import signed_residue
-from .engine import CaseBlock, SuiteReport, VerificationReport
+from .columns import CaseBlock, VerificationReport
+from .engine import SuiteReport
 
 __all__ = ["report_to_dict", "dumps_json", "write_json", "write_csv", "CSV_COLUMNS"]
 

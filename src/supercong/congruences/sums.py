@@ -175,17 +175,18 @@ def _kernel_table(kind: str, q: int, m: int) -> list[int]:
 
 
 def kernel_residues(kind: str, q: int, m: int, count: int, power: int) -> list[int]:
-    """N_kind(k, 0)/m^k mod p^power for k < count, from the same tables as truncated_sum.
+    """N_kind(k, 0)/m^k mod p^power for k < count <= p, from the same tables as truncated_sum.
 
-    The tables stop at k = p - 1; terms beyond are reduced from the exact kernel.
+    The tables stop at k = p - 1, so a count past p raises ValueError.
     """
+    if count > q:
+        raise ValueError(f"count must be at most p = {q}, got {count}")
     mod = q**power
     table = _kernel_table(kind, q, m)
     right = _RESIDUE_KERNELS[kind][1]
     # at d = 0 both C(2k, k+d) and C(2k+2d, k+d) are C(2k, k)
     r = repeat(1) if isinstance(right, tuple) else _binomial_row(q, 2, 1)
-    beyond = [TERM_KINDS[kind](k, 0) * pow(m, -k, mod) % mod for k in range(q, count)]
-    return [t * x % mod for t, x in zip(table[:count], r)] + beyond
+    return [t * x % mod for t, x in zip(table[:count], r)]
 
 
 def _residue_sums(

@@ -13,7 +13,7 @@ import pytest
 from supercong import cli
 from supercong.cli import main
 from supercong.congruences import families, identities
-from supercong.congruences.columns import CaseColumns
+from supercong.congruences.columns import CaseBlock
 from supercong.padic import MR_EXACT_BOUND
 
 
@@ -38,6 +38,16 @@ def test_verify_single_prime_and_family(capsys):
     out = capsys.readouterr().out
     assert "G1  pass  cases=1" in out
     assert "G2  pass  cases=1" in out
+
+
+def test_repeated_ids_run_once(capsys):
+    # G1 has one row at each of 5 and 13 and none at 7 and 11
+    assert main(["verify", "--primes", "5..13", "--families", "G1,G2,G1"]) == 0
+    out = capsys.readouterr().out
+    assert [line.split()[0] for line in out.splitlines() if "cases=" in line] == ["G1", "G2"]
+    assert "G1  pass  cases=2 failures=0" in out and "checked 4 cases" in out
+    assert main(["identity", "--ids", "I1,I1", "--max-n", "3"]) == 0
+    assert [line.split()[0] for line in capsys.readouterr().out.splitlines() if "cases=" in line] == ["I1"]
 
 
 def test_verify_not_applicable_line(capsys):
@@ -195,7 +205,7 @@ def test_identity_witness_lines_are_pinned(monkeypatch, capsys):
     # planted failures: I4 summed one term short over the negative base -16,
     # a lemma whose sides differ by p mod p^3, and Z2 with a = 10 for 9
     short = identities._partial_sum_cases("central_sq", 1, 16, 4, lambda n: n - 1, identities._i4_closed, bases=(-16,))
-    lemma = identities.CongruenceLemma("I8", "planted", 3, lambda p: CaseColumns([[("k",), 1, ([1],)]], [p], [0]))
+    lemma = identities.CongruenceLemma("I8", "planted", 3, lambda p: CaseBlock([[("k",), 1, ([1],)]], [p], [0]))
     z2 = identities._z_family("cubic", 27, 10, lambda m: (3 * m + 1) * (3 * m + 2))
     monkeypatch.setitem(identities._BY_ID, "I4", identities.ExactIdentity("I4", "planted", "identity", short))
     monkeypatch.setitem(identities._BY_ID, "I8", identities._lemma_identity(lemma))

@@ -23,9 +23,9 @@ from supercong.congruences import (
     verify_family_case,
 )
 from supercong.congruences import engine, families, sums
+from supercong.congruences.columns import CaseBlock, VerificationReport
 from supercong.congruences.families import (
     _SPOTS_CUBIC,
-    CaseColumns,
     Sum,
     _binom_mod_matrix,
     _convolve,
@@ -74,15 +74,16 @@ def test_every_family_passes_small_primes():
 
 
 def test_every_row_is_canonical_mod_its_catalog_modulus():
-    # and every family's columns are well formed: runs whose stops increase to
-    # the row count, a column of its run's length per key, skips and notes in range
+    # and every family's block is well formed: runs whose stops increase to the
+    # row count, a column of its run's length per key, a verdict per row, notes
+    # in range, and residues 0 on a skipped row
     for q in primes_between(5, 60):
         for fam in family_catalog():
             if not fam.applies(q):
                 continue
             modulus = q**fam.modulus_power
             cases = fam.cases(q)
-            assert type(cases) is CaseColumns, fam.id
+            assert type(cases) is CaseBlock, fam.id
             for case in cases:
                 assert type(case.lhs) is int and type(case.rhs) is int, (fam.id, q, case.params)
                 assert 0 <= case.lhs < modulus and 0 <= case.rhs < modulus, (fam.id, q, case.params)
@@ -93,9 +94,10 @@ def test_every_row_is_canonical_mod_its_catalog_modulus():
                 assert start < stop and len(keys) == len(columns), (fam.id, q, keys)
                 assert all(len(column) == stop - start for column in columns), (fam.id, q, keys)
                 start = stop
-            assert start == rows, (fam.id, q)
-            assert list(cases.skips) == sorted(set(cases.skips)), (fam.id, q)
-            assert all(0 <= i < rows for i in (*cases.skips, *cases.notes)), (fam.id, q)
+            assert start == rows == len(cases.verdicts), (fam.id, q)
+            assert all(0 <= i < rows for i in cases.notes), (fam.id, q)
+            skips = [i for i, verdict in enumerate(cases.verdicts) if verdict is None]
+            assert all(cases.lhs[i] == cases.rhs[i] == 0 for i in skips), (fam.id, q)
 
 
 def _recording(original, power_of, powers):
@@ -232,7 +234,8 @@ def test_dual_matrix_matches_exact_transform():
     for _ in range(50):
         q = rng.choice(primes_between(5, 60))
         m = q * q
-        size = rng.randint(1, q)
+        k_weighted = weight_rng.random() < 0.5
+        size = rng.randint(1, q - 1 if k_weighted else q)  # the k-weighted vector reads size + 1 <= p weights
         mat = _binom_mod_matrix(m, size)
         a = [rng.randint(-9, 9) for _ in range(size)]
         a_mod = np.array([t % m for t in a], dtype=np.int64)
@@ -241,7 +244,6 @@ def test_dual_matrix_matches_exact_transform():
         assert list(got) == want
         kind = weight_rng.choice(sorted(TERM_KINDS))
         base = weight_rng.choice([b for b in M_SET if b % q])
-        k_weighted = weight_rng.random() < 0.5
         power = weight_rng.choice((1, 2))
         mod = q**power
         w, dual = _weight_vectors(kind, base, q, power, size + 1 if k_weighted else size, k_weighted=k_weighted)
@@ -629,13 +631,14 @@ def test_no_family_takes_the_exact_sum_route(monkeypatch):
     assert run_suite([*primes_between(5, 60), 1999], fids).ok
 
 
-def test_no_family_packs_rows_or_builds_a_family_case(monkeypatch):
-    # every family hands the engine columns; FamilyCase is only what iterating them gives
+def test_no_family_packs_rows_or_builds_a_row(monkeypatch):
+    # every family hands the engine one block in columns; a row is built only
+    # by the cases view, and _pack only by a row written back into it
     def never(*args, **kwargs):
-        raise AssertionError("a family's rows took the FamilyCase or _pack route")
+        raise AssertionError("a family's rows took the row or _pack route")
 
     monkeypatch.setattr(engine, "_pack", never)
-    monkeypatch.setattr(families.FamilyCase, "__init__", never)
+    monkeypatch.setattr(VerificationReport, "__init__", never)
     report = run_suite([5, 7, 13, 31, 101], family_ids())
     assert report.ok and len(report.blocks) == len(family_ids()) * 5
 

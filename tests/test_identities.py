@@ -43,6 +43,10 @@ def test_catalog_ids_are_stable():
     assert kinds["Z2"] == "recurrence"
 
 
+def test_a_repeated_identity_runs_once():
+    assert [r.id for r in run_identities(["I8", "I1", "I8"], 3)] == ["I8", "I1"]
+
+
 def test_m_values_are_reproducible():
     assert _m_values(3) == _m_values(3)
     assert _m_values(3)[: len(M_SET)] == list(M_SET)

@@ -49,6 +49,12 @@ def test_rows_come_in_family_then_prime_order():
     assert seen == [("I8", 5), ("I8", 7), ("B1", 5), ("B1", 7)]
 
 
+def test_a_repeated_family_is_verified_once():
+    report = run_suite([5, 7, 11, 13], ["G1", "B1", "G1"])
+    assert [(r.family, r.p) for r in report.cases] == [("G1", 5), ("G1", 13), *(("B1", q) for q in (5, 7, 11, 13))]
+    assert report.config["families"] == ["G1", "B1"]
+
+
 def test_invalid_inputs_rejected_early():
     with pytest.raises(UnknownId):
         run_suite([5], ["NOPE"])
@@ -279,7 +285,7 @@ def test_blocks_pickle_as_they_are(monkeypatch):
     monkeypatch.setitem(_BY_ID, fid, _alternating_keys(fid))
     int64 = verify_family_case("E1.4", 13)
     big = 5**30 - 1  # past int64: the residues stay a list of ints
-    bigints = CaseBlock("F", 5, 5**30, [[("k",), 2, ([0, 1],)]], [big, 1], [big, 2], [True, False], {})
+    bigints = CaseBlock([[("k",), 2, ([0, 1],)]], [big, 1], [big, 2], family="F", p=5, modulus=5**30)
     noted = verify_family_case("E1.7", 13)
     cut = engine._head(verify_family_case(fid, 5), 2)
     t11 = verify_family_case("T1.1", 13)
@@ -375,10 +381,11 @@ def test_failure_rows_survive_into_report(monkeypatch):
 
 
 def test_signed_views():
-    row = VerificationReport("F", 7, {}, 49, 48, 2, False)
-    (case,) = report_to_dict(SuiteReport({}, "", cases=[row]))["cases"]
+    block = CaseBlock([[(), 1, ()]], [48], [2], family="F", p=7, modulus=49)
+    (case,) = report_to_dict(SuiteReport({}, "", blocks=[block]))["cases"]
     assert (case["lhs_signed"], case["rhs_signed"]) == (-1, 2)
-    assert not row.skipped
+    assert block[0] == VerificationReport("F", 7, {}, 49, 48, 2, False)
+    assert not block[0].skipped
 
 
 def test_signed_of_an_int64_array_equals_the_list_route(monkeypatch):
@@ -465,7 +472,9 @@ def test_counts_are_taken_once_per_block(tmp_path):
         report.skipped,
     )
     verdicts = _CountingList([True, False, None, True])
-    block = CaseBlock("F", 5, 5, [[(), 4, ()]], [1, 1, 0, 3], [1, 2, 0, 3], verdicts, {2: "skipped"})
+    block = CaseBlock(
+        [[(), 4, ()]], [1, 1, 0, 3], [1, 2, 0, 3], notes={2: "skipped"}, verdicts=verdicts, family="F", p=5, modulus=5
+    )
     assert block.counts == (2, 1, 1) and verdicts.calls == 3  # once per outcome, at construction
     report = SuiteReport({}, "", blocks=[block, block])
     assert report.counts() == (4, 2, 2)
@@ -498,9 +507,9 @@ def test_cases_view_rebuilds_the_rows_exactly():
     assert block[2:5] == list(block)[2:5]
     with pytest.raises(IndexError):
         block[len(block)]
-    # a report packed from rows gives back the same rows
+    # blocks packed from rows give back the same rows
     rows = report.cases
-    assert SuiteReport({}, "", cases=rows).cases == rows
+    assert SuiteReport({}, "", blocks=engine._pack_rows(rows)).cases == rows
     # assigning a row of the view writes it back into the blocks
     bumped = dataclasses.replace(rows[0], lhs=(rows[0].lhs + 1) % rows[0].modulus, passed=False)
     rows[0] = bumped
@@ -601,7 +610,7 @@ _reports = st.builds(
     config=st.dictionaries(_tricky_text, _param_value, max_size=3),
     started=_tricky_text,
     elapsed=st.floats(0, 1e6),
-    cases=st.lists(_rows, max_size=6),
+    blocks=st.lists(_rows, max_size=6).map(engine._pack_rows),
 )
 
 

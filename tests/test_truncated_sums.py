@@ -270,3 +270,14 @@ def test_kernel_table_cache_holds_one_prime(monkeypatch):
             list(fam.cases(149))
     assert len(keys) > len(set(keys))
     assert kernel.cache_info().misses == len(set(keys))
+
+
+def test_kernel_residues_stop_at_p():
+    # the tables end at k = p - 1: a full count matches the exact kernel, and one past p raises
+    for q in (5, 13):
+        for kind in TERM_KINDS:
+            mod = q * q
+            want = [TERM_KINDS[kind](k, 0) * pow(27, -k, mod) % mod for k in range(q)]
+            assert sums.kernel_residues(kind, q, 27, q, 2) == want, (kind, q)
+            with pytest.raises(ValueError):
+                sums.kernel_residues(kind, q, 27, q + 1, 2)
