@@ -6,11 +6,13 @@ shared denominator: lcm(1..u+1) m^u scale times the closed form's
 denominator for I1-I4a, 16^n for I5, base^(n-1) for Z2-Z4 and 1 for the
 rest. A check compares the numerators, or reduces their difference mod the
 lemma's modulus, with no gcd and no Fraction; the sides become Fractions
-only when shown. I1-I5 carry their partial sums across n: each is extended
-from n-1 to n by one step of sums.weighted_prefixes, the one evaluator
-behind weighted_sum and the catalog's exact truncated_sum, and only the
-random bases of I1-I3 and I4a, new at every n, start from k = 0, over the
-kernel's list of values. I1-I4a and Z2-Z4 take their kernels N_kind(k) from
+only when shown. I1-I5 carry their partial sums at fixed bases across n:
+each is extended from n-1 to n by one step of sums.weighted_prefixes, the
+evaluator behind weighted_sum and the catalog's exact truncated_sum. The
+random bases of I1-I3 and I4a, new at every n and drawn once per process,
+are each one Horner evaluation of sums._weighted_coefficients' list, which
+is shared by every base and carried across n in the same way. I1-I4a and
+Z2-Z4 take their kernels N_kind(k) from
 sums.TERM_KINDS, each value computed once per run. The binomials inside I5,
 I6, Z1 and the Z2-Z4 tails come from rows built once per run (C(2k, .) rows
 and Pascal rows), and those of I9-I11 from combinatorics' residue tables. Z1
@@ -27,18 +29,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import chain, count, islice, repeat
 from math import comb
 from operator import add, lshift, mul
 from time import perf_counter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from ..combinatorics import _binomial_row, _factorials, _powers
 from ..combinatorics import catalan  # noqa: F401  (perfbench/tracing.py wraps identities.catalan)
 from ..errors import UnknownId
 from ..padic import primes_between
 from .columns import CaseBlock
-from .sums import TERM_KINDS, weighted_prefixes
+from .sums import TERM_KINDS, _weighted_coefficients, weighted_prefixes
 
 __all__ = [
     "CongruenceLemma",
@@ -62,14 +65,20 @@ _M_RANDOM_PER_N = 5
 _M_SEED_BASE = 77003
 
 
-def _m_values(n: int) -> list[int]:
+@cache
+def _random_bases(n: int) -> tuple[int, ...]:
     rng = random.Random(_M_SEED_BASE + n)
     extra = []
     while len(extra) < _M_RANDOM_PER_N:
         m = rng.randint(-5000, 5000)
         if m != 0:
             extra.append(m)
-    return list(M_SET) + extra
+    return tuple(extra)
+
+
+def _m_values(n: int) -> list[int]:
+    """M_SET, then the seeded random bases of n, drawn once per process; a new list each call."""
+    return [*M_SET, *_random_bases(n)]
 
 
 @dataclass(slots=True, eq=False)
@@ -127,8 +136,8 @@ class IdentityResult:
 # -- m-parameterized partial-sum identities ---------------------------------
 
 
-def _kernel(kind: str) -> tuple[Callable[[int], int], list[int]]:
-    """kernel(k) is N_kind(k, 0), appended to values; each value is computed once."""
+def _kernel(kind: str) -> Callable[[int], int]:
+    """kernel(k) is N_kind(k, 0); each value is computed once."""
     term = TERM_KINDS[kind]
     values: list[int] = []
 
@@ -137,7 +146,7 @@ def _kernel(kind: str) -> tuple[Callable[[int], int], list[int]]:
             values.append(term(len(values), 0))
         return values[k]
 
-    return kernel, values
+    return kernel
 
 
 def _central_rows() -> Callable[[int], list[int]]:
@@ -168,28 +177,34 @@ def _partial_sum_cases(
     u = upper(n). m runs over _m_values(n) and is a case parameter, unless
     bases fixes it as part of the statement. Each fixed base (M_SET, or
     bases) carries one numerator num over big = lcm(1..u+1) m^u across n,
-    one weighted_prefixes step per new term. With closed(n, .) = cn/cd, both
-    sides go over big m^u scale cd: num cd against cn big scale.
+    one weighted_prefixes step per new term. The random bases, new at every
+    n, share one _weighted_coefficients list carried the same way: num at m
+    is its Horner value at m, O(u) small-factor steps per base against the
+    O(1) of a carried fixed base. With closed(n, .) = cn/cd, both sides go
+    over big m^u scale cd: num cd against cn big scale.
     """
 
     def cases(max_n: int) -> Iterator[IdentityCase]:
-        kernel, values = _kernel(kind)
-
-        def prefixes(terms: Iterable[int], m: int) -> Iterator[tuple[int, int]]:
-            return weighted_prefixes(terms, m, b=base - m, c=scale * c)
-
-        # _m_values(n) lists M_SET first, then the random bases, which are
-        # new at every n and so are summed from k = 0 over the kernel's values
+        kernel = _kernel(kind)
+        # _m_values(n) lists M_SET first, then the random bases
         fixed = bases or M_SET
-        carried = [prefixes(map(kernel, count()), m) for m in fixed]
-        at, sums = -1, []
+        carried = [weighted_prefixes(map(kernel, count()), m, b=base - m, c=scale * c) for m in fixed]
+        shared = _weighted_coefficients(map(kernel, count()), b=base, c=scale * c)
+        at, sums, coeffs, big_u = -1, [], (), 1
         for n in range(1, max_n + 1):
             u = upper(n)
             while at < u:
                 sums, at = [next(prefix) for prefix in carried], at + 1
+                if not bases:
+                    coeffs, big_u = next(shared)
             closed_n = closed(n, kernel(n))
             ms = bases or _m_values(n)
-            fresh = [next(islice(prefixes(values, m), u, None)) for m in ms[len(fixed) :]]
+            fresh = []
+            for m in ms[len(fixed) :]:
+                num = 0
+                for x in coeffs:
+                    num = num * m + x
+                fresh.append((num, big_u))
             cn, cd = closed_n.numerator, closed_n.denominator
             for m, (num, big) in zip(ms, [*sums, *fresh]):
                 params = {"n": n} if bases else {"n": n, "m": m}
@@ -390,7 +405,7 @@ def _z_family(kind: str, base: int, a: int, b: Callable[[int], int]) -> Callable
     """
 
     def cases(max_n: int) -> Iterator[IdentityCase]:
-        kernel, _ = _kernel(kind)
+        kernel = _kernel(kind)
         tails: list[int] = []  # S_(n-1), one entry per m <= n-2
         pascal = [1]  # binom(n-1, m) for m <= n-1
         for n in range(1, max_n + 1):

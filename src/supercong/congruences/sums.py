@@ -1,12 +1,16 @@
 """Truncated sums of binomial products over a power denominator, exact or mod p^K.
 
 TERM_KINDS holds every kernel N_kind(k, d) as an exact integer function.
-weighted_prefixes is the one exact evaluator of
-sum_k (a + b k + c/(k+1)) t_k / m^k: it extends one big integer numerator
-over lcm(1..u+1) m^u term by term and yields it at every u. weighted_sum is
-its last prefix, reduced to a Fraction once; truncated_sum(power=None) takes
-it. The identity suite's I1-I5 carry their partial sums across n on the same
-generator, one step per n.
+weighted_prefixes is the exact evaluator of sum_k (a + b k + c/(k+1)) t_k / m^k
+at one base m: it extends one big integer numerator over lcm(1..u+1) m^u
+term by term and yields it at every u. weighted_sum is its last prefix,
+reduced to a Fraction once; truncated_sum(power=None) takes it. The identity
+suite's I1-I5 carry their partial sums at their fixed bases across n on the
+same generator, one step per n. _weighted_coefficients serves the many bases
+that a weight b - m ties to m: it carries the coefficients of that numerator
+as a polynomial in m, so the numerator at any one base is a Horner
+evaluation; I1-I3 and I4a sum their random bases that way, and the tests
+check it against weighted_prefixes at every u.
 
 truncated_sum sums a kernel over (p-1)/2 or p-1 terms, at one shift d or at
 each of a sequence of shifts in one call. With power=None it returns the
@@ -123,6 +127,38 @@ def weighted_prefixes(
                 w += c * (big // (k + 1))
             num += w * t
         yield num, big
+
+
+def _weighted_coefficients(
+    terms: Iterable[int], a: int = 0, b: int = 0, c: int = 0
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (coeffs, big) for u = 0, 1, ...: at every base m, the num that
+    weighted_prefixes(terms, m, a, b - m, c) yields at u is
+    sum_j coeffs[j] m^(u-j), over the same big.
+
+    With alpha_k = ((a + b k) big + c big/(k+1)) t_k and beta_k = k big t_k,
+    the weight a + (b - m) k puts alpha_k on m^(u-k) and -beta_k on
+    m^(u-k+1), so coeffs[j] = alpha_j - beta_(j+1), with beta_(u+1) = 0. Each
+    step rescales the list when the lcm grows, takes beta_u off its last
+    coefficient and appends alpha_u.
+    """
+    coeffs: list[int] = []
+    big = 1
+    for k, t in enumerate(terms):
+        if c and big % (k + 1):
+            grow = (k + 1) // gcd(big, k + 1)
+            big *= grow
+            coeffs = [x * grow for x in coeffs]
+        if t:
+            w = (a + b * k) * big
+            if c:
+                w += c * (big // (k + 1))
+            if k:
+                coeffs[-1] -= k * big * t
+            coeffs.append(w * t)
+        else:
+            coeffs.append(0)
+        yield tuple(coeffs), big
 
 
 def weighted_sum(terms: Sequence[int], m: int, a: int = 0, b: int = 0, c: int = 0) -> Fraction:

@@ -2,15 +2,17 @@
 
 import hashlib
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
+from itertools import count, islice
 from math import comb, lcm
 
 import pytest
 
 from supercong.combinatorics import catalan
-from supercong.congruences import identity_catalog, identity_ids, run_identities
+from supercong.congruences import identities, identity_catalog, identity_ids, run_identities
 from supercong.congruences.identities import (
     LEMMAS,
     M_SET,
@@ -52,6 +54,23 @@ def test_m_values_are_reproducible():
     assert _m_values(3)[: len(M_SET)] == list(M_SET)
     assert all(m != 0 for m in _m_values(17))
     assert _m_values(3) != _m_values(4)  # fresh random tail per n
+
+
+def _drawn_m_values(n):
+    # one seeded Random per n, five nonzero draws in [-5000, 5000]
+    rng = random.Random(77003 + n)
+    draws = (rng.randint(-5000, 5000) for _ in count())
+    return [*M_SET, *islice(filter(None, draws), 5)]
+
+
+def test_m_values_are_drawn_once_and_returned_as_new_lists():
+    first, second = _m_values(7), _m_values(7)
+    assert first == second and first is not second
+    first[-1] += 1
+    first.append(3)
+    assert _m_values(7) == second
+    for n in (1, 7, 18, 100, 500):
+        assert _m_values(n) == _drawn_m_values(n), n
 
 
 def test_whole_suite_passes_at_moderate_depth():
@@ -352,6 +371,22 @@ def test_carried_partial_sums_match_fresh_generators(ident_id):
         # the five random bases per n start from k = 0, even one that equals
         # a base of M_SET (n = 18 draws 72)
         assert [case.params["m"] for case in got] == [m for n in range(1, 41) for m in _m_values(n)]
+
+
+def test_random_base_numerators_are_checked(monkeypatch):
+    # +1 on the constant coefficient moves the Horner value at every random
+    # base and no carried sum at a base of M_SET
+    real = identities._weighted_coefficients
+
+    def planted(*args, **kwargs):
+        for coeffs, big in real(*args, **kwargs):
+            yield (*coeffs[:-1], coeffs[-1] + 1), big
+
+    monkeypatch.setattr(identities, "_weighted_coefficients", planted)
+    cases = list({ident.id: ident for ident in identity_catalog()}["I1"].cases(10))
+    failing = [case for case in cases if not _case_passes(case)]
+    assert len(failing) == 10 * 5
+    assert all(case.params["m"] not in M_SET for case in failing)
 
 
 @pytest.mark.parametrize("ident_id", sorted(_FRESH_GENERATORS))

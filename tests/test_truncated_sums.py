@@ -7,6 +7,8 @@ from functools import lru_cache
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from supercong.congruences import TERM_KINDS, family_catalog, sums, truncated_sum
 from supercong.congruences.identities import M_SET
@@ -281,3 +283,35 @@ def test_kernel_residues_stop_at_p():
             assert sums.kernel_residues(kind, q, 27, q, 2) == want, (kind, q)
             with pytest.raises(ValueError):
                 sums.kernel_residues(kind, q, 27, q + 1, 2)
+
+
+# 41 terms: lcm(1..u+1) grows at every prime power up to 41
+_CATALAN_TERMS = [comb(2 * k, k) * comb(3 * k, k) for k in range(41)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    terms=st.lists(st.just(0) | st.integers(-(10**40), 10**40), max_size=41),
+    m=st.sampled_from([1, -1]) | st.integers(-(10**15), 10**15),
+    a=st.integers(-100, 100),
+    b=st.integers(-5000, 5000),
+    c=st.sampled_from([0, 1, -1, 4, 60]),
+)
+@example(terms=_CATALAN_TERMS, m=-(10**15), a=0, b=27, c=6)
+@example(terms=_CATALAN_TERMS, m=10**15, a=3, b=432, c=60)
+@example(terms=_CATALAN_TERMS, m=1, a=1, b=16, c=0)
+@example(terms=_CATALAN_TERMS, m=-1, a=-7, b=64, c=-1)
+@example(terms=[0] * 5 + _CATALAN_TERMS[5:], m=16, a=1, b=0, c=0)
+@example(terms=[], m=8, a=1, b=1, c=1)
+def test_weighted_coefficients_evaluate_to_weighted_prefixes(terms, m, a, b, c):
+    # the Horner value at m of the u-th coefficient list is the u-th numerator
+    # of weighted_prefixes at the weight a + (b - m) k + c/(k+1), over the same big
+    steps = list(zip(sums._weighted_coefficients(terms, a, b, c), sums.weighted_prefixes(terms, m, a, b - m, c)))
+    assert len(steps) == len(terms)
+    for u, ((coeffs, big), (num, want_big)) in enumerate(steps):
+        assert len(coeffs) == u + 1
+        value = 0
+        for x in coeffs:
+            value = value * m + x
+        assert (value, big) == (num, want_big), u
+        assert c or big == 1
