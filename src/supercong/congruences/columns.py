@@ -128,8 +128,8 @@ def _runs(params: Iterable[dict]) -> list:
     return runs
 
 
-def _columns(rows: Iterable[tuple], verdicts: list | None = None) -> CaseBlock:
-    """The block of a few rows, each a tuple (params, lhs, rhs, skipped, note), with verdicts if given."""
+def _columns(rows: Iterable[tuple]) -> CaseBlock:
+    """The block of a few rows, each a tuple (params, lhs, rhs, skipped, note)."""
     rows = list(rows)
     return CaseBlock(
         _runs(row[0] for row in rows),
@@ -137,7 +137,6 @@ def _columns(rows: Iterable[tuple], verdicts: list | None = None) -> CaseBlock:
         [row[2] for row in rows],
         [i for i, row in enumerate(rows) if row[3]],
         {i: row[4] for i, row in enumerate(rows) if row[4] is not None},
-        verdicts,
     )
 
 

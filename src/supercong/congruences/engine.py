@@ -20,14 +20,14 @@ only stamps the block's family, p and modulus, p^K with K the catalog
 entry's modulus_power, and stores its residues as int64 arrays where they
 fit; no row becomes an object. A block crosses a spool pickled as its
 constructor arguments. A SuiteReport keeps the blocks in (family, prime)
-order. Its summary, its failures and the report writers read the blocks, and
-report.cases builds VerificationReport rows from them on demand. Rows
-assigned into that list are packed back into blocks by _pack. A time budget
-and fail-fast both act per prime, read in prime order: the primes they skip
-become marker rows, so the rows never depend on the scheduling; the
-fail-fast cut slices its block's columns. A run that stops, by fail-fast,
-the budget, an error or an interrupt, kills every helper still running and
-reads nothing any helper spooled.
+order. Its summary, its failures and the report writers read the blocks;
+report.cases builds the VerificationReport rows from them when first read
+and keeps that list, which nothing else reads. A time budget and fail-fast
+both act per prime, read in prime order: the primes they skip become marker
+rows, so the rows never depend on the scheduling; the fail-fast cut slices
+its block's columns. A run that stops, by fail-fast, the budget, an error or
+an interrupt, kills every helper still running and reads nothing any helper
+spooled.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ import pickle
 from array import array
 from contextlib import nullcontext
 from datetime import datetime, timezone
-from itertools import groupby, islice
-from operator import attrgetter
+from itertools import islice
 from time import perf_counter
 from typing import Callable, Iterable, NoReturn, Sequence
 
@@ -61,18 +60,25 @@ _FORKS = hasattr(os, "fork") and hasattr(os, "memfd_create")
 class SuiteReport:
     """The blocks of one run, with its config, start time and elapsed seconds."""
 
-    __slots__ = ("config", "started", "elapsed", "blocks")
+    __slots__ = ("config", "started", "elapsed", "blocks", "_cases")
 
     def __init__(self, config: dict, started: str, elapsed: float = 0.0, blocks: Iterable[CaseBlock] = ()) -> None:
         self.config = config
         self.started = started
         self.elapsed = elapsed
         self.blocks = list(blocks)
+        self._cases = None
 
     @property
-    def cases(self) -> CaseRows:
-        """Every row, rebuilt from the blocks on each access."""
-        return CaseRows(self)
+    def cases(self) -> list[VerificationReport]:
+        """Every row, built from the blocks when first read and kept.
+
+        An edit to this list stays in it: the counts, the failures and the
+        report writers read the blocks.
+        """
+        if self._cases is None:
+            self._cases = [row for block in self.blocks for row in block]
+        return self._cases
 
     def counts(self) -> tuple[int, int, int]:
         """(passed, failed, skipped), summed over the blocks' counts."""
@@ -105,34 +111,6 @@ class SuiteReport:
             if verdict is False
         )
         return list(islice(rows, limit))
-
-
-class CaseRows(list):
-    """The rows of a report, as report.cases builds them from its blocks.
-
-    Assigning to an index or a slice writes back: the report's blocks are
-    packed again from the rows. Any other change stays in this list.
-    """
-
-    def __init__(self, report: SuiteReport) -> None:
-        super().__init__(row for block in report.blocks for row in block)
-        self.report = report
-
-    def __setitem__(self, index, value) -> None:
-        super().__setitem__(index, value)
-        self.report.blocks = _pack_rows(self)
-
-
-def _pack_rows(rows: Iterable[VerificationReport]) -> list[CaseBlock]:
-    """One block per stretch of consecutive rows with the same family, p and modulus."""
-    stretches = groupby(rows, attrgetter("family", "p", "modulus"))
-    return [_pack(family, p, modulus, list(stretch)) for (family, p, modulus), stretch in stretches]
-
-
-def _pack(family: str, p: int, modulus: int, rows: list[VerificationReport]) -> CaseBlock:
-    """One block from rows, in their order, with their verdicts as given."""
-    block = _columns(((r.params, r.lhs, r.rhs, r.skipped, r.note) for r in rows), [r.passed for r in rows])
-    return _stamp(block, family, p, modulus)
 
 
 def _compact(values: list) -> array | list:

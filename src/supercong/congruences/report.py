@@ -100,7 +100,7 @@ def _summary_block(report: SuiteReport) -> dict:
 def report_to_dict(report: SuiteReport) -> dict:
     return {
         "run": _run_block(report),
-        "cases": [_as_dict(_fields(c)) for c in report.cases],
+        "cases": [_as_dict(_fields(row)) for block in report.blocks for row in block],
         "summary": _summary_block(report),
     }
 

@@ -23,7 +23,7 @@ from math import isqrt
 import numpy as np
 
 from .combinatorics import _binomial_row, _powers
-from .errors import WeightZero, WrongResidueClass
+from .errors import GridBoundExceeded, WeightZero, WrongResidueClass
 from .padic import odd_prime
 
 __all__ = [
@@ -178,7 +178,7 @@ def _grid_prime(p: int) -> int:
     """p as an int, where both T1.1 grids are exact float64 products: (p+1)/2 (p-1)^2 < 2^53."""
     q = odd_prime(p)
     if (q + 1) // 2 * (q - 1) ** 2 >= 2**53:
-        raise ValueError(f"p = {q} is past the float64 bound of the T1.1 grids, (p+1)/2 (p-1)^2 < 2^53")
+        raise GridBoundExceeded(f"p = {q} is past the float64 bound of the T1.1 grids, (p+1)/2 (p-1)^2 < 2^53")
     return q
 
 
@@ -209,7 +209,7 @@ def weighted_char_sum_grid(p: int) -> np.ndarray:
     Each entry sums p products of a power below p and a chi value in
     {-1, 0, 1}, so every partial sum is an integer of absolute value below
     p(p - 1) < 2^53 and dgemm is exact in any summation order. Past the
-    tighter bound of thm11_rhs_grid it raises ValueError before allocating.
+    tighter bound of thm11_rhs_grid it raises GridBoundExceeded before allocating.
     """
     q = _grid_prime(p)
     n = (q - 1) // 2
@@ -230,7 +230,7 @@ def thm11_rhs_grid(p: int) -> np.ndarray:
     coeff @ lampow is a float64 product. An entry sums (p+1)/2 products of two
     residues below p, so every partial sum is an integer below
     (p+1)/2 (p - 1)^2, and dgemm is exact in any summation order while that is
-    below 2^53: up to p = 262,139. Past it, ValueError before allocating.
+    below 2^53: up to p = 262,139. Past it, GridBoundExceeded before allocating.
     """
     q = _grid_prime(p)
     n = (q - 1) // 2

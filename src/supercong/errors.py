@@ -31,3 +31,7 @@ class WeightZero(SupercongError):
 
 class UnknownId(SupercongError):
     """Family or identity id not present in the catalog."""
+
+
+class GridBoundExceeded(SupercongError, ValueError):
+    """Prime lies past the float64 bound of the T1.1 grids."""

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from supercong import cli
+from supercong import cli, curves
 from supercong.cli import main
 from supercong.congruences import families, identities
 from supercong.congruences.columns import CaseBlock
@@ -91,6 +91,18 @@ def test_prime_cap_env_override(monkeypatch, capsys):
     assert "exact primality test" in capsys.readouterr().err
     monkeypatch.setenv("SUPERCONG_MAX_PRIME", str(MR_EXACT_BOUND - 1))
     assert main(["verify", "--primes", "5..7", "--families", "B1"]) == 0
+
+
+def test_a_prime_past_the_t11_grid_bound_is_bad_input(monkeypatch, capsys):
+    # 262147 is the first prime past (p+1)/2 (p-1)^2 < 2^53; it is refused before any grid is built
+    def never(*args, **kwargs):
+        raise AssertionError("grid allocated past its float64 bound")
+
+    for name in ("ones", "array", "empty"):
+        monkeypatch.setattr(curves.np, name, never)
+    monkeypatch.setenv("SUPERCONG_MAX_PRIME", "300000")
+    assert main(["verify", "--families", "T1.1", "--primes", "262147", "--sweep-cap", "300000"]) == 2
+    assert capsys.readouterr().err.startswith("error: p = 262147 is past the float64 bound")
 
 
 def test_verify_sweep_cap_note(capsys):

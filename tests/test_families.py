@@ -22,7 +22,7 @@ from supercong.congruences import (
     truncated_sum,
     verify_family_case,
 )
-from supercong.congruences import engine, families, sums
+from supercong.congruences import families, sums
 from supercong.congruences.columns import CaseBlock, VerificationReport
 from supercong.congruences.families import (
     _SPOTS_CUBIC,
@@ -633,11 +633,10 @@ def test_no_family_takes_the_exact_sum_route(monkeypatch):
 
 def test_no_family_packs_rows_or_builds_a_row(monkeypatch):
     # every family hands the engine one block in columns; a row is built only
-    # by the cases view, and _pack only by a row written back into it
+    # when report.cases or a block is read row by row
     def never(*args, **kwargs):
-        raise AssertionError("a family's rows took the row or _pack route")
+        raise AssertionError("a family's rows took the row route")
 
-    monkeypatch.setattr(engine, "_pack", never)
     monkeypatch.setattr(VerificationReport, "__init__", never)
     report = run_suite([5, 7, 13, 31, 101], family_ids())
     assert report.ok and len(report.blocks) == len(family_ids()) * 5

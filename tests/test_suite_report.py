@@ -15,6 +15,8 @@ import tracemalloc
 from array import array
 from collections import Counter
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 
 from supercong.congruences import engine, families, run_suite, verify_family_case
 from supercong.congruences import report as report_module
+from supercong.congruences.columns import _runs
 from supercong.congruences.engine import CaseBlock, SuiteReport, VerificationReport
 from supercong.congruences.families import (
     CongruenceFamily,
@@ -500,22 +503,39 @@ def test_cases_view_rebuilds_the_rows_exactly():
     primes = primes_between(5, 31)
     report = run_suite(primes)
     assert report.cases == [row for fid in family_ids() for q in primes for row in _old_rows(fid, q)]
-    assert report.cases is not report.cases  # built on each access, not held
+    assert report.cases is report.cases  # built once, then held
     block = verify_family_case("E1.7", 13)
     assert list(block) == _old_rows("E1.7", 13)
     assert [block[i] for i in range(-len(block), len(block))] == list(block) * 2
     assert block[2:5] == list(block)[2:5]
     with pytest.raises(IndexError):
         block[len(block)]
-    # blocks packed from rows give back the same rows
+
+
+def test_an_edit_to_the_held_rows_reaches_no_count_or_writer(tmp_path):
+    report = run_suite([5, 7, 11], ["I8", "E1.7", "B1"])
     rows = report.cases
-    assert SuiteReport({}, "", blocks=engine._pack_rows(rows)).cases == rows
-    # assigning a row of the view writes it back into the blocks
-    bumped = dataclasses.replace(rows[0], lhs=(rows[0].lhs + 1) % rows[0].modulus, passed=False)
-    rows[0] = bumped
-    assert report.cases[0] == bumped and report.cases[1:] == rows[1:]
-    assert report.failures() == [bumped] and report.counts()[1] == 1
-    assert json.loads(dumps_json(report))["cases"][0]["lhs"] == bumped.lhs
+    assert rows is report.cases
+    blocks = pickle.dumps(report.blocks)
+    block_rows = [list(block) for block in report.blocks]
+    verdicts = [list(block.verdicts) for block in report.blocks]
+    counts, failures = report.counts(), report.failures()
+    text, data = dumps_json(report), report_to_dict(report)
+    write_csv(report, tmp_path / "before.csv")
+    assert counts[1] == 0 and failures == []
+
+    edited = dataclasses.replace(rows[0], lhs=(rows[0].lhs + 1) % rows[0].modulus, passed=False, note="edited")
+    report.cases[0] = edited
+    assert report.cases[0] == edited and report.cases is rows  # the edit stays in the held list
+
+    assert pickle.dumps(report.blocks) == blocks
+    assert [list(block) for block in report.blocks] == block_rows
+    assert [list(block.verdicts) for block in report.blocks] == verdicts
+    assert report.counts() == counts and report.failures() == failures and report.ok
+    assert dumps_json(report) == text == _json_oracle(report)
+    assert report_to_dict(report) == data
+    write_csv(report, tmp_path / "after.csv")
+    assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
 
 
 # SHA-256 of the sorted (family, p, params, modulus, lhs, rhs, pass, note)
@@ -605,12 +625,35 @@ _rows = st.builds(
     passed=st.sampled_from([True, False, None]),
     note=st.none() | _tricky_text,
 )
+
+
+def _blocks(rows):
+    """One block per stretch of consecutive rows with the same family, p and modulus, with their verdicts."""
+    blocks = []
+    for (family, p, modulus), stretch in groupby(rows, attrgetter("family", "p", "modulus")):
+        stretch = list(stretch)
+        blocks.append(
+            CaseBlock(
+                _runs(row.params for row in stretch),
+                [row.lhs for row in stretch],
+                [row.rhs for row in stretch],
+                (),
+                {i: row.note for i, row in enumerate(stretch) if row.note is not None},
+                [row.passed for row in stretch],
+                family,
+                p,
+                modulus,
+            )
+        )
+    return blocks
+
+
 _reports = st.builds(
     SuiteReport,
     config=st.dictionaries(_tricky_text, _param_value, max_size=3),
     started=_tricky_text,
     elapsed=st.floats(0, 1e6),
-    blocks=st.lists(_rows, max_size=6).map(engine._pack_rows),
+    blocks=st.lists(_rows, max_size=6).map(_blocks),
 )
 
 
