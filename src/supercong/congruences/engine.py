@@ -74,7 +74,8 @@ class SuiteReport:
         """Every row, built from the blocks when first read and kept.
 
         An edit to this list stays in it: the counts, the failures and the
-        report writers read the blocks.
+        report writers read the blocks. The list is a snapshot of the blocks
+        at its first read; a block added to self.blocks later is not in it.
         """
         if self._cases is None:
             self._cases = [row for block in self.blocks for row in block]

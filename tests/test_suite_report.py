@@ -628,23 +628,17 @@ _rows = st.builds(
 
 
 def _blocks(rows):
-    """One block per stretch of consecutive rows with the same family, p and modulus, with their verdicts."""
+    """One block per stretch of consecutive rows with the same family, p and modulus, with their verdicts.
+
+    Each block goes through the engine's stamp, so sides whose values all fit become int64 arrays.
+    """
     blocks = []
     for (family, p, modulus), stretch in groupby(rows, attrgetter("family", "p", "modulus")):
         stretch = list(stretch)
-        blocks.append(
-            CaseBlock(
-                _runs(row.params for row in stretch),
-                [row.lhs for row in stretch],
-                [row.rhs for row in stretch],
-                (),
-                {i: row.note for i, row in enumerate(stretch) if row.note is not None},
-                [row.passed for row in stretch],
-                family,
-                p,
-                modulus,
-            )
-        )
+        lhs, rhs = [row.lhs for row in stretch], [row.rhs for row in stretch]
+        notes = {i: row.note for i, row in enumerate(stretch) if row.note is not None}
+        block = CaseBlock(_runs(row.params for row in stretch), lhs, rhs, (), notes, [row.passed for row in stretch])
+        blocks.append(engine._stamp(block, family, p, modulus))
     return blocks
 
 
