@@ -104,6 +104,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError("--parallelism must be at least 1")
     if args.time_limit is not None and not args.time_limit >= 0:  # also rejects nan
         raise ConfigError(f"--time-limit must be a number of seconds >= 0, got {args.time_limit}")
+    if args.out:
+        try:
+            open(args.out, "a").close()  # before any prime; "a" leaves a report already there as it is
+        except OSError as exc:
+            raise ConfigError(f"cannot write the report to {args.out}: {exc.strerror or exc}")
     report = run_suite(
         primes,
         families,

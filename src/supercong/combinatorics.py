@@ -10,16 +10,14 @@ curves' C(2k, k) row all read them here, the one evaluator of each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, perm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .padic import odd_prime
 
 __all__ = [
-    "RationalPolynomial",
     "bernoulli_number",
     "binomial_p_valuation",
     "catalan",
@@ -108,42 +106,23 @@ def euler_number(n: int) -> int:
     return _EULER[n]
 
 
-@dataclass(frozen=True)
-class RationalPolynomial:
-    """Polynomial with exact rational coefficients, ascending powers.
-
-    Normalized: no trailing zero coefficients (the zero polynomial is ()).
-    """
-
-    coeffs: tuple[Fraction, ...]
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence) -> "RationalPolynomial":
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+def _horner(coeffs: tuple[Fraction, ...], x) -> Fraction:
+    """sum_j coeffs[j] x^j, exact, by Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
-_EULER_POLY: dict[int, RationalPolynomial] = {}
+_EULER_POLY: dict[int, partial] = {}
 
 
-def euler_polynomial(n: int) -> RationalPolynomial:
-    """Euler polynomial E_n(x), satisfying E_n(x) + E_n(x+1) = 2 x^n.
+def euler_polynomial(n: int) -> Callable[[Fraction], Fraction]:
+    """Euler polynomial E_n(x), satisfying E_n(x) + E_n(x+1) = 2 x^n, as an exact function of x.
 
     Assembled from integer Euler numbers via the expansion of E_n around 1/2,
-    so no triangular recursion over lower-degree polynomials is needed.
+    so no triangular recursion over lower-degree polynomials is needed. The
+    function is _horner over the ascending coefficients, cached per n.
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
@@ -157,7 +136,7 @@ def euler_polynomial(n: int) -> RationalPolynomial:
             # expand (x - 1/2)^(n-k)
             for j in range(n - k + 1):
                 coeffs[j] += base * comb(n - k, j) * Fraction((-1) ** (n - k - j), 2 ** (n - k - j))
-        _EULER_POLY[n] = RationalPolynomial.from_coeffs(coeffs)
+        _EULER_POLY[n] = partial(_horner, tuple(coeffs))
     return _EULER_POLY[n]
 
 

@@ -8,7 +8,9 @@ each row as a tuple (params, lhs, rhs, skipped, note) and packs them with
 _columns. The block takes its verdicts once, at construction: lhs == rhs, and
 None at the skips. The engine then stamps the block's family, p and modulus
 and stores its residues compactly. VerificationReport is the one row type:
-what indexing or iterating a block gives. No row is held as an object.
+what indexing or iterating a block gives. No row is held as an object. A
+run stores only where it stops; _spans, the one walk over the runs, gives
+each run's start too. head(stop), its first rows, is the engine's fail-fast cut.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ class CaseBlock:
     True, False or None (skipped) per row: lhs == rhs with None at the skips,
     unless given. counts is (passed, failed, skipped). family, p and modulus
     are None until the engine stamps them. Indexing or iterating gives
-    VerificationReport rows.
+    VerificationReport rows, each found through _spans, and head(stop) the
+    block of the first stop rows.
     """
 
     runs: list
@@ -79,14 +82,24 @@ class CaseBlock:
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         i = range(len(self))[index]  # a negative index counts from the end; raises IndexError
-        start = 0
-        for keys, stop, columns in self.runs:
+        for keys, start, stop, columns in _spans(self.runs):
             if i < stop:
                 return _row(self, i, dict(zip(keys, [column[i - start] for column in columns])))
-            start = stop
 
     def __iter__(self) -> Iterator[VerificationReport]:
         return (_row(self, i, params) for i, params in _params(self.runs))
+
+    def head(self, stop: int) -> CaseBlock:
+        """The block's first stop rows, with its columns sliced."""
+        runs = []
+        for keys, start, end, columns in _spans(self.runs):
+            if start >= stop:
+                break
+            end = min(end, stop)
+            runs.append([keys, end, tuple(column[: end - start] for column in columns)])
+        notes = {i: note for i, note in self.notes.items() if i < stop}
+        lhs, rhs, verdicts = self.lhs[:stop], self.rhs[:stop], self.verdicts[:stop]
+        return CaseBlock(runs, lhs, rhs, (), notes, verdicts, self.family, self.p, self.modulus)
 
     def __reduce__(self):
         # Pickled as constructor arguments, one call on load; counts is taken
@@ -102,13 +115,19 @@ def _row(block: CaseBlock, i: int, params: dict) -> VerificationReport:
     )
 
 
-def _params(runs: list) -> Iterator[tuple[int, dict]]:
-    """(i, params) per row of the runs, in order."""
+def _spans(runs: list) -> Iterator[tuple[tuple, int, int, tuple]]:
+    """(keys, start, stop, columns) per run, in order: the run holds rows [start, stop)."""
     start = 0
     for keys, stop, columns in runs:
+        yield keys, start, stop, columns
+        start = stop
+
+
+def _params(runs: list) -> Iterator[tuple[int, dict]]:
+    """(i, params) per row of the runs, in order."""
+    for keys, start, stop, columns in _spans(runs):
         for i, *values in zip(range(start, stop), *columns):
             yield i, dict(zip(keys, values))
-        start = stop
 
 
 def _runs(params: Iterable[dict]) -> list:

@@ -24,10 +24,10 @@ order. Its summary, its failures and the report writers read the blocks;
 report.cases builds the VerificationReport rows from them when first read
 and keeps that list, which nothing else reads. A time budget and fail-fast
 both act per prime, read in prime order: the primes they skip become marker
-rows, so the rows never depend on the scheduling; the fail-fast cut slices
-its block's columns. A run that stops, by fail-fast, the budget, an error or
-an interrupt, kills every helper still running and reads nothing any helper
-spooled.
+rows, so the rows never depend on the scheduling; the fail-fast cut is the
+head (CaseBlock.head) of the block that holds the first failing row. A run
+that stops, by fail-fast, the budget, an error or an interrupt, kills every
+helper still running and reads nothing any helper spooled.
 """
 
 from __future__ import annotations
@@ -149,20 +149,6 @@ def _marker(family: CongruenceFamily, p: int, params: dict, note: str) -> CaseBl
 
 def _not_applicable(family: CongruenceFamily, p: int) -> CaseBlock:
     return _block(family, p, CaseBlock([], [], []))
-
-
-def _head(block: CaseBlock, stop: int) -> CaseBlock:
-    """The block's first stop rows, with its columns sliced."""
-    runs, start = [], 0
-    for keys, end, columns in block.runs:
-        if start >= stop:
-            break
-        end = min(end, stop)
-        runs.append([keys, end, tuple(column[: end - start] for column in columns)])
-        start = end
-    notes = {i: note for i, note in block.notes.items() if i < stop}
-    lhs, rhs, verdicts = block.lhs[:stop], block.rhs[:stop], block.verdicts[:stop]
-    return CaseBlock(runs, lhs, rhs, (), notes, verdicts, block.family, block.p, block.modulus)
 
 
 def verify_family_case(family_id: str, p: int, *, sweep_cap: int | None = None) -> CaseBlock:
@@ -395,7 +381,7 @@ def run_suite(
     for block in (results[i][fid] for fid in selected for i in range(len(prime_list))):
         if fail_fast and block.counts[1]:
             # the report ends at its first failing row, which may fall inside this block
-            report.blocks.append(_head(block, block.verdicts.index(False) + 1))
+            report.blocks.append(block.head(block.verdicts.index(False) + 1))
             break
         report.blocks.append(block)
 

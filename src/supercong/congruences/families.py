@@ -99,13 +99,6 @@ class Sum:
     coef: Fraction | int | Callable[[int, int, Sequence[int]], Iterable[int]] = 1
 
 
-@dataclass(frozen=True, slots=True)
-class Residue:
-    """A member that is its own residue mod p^K: fn(p, K)."""
-
-    fn: Callable[[int, int], int]
-
-
 def _over_4_to_d(q: int, power: int, ds: Sequence[int]) -> list[int]:
     """The Sum coefficient 1/4^d, mod p^K at each shift of ds."""
     mod = q**power
@@ -133,13 +126,11 @@ def _sum_residues(member: Sum, q: int, power: int, ds: Sequence[int]) -> list[in
 
 
 def _value(member, q: int, power: int):
-    """A member's value at p: a Sum at shift 0 (see _sum_residues) and a Residue
-    fn(p, K) as residues, a tuple the sum of its members, a closed form member(p)."""
+    """A member's value at p: a Sum at shift 0 as its residue (see _sum_residues),
+    a tuple the sum of its members, a closed form member(p) exactly."""
     kind = type(member)
     if kind is Sum:
         return _sum_residues(member, q, power, (0,))[0]
-    if kind is Residue:
-        return member.fn(q, power)
     if kind is tuple:
         return sum(_value(part, q, power) for part in member)
     return member(q)
@@ -396,6 +387,10 @@ def _l1_lhs(q: int, power: int, *, base: int = -16, offset: int = 1) -> int:
     conv = _convolve(u, u)
     weights = _powers(pow(base, -1, mod), q, mod)  # base^-h
     return sum((2 * h + offset) * c * w for h, (c, w) in enumerate(zip(conv, weights))) % mod
+
+
+def _l1_cases(q: int, power: int) -> CaseBlock:
+    return _columns([_case(q, power, {}, _l1_lhs(q, power), q * legendre_symbol(-1, q))])
 
 
 def _a1_cases(q: int, power: int) -> CaseBlock:
@@ -812,7 +807,7 @@ _CATALOG: tuple[CongruenceFamily, ...] = (
         "L1",
         "sum_h (2h+1)/(-16)^h sum_k binom(2k,k)^2 binom(2(h-k),h-k)^2 == p(-1/p) mod p^2",
         2,
-        _chain_family((Residue(lambda q, power: _l1_lhs(q, power)), lambda q: q * legendre_symbol(-1, q))),
+        _l1_cases,
     ),
     _family(
         "A1",

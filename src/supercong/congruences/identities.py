@@ -535,9 +535,7 @@ def _case_passes(case: IdentityCase) -> bool:
     return d % m == 0
 
 
-def run_identities(
-    ids: list[str] | None, max_n: int, *, fail_fast: bool = False
-) -> list[IdentityResult]:
+def run_identities(ids: list[str] | None, max_n: int) -> list[IdentityResult]:
     """Check the named identities (all of them when ids is None, each once in
     first-seen order) for the 1-based primary index up to max_n. Empty domains
     count as vacuous passes."""
@@ -556,8 +554,6 @@ def run_identities(
                 failed += 1
                 if len(failures) < 5:
                     failures.append(case)
-                if fail_fast:
-                    break
         results.append(
             IdentityResult(
                 id=ident.id,
@@ -568,6 +564,4 @@ def run_identities(
                 failures=failures,
             )
         )
-        if fail_fast and failed:
-            break
     return results

@@ -33,7 +33,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ..padic import signed_residue
-from .columns import CaseBlock, VerificationReport
+from .columns import CaseBlock, VerificationReport, _spans
 from .engine import SuiteReport
 
 __all__ = ["report_to_dict", "dumps_json", "write_json", "write_csv", "CSV_COLUMNS"]
@@ -180,8 +180,8 @@ def _block_rows(block: CaseBlock) -> Iterator[str]:
         return ("    " + _nested(_as_dict(_fields(row)), 2) for row in block)
     head = _literal(encode_basestring(block.family)), block.p
     modulus, notes = block.modulus, block.notes
-    runs, start = [], 0
-    for keys, stop, columns in block.runs:
+    runs = []
+    for keys, start, stop, columns in _spans(block.runs):
         values, slots = _slots(columns, _value_text)
         params = _params_layout(zip((_literal(encode_basestring(key)) for key in keys), slots))
         template = _ROW % (*head, params, modulus, "%d", "%d", "%d", "%d", "%s", "%s")
@@ -193,7 +193,6 @@ def _block_rows(block: CaseBlock) -> Iterator[str]:
             tails = repeat("")
         rows = zip(*values, lhs, rhs, _signed(lhs, modulus), _signed(rhs, modulus), passes, tails)
         runs.append(map(template.__mod__, rows))
-        start = stop
     return chain.from_iterable(runs)
 
 
@@ -243,10 +242,6 @@ def _csv_value(value) -> str:
     return json.dumps(value, separators=(",", ":"))
 
 
-def _csv_pass(passed) -> str:
-    return "null" if passed is None else str(passed).lower()
-
-
 def _csv_params(keys: tuple, columns: tuple) -> Iterator[str]:
     """The compact JSON params of each row of one run."""
     if any(type(key) is not str for key in keys):
@@ -259,8 +254,7 @@ def _csv_params(keys: tuple, columns: tuple) -> Iterator[str]:
 
 def _csv_block_rows(block: CaseBlock) -> Iterator[tuple]:
     family, p, modulus, notes = str(block.family), str(block.p), str(block.modulus), block.notes
-    start = 0
-    for keys, stop, columns in block.runs:
+    for keys, start, stop, columns in _spans(block.runs):
         lhs, rhs = block.lhs[start:stop], block.rhs[start:stop]
         yield from zip(
             repeat(family),
@@ -271,10 +265,9 @@ def _csv_block_rows(block: CaseBlock) -> Iterator[tuple]:
             map(str, rhs),
             map(str, _signed(lhs, block.modulus)),
             map(str, _signed(rhs, block.modulus)),
-            map(_csv_pass, block.verdicts[start:stop]),
+            map(_LITERAL.__getitem__, block.verdicts[start:stop]),
             (notes.get(i, "") for i in range(start, stop)),
         )
-        start = stop
 
 
 def write_csv(report: SuiteReport, path: str | Path) -> None:

@@ -86,18 +86,16 @@ def central_binomials_mod(q: int) -> tuple[int, ...]:
 
 
 def char_sum_a(p: int, lam: int) -> int:
-    """Trace term a_p(lambda) = sum_x chi(x(x-1)(x-lambda)), exact."""
-    q = odd_prime(p)
-    lam %= q
-    chi = _chi_table(q)
-    return sum(chi[x * (x - 1) % q * (x - lam) % q] for x in range(q))
+    """Trace term a_p(lambda) = sum_x chi(x(x-1)(x-lambda)), exact: weighted_char_sum at weight x^0."""
+    return weighted_char_sum(p, lam, 0)
 
 
 def count_points(p: int, lam: int) -> int:
     """#E_p(lambda) including the point at infinity.
 
-    Counts square roots per x directly, so the identity
-    count_points = p + 1 + char_sum_a is a genuine two-route check.
+    Counts square roots per x directly, with no Legendre symbol, so the
+    identity count_points = p + 1 + char_sum_a checks the chi-sum evaluator
+    weighted_char_sum by an independent route.
     """
     q = odd_prime(p)
     lam %= q

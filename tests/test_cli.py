@@ -105,6 +105,17 @@ def test_a_prime_past_the_t11_grid_bound_is_bad_input(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: p = 262147 is past the float64 bound")
 
 
+def test_an_unwritable_out_path_is_bad_input(monkeypatch, tmp_path, capsys):
+    # refused before any prime is evaluated, where it used to fail after the whole sweep
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_suite", never)
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        assert main(["verify", "--primes", "5..7", "--families", "B1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write the report to {out}: ")
+
+
 def test_verify_sweep_cap_note(capsys):
     assert main(["verify", "--primes", "101..103", "--families", "T1.1"]) == 0
     out = capsys.readouterr().out

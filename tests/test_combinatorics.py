@@ -8,7 +8,6 @@ import pytest
 
 from supercong.combinatorics import (
     _TABLE_POWER,
-    RationalPolynomial,
     _binomial_row,
     _factorials,
     _powers,
@@ -123,15 +122,6 @@ def test_euler_half_grid_mod_p_matches_exact_grid():
     assert euler_half_grid_mod_p(7, 0) == []
     with pytest.raises(InvalidPrime):
         euler_half_grid_mod_p(3, 1)
-
-
-def test_rational_polynomial_normalization():
-    p = RationalPolynomial.from_coeffs([1, 2, 0, 0])
-    assert p.degree == 1
-    assert p(Fraction(3)) == 7
-    zero = RationalPolynomial.from_coeffs([0, 0])
-    assert zero.degree == -1
-    assert zero(Fraction(5)) == 0
 
 
 def test_special_numbers_match_sympy():

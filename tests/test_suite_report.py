@@ -290,7 +290,7 @@ def test_blocks_pickle_as_they_are(monkeypatch):
     big = 5**30 - 1  # past int64: the residues stay a list of ints
     bigints = CaseBlock([[("k",), 2, ([0, 1],)]], [big, 1], [big, 2], family="F", p=5, modulus=5**30)
     noted = verify_family_case("E1.7", 13)
-    cut = engine._head(verify_family_case(fid, 5), 2)
+    cut = verify_family_case(fid, 5).head(2)
     t11 = verify_family_case("T1.1", 13)
     assert type(int64.lhs) is array and type(bigints.lhs) is list and noted.notes and len(cut.runs) == 2
     for block in (int64, bigints, noted, cut, t11):
@@ -436,6 +436,22 @@ def test_blocks_share_one_key_tuple_per_key_set(monkeypatch):
     # A1 and E1.14 each carry two key sets at one prime
     assert [run[0] for run in verify_family_case("A1", 7).runs] == [("lam",), ("pair",)]
     assert [run[0] for run in verify_family_case("E1.14", 11).runs] == [("coefficients",), ("x",)]
+
+
+def test_a_blocks_head_is_its_first_rows(monkeypatch):
+    fid = "XKEYS-TEST"
+    monkeypatch.setitem(_BY_ID, fid, _alternating_keys(fid))
+    # A1, E1.14 and the synthetic family have several runs; E1.7 has parity skips with notes
+    for family, p in (("A1", 7), ("E1.14", 11), ("E1.7", 13), (fid, 5)):
+        block = verify_family_case(family, p)
+        rows = list(block)
+        assert len(block.runs) > 1 or block.notes, family
+        for stop in range(len(block) + 1):
+            head = block.head(stop)
+            assert list(head) == head[:] == rows[:stop], (family, stop)
+            verdicts = [row.passed for row in rows[:stop]]
+            assert head.counts == (verdicts.count(True), verdicts.count(False), verdicts.count(None))
+            assert head.notes == {i: row.note for i, row in enumerate(rows[:stop]) if row.note is not None}
 
 
 def _reachable_containers(root):
