@@ -1,27 +1,27 @@
 """Exact identities and recurrences underlying the congruence catalog.
 
-Every case is an equality of exact rationals (or of residues, for the
-prime-parameterized lemmas I8-I11), held as two integer numerators over one
-shared denominator: lcm(1..u+1) m^u scale times the closed form's
-denominator for I1-I4a, 16^n for I5, base^(n-1) for Z2-Z4 and 1 for the
-rest. A check compares the numerators, or reduces their difference mod the
-lemma's modulus, with no gcd and no Fraction; the sides become Fractions
-only when shown. I1-I5 carry their partial sums at fixed bases across n:
-each is extended from n-1 to n by one step of sums.weighted_prefixes, the
-evaluator behind weighted_sum and the catalog's exact truncated_sum. The
-random bases of I1-I3 and I4a, new at every n and drawn once per process,
-are each one Horner evaluation of sums._weighted_coefficients' list, which
-is shared by every base and carried across n in the same way. I1-I4a and
-Z2-Z4 take their kernels N_kind(k) from
-sums.TERM_KINDS, each value computed once per run. The binomials inside I5,
-I6, Z1 and the Z2-Z4 tails come from rows built once per run (C(2k, .) rows
-and Pascal rows), and those of I9-I11 from combinatorics' residue tables. Z1
-carries the diagonals C(2k, k+d) across n, one k per n, so each f(d) is one
-sum(map(mul)). I7 builds (t^2 + t + x)^n across n as one int per power of t,
-with x -> 2^width (Kronecker substitution), keeps the powers of t that a later
-n reads, and decodes the coefficient of t^n slot by slot. The right sides of
-I5, I6, I7 and Z2-Z4 stay on math.comb, so both sides of a check take
-different routes.
+Each identity yields its cases as CaseBlocks (columns.py), one per n, or per
+prime for the lemmas I8-I11, with their verdicts taken at construction. A
+block holds two integer numerator columns over one shared denominator, given
+beside it as an int, or as a list by row where it varies: lcm(1..u+1) m^u
+times the summand's scale and the closed form's denominator for I1-I4a,
+16^n for I5, base^(n-1) for Z2-Z4 and 1 for the rest. A row passes when its
+numerators are equal; a lemma's are canonical residues mod p^power. So
+run_identities reads each block's counts and builds an IdentityCase only for
+a failure it keeps, and cases(max_n) flattens the blocks for the tests.
+
+I1-I5 carry their partial sums at fixed bases across n, one step of
+sums.weighted_prefixes (the evaluator behind the catalog's exact
+truncated_sum) per term; each random base of I1-I3 and I4a, drawn once per
+process, is one Horner evaluation of a sums._weighted_coefficients list
+carried the same way. Kernels N_kind(k) come from sums.TERM_KINDS, each
+computed once per run; the binomials inside I5, I6, Z1 and the Z2-Z4 tails
+from rows built once per run, and those of I9-I11 from combinatorics'
+residue tables. I6 sums half its window, by the symmetry of both rows. Z1
+carries the diagonals C(2k, k+d) across n. I7 builds (t^2 + t + x)^n across
+n as one int per power of t, with x -> 2^width (Kronecker substitution). The
+right sides of I6, I7 and Z2-Z4 stay on math.comb, and I5's steps C(2n+1, .)
+down from one comb by its term ratio, so both sides take different routes.
 """
 
 from __future__ import annotations
@@ -83,11 +83,10 @@ def _m_values(n: int) -> list[int]:
 
 @dataclass(slots=True, eq=False)
 class IdentityCase:
-    """lhs = a/den against rhs = b/den, exactly over Q or mod modulus.
-
-    den may be negative (an odd power of a negative base). Two cases are
-    equal when their params, modulus and sides as rationals are.
-    """
+    """One row, as a kept failure or in cases(): lhs = a/den against rhs =
+    b/den, exactly over Q or mod modulus. den may be negative (an odd power
+    of a negative base). Two cases are equal when their params, modulus and
+    sides as rationals are."""
 
     params: dict
     a: int
@@ -109,14 +108,29 @@ class IdentityCase:
         return (self.params, self.modulus, self.lhs, self.rhs) == (other.params, other.modulus, other.lhs, other.rhs)
 
 
+Blocks = Iterator[tuple[CaseBlock, int | list[int]]]
+
+
+def _case(block: CaseBlock, den: int | list[int], i: int) -> IdentityCase:
+    """Row i of a block over its denominator; a lemma's params lead with its prime."""
+    row = block[i]
+    params = row.params if row.p is None else {"p": row.p, **row.params}
+    return IdentityCase(params, row.lhs, row.rhs, den[i] if isinstance(den, list) else den, row.modulus)
+
+
 @dataclass(frozen=True)
 class ExactIdentity:
-    """One catalog entry; cases(max_n) yields every checkable case."""
+    """One catalog entry; blocks(max_n) yields (block, den) per n or prime."""
 
     id: str
     description: str
     kind: str  # "identity", "recurrence" or "congruence"
-    cases: Callable[[int], Iterator[IdentityCase]]
+    blocks: Callable[[int], Blocks]
+
+    def cases(self, max_n: int) -> Iterator[IdentityCase]:
+        """Every case of blocks(max_n), one row at a time: a view for tests."""
+        for block, den in self.blocks(max_n):
+            yield from (_case(block, den, i) for i in range(len(block)))
 
 
 @dataclass
@@ -149,21 +163,23 @@ def _kernel(kind: str) -> Callable[[int], int]:
     return kernel
 
 
-def _central_rows() -> Callable[[int], list[int]]:
-    """row(k) is [C(2k, 0), ..., C(2k, 2k)]; each row is built once, from the one before."""
-    rows: list[list[int]] = [[1]]
-
-    def row(k: int) -> list[int]:
-        while len(rows) <= k:
-            prev = [0, 0, *rows[-1], 0, 0]
-            # C(2k, j) = C(2k-2, j-2) + 2 C(2k-2, j-1) + C(2k-2, j)
-            rows.append([prev[j] + 2 * prev[j + 1] + prev[j + 2] for j in range(len(prev) - 2)])
-        return rows[k]
-
-    return row
+def _central_rows() -> Iterator[list[int]]:
+    """[C(2k, 0), ..., C(2k, 2k)] for k = 0, 1, ..., each row built from the one before."""
+    row = [1]
+    while True:
+        yield row
+        prev = [0, 0, *row, 0, 0]
+        # C(2k, j) = C(2k-2, j-2) + 2 C(2k-2, j-1) + C(2k-2, j)
+        row = [prev[j] + 2 * prev[j + 1] + prev[j + 2] for j in range(len(prev) - 2)]
 
 
-def _partial_sum_cases(
+def _block(keys: tuple[str, str], n: int, lhs: list[int], rhs: list[int]) -> CaseBlock:
+    """The rows at one n: keys[0] is n on every row, and keys[1] counts them from 0."""
+    rows = len(lhs)
+    return CaseBlock([[keys, rows, ([n] * rows, [*range(rows)])]], lhs, rhs)
+
+
+def _partial_sum_blocks(
     kind: str,
     c: int,
     base: int,
@@ -171,7 +187,7 @@ def _partial_sum_cases(
     upper: Callable[[int], int],
     closed: Callable[[int, int], Fraction | int],
     bases: tuple[int, ...] | None = None,
-) -> Callable[[int], Iterator[IdentityCase]]:
+) -> Callable[[int], Blocks]:
     """sum_{k<=u} (c/(k+1) + (base-m) k/scale) N_kind(k)/m^k = closed(n, N_kind(n))/m^u.
 
     u = upper(n). m runs over _m_values(n) and is a case parameter, unless
@@ -181,10 +197,10 @@ def _partial_sum_cases(
     n, share one _weighted_coefficients list carried the same way: num at m
     is its Horner value at m, O(u) small-factor steps per base against the
     O(1) of a carried fixed base. With closed(n, .) = cn/cd, both sides go
-    over big m^u scale cd: num cd against cn big scale.
+    over big m^u scale cd, one per row: num cd against cn big scale.
     """
 
-    def cases(max_n: int) -> Iterator[IdentityCase]:
+    def blocks(max_n: int) -> Blocks:
         kernel = _kernel(kind)
         # _m_values(n) lists M_SET first, then the random bases
         fixed = bases or M_SET
@@ -206,58 +222,66 @@ def _partial_sum_cases(
                     num = num * m + x
                 fresh.append((num, big_u))
             cn, cd = closed_n.numerator, closed_n.denominator
-            for m, (num, big) in zip(ms, [*sums, *fresh]):
-                params = {"n": n} if bases else {"n": n, "m": m}
-                yield IdentityCase(params, num * cd, cn * big * scale, big * m**u * scale * cd)
+            nums = [*sums, *fresh]
+            lhs = [num * cd for num, _ in nums]
+            rhs = [cn * big * scale for _, big in nums]
+            den = [big * m**u * scale * cd for m, (_, big) in zip(ms, nums)]
+            runs = [[("n",), 1, ([n],)]] if bases else [[("n", "m"), len(ms), ([n] * len(ms), ms)]]
+            yield CaseBlock(runs, lhs, rhs), den
 
-    return cases
+    return blocks
 
 
 def _i4_closed(n: int, t: int) -> Fraction:
     return Fraction((2 * n + 1) ** 2 * t, n + 1)
 
 
-def _shift_terms(row: Callable[[int], list[int]], d: int) -> Iterator[int]:
+def _shift_terms(rows: list[list[int]], d: int) -> Iterator[int]:
     """C(2k, k) C(2k, k+d) for k = 0, 1, ...; zero for k < d, then read from the C(2k, .) rows."""
     yield from repeat(0, d)
     for k in count(d):
-        rk = row(k)
+        rk = rows[k]
         yield rk[k] * rk[k + d]
 
 
-def _i5_cases(max_n: int, gap: int = 1) -> Iterator[IdentityCase]:
+def _i5_blocks(max_n: int, gap: int = 1) -> Blocks:
     # telescoped shift-difference sum (2m+1) (S(m) - S(m+gap)), true for
     # gap = 1, where S(d) = sum_{k<=n} binom(2k,k) binom(2k,k+d)/16^k and m
     # runs over [0, n]. Each 16^n S(d) carries across n; a shift first
     # needed at n is 0 up to there, since binom(2k,k+d) = 0 for k < d.
-    row = _central_rows()
+    rows = [*islice(_central_rows(), max_n + 1)]
     shifts: list[Iterator[tuple[int, int]]] = []
     for n in range(1, max_n + 1):
         shifts += [
-            islice(weighted_prefixes(_shift_terms(row, d), 16, a=1), n, None)
+            islice(weighted_prefixes(_shift_terms(rows, d), 16, a=1), n, None)
             for d in range(len(shifts), n + gap + 1)
         ]
         s = [next(prefix)[0] for prefix in shifts]
-        rn = comb(2 * n, n)
-        den = 16**n
+        lhs = [(2 * m + 1) * (s[m] - s[m + gap]) for m in range(n + 1)]
+        # binom(2n+1, n-m) stepped down in m: binom(N, j-1) = binom(N, j) j/(N-j+1)
+        rhs, lead, c = [], (2 * n + 1) * comb(2 * n, n), comb(2 * n + 1, n)
         for m in range(n + 1):
-            rhs = (2 * n + 1) * rn * comb(2 * n + 1, n - m)
-            yield IdentityCase({"n": n, "m": m}, (2 * m + 1) * (s[m] - s[m + gap]), rhs, den)
+            rhs.append(lead * c)
+            c = c * (n - m) // (n + m + 2)
+        yield _block(("n", "m"), n, lhs, rhs), 16**n
 
 
-def _i6_cases(max_n: int, trim: int = 0) -> Iterator[IdentityCase]:
-    # binom(2k+2d, k+d) = sum_{c=-d+trim}^{d} binom(2k, k+c) binom(2d, d-c), true
-    # for trim = 0; the parameter exists so the tests can plant a short window
-    row = _central_rows()
+def _i6_blocks(max_n: int, trim: int = 0) -> Blocks:
+    # binom(2k+2d, k+d) = sum_{c=-d}^{d} binom(2k, k+c) binom(2d, d-c), and both rows
+    # are symmetric, so the window folds to binom(2k,k) binom(2d,d) + 2 sum_{c=1}^{d}
+    # binom(2k,k+c) binom(2d,d+c). True for trim = 0; the parameter exists so the
+    # tests can plant a window that stops trim pairs short.
+    rows = [*islice(_central_rows(), max_n + 1)]
     for k in range(1, max_n + 1):
-        rk = row(k)
+        rk = rows[k]
+        lhs = []
         for d in range(k + 1):
-            # binom(2d, d-c) for c = -d+trim..d is row(d)[2d-trim], ..., row(d)[0]
-            window = sum(map(mul, rk[k - d + trim : k + d + 1], reversed(row(d)[: 2 * d + 1 - trim])))
-            yield IdentityCase({"k": k, "d": d}, window, comb(2 * k + 2 * d, k + d))
+            rd = rows[d]
+            lhs.append(rk[k] * rd[d] + 2 * sum(map(mul, rk[k + 1 : k + d + 1 - trim], rd[d + 1 :])))
+        yield _block(("k", "d"), k, lhs, [comb(2 * k + 2 * d, k + d) for d in range(k + 1)]), 1
 
 
-def _i7_cases(max_n: int, top: int = 2) -> Iterator[IdentityCase]:
+def _i7_blocks(max_n: int, top: int = 2) -> Blocks:
     # coefficient of t^n in (t^top + t + x)^n vs its closed binomial form, true
     # for top = 2; the parameter exists so the tests can plant t^3. The power
     # is built up across n with x -> 2^width: poly[i] packs the coefficient of
@@ -281,9 +305,9 @@ def _i7_cases(max_n: int, top: int = 2) -> Iterator[IdentityCase]:
         # compare coefficient vectors; encode the first mismatch position in params
         mismatch = next((j for j, (g, w) in enumerate(zip(got, closed)) if g != w), None)
         if mismatch is None:
-            yield IdentityCase({"n": n, "coeffs": n // 2 + 1}, 1, 1)
+            yield CaseBlock([[("n", "coeffs"), 1, ([n], [n // 2 + 1])]], [1], [1]), 1
         else:
-            yield IdentityCase({"n": n, "coeff_of": mismatch}, got[mismatch], closed[mismatch])
+            yield CaseBlock([[("n", "coeff_of"), 1, ([n], [mismatch])]], [got[mismatch]], [closed[mismatch]]), 1
 
 
 # -- prime-parameterized congruence lemmas ----------------------------------
@@ -334,10 +358,11 @@ class CongruenceLemma:
     """A binomial congruence at one prime, in both catalogs under one id.
 
     residues(p) gives its rows at p as a CaseBlock of one run, with at most
-    one param key, no skips and both sides canonical mod p^power. The
-    identity suite sweeps it over primes and compares the block's two sides
-    itself; the congruence catalog runs it as a family, whose blocks the
-    engine stamps with the id, p and modulus p^power like any other.
+    one param key, no skips and both sides canonical mod p^power, so its
+    verdicts are those of the congruence. The identity suite sweeps it over
+    primes and stamps each block with p and p^power; the congruence catalog
+    runs it as a family, whose blocks the engine stamps with the id, p and
+    modulus p^power like any other.
     """
 
     id: str
@@ -348,35 +373,28 @@ class CongruenceLemma:
 
 LEMMAS: tuple[CongruenceLemma, ...] = (
     CongruenceLemma("I8", "binom(p-1,(p-1)/2) == (-1)^((p-1)/2) 4^(p-1) mod p^3", 3, _i8_residues),
-    CongruenceLemma(
-        "I9", "binom(n+k,2k) == binom(2k,k)/(-16)^k mod p^2 for k <= n = (p-1)/2", 2, _i9_residues
-    ),
+    CongruenceLemma("I9", "binom(n+k,2k) == binom(2k,k)/(-16)^k mod p^2 for k <= n = (p-1)/2", 2, _i9_residues),
     CongruenceLemma("I10", "binom((p-1)/2,k) == binom(2k,k)/(-4)^k mod p for k < p", 1, _i10_residues),
-    CongruenceLemma(
-        "I11", "binom((p-1)/2,2k) == binom(4k,2k)/16^k mod p for k <= (p-1)/2", 1, _i11_residues
-    ),
+    CongruenceLemma("I11", "binom((p-1)/2,2k) == binom(4k,2k)/16^k mod p for k <= (p-1)/2", 1, _i11_residues),
 )
 
 
 def _lemma_identity(lemma: CongruenceLemma) -> ExactIdentity:
-    def cases(max_n: int) -> Iterator[IdentityCase]:
+    def blocks(max_n: int) -> Blocks:
         for p in primes_between(5, 2 * max_n + 1):
-            m = p**lemma.power
-            cols = lemma.residues(p)
-            ((keys, _, columns),) = cols.runs
-            params = ({"p": p, keys[0]: value} for value in columns[0]) if keys else [{"p": p}]
-            for row, a, b in zip(params, cols.lhs, cols.rhs):
-                yield IdentityCase(row, a, b, modulus=m)
+            block = lemma.residues(p)
+            block.p, block.modulus = p, p**lemma.power
+            yield block, 1
 
-    return ExactIdentity(lemma.id, lemma.description, "congruence", cases)
+    return ExactIdentity(lemma.id, lemma.description, "congruence", blocks)
 
 
 # -- recurrences -------------------------------------------------------------
 
 
-def _z1_cases(max_n: int, weight: int = -2) -> Iterator[IdentityCase]:
+def _z1_blocks(max_n: int, weight: int = -2) -> Blocks:
     # true for weight = -2; the parameter exists so the tests can plant -3
-    row = _central_rows()
+    rows = _central_rows()  # read in order, one row per k, and not kept
     diags: list[list[int]] = []  # diags[d] = [binom(2k, k+d) for d <= k <= n]
     for n in range(2, max_n + 1):
         # a[k] = binom(n+k, 2k) weight^k, the binomial stepped by its term ratio
@@ -387,16 +405,16 @@ def _z1_cases(max_n: int, weight: int = -2) -> Iterator[IdentityCase]:
         # f[d] = sum_k a[k] binom(2k, k+d), exact integers; binom(2k, k+d) = 0 for k < d
         for k in range(len(diags), n + 1):
             diags.append([])
-            for diag, entry in zip(diags, row(k)[k:]):
+            for diag, entry in zip(diags, next(rows)[k:]):
                 diag.append(entry)
         f = [sum(map(mul, a[d:], diag)) for d, diag in enumerate(diags)]
-        for d in range(n - 1):
-            lhs = (n - d - 1) * (n + d + 2) * (2 * d + 1) * f[d + 2]
-            rhs = (2 * n + 1) ** 2 * (d + 1) * f[d + 1] - (n - d) * (n + d + 1) * (2 * d + 3) * f[d]
-            yield IdentityCase({"n": n, "d": d}, lhs, rhs)
+        ds = range(n - 1)
+        lhs = [(n - d - 1) * (n + d + 2) * (2 * d + 1) * f[d + 2] for d in ds]
+        rhs = [(2 * n + 1) ** 2 * (d + 1) * f[d + 1] - (n - d) * (n + d + 1) * (2 * d + 3) * f[d] for d in ds]
+        yield _block(("n", "d"), n, lhs, rhs), 1
 
 
-def _z_family(kind: str, base: int, a: int, b: Callable[[int], int]) -> Callable[[int], Iterator[IdentityCase]]:
+def _z_family(kind: str, base: int, a: int, b: Callable[[int], int]) -> Callable[[int], Blocks]:
     """a (m+1)^2 T(m+1) + b(m) T(m) = b(n-1) N_kind(n-1) binom(n-1, m), where
     T(m) = sum_{k=m}^{n-1} N_kind(k) binom(k, m)/base^k, scaled by base^(n-1).
 
@@ -404,7 +422,7 @@ def _z_family(kind: str, base: int, a: int, b: Callable[[int], int]) -> Callable
     S_(n+1)(m) = base S_n(m) + N(n) binom(n, m), one Pascal row per n.
     """
 
-    def cases(max_n: int) -> Iterator[IdentityCase]:
+    def blocks(max_n: int) -> Blocks:
         kernel = _kernel(kind)
         tails: list[int] = []  # S_(n-1), one entry per m <= n-2
         pascal = [1]  # binom(n-1, m) for m <= n-1
@@ -414,14 +432,12 @@ def _z_family(kind: str, base: int, a: int, b: Callable[[int], int]) -> Callable
             pascal = [1, *map(add, pascal, pascal[1:]), 1]
             if n < 2:
                 continue
-            scale = base ** (n - 1)
             rhs_core = b(n - 1) * top
-            for m in range(n - 1):
-                lhs = a * (m + 1) ** 2 * tails[m + 1] + b(m) * tails[m]
-                rhs = rhs_core * comb(n - 1, m)
-                yield IdentityCase({"n": n, "m": m}, lhs, rhs, scale)
+            lhs = [a * (m + 1) ** 2 * tails[m + 1] + b(m) * tails[m] for m in range(n - 1)]
+            rhs = [rhs_core * comb(n - 1, m) for m in range(n - 1)]
+            yield _block(("n", "m"), n, lhs, rhs), base ** (n - 1)
 
-    return cases
+    return blocks
 
 
 _CATALOG: tuple[ExactIdentity, ...] = (
@@ -430,56 +446,56 @@ _CATALOG: tuple[ExactIdentity, ...] = (
         "partial sum of (6 C_k + (27-m) k binom(2k,k)) binom(3k,k)/m^k "
         "equals n binom(2n,n) binom(3n,n)/m^(n-1)",
         "identity",
-        _partial_sum_cases("cubic", 6, 27, 1, lambda n: n - 1, lambda n, t: n * t),
+        _partial_sum_blocks("cubic", 6, 27, 1, lambda n: n - 1, lambda n, t: n * t),
     ),
     ExactIdentity(
         "I2",
         "partial sum of (12 C_k + (64-m) k binom(2k,k)) binom(4k,2k)/m^k "
         "equals n binom(4n,2n) binom(2n,n)/m^(n-1)",
         "identity",
-        _partial_sum_cases("quartic", 12, 64, 1, lambda n: n - 1, lambda n, t: n * t),
+        _partial_sum_blocks("quartic", 12, 64, 1, lambda n: n - 1, lambda n, t: n * t),
     ),
     ExactIdentity(
         "I3",
         "partial sum of (60/(k+1) + (432-m) k) binom(6k,3k) binom(3k,k)/m^k "
         "equals n binom(6n,3n) binom(3n,n)/m^(n-1)",
         "identity",
-        _partial_sum_cases("sextic", 60, 432, 1, lambda n: n - 1, lambda n, t: n * t),
+        _partial_sum_blocks("sextic", 60, 432, 1, lambda n: n - 1, lambda n, t: n * t),
     ),
     ExactIdentity(
         "I4",
         "sum_{k<=n} binom(2k,k) C_k/16^k equals "
         "(2n+1)^2 binom(2n,n)^2/(16^n (n+1))",
         "identity",
-        _partial_sum_cases("central_sq", 1, 16, 4, lambda n: n, _i4_closed, bases=(16,)),
+        _partial_sum_blocks("central_sq", 1, 16, 4, lambda n: n, _i4_closed, bases=(16,)),
     ),
     ExactIdentity(
         "I4a",
         "sum_{k<=n} ((16-m)k/4 + 1/(k+1)) binom(2k,k)^2/m^k equals "
         "(2n+1)^2 binom(2n,n)^2/((n+1) m^n)",
         "identity",
-        _partial_sum_cases("central_sq", 1, 16, 4, lambda n: n, _i4_closed),
+        _partial_sum_blocks("central_sq", 1, 16, 4, lambda n: n, _i4_closed),
     ),
     ExactIdentity(
         "I5",
         "telescoped sum of binom(2k,k)(binom(2k,k+m)-binom(2k,k+m+1))/16^k "
         "equals (2n+1) binom(2n,n) binom(2n+1,n-m)/((2m+1) 16^n)",
         "identity",
-        _i5_cases,
+        _i5_blocks,
     ),
     ExactIdentity(
         "I6",
         "binom(2k+2d,k+d) equals the window convolution "
         "sum_c binom(2k,k+c) binom(2d,d-c)",
         "identity",
-        _i6_cases,
+        _i6_blocks,
     ),
     ExactIdentity(
         "I7",
         "coefficient of t^n in (t^2+t+x)^n equals "
         "sum_k binom(n,2k) binom(2k,k) x^k, coefficient-wise",
         "identity",
-        _i7_cases,
+        _i7_blocks,
     ),
     *(_lemma_identity(lemma) for lemma in LEMMAS),
     ExactIdentity(
@@ -487,7 +503,7 @@ _CATALOG: tuple[ExactIdentity, ...] = (
         "three-term recurrence in d for "
         "f(d) = sum_k binom(n+k,2k) binom(2k,k+d) (-2)^k",
         "recurrence",
-        _z1_cases,
+        _z1_blocks,
     ),
     ExactIdentity(
         "Z2",
@@ -523,18 +539,6 @@ def identity_ids() -> list[str]:
     return [ident.id for ident in _CATALOG]
 
 
-def _case_passes(case: IdentityCase) -> bool:
-    m = case.modulus
-    if m is None:
-        return case.a == case.b  # one shared denominator, so equal over Q
-    d = case.a - case.b
-    if case.den != 1 or type(d) is not int:
-        # (a - b)/den in lowest terms is an m-adic integer divisible by m
-        # exactly when m divides its numerator
-        d = Fraction(d, case.den).numerator
-    return d % m == 0
-
-
 def run_identities(ids: list[str] | None, max_n: int) -> list[IdentityResult]:
     """Check the named identities (all of them when ids is None, each once in
     first-seen order) for the 1-based primary index up to max_n. Empty domains
@@ -548,20 +552,12 @@ def run_identities(ids: list[str] | None, max_n: int) -> list[IdentityResult]:
         start = perf_counter()
         checked = failed = 0
         failures: list[IdentityCase] = []
-        for case in ident.cases(max_n):
-            checked += 1
-            if not _case_passes(case):
-                failed += 1
-                if len(failures) < 5:
-                    failures.append(case)
-        results.append(
-            IdentityResult(
-                id=ident.id,
-                checked=checked,
-                failed=failed,
-                vacuous=checked == 0,
-                elapsed=perf_counter() - start,
-                failures=failures,
-            )
-        )
+        for block, den in ident.blocks(max_n):
+            checked += len(block)
+            failed += block.counts[1]
+            if block.counts[1] and len(failures) < 5:
+                bad = [i for i, verdict in enumerate(block.verdicts) if verdict is False]
+                failures += [_case(block, den, i) for i in bad[: 5 - len(failures)]]
+        elapsed = perf_counter() - start
+        results.append(IdentityResult(ident.id, checked, failed, checked == 0, elapsed, failures))
     return results

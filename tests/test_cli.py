@@ -227,7 +227,7 @@ def test_identity_rejects_bad_inputs(capsys):
 def test_identity_witness_lines_are_pinned(monkeypatch, capsys):
     # planted failures: I4 summed one term short over the negative base -16,
     # a lemma whose sides differ by p mod p^3, and Z2 with a = 10 for 9
-    short = identities._partial_sum_cases("central_sq", 1, 16, 4, lambda n: n - 1, identities._i4_closed, bases=(-16,))
+    short = identities._partial_sum_blocks("central_sq", 1, 16, 4, lambda n: n - 1, identities._i4_closed, bases=(-16,))
     lemma = identities.CongruenceLemma("I8", "planted", 3, lambda p: CaseBlock([[("k",), 1, ([1],)]], [p], [0]))
     z2 = identities._z_family("cubic", 27, 10, lambda m: (3 * m + 1) * (3 * m + 2))
     monkeypatch.setitem(identities._BY_ID, "I4", identities.ExactIdentity("I4", "planted", "identity", short))

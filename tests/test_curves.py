@@ -33,10 +33,15 @@ def test_spec_anchor_values():
 
 
 def test_count_points_equals_trace_route():
+    # square roots per x against the chi sums: the numpy table, and
+    # weighted_char_sum at weight x^0, the evaluator behind char_sum_a
     for q in primes_between(5, 200):
         table = char_sum_table(q)
         for lam in range(q):
             assert count_points(q, lam) == q + 1 + table[lam], (q, lam)
+    for q in (5, 7, 11, 101):
+        for lam in range(q):
+            assert count_points(q, lam) == q + 1 + weighted_char_sum(q, lam, 0), (q, lam)
 
 
 def test_char_sum_table_matches_scalar():
@@ -54,12 +59,6 @@ def test_hasse_bound():
             if lam in (0, 1):
                 continue  # singular curves are outside the bound's scope
             assert abs(int(table[lam])) <= bound, (q, lam)
-
-
-def test_weighted_sum_weight_zero_is_plain_trace():
-    for q in (5, 7, 11):
-        for lam in range(q):
-            assert weighted_char_sum(q, lam, 0) == char_sum_a(q, lam)
 
 
 def test_weighted_count_consistency_mod_p():

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from itertools import count, islice
@@ -13,18 +12,18 @@ import pytest
 
 from supercong.combinatorics import catalan
 from supercong.congruences import identities, identity_catalog, identity_ids, run_identities
+from supercong.congruences.columns import CaseBlock
 from supercong.congruences.identities import (
     LEMMAS,
     M_SET,
     IdentityCase,
-    _case_passes,
     _i4_closed,
-    _i5_cases,
-    _i6_cases,
-    _i7_cases,
+    _i5_blocks,
+    _i6_blocks,
+    _i7_blocks,
     _m_values,
-    _partial_sum_cases,
-    _z1_cases,
+    _partial_sum_blocks,
+    _z1_blocks,
     _z_family,
 )
 from supercong.congruences.sums import TERM_KINDS
@@ -383,10 +382,10 @@ def test_random_base_numerators_are_checked(monkeypatch):
             yield (*coeffs[:-1], coeffs[-1] + 1), big
 
     monkeypatch.setattr(identities, "_weighted_coefficients", planted)
-    cases = list({ident.id: ident for ident in identity_catalog()}["I1"].cases(10))
-    failing = [case for case in cases if not _case_passes(case)]
+    blocks = {ident.id: ident for ident in identity_catalog()}["I1"].blocks(10)
+    failing = [row.params["m"] for block, _ in blocks for row in block if row.passed is False]
     assert len(failing) == 10 * 5
-    assert all(case.params["m"] not in M_SET for case in failing)
+    assert not set(failing) & set(M_SET)
 
 
 @pytest.mark.parametrize("ident_id", sorted(_FRESH_GENERATORS))
@@ -427,36 +426,74 @@ def test_lemma_residues_match_comb():
 @pytest.mark.parametrize(
     "mutant",
     [
-        _partial_sum_cases("cubic", 6, 26, 1, lambda n: n - 1, lambda n, t: n * t),
-        _partial_sum_cases("cubic", 5, 27, 1, lambda n: n - 1, lambda n, t: n * t),
-        _partial_sum_cases("central_sq", 1, 16, 4, lambda n: n - 1, _i4_closed),
-        partial(_i5_cases, gap=2),
-        partial(_i6_cases, trim=1),
-        partial(_i7_cases, top=3),
-        partial(_z1_cases, weight=-3),
+        _partial_sum_blocks("cubic", 6, 26, 1, lambda n: n - 1, lambda n, t: n * t),
+        _partial_sum_blocks("cubic", 5, 27, 1, lambda n: n - 1, lambda n, t: n * t),
+        _partial_sum_blocks("central_sq", 1, 16, 4, lambda n: n - 1, _i4_closed),
+        partial(_i5_blocks, gap=2),
+        partial(_i6_blocks, trim=1),
+        partial(_i7_blocks, top=3),
+        partial(_z1_blocks, weight=-3),
         _z_family("cubic", 27, 10, lambda m: (3 * m + 1) * (3 * m + 2)),
     ],
     ids=[
-        "I1-base-26", "I1-c-5", "I4a-upper-n-1", "I5-gap-2", "I6-window-from-1-d",
+        "I1-base-26", "I1-c-5", "I4a-upper-n-1", "I5-gap-2", "I6-one-pair-short",
         "I7-t-cubed", "Z1-weight-minus-3", "Z2-a-10",
     ],
 )
 def test_identity_mutants_fail(mutant):
     # each planted error in a factory parameter must show within max-n 10
-    assert any(not _case_passes(case) for case in mutant(10))
+    assert any(block.counts[1] for block, _ in mutant(10))
 
 
 @pytest.mark.parametrize("ident_id", ["I1", "I4", "I5", "Z2"])
 def test_one_over_the_shared_denominator_fails(ident_id):
-    # +1 in one numerator at the largest n moves that side by exactly 1/den,
-    # the smallest difference the shared denominator can hold
-    cases = list({ident.id: ident for ident in identity_catalog()}[ident_id].cases(20))
-    assert all(map(_case_passes, cases))
-    last = [case for case in cases if case.params["n"] == 20]
-    widest = max(last, key=lambda case: abs(case.den))
-    for planted in (replace(widest, a=widest.a + 1), replace(last[0], b=last[0].b + 1)):
-        assert abs(planted.lhs - planted.rhs) == Fraction(1, abs(planted.den))
-        assert not _case_passes(planted), planted.params
+    # +1 in one numerator column at the largest n moves that side by exactly
+    # 1/den, the smallest difference the shared denominator can hold
+    blocks = list({ident.id: ident for ident in identity_catalog()}[ident_id].blocks(20))
+    assert not any(block.counts[1] for block, _ in blocks)
+    block, den = blocks[-1]
+    assert block[0].params["n"] == 20
+    dens = den if isinstance(den, list) else [den] * len(block)
+    widest = max(range(len(block)), key=lambda i: abs(dens[i]))
+    for column, i in (("lhs", widest), ("rhs", 0)):
+        sides = {"lhs": [*block.lhs], "rhs": [*block.rhs]}
+        sides[column][i] += 1
+        assert abs(Fraction(sides["lhs"][i] - sides["rhs"][i], dens[i])) == Fraction(1, abs(dens[i]))
+        planted = CaseBlock(block.runs, sides["lhs"], sides["rhs"])
+        assert planted.counts == (len(block) - 1, 1, 0) and planted.verdicts[i] is False, (column, i)
+
+
+def test_one_over_a_lemma_residue_fails():
+    # a lemma's two columns are canonical residues mod p^power, so +1 in one
+    # row's lhs fails that row and no other, mod p as mod p^3
+    for lemma in LEMMAS:
+        for p in (5, 13, 97):
+            block = lemma.residues(p)
+            assert block.counts == (len(block), 0, 0), (lemma.id, p)
+            i = len(block) // 2
+            lhs = [*block.lhs]
+            lhs[i] += 1
+            planted = CaseBlock(block.runs, lhs, block.rhs)
+            assert planted.counts == (len(block) - 1, 1, 0) and planted.verdicts[i] is False, (lemma.id, p)
+
+
+def test_only_kept_failures_become_cases(monkeypatch):
+    # a passing run builds no IdentityCase, and a failing one only the five it keeps
+    built = []
+    real = identities.IdentityCase
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "IdentityCase", spy)
+    results = run_identities(None, 20)
+    assert all(r.ok for r in results) and built == []
+    planted = _z_family("cubic", 27, 10, lambda m: (3 * m + 1) * (3 * m + 2))
+    monkeypatch.setitem(identities._BY_ID, "Z2", identities.ExactIdentity("Z2", "planted", "recurrence", planted))
+    (result,) = run_identities(["Z2"], 20)
+    assert result.failed == result.checked > 5
+    assert len(built) == len(result.failures) == 5
 
 
 def test_vacuous_domain_counts_as_pass():
@@ -477,24 +514,23 @@ def test_selected_subset_keeps_request_order():
     assert [r.id for r in results] == ["Z2", "I4"]
 
 
-def test_case_pass_semantics():
-    exact = IdentityCase({}, Fraction(3, 7), Fraction(3, 7))
-    assert _case_passes(exact)
-    assert not _case_passes(IdentityCase({}, Fraction(3, 7), Fraction(2, 7)))
-    # modular: difference must reduce to zero
-    assert _case_passes(IdentityCase({}, Fraction(10), Fraction(3), modulus=7))
-    assert _case_passes(IdentityCase({}, Fraction(7, 3), Fraction(0), modulus=7))
-    assert not _case_passes(IdentityCase({}, Fraction(1, 3), Fraction(0), modulus=7))
-    # a difference that is not even an m-adic integer can never pass
-    assert not _case_passes(IdentityCase({}, Fraction(1, 7), Fraction(0), modulus=49))
-    # int numerators over one shared denominator, also a negative one
-    assert _case_passes(IdentityCase({}, 3, 3, -7))
-    assert not _case_passes(IdentityCase({}, 3, -3, -7))
-    assert _case_passes(IdentityCase({}, 10, 3, -2, modulus=7))  # -7/2
-    assert not _case_passes(IdentityCase({}, 10, 4, -2, modulus=7))  # -3
-    # ... and over a denominator that is not a unit mod the modulus
-    assert _case_passes(IdentityCase({}, 49, 0, 7, modulus=7))  # 7
-    assert not _case_passes(IdentityCase({}, 7, 0, 7, modulus=7))  # 1
-    assert not _case_passes(IdentityCase({}, 14, 0, 49, modulus=7))  # 2/7
-    assert not _case_passes(IdentityCase({}, 0, 7, -49, modulus=49))  # 1/7
-    assert _case_passes(IdentityCase({}, 5 * 343, 0, -35, modulus=49))  # -49
+def test_case_pass_semantics(monkeypatch):
+    # a row passes when its two numerators over the shared denominator are
+    # equal, so equal over Q, also over a negative denominator
+    block = CaseBlock([[("n", "m"), 3, ([1, 1, 1], [0, 1, 2])]], [3, 3, -10], [3, -3, -10])
+    assert block.verdicts == [True, False, True] and block.counts == (2, 1, 0)
+    planted = identities.ExactIdentity("P", "planted", "identity", lambda max_n: iter([(block, [-7, -7, 4])]))
+    assert [(case.lhs, case.rhs) for case in planted.cases(1)] == [
+        (Fraction(-3, 7), Fraction(-3, 7)),
+        (Fraction(-3, 7), Fraction(3, 7)),
+        (Fraction(-5, 2), Fraction(-5, 2)),
+    ]
+    # a witness shows each side reduced, with the sign on the numerator
+    monkeypatch.setitem(identities._BY_ID, "P", planted)
+    (result,) = run_identities(["P"], 1)
+    assert [(case.params, case.lhs, case.rhs) for case in result.failures] == [
+        ({"n": 1, "m": 1}, Fraction(-3, 7), Fraction(3, 7))
+    ]
+    # cases are equal when their sides are, as rationals
+    assert IdentityCase({}, 3, 3, -7) == IdentityCase({}, Fraction(-3, 7), Fraction(-6, 14))
+    assert IdentityCase({}, 3, -3, -7) != IdentityCase({}, 3, -3, 7)
