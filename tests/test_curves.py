@@ -33,12 +33,16 @@ def test_spec_anchor_values():
 
 
 def test_count_points_equals_trace_route():
-    # square roots per x against the chi sums: the numpy table, and
-    # weighted_char_sum at weight x^0, the evaluator behind char_sum_a
+    # square roots per x against the numpy table of chi sums
     for q in primes_between(5, 200):
         table = char_sum_table(q)
         for lam in range(q):
             assert count_points(q, lam) == q + 1 + table[lam], (q, lam)
+
+
+def test_weighted_sum_weight_zero_is_plain_trace():
+    # weighted_char_sum at weight x^0, the evaluator behind char_sum_a,
+    # against the independent square-root count
     for q in (5, 7, 11, 101):
         for lam in range(q):
             assert count_points(q, lam) == q + 1 + weighted_char_sum(q, lam, 0), (q, lam)
