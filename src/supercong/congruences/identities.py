@@ -236,27 +236,33 @@ def _i4_closed(n: int, t: int) -> Fraction:
     return Fraction((2 * n + 1) ** 2 * t, n + 1)
 
 
-def _shift_terms(rows: list[list[int]], d: int) -> Iterator[int]:
-    """C(2k, k) C(2k, k+d) for k = 0, 1, ...; zero for k < d, then read from the C(2k, .) rows."""
+def _shift_terms(row: list, d: int) -> Iterator[int]:
+    """C(2k, k) C(2k, k+d) for k = 0, 1, ...; zero for k < d, then read from
+    row[0], which the caller sets to C(2k, .) before it draws the term of k."""
     yield from repeat(0, d)
     for k in count(d):
-        rk = rows[k]
+        rk = row[0]
         yield rk[k] * rk[k + d]
 
 
 def _i5_blocks(max_n: int, gap: int = 1) -> Blocks:
     # telescoped shift-difference sum (2m+1) (S(m) - S(m+gap)), true for
     # gap = 1, where S(d) = sum_{k<=n} binom(2k,k) binom(2k,k+d)/16^k and m
-    # runs over [0, n]. Each 16^n S(d) carries across n; a shift first
-    # needed at n is 0 up to there, since binom(2k,k+d) = 0 for k < d.
-    rows = [*islice(_central_rows(), max_n + 1)]
+    # runs over [0, n]. Each 16^n S(d) carries across n, one term per n, read
+    # from the one C(2n, .) row held. A shift d first needed at n > 0 has
+    # d >= n, so it is 0 up to there, since binom(2k,k+d) = 0 for k < d.
+    rows = _central_rows()  # read in order, one row per n, and not kept
+    row: list = [None]  # row[0] is C(2n, .) at step n
     shifts: list[Iterator[tuple[int, int]]] = []
-    for n in range(1, max_n + 1):
+    for n in range(max_n + 1):
+        row[0] = next(rows)
         shifts += [
-            islice(weighted_prefixes(_shift_terms(rows, d), 16, a=1), n, None)
+            islice(weighted_prefixes(_shift_terms(row, d), 16, a=1), n, None)
             for d in range(len(shifts), n + gap + 1)
         ]
         s = [next(prefix)[0] for prefix in shifts]
+        if not n:
+            continue  # n = 0 only starts the shifts
         lhs = [(2 * m + 1) * (s[m] - s[m + gap]) for m in range(n + 1)]
         # binom(2n+1, n-m) stepped down in m: binom(N, j-1) = binom(N, j) j/(N-j+1)
         rhs, lead, c = [], (2 * n + 1) * comb(2 * n, n), comb(2 * n + 1, n)

@@ -2,22 +2,27 @@
 
 Key order is fixed so that parse -> serialize round-trips byte-identically.
 The JSON is exactly ``json.dumps(report_to_dict(r), indent=2,
-ensure_ascii=False) + "\\n"``. The only hand-written layout is the per-run
-block template, because the indenting encoder is pure Python and would
-dominate a large report: a ``SuiteReport`` is written from its case blocks,
-each run of rows with one param-key tuple gets one %-template in that
-layout, with the family, p, modulus and encoded keys already in it, and
-every row of the run only fills in its values. Everything else goes through
-``json.dumps``: the small ``run`` and ``summary`` blocks, the rows of a
-block off that schema (a key that is not text, a residue that is not an
-exact int, a verdict that is not a bool or None), and a parsed report dict
-as a whole. The JSON text comes in pieces of at most _BATCH rows, with each
-separator a piece of its own: write_json streams them to the file, and
-dumps_json appends them to one str, so it holds about one copy of the text.
-An int64 array column, as T1.1's residues and params are, fills its slots
-as it is. The CSV is written from a ``SuiteReport`` only, reading its
-blocks the same way; a parsed report dict has no CSV route. Tests pin the
-equality with the ``json.dumps`` route and with a CSV written row by row.
+ensure_ascii=False) + "\\n"``. The only hand-written layout is the row
+template, because the indenting encoder is pure Python and would dominate a
+large report: a ``SuiteReport`` is written from its case blocks, and each
+row is a run head plus a row tail. Each run of rows with one param-key
+tuple gets one head %-template, with the family, p, modulus and encoded
+keys already in it, and every row of the run fills in its param values.
+The tail, from "lhs" on, depends only on the row's (lhs, rhs, verdict) and
+the block's modulus, so a per-block memo formats each distinct key once,
+on its first row; a noted row takes its key's tail with the note put in
+before the closing brace. Everything
+else goes through ``json.dumps``: the small ``run`` and ``summary``
+blocks, the rows of a block off that schema (a key that is not text, a
+residue that is not an exact int, a verdict that is not a bool or None),
+and a parsed report dict as a whole. The JSON text comes in pieces of at
+most _BATCH rows, with each separator a piece of its own: write_json
+streams them to the file, and dumps_json appends them to one str, so it
+holds about one copy of the text. An int64 array column, as T1.1's params
+and residues are, is read as it is, with no list copy. The CSV is written
+from a ``SuiteReport`` only, reading its blocks the same way; a parsed
+report dict has no CSV route. Tests pin the equality with the
+``json.dumps`` route and with a CSV written row by row.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import json
 from array import array
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring, encode_basestring_ascii
+from operator import add
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -52,12 +58,11 @@ CSV_COLUMNS = (
 )
 _ROW_KEYS = CSV_COLUMNS[:-1]  # a row's keys; "note" follows only when there is one
 
-# One case row in the json.dumps(indent=2) layout, at its depth in the report.
-_ROW = (
-    '    {\n      "family": %s,\n      "p": %s,\n      "params": %s,\n      "modulus": %s,\n'
-    '      "lhs": %s,\n      "rhs": %s,\n      "lhs_signed": %s,\n      "rhs_signed": %s,\n'
-    '      "pass": %s%s\n    }'
-)
+# One case row in the json.dumps(indent=2) layout, at its depth in the report,
+# in two parts: the run head, up to the modulus, and the row tail from lhs on.
+_HEAD = '    {\n      "family": %s,\n      "p": %s,\n      "params": %s,\n      "modulus": %s,\n'
+_END = "\n    }"
+_TAIL = '      "lhs": %d,\n      "rhs": %d,\n      "lhs_signed": %d,\n      "rhs_signed": %d,\n      "pass": %s' + _END
 _NOTE = ',\n      "note": '
 _LITERAL = {True: "true", False: "false", None: "null"}
 _BATCH = 1024  # rows per written piece
@@ -174,26 +179,37 @@ def _fits_templates(block: CaseBlock) -> bool:
     )
 
 
+class _Tails(dict):
+    """One block's row tails without a note, keyed by (lhs, rhs, verdict):
+    each key is formatted once, on its first row."""
+
+    def __init__(self, modulus: int) -> None:
+        self.modulus = modulus
+
+    def __missing__(self, key: tuple) -> str:
+        lhs, rhs, verdict = key
+        modulus = self.modulus
+        signed = signed_residue(lhs, modulus), signed_residue(rhs, modulus)
+        tail = self[key] = _TAIL % (lhs, rhs, *signed, _LITERAL[verdict])
+        return tail
+
+
 def _block_rows(block: CaseBlock) -> Iterator[str]:
     """The JSON text of every row of the block."""
     if not _fits_templates(block):
         return ("    " + _nested(_as_dict(_fields(row)), 2) for row in block)
-    head = _literal(encode_basestring(block.family)), block.p
-    modulus, notes = block.modulus, block.notes
-    runs = []
+    family, p, modulus = _literal(encode_basestring(block.family)), block.p, block.modulus
+    heads = []
     for keys, start, stop, columns in _spans(block.runs):
         values, slots = _slots(columns, _value_text)
         params = _params_layout(zip((_literal(encode_basestring(key)) for key in keys), slots))
-        template = _ROW % (*head, params, modulus, "%d", "%d", "%d", "%d", "%s", "%s")
-        lhs, rhs = block.lhs[start:stop], block.rhs[start:stop]
-        passes = map(_LITERAL.__getitem__, block.verdicts[start:stop])
-        if notes:
-            tails = (_NOTE + encode_basestring(notes[i]) if i in notes else "" for i in range(start, stop))
-        else:
-            tails = repeat("")
-        rows = zip(*values, lhs, rhs, _signed(lhs, modulus), _signed(rhs, modulus), passes, tails)
-        runs.append(map(template.__mod__, rows))
-    return chain.from_iterable(runs)
+        template = _HEAD % (family, p, params, modulus)
+        heads.append(map(template.__mod__, zip(*values)) if values else repeat(template % (), stop - start))
+    lhs, rhs, verdicts = block.lhs, block.rhs, block.verdicts
+    tails = list(map(_Tails(modulus).__getitem__, zip(lhs, rhs, verdicts)))
+    for i, note in block.notes.items():
+        tails[i] = tails[i][: -len(_END)] + _NOTE + encode_basestring(note) + _END
+    return map(add, chain.from_iterable(heads), tails)
 
 
 def _batches(texts: Iterator[str]) -> Iterator[str]:

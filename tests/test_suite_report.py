@@ -673,6 +673,79 @@ def test_row_writer_matches_json_dumps(report):
     _assert_json_matches_oracle(report)
 
 
+def _row(family, modulus, params, lhs, rhs, passed, note=None):
+    return VerificationReport(family, 7, params, modulus, lhs, rhs, passed, note)
+
+
+# Each distinct (lhs, rhs, verdict) of a block has its row tail formatted once;
+# a noted row's tail is formatted on its own.
+_TAIL_EDGES = {
+    "one-residue-passing-failing-noted": [
+        _row("F", 49, {"k": 0}, 5, 5, True, "noted, then met again unnoted"),
+        _row("F", 49, {"k": 1}, 5, 5, True),
+        _row("F", 49, {"k": 2}, 5, 6, False),
+        _row("F", 49, {"k": 3}, 5, 5, True),
+        _row("F", 49, {"k": 4}, 5, 6, False, "failing, noted"),
+        _row("F", 49, {"k": 5}, 5, 6, False),
+    ],
+    "given-true-on-unequal-sides": [
+        _row("F", 49, {"k": 0}, 3, 4, True),
+        _row("F", 49, {"k": 1}, 3, 4, False),
+        _row("F", 49, {"k": 2}, 3, 4, None),
+        _row("F", 49, {"k": 3}, 3, 4, True),
+    ],
+    "percent-in-text": [
+        _row("100% F%d %s %%", 49, {}, 1, 1, True),
+        _row("100% F%d %s %%", 49, {}, 2, 1, False, "50% %s"),
+        _row("100% F%d %s %%", 49, {"k%d": 1}, 1, 1, True),
+        _row("100% F%d %s %%", 49, {}, 1, 1, True),
+    ],
+    "negative-signed-views": [
+        _row("F", 49, {"k": 0}, 48, 30, False),
+        _row("F", 49, {"k": 1}, 25, 24, False),
+        _row("F", 2**70, {"k": 0}, 2**70 - 1, 2**70 - 1, True),
+    ],
+    "bigint-side-beside-an-int64-side": [
+        _row("F", 2**65, {"k": 0}, 2**63, 3, False),
+        _row("F", 2**65, {"k": 1}, 2**65 - 1, 3, False),
+        _row("F", 2**65, {"k": 2}, 3, 3, True),
+        _row("F", 2**65, {"k": 3}, 2**63, 3, False),
+    ],
+}
+
+
+@pytest.mark.parametrize("rows", _TAIL_EDGES.values(), ids=_TAIL_EDGES.keys())
+def test_row_tail_edges_match_json_dumps(rows, monkeypatch):
+    fits = []
+    real = report_module._fits_templates
+    monkeypatch.setattr(report_module, "_fits_templates", lambda block: fits.append(real(block)) or fits[-1])
+    report = SuiteReport({}, "2000-01-01T00:00:00+00:00", 0.0, blocks=_blocks(rows))
+    _assert_json_matches_oracle(report)
+    assert fits and all(fits)  # the rows took the templates, not the json.dumps fallback
+
+
+def test_the_bigint_edge_has_a_list_side_beside_an_int64_side():
+    (block,) = _blocks(_TAIL_EDGES["bigint-side-beside-an-int64-side"])
+    assert type(block.lhs) is list and report_module._is_int64_array(block.rhs)
+
+
+def test_a_t11_block_formats_one_tail_per_distinct_residue(monkeypatch):
+    class CountingTail(str):
+        calls = 0
+
+        def __mod__(self, values):
+            CountingTail.calls += 1
+            return str.__mod__(self, values)
+
+    monkeypatch.setattr(report_module, "_TAIL", CountingTail(report_module._TAIL))
+    block = verify_family_case("T1.1", 13)
+    report = SuiteReport({}, "2000-01-01T00:00:00+00:00", 0.0, blocks=[block])
+    text = dumps_json(report)
+    assert len(block) == 13 * 14 // 2 and block.counts == (len(block), 0, 0)
+    assert CountingTail.calls == len(set(block.lhs)) <= 13
+    assert text == _json_oracle(report)
+
+
 @pytest.mark.parametrize(
     "make",
     [
