@@ -20,19 +20,21 @@ column, and lays out its rows from the columns; the sequence families and the
 lemmas do the same, and a family of a few rows packs them with _columns. The
 families linear in the weights N(k)/base^k (E1.11-E1.19, R1.4c, R1.5) take
 them mod p^K, and their binomial dual from one bigint convolution (_convolve),
-as L1 convolves binom(2k,k)^2 mod p^K; E1.4's Euler side is taken mod p from
-power sums. All of it is exact Python ints at any p: every denominator
-involved is a p-adic unit or divides out exactly. The other closed forms stay
-exact integers or Fractions; they meet a residue only through ring operations
-with p-integral constants, and each side is reduced once per case. T1.1, one
-row per (lam, d) cell, hands over its two mod-p grids and its lam and d
-columns as int64 arrays. The block takes each row's verdict as it is built,
-and the engine stamps it with the family, p and modulus; no row becomes an
-object on the way.
+as L1 convolves binom(2k,k)^2 mod p^K; E1.11-E1.13 and R1.4c dot them with 19
+sampled sequences, each built already reduced mod p^K, r^k from _powers.
+E1.4's Euler side is taken mod p from power sums. All of it is exact Python
+ints at any p: every denominator involved is a p-adic unit or divides out
+exactly. The other closed forms stay exact integers or Fractions; they meet a
+residue only through ring operations with p-integral constants, and each side
+is reduced once per case. T1.1, one row per (lam, d) cell, hands over its two
+mod-p grids and its lam and d columns as int64 arrays. The block takes each
+row's verdict as it is built, and the engine stamps it with the family, p and
+modulus; no row becomes an object on the way.
 """
 
 from __future__ import annotations
 
+import random
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,7 +53,6 @@ from ..errors import UnknownId
 from ..padic import legendre_symbol, padic_from_rational
 from .columns import CaseBlock, _columns, _skip
 from .identities import LEMMAS, CongruenceLemma
-from .sequences import SEQUENCE_IDS, sequence_terms
 from .sums import kernel_residues, truncated_sum
 
 __all__ = [
@@ -285,17 +286,37 @@ def _int64s(grid: np.ndarray) -> array:
 
 
 # -- E1.11-E1.13 and R1.4c: sequence-quantified congruences -------------------
+#
+# Claimed for every sequence of p-adic integers, checked on 19 samples, each
+# row built already reduced: r^k from _powers, k^j by pow (0^0 = 1), and
+# seeded draws from [-9, 9] from a fresh generator per call, so a shorter row
+# is the start of a longer one.
+
+_GEOMETRIC = (1, 2, 3, -1, -2)
+_MONOMIAL = (0, 1, 2, 3)
+_RANDOM = range(10)
+_SEQUENCE_IDS = (*(f"geom{r}" for r in _GEOMETRIC), *(f"pow{j}" for j in _MONOMIAL), *(f"rand{i}" for i in _RANDOM))
+
+
+def _draws(i: int, q: int, modulus: int) -> tuple[int, ...]:
+    """The first q terms of rand{i} mod modulus."""
+    rng = random.Random(20260800 + i)
+    return tuple(rng.randint(-9, 9) % modulus for _ in range(q))
 
 
 @lru_cache(maxsize=2)
 def _sequence_matrix(q: int, modulus: int) -> tuple[tuple[int, ...], ...]:
-    """Row i holds the first p terms of sequence SEQUENCE_IDS[i] mod modulus, for E1.11-E1.13 and R1.4c."""
-    return tuple(tuple(t % modulus for t in sequence_terms(s, q)) for s in SEQUENCE_IDS)
+    """Row i holds the first q terms of sequence _SEQUENCE_IDS[i] mod modulus, for E1.11-E1.13 and R1.4c."""
+    return (
+        *(tuple(_powers(r % modulus, q, modulus)) for r in _GEOMETRIC),
+        *(tuple(pow(k, j, modulus) for k in range(q)) for j in _MONOMIAL),
+        *(_draws(i, q, modulus) for i in _RANDOM),
+    )
 
 
 def _sequence_columns(lhs: list[int], rhs: list[int]) -> CaseBlock:
-    """One row per sampled sequence, in SEQUENCE_IDS order."""
-    return CaseBlock([[("sequence",), len(lhs), (list(SEQUENCE_IDS),)]], lhs, rhs)
+    """One row per sampled sequence, in _SEQUENCE_IDS order."""
+    return CaseBlock([[("sequence",), len(lhs), (list(_SEQUENCE_IDS),)]], lhs, rhs)
 
 
 def _dual_family(kind: str, base: int, eps: Callable[[int], int]):

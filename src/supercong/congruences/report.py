@@ -20,9 +20,13 @@ most _BATCH rows, with each separator a piece of its own: write_json
 streams them to the file, and dumps_json appends them to one str, so it
 holds about one copy of the text. An int64 array column, as T1.1's params
 and residues are, is read as it is, with no list copy. The CSV is written
-from a ``SuiteReport`` only, reading its blocks the same way; a parsed
-report dict has no CSV route. Tests pin the equality with the
-``json.dumps`` route and with a CSV written row by row.
+from a ``SuiteReport`` only, through the same gate and the same walk
+(_rows): a row is a head tuple (family, p, compact params, modulus) plus
+its memoised tail tuple (lhs, rhs, both signed views, pass literal, note),
+and a block off the schema goes row by row. _Tails.__missing__ is the one
+place either writer takes a signed view; a parsed report dict has no CSV
+route. Tests pin the equality with the ``json.dumps`` route and with a CSV
+written row by row.
 """
 
 from __future__ import annotations
@@ -34,9 +38,7 @@ from itertools import chain, islice, repeat
 from json.encoder import encode_basestring, encode_basestring_ascii
 from operator import add
 from pathlib import Path
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import Callable, Iterable, Iterator
 
 from ..padic import signed_residue
 from .columns import CaseBlock, VerificationReport, _spans
@@ -136,16 +138,6 @@ def _is_int64_array(residues: list | array) -> bool:
     return type(residues) is array and residues.typecode == "q"
 
 
-def _signed(residues: list | array, modulus: int) -> list:
-    """signed_residue of each value. An int64 array is reduced in numpy while
-    0 < modulus < 2^63: modulus is then an int64 too, and so is each result."""
-    if _is_int64_array(residues) and 0 < modulus < 2**63:
-        r = np.frombuffer(residues, np.int64) % modulus
-        r[r > modulus // 2] -= modulus
-        return r.tolist()
-    return list(map(signed_residue, residues, repeat(modulus)))
-
-
 def _literal(template: str) -> str:
     """Text to put into a %-template as it is."""
     return template.replace("%", "%%")
@@ -181,17 +173,31 @@ def _fits_templates(block: CaseBlock) -> bool:
 
 class _Tails(dict):
     """One block's row tails without a note, keyed by (lhs, rhs, verdict):
-    each key is formatted once, on its first row."""
+    each key is rendered once, on its first row, from (lhs, rhs, lhs_signed,
+    rhs_signed, pass literal)."""
 
-    def __init__(self, modulus: int) -> None:
-        self.modulus = modulus
+    def __init__(self, modulus: int, render: Callable[[tuple], str | tuple]) -> None:
+        self.modulus, self.render = modulus, render
 
-    def __missing__(self, key: tuple) -> str:
+    def __missing__(self, key: tuple) -> str | tuple:
         lhs, rhs, verdict = key
         modulus = self.modulus
         signed = signed_residue(lhs, modulus), signed_residue(rhs, modulus)
-        tail = self[key] = _TAIL % (lhs, rhs, *signed, _LITERAL[verdict])
+        tail = self[key] = self.render((lhs, rhs, *signed, _LITERAL[verdict]))
         return tail
+
+
+def _rows(block: CaseBlock, heads: Iterable, render: Callable, noted: Callable) -> Iterator:
+    """head + tail per row of a block that fits the templates: heads gives one
+    head per row, and noted(tail, note) a noted row's tail."""
+    tails = list(map(_Tails(block.modulus, render).__getitem__, zip(block.lhs, block.rhs, block.verdicts)))
+    for i, note in block.notes.items():
+        tails[i] = noted(tails[i], note)
+    return map(add, heads, tails)
+
+
+def _noted_text(tail: str, note: str) -> str:
+    return tail[: -len(_END)] + _NOTE + encode_basestring(note) + _END
 
 
 def _block_rows(block: CaseBlock) -> Iterator[str]:
@@ -205,11 +211,7 @@ def _block_rows(block: CaseBlock) -> Iterator[str]:
         params = _params_layout(zip((_literal(encode_basestring(key)) for key in keys), slots))
         template = _HEAD % (family, p, params, modulus)
         heads.append(map(template.__mod__, zip(*values)) if values else repeat(template % (), stop - start))
-    lhs, rhs, verdicts = block.lhs, block.rhs, block.verdicts
-    tails = list(map(_Tails(modulus).__getitem__, zip(lhs, rhs, verdicts)))
-    for i, note in block.notes.items():
-        tails[i] = tails[i][: -len(_END)] + _NOTE + encode_basestring(note) + _END
-    return map(add, chain.from_iterable(heads), tails)
+    return _rows(block, chain.from_iterable(heads), _TAIL.__mod__, _noted_text)
 
 
 def _batches(texts: Iterator[str]) -> Iterator[str]:
@@ -258,32 +260,27 @@ def _csv_value(value) -> str:
     return json.dumps(value, separators=(",", ":"))
 
 
-def _csv_params(keys: tuple, columns: tuple) -> Iterator[str]:
-    """The compact JSON params of each row of one run."""
-    if any(type(key) is not str for key in keys):
-        return (_csv_value(dict(zip(keys, values))) for values in zip(*columns))
+def _csv_params(keys: tuple, columns: tuple, rows: int) -> Iterator[str]:
+    """The compact JSON params of each of the rows of one run with text keys."""
     values, slots = _slots(columns, _csv_value)
     items = (f"{_literal(encode_basestring_ascii(key))}:{slot}" for key, slot in zip(keys, slots))
     template = "{" + ",".join(items) + "}"
-    return map(template.__mod__, zip(*values)) if columns else repeat("{}")
+    return map(template.__mod__, zip(*values)) if columns else repeat("{}", rows)
+
+
+def _csv_fields(row: VerificationReport) -> tuple:
+    """A row off the templates' schema as CSV fields."""
+    family, p, params, modulus, *residues, passed, note = _fields(row)
+    return str(family), str(p), _csv_value(params), str(modulus), *residues, _LITERAL[passed], note or ""
 
 
 def _csv_block_rows(block: CaseBlock) -> Iterator[tuple]:
-    family, p, modulus, notes = str(block.family), str(block.p), str(block.modulus), block.notes
-    for keys, start, stop, columns in _spans(block.runs):
-        lhs, rhs = block.lhs[start:stop], block.rhs[start:stop]
-        yield from zip(
-            repeat(family),
-            repeat(p),
-            _csv_params(keys, columns),
-            repeat(modulus),
-            map(str, lhs),
-            map(str, rhs),
-            map(str, _signed(lhs, block.modulus)),
-            map(str, _signed(rhs, block.modulus)),
-            map(_LITERAL.__getitem__, block.verdicts[start:stop]),
-            (notes.get(i, "") for i in range(start, stop)),
-        )
+    """The CSV fields of every row of the block."""
+    if not _fits_templates(block):
+        return map(_csv_fields, block)
+    params = (_csv_params(keys, columns, stop - start) for keys, start, stop, columns in _spans(block.runs))
+    heads = zip(repeat(block.family), repeat(block.p), chain.from_iterable(params), repeat(block.modulus))
+    return _rows(block, heads, lambda values: (*values, ""), lambda tail, note: (*tail[:-1], note))
 
 
 def write_csv(report: SuiteReport, path: str | Path) -> None:

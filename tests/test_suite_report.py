@@ -391,25 +391,6 @@ def test_signed_views():
     assert not block[0].skipped
 
 
-def test_signed_of_an_int64_array_equals_the_list_route(monkeypatch):
-    reduced = []
-    frombuffer = report_module.np.frombuffer
-    monkeypatch.setattr(report_module.np, "frombuffer", lambda *a: reduced.append(1) or frombuffer(*a))
-    # numpy reduces an int64 array below 2^63; at 2^63 and past it the list route runs
-    for modulus, numpy_route in ((2**62 - 57, True), (2**63, False), (2**63 + 9, False)):
-        half = modulus // 2
-        canonical = [0, 1, 2, half - 1, half, half + 1, modulus - 2, modulus - 1]
-        canonical = [v for v in canonical if v < 2**63]
-        negative = [-1, -2, -half, -half - 1, 1 - 2**62, -(2**63)]
-        past = [v for v in (modulus, modulus + 1, modulus + half, 2**63 - 1) if v < 2**63]
-        values = canonical + negative + past
-        reduced.clear()
-        got = report_module._signed(array("q", values), modulus)
-        assert bool(reduced) is numpy_route
-        assert got == report_module._signed(values, modulus) == [signed_residue(v, modulus) for v in values]
-        assert {*map(type, got)} == {int}
-
-
 def _alternating_keys(fid):
     # key sets a, b, a at every prime: a block of three runs and two key sets
     def cases(q):
@@ -606,12 +587,42 @@ def test_csv_mirror(tmp_path):
 # dumps_json writes the rows of a SuiteReport from its block templates, the
 # only fast path; off-schema rows and parsed dicts go through json.dumps, and
 # write_csv writes a SuiteReport's rows from its blocks. The whole-document
-# json.dumps route and the old per-row dict CSV writer below are kept here only
-# as the oracles those writers must match byte for byte.
+# json.dumps route, the CSV written row by row from report.cases and the old
+# per-row dict CSV writer below are kept here only as the oracles those writers
+# must match byte for byte.
 
 
 def _json_oracle(report):
     return json.dumps(report_to_dict(report), indent=2, ensure_ascii=False) + "\n"
+
+
+def _csv_from_cases(report, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for row in report.cases:
+            writer.writerow(
+                [
+                    row.family,
+                    row.p,
+                    json.dumps(row.params, separators=(",", ":")),
+                    row.modulus,
+                    row.lhs,
+                    row.rhs,
+                    signed_residue(row.lhs, row.modulus),
+                    signed_residue(row.rhs, row.modulus),
+                    "null" if row.passed is None else str(row.passed).lower(),
+                    "" if row.note is None else row.note,
+                ]
+            )
+
+
+def _assert_csv_matches_rows(report):
+    with tempfile.TemporaryDirectory() as tmp:
+        rows, blocks = Path(tmp) / "rows.csv", Path(tmp) / "blocks.csv"
+        _csv_from_cases(report, rows)
+        write_csv(report, blocks)
+        assert blocks.read_bytes() == rows.read_bytes()
 
 
 def _assert_json_matches_oracle(report):
@@ -671,6 +682,7 @@ _reports = st.builds(
 @given(_reports)
 def test_row_writer_matches_json_dumps(report):
     _assert_json_matches_oracle(report)
+    _assert_csv_matches_rows(report)
 
 
 def _row(family, modulus, params, lhs, rhs, passed, note=None):
@@ -721,7 +733,23 @@ def test_row_tail_edges_match_json_dumps(rows, monkeypatch):
     monkeypatch.setattr(report_module, "_fits_templates", lambda block: fits.append(real(block)) or fits[-1])
     report = SuiteReport({}, "2000-01-01T00:00:00+00:00", 0.0, blocks=_blocks(rows))
     _assert_json_matches_oracle(report)
-    assert fits and all(fits)  # the rows took the templates, not the json.dumps fallback
+    _assert_csv_matches_rows(report)
+    assert fits and all(fits)  # both formats took the templates, not the row-by-row fallback
+
+
+def test_an_off_schema_block_goes_through_the_csv_fallback(monkeypatch):
+    fits, rows = [], []
+    real_fits, real_fields = report_module._fits_templates, report_module._csv_fields
+    monkeypatch.setattr(report_module, "_fits_templates", lambda block: fits.append(real_fits(block)) or fits[-1])
+    monkeypatch.setattr(report_module, "_csv_fields", lambda row: rows.append(row) or real_fields(row))
+    edge = [
+        _row("F", 49, {7: 1, "k": "a,b"}, 48, 30, False, 'noted "x"'),
+        _row("F", 49, {7: 2, "k": None}, 5, 5, True),
+        _row("F", 49, {7: 3, "k": [1, 2]}, 0, 0, None, "skipped"),
+    ]
+    report = SuiteReport({}, "2000-01-01T00:00:00+00:00", 0.0, blocks=_blocks(edge))
+    _assert_csv_matches_rows(report)
+    assert fits == [False] and len(rows) == len(edge)
 
 
 def test_the_bigint_edge_has_a_list_side_beside_an_int64_side():
@@ -845,27 +873,6 @@ def _planted_t11_failure(monkeypatch, q, d, lam):
         return out
 
     monkeypatch.setattr(families, "thm11_rhs_grid", planted)
-
-
-def _csv_from_cases(report, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in report.cases:
-            writer.writerow(
-                [
-                    row.family,
-                    row.p,
-                    json.dumps(row.params, separators=(",", ":")),
-                    row.modulus,
-                    row.lhs,
-                    row.rhs,
-                    signed_residue(row.lhs, row.modulus),
-                    signed_residue(row.rhs, row.modulus),
-                    "null" if row.passed is None else str(row.passed).lower(),
-                    "" if row.note is None else row.note,
-                ]
-            )
 
 
 def test_block_writers_match_row_routes_on_a_mixed_report(tmp_path, monkeypatch):
