@@ -47,12 +47,6 @@ def _prime_cap() -> int:
     return cap
 
 
-def _check_cap(p: int) -> None:
-    cap = _prime_cap()
-    if p > cap:
-        raise ConfigError(f"{p} exceeds the cap {cap} (set SUPERCONG_MAX_PRIME to raise)")
-
-
 def _parse_primes(spec: str) -> list[int]:
     if ".." in spec:
         cap = _prime_cap()
@@ -72,11 +66,7 @@ def _parse_primes(spec: str) -> list[int]:
         p = int(spec)
     except ValueError:
         raise ConfigError(f"bad prime spec {spec!r}; expected a prime or lo..hi")
-    if p < 5:
-        raise ConfigError(f"primes below 5 are out of scope, got {p}")
-    _check_cap(p)
-    if not is_prime(p):
-        raise ConfigError(f"{p} is not prime")
+    _require_prime(p)
     return [p]
 
 
@@ -92,7 +82,11 @@ def _parse_ids(spec: str, known: list[str], what: str) -> list[str]:
     return ids
 
 
-def _require_prime(p: int) -> None:
+def _require_prime(p: int, *, capped: bool = True) -> None:
+    """The one check of a single prime: p must be a prime >= 5 and, when capped, at most the
+    prime cap. The cap is checked first, so that no O(p) table or loop runs past it."""
+    if capped and p > (cap := _prime_cap()):
+        raise ConfigError(f"{p} exceeds the cap {cap} (set SUPERCONG_MAX_PRIME to raise)")
     if p < 5 or not is_prime(p):
         raise ConfigError(f"{p} is not a prime >= 5")
 
@@ -128,7 +122,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if not rows:
             print(f"{fid:>6s}  not applicable in this range")
             continue
-        verdict = "FAIL" if fails else "pass"
+        verdict = "FAIL" if fails else "skip" if skips == rows else "pass"
         extra = f" skipped={skips}" if skips else ""
         print(f"{fid:>6s}  {verdict}  cases={rows} failures={fails}{extra}")
     for row in report.failures(limit=20):
@@ -172,8 +166,7 @@ def _cmd_identity(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    _check_cap(args.p)  # before any O(p) table or loop
-    _require_prime(args.p)
+    _require_prime(args.p)  # before any O(p) table or loop
     p, lam = args.p, args.lam
     count = count_points(p, lam)
     trace = char_sum_a(p, lam)
@@ -200,7 +193,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.p >= MR_EXACT_BOUND:
         raise ConfigError(f"--p must lie below {MR_EXACT_BOUND}, the bound of the exact primality test")
-    _require_prime(args.p)
+    _require_prime(args.p, capped=False)
     if args.p % 4 == 3:
         print(f"p={args.p} == 3 (mod 4): no representation as x^2 + y^2")
         return 0

@@ -2,7 +2,7 @@
 
 A CaseBlock is what a catalog family's cases(p) gives and what a report
 holds. A family lays out its runs of params, its lhs and rhs residues, the
-indices of its skipped rows and its notes; the per-shift, sequence and lemma
+indices of its skipped rows and its notes; the chain, sequence and lemma
 families build their columns directly, and a family of a few rows writes
 each row as a tuple (params, lhs, rhs, skipped, note) and packs them with
 _columns. The block takes its verdicts once, at construction: lhs == rhs, and

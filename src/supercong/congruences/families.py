@@ -11,25 +11,24 @@ reduces at any other power.
 
 Most claims are a truncated sum, or a chain of them, against a closed form.
 Such a family is data: its members are Sum specs (kind, base, half or full
-upper bound, flags, coefficient) and closed forms, read by one of two
-evaluators. _chain_family compares consecutive members; _shift_family does the
-same for each shift d, with the sums taken at d. A Sum arrives as its residue
-mod p^K (sums.truncated_sum with power=K); a per-d family takes each Sum at
-every shift of a prime in one call, applies its coefficient to that residue
-column, and lays out its rows from the columns; the sequence families and the
-lemmas do the same, and a family of a few rows packs them with _columns. The
-families linear in the weights N(k)/base^k (E1.11-E1.19, R1.4c, R1.5) take
-them mod p^K, and their binomial dual from one bigint convolution (_convolve),
-as L1 convolves binom(2k,k)^2 mod p^K; E1.11-E1.13 and R1.4c dot them with 19
-sampled sequences, each built already reduced mod p^K, r^k from _powers.
-E1.4's Euler side is taken mod p from power sums. All of it is exact Python
-ints at any p: every denominator involved is a p-adic unit or divides out
-exactly. The other closed forms stay exact integers or Fractions; they meet a
-residue only through ring operations with p-integral constants, and each side
-is reduced once per case. T1.1, one row per (lam, d) cell, hands over its two
-mod-p grids and its lam and d columns as int64 arrays. The block takes each
-row's verdict as it is built, and the engine stamps it with the family, p and
-modulus; no row becomes an object on the way.
+upper bound, flags, coefficient) and closed forms, read by one evaluator,
+_chain_family, which compares consecutive members at d = 0 or, for a per-d
+family, at each shift d of a prime. A Sum arrives as its residues mod p^K at
+every shift in one call (sums.truncated_sum with power=K), times its
+coefficient. A closed form stays an exact integer or Fraction until its one
+reduction, by padic_from_rational; E1.4's Euler side is taken mod p from
+power sums. The rows are laid out from those columns. The sequence families
+and the lemmas lay out their columns too, and a family of a few rows packs
+them with _columns. The families linear in the weights N(k)/base^k
+(E1.11-E1.19, R1.4c, R1.5) take them mod p^K, and their binomial dual from
+one bigint convolution (_convolve), as L1 convolves binom(2k,k)^2 mod p^K;
+E1.11-E1.13 and R1.4c dot them with 19 sampled sequences, each built already
+reduced mod p^K, r^k from _powers. All of it is exact Python ints at any p:
+every denominator involved is a p-adic unit or divides out exactly. T1.1,
+one row per (lam, d) cell, hands over its two mod-p grids and its lam and d
+columns as int64 arrays. The block takes each row's verdict as it is built,
+and the engine stamps it with the family, p and modulus; no row becomes an
+object on the way.
 """
 
 from __future__ import annotations
@@ -80,16 +79,17 @@ def _case(q: int, power: int, params: dict, lhs, rhs) -> tuple:
     return params, padic_from_rational(lhs, q, power), padic_from_rational(rhs, q, power), False, None
 
 
-# -- sum families as data: members, and the chain and shift evaluators --------
+# -- sum families as data: members, and the chain evaluator ------------------
 
 
 @dataclass(frozen=True, slots=True)
 class Sum:
-    """A member coef * sum_{k<=upper} N_kind(k, d) [k] / ((k+1) base^k), as sums.truncated_sum.
+    """A chain member coef * sum_{k<=upper} N_kind(k, d) [k] / ((k+1) base^k), as sums.truncated_sum.
 
     upper is (p-1)/2 when half, else p-1; k_factor and catalan_weight are the
     [k] and 1/(k+1) weights. coef is a p-integral number, or a function of
-    (p, K, ds) giving its residue mod p^K at each shift of ds.
+    (p, K, ds) giving its residue mod p^K at each shift of ds. _chain_family
+    reads it at d = 0, or at every shift of a per-d family.
     """
 
     kind: str
@@ -112,7 +112,8 @@ def _legendre(a: int, scale: Fraction | int = 1) -> Callable[[int, int, Sequence
 
 
 def _sum_residues(member: Sum, q: int, power: int, ds: Sequence[int]) -> list[int]:
-    """A Sum's residue mod p^K at each shift of ds: one truncated_sum call, times its coefficient."""
+    """A Sum's residue mod p^K at each shift of ds, canonical from one truncated_sum call;
+    a coefficient other than 1 multiplies that column once, and nothing reduces it again."""
     upper = (q - 1) // 2 if member.half else q - 1
     residues = truncated_sum(
         member.kind, q, upper, member.base,
@@ -126,49 +127,36 @@ def _sum_residues(member: Sum, q: int, power: int, ds: Sequence[int]) -> list[in
     return [c * r % mod for c, r in zip(coefs, residues)]
 
 
-def _value(member, q: int, power: int):
-    """A member's value at p: a Sum at shift 0 as its residue (see _sum_residues),
-    a tuple the sum of its members, a closed form member(p) exactly."""
+def _residues(member, q: int, power: int, ds: Sequence[int] | None) -> list[int]:
+    """A member's residues mod p^K at each shift of ds, or at d = 0 when ds is None: a tuple
+    sums its parts, and a closed form's value, closed(p, ds) or closed(p), is reduced once here."""
     kind = type(member)
     if kind is Sum:
-        return _sum_residues(member, q, power, (0,))[0]
+        return _sum_residues(member, q, power, (0,) if ds is None else ds)
     if kind is tuple:
-        return sum(_value(part, q, power) for part in member)
-    return member(q)
+        mod = q**power
+        return [sum(parts) % mod for parts in zip(*(_residues(part, q, power, ds) for part in member))]
+    if ds is None:
+        return [padic_from_rational(member(q), q, power)]
+    return [padic_from_rational(value, q, power) for _d, value in zip(ds, member(q, ds))]
 
 
-def _chain_family(members: tuple, labels: tuple[str, ...] | None = None, extra: Callable[[int], dict] | None = None):
+def _chain_family(members: tuple, labels=None, extra: Callable[[int], dict] | None = None, *, shifts=None, parity=None):
     """Rows comparing consecutive members of a chain of claimed-congruent values.
 
-    With labels a row's params are "pair": "a=b"; extra(p) adds params after it (T1.6's branch).
-    """
-
-    def gen(q: int, power: int) -> CaseBlock:
-        values = [_value(member, q, power) for member in members]
-        tail = extra(q) if extra else {}
-        pairs = ({"pair": f"{a}={b}"} for a, b in zip(labels, labels[1:])) if labels else repeat({})
-        return _columns(_case(q, power, {**pair, **tail}, x, y) for pair, x, y in zip(pairs, values, values[1:]))
-
-    return gen
-
-
-def _shift_family(shifts: Callable, sums: tuple[Sum, ...], closed: Callable, labels=None, parity=None):
-    """Rows per shift d in shifts(p): the sums at d, then the closed form, compared in turn.
-
-    Each sum is one truncated_sum call over every d of the prime, so its
-    tables are reduced mod p^K once, and its coefficient is applied to the
-    residue column. closed(p, ds) gives the closed form's integer value at each
-    d of ds, so that a per-prime table (E1.4's Euler values) is built once. The
-    rows of shift d are its consecutive pairs, with params "d" and, with labels,
-    "pair": "a=b". With parity, which takes one sum and no labels, a d of the
+    Without shifts the chain is taken once, at d = 0. With shifts it is taken
+    at each d of shifts(p): each Sum is one truncated_sum call over every d of
+    the prime, and a closed form closed(p, ds) gives its value at each d, so
+    that a per-prime table (E1.4's Euler values) is built once. The rows are
+    one run of columns, the consecutive pairs of each shift in turn, with
+    params "d" (with shifts), then "pair": "a=b" (with labels), then extra(p)'s
+    (T1.6's branch). With parity, which takes one sum and no labels, a d of the
     other parity than parity(p) is a skip whose note shows the sum's residue.
     """
 
     def gen(q: int, power: int) -> CaseBlock:
-        ds = list(shifts(q))
-        mod = q**power
-        values = [_sum_residues(member, q, power, ds) for member in sums]
-        values.append([c % mod for _d, c in zip(ds, closed(q, ds))])
+        ds = list(shifts(q)) if shifts else None
+        values = [_residues(member, q, power, ds) for member in members]
         if parity:
             claimed = parity(q)
             skips = [i for i, d in enumerate(ds) if d % 2 != claimed]
@@ -177,14 +165,16 @@ def _shift_family(shifts: Callable, sums: tuple[Sum, ...], closed: Callable, lab
             for i in skips:
                 lhs[i] = rhs[i] = 0
             return CaseBlock([[("d",), len(ds), (ds,)]], lhs, rhs, skips, notes)
-        pairs = len(values) - 1
         lhs = list(chain.from_iterable(zip(*values[:-1])))
         rhs = list(chain.from_iterable(zip(*values[1:])))
-        d = list(chain.from_iterable(map(repeat, ds, repeat(pairs))))
+        params = {}  # key -> column
+        if ds is not None:
+            params["d"] = list(chain.from_iterable(map(repeat, ds, repeat(len(values) - 1))))
         if labels:
-            names = [f"{a}={b}" for a, b in zip(labels, labels[1:])]
-            return CaseBlock([[("d", "pair"), len(lhs), (d, names * len(ds))]], lhs, rhs)
-        return CaseBlock([[("d",), len(lhs), (d,)]], lhs, rhs)
+            params["pair"] = [f"{a}={b}" for a, b in zip(labels, labels[1:])] * len(values[0])
+        if extra:
+            params.update((key, [value] * len(lhs)) for key, value in extra(q).items())
+        return CaseBlock([[tuple(params), len(lhs), tuple(params.values())]], lhs, rhs)
 
     return gen
 
@@ -464,13 +454,13 @@ _CATALOG: tuple[CongruenceFamily, ...] = (
         "E1.3",
         "sum binom(2k,k) binom(2k+2d,k+d)/16^k == 4^d (-1/p) mod p^2",
         2,
-        _shift_family(lambda q: range((q + 1) // 2), (Sum("central_double", 16, half=True),), _e13_closed),
+        _chain_family((Sum("central_double", 16, half=True), _e13_closed), shifts=lambda q: range((q + 1) // 2)),
     ),
     _family(
         "E1.4",
         "sum binom(2k,k) binom(2k,k+d)/16^k == (-1/p) + p^2 (-1)^d/4 E_(p-3)(d+1/2) mod p^3",
         3,
-        _shift_family(lambda q: range((q + 1) // 2), (Sum("central_shift", 16, half=True),), _e14_closed),
+        _chain_family((Sum("central_shift", 16, half=True), _e14_closed), shifts=lambda q: range((q + 1) // 2)),
     ),
     _family(
         "E1.5",
@@ -508,10 +498,9 @@ _CATALOG: tuple[CongruenceFamily, ...] = (
         "E1.7",
         "sum binom(2k,k) binom(2k,k+d)/8^k == 0 mod p for d == (p+1)/2 mod 2",
         1,
-        _shift_family(
-            lambda q: range((q + 1) // 2),
-            (Sum("central_shift", 8, half=True),),
-            lambda q, ds: repeat(0),
+        _chain_family(
+            (Sum("central_shift", 8, half=True), lambda q, ds: repeat(0)),
+            shifts=lambda q: range((q + 1) // 2),
             parity=lambda q: (q + 1) // 2 % 2,
         ),
     ),
@@ -557,11 +546,14 @@ _CATALOG: tuple[CongruenceFamily, ...] = (
         "1/4^d sum binom(3k,k) binom(2k+2d,k+d)/27^k == sum binom(3k,k) binom(2k,k+d)/27^k "
         "== (p/3) mod p for d <= floor(p/3)",
         1,
-        _shift_family(
-            lambda q: range(q // 3 + 1),
-            (Sum("cubic_double", 27, half=True, coef=_over_4_to_d), Sum("cubic_shift", 27, half=True)),
-            lambda q, ds: repeat(legendre_symbol(-3, q)),
+        _chain_family(
+            (
+                Sum("cubic_double", 27, half=True, coef=_over_4_to_d),
+                Sum("cubic_shift", 27, half=True),
+                lambda q, ds: repeat(legendre_symbol(-3, q)),
+            ),
             ("double", "shift", "closed"),
+            shifts=lambda q: range(q // 3 + 1),
         ),
     ),
     _family(
@@ -569,11 +561,14 @@ _CATALOG: tuple[CongruenceFamily, ...] = (
         "1/4^d sum binom(4k,2k) binom(2k+2d,k+d)/64^k == sum binom(4k,2k) binom(2k,k+d)/64^k "
         "== (-2/p) mod p for d <= floor(p/4)",
         1,
-        _shift_family(
-            lambda q: range(q // 4 + 1),
-            (Sum("quartic_double", 64, half=True, coef=_over_4_to_d), Sum("quartic_shift", 64, half=True)),
-            lambda q, ds: repeat(legendre_symbol(-2, q)),
+        _chain_family(
+            (
+                Sum("quartic_double", 64, half=True, coef=_over_4_to_d),
+                Sum("quartic_shift", 64, half=True),
+                lambda q, ds: repeat(legendre_symbol(-2, q)),
+            ),
             ("double", "shift", "closed"),
+            shifts=lambda q: range(q // 4 + 1),
         ),
     ),
     _family(
@@ -873,7 +868,7 @@ _CATALOG: tuple[CongruenceFamily, ...] = (
         "D-base",
         "sum binom(2k,k) binom(2k,k+n-1)/8^k == 0 mod p at the base shift d = n-1",
         1,
-        _shift_family(lambda q: [(q - 3) // 2], (Sum("central_shift", 8, half=True),), lambda q, ds: repeat(0)),
+        _chain_family((Sum("central_shift", 8, half=True), lambda q, ds: repeat(0)), shifts=lambda q: [(q - 3) // 2]),
     ),
     *(_lemma_family(lemma) for lemma in LEMMAS),
 )

@@ -122,6 +122,23 @@ def test_verify_sweep_cap_note(capsys):
     assert "skipped=" in out
 
 
+@pytest.mark.parametrize(
+    ("args", "line"),
+    [
+        (["--primes", "101..103", "--families", "T1.1"], "  T1.1  skip  cases=2 failures=0 skipped=2\n"),
+        (
+            ["--primes", "5..11", "--families", "E1.7", "--time-limit", "0"],
+            "  E1.7  skip  cases=3 failures=0 skipped=3\n",
+        ),
+    ],
+    ids=["past-the-sweep-cap", "out-of-budget"],
+)
+def test_verify_verdict_is_skip_when_no_row_was_checked(args, line, capsys):
+    # a family whose every row is a skip checked nothing, so it does not read "pass"; the exit code stays 0
+    assert main(["verify", *args]) == 0
+    assert line in capsys.readouterr().out
+
+
 _SUMMARY_ARGS = ["verify", "--primes", "5..40", "--families", "T1.1,A1,E1.7,E1.14"]
 _SUMMARY_LINES = """\
   T1.1  {t11}  cases=2453 failures={fails}
@@ -272,6 +289,22 @@ def test_curve_rejects_bad_prime_or_weight(capsys):
     assert main(["curve", "--p", "9", "--lambda", "2"]) == 2
     assert main(["curve", "--p", "7", "--lambda", "2", "--d", "4"]) == 2
     capsys.readouterr()
+
+
+def test_one_prime_check_for_verify_curve_and_decompose(monkeypatch, capsys):
+    # verify's single prime, curve --p and decompose --p give the same message for the same bad prime
+    for p in ("9", "3", "-7"):
+        for command in (["verify", "--primes", p], ["curve", "--p", p, "--lambda", "2"], ["decompose", "--p", p]):
+            assert main(command) == 2, command
+            assert capsys.readouterr().err == f"error: {p} is not a prime >= 5\n", command
+
+    # the cap comes before the primality test at a single verify prime too
+    def unreachable(*args):
+        raise AssertionError("primality tested above the cap")
+
+    monkeypatch.setattr(cli, "is_prime", unreachable)
+    assert main(["verify", "--primes", "2003", "--families", "B1"]) == 2
+    assert "exceeds the cap 2000" in capsys.readouterr().err
 
 
 def test_curve_rejects_prime_above_cap(monkeypatch, capsys):

@@ -28,12 +28,12 @@ from supercong.congruences.families import (
     _SPOTS_CUBIC,
     Sum,
     _binom_mod_matrix,
+    _chain_family,
     _convolve,
     _dual_family,
     _family,
     _l1_lhs,
     _poly_family,
-    _shift_family,
     _weight_residues,
     _weight_vectors,
 )
@@ -395,10 +395,9 @@ def _quartered_doubles(kind, q, upper, m, **kwargs):
             None,
             None,
             _entry(
-                _shift_family(
-                    lambda q: range((q + 1) // 2),
-                    (Sum("central_shift", 8, half=True),),
-                    lambda q, ds: repeat(0),
+                _chain_family(
+                    (Sum("central_shift", 8, half=True), lambda q, ds: repeat(0)),
+                    shifts=lambda q: range((q + 1) // 2),
                     parity=lambda q: (q - 1) // 2 % 2,
                 ),
                 1,
@@ -572,18 +571,37 @@ def test_l1_holds_one_power_beyond_its_claim():
         assert _l1_lhs(q, 3) == q * legendre_symbol(-1, q) % q**3, q
 
 
-@pytest.mark.parametrize("fid", ["E1.3", "E1.4", "E1.7", "R1.4a", "R1.4b", "D-base"])
+@pytest.mark.parametrize("fid", _SUM_FAMILIES)
 def test_sum_family_rows_match_exact_route_at_a_large_prime(fid, monkeypatch):
     def exact_route(kind, q, upper, m, *, power, **kwargs):
         value = truncated_sum(kind, q, upper, m, **kwargs)
         return _per_shift(partial(padic_from_rational, p=q, precision=power), value, kwargs.get("d", 0))
 
-    for q in (251, 257):  # 3 and 1 mod 4
+    # 251 and 257 are 3 and 1 mod 4; C1.1a, C1.1d and E1.20 apply at neither, so they run at 229 (1 mod 3, 5 mod 8)
+    primes = [q for q in (251, 257) if get_family(fid).applies(q)] or [229]
+    for q in primes:
         rows = verify_family_case(fid, q)
         with monkeypatch.context() as patch:
             patch.setattr(families, "truncated_sum", exact_route)
             assert rows == verify_family_case(fid, q)
-        assert len(rows) > 1 or fid == "D-base"
+        assert len(rows) > (fid in _PER_D - {"D-base"}), (fid, q)  # a per-d family has a row per shift
+
+
+# The families _chain_family builds: the Sum families above, and the chains of closed forms only.
+_CHAIN_FAMILIES = [*_SUM_FAMILIES, "G1", "G2", "B1", "B2", "B3", "B4"]
+
+
+def test_chain_families_build_no_row_tuples(monkeypatch):
+    # _chain_family lays its rows out as columns: no per-row tuple goes through _case or _columns
+    def never(*args, **kwargs):
+        raise AssertionError("a chain family took the per-row route")
+
+    monkeypatch.setattr(families, "_case", never)
+    monkeypatch.setattr(families, "_columns", never)
+    report = run_suite(primes_between(5, 60), _CHAIN_FAMILIES)
+    assert report.ok and all(block for block in report.blocks if get_family(block.family).applies(block.p))
+    with pytest.raises(AssertionError, match="per-row route"):
+        run_suite([5], ["L1"])  # a family of a few rows still packs them, so the spies are live
 
 
 @pytest.mark.parametrize(("fid", "n_cases"), [("E1.11", 19), ("R1.4c", 19), ("E1.14", 6)], ids=["E1.11", "R1.4c", "E1.14"])
