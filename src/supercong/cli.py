@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import suppress
 
 from .congruences.engine import DEFAULT_SWEEP_CAP, run_suite
 from .congruences.families import family_ids
@@ -61,7 +62,10 @@ def _parse_primes(spec: str) -> list[int]:
             raise ConfigError(f"prime range exceeds the cap {cap} (set SUPERCONG_MAX_PRIME to raise)")
         if lo > hi:
             raise ConfigError(f"empty prime range {spec!r}")
-        return primes_between(lo, hi)
+        primes = primes_between(lo, hi)
+        if not primes:
+            raise ConfigError(f"no prime in {lo}..{hi}")
+        return primes
     try:
         p = int(spec)
     except ValueError:
@@ -98,11 +102,33 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError("--parallelism must be at least 1")
     if args.time_limit is not None and not args.time_limit >= 0:  # also rejects nan
         raise ConfigError(f"--time-limit must be a number of seconds >= 0, got {args.time_limit}")
+    created = _claim_report(args.out) if args.out else False
+    try:
+        code = _run_verify(args, primes, families)
+    except BaseException:
+        if created:  # no report was written to the file the check made; one already there is left as it was
+            with suppress(OSError):
+                os.remove(args.out)
+        raise
     if args.out:
+        print(f"report written to {args.out}")
+    return code
+
+
+def _claim_report(path: str) -> bool:
+    """Check that the report path can be written, before any prime; True when this created the file."""
+    try:
         try:
-            open(args.out, "a").close()  # before any prime; "a" leaves a report already there as it is
-        except OSError as exc:
-            raise ConfigError(f"cannot write the report to {args.out}: {exc.strerror or exc}")
+            open(path, "x").close()
+            return True
+        except FileExistsError:
+            open(path, "a").close()  # "a" leaves a report already there as it is
+            return False
+    except OSError as exc:
+        raise ConfigError(f"cannot write the report to {path}: {exc.strerror or exc}")
+
+
+def _run_verify(args: argparse.Namespace, primes: list[int], families: list[str]) -> int:
     report = run_suite(
         primes,
         families,
@@ -141,7 +167,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             write_json(report, args.out)
         else:
             write_csv(report, args.out)
-        print(f"report written to {args.out}")
     return 0 if failed == 0 else 1
 
 

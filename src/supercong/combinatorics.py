@@ -4,7 +4,7 @@ The exact values are big integers and fractions.Fraction, no floats. The
 per-prime tables hold what every claim of the catalog is checked from, mod
 p^4: the factorials j! and 1/j! for j < p and the binomial rows C(a k, b k)
 for k < p; _powers gives the columns x^k mod any modulus (m^-k, base^-h,
-(lambda/16)^k). The sums, the families, the identity suite's lemmas and
+(lambda/16)^k). The sums, the families (the lemmas I8-I11 among them) and
 curves' C(2k, k) row all read them here, the one evaluator of each.
 """
 

@@ -7,8 +7,7 @@ families build their columns directly, and a family of a few rows writes
 each row as a tuple (params, lhs, rhs, skipped, note) and packs them with
 _columns. The block takes its verdicts once, at construction: lhs == rhs, and
 None at the skips. The engine then stamps the block's family, p and modulus
-and stores its residues compactly; a lemma block of the identity suite gets
-only its p and modulus, from identities._lemma_identity. VerificationReport
+and stores its residues compactly. VerificationReport
 is the one row type: what indexing or iterating a block gives. No row is
 held as an object. A run stores only where it stops; _spans, the one walk
 over the runs, gives each run's start too. head(stop), its first rows, is
@@ -53,11 +52,10 @@ class CaseBlock:
     the skipped rows, and notes maps a row index to its note. verdicts is
     True, False or None (skipped) per row: lhs == rhs with None at the skips,
     unless given. counts is (passed, failed, skipped). family, p and modulus
-    are None until the engine stamps them; the identity suite's lemma blocks
-    (identities._lemma_identity) get p and modulus stamped there instead, and
-    keep family None. Indexing or iterating gives
-    VerificationReport rows, each found through _spans, and head(stop) the
-    block of the first stop rows.
+    are None until the engine stamps them, and stay None on the identity
+    suite's own blocks (those of I8-I11 are the engine's). Indexing or
+    iterating gives VerificationReport rows, each found through _spans, and
+    head(stop) the block of the first stop rows.
     """
 
     runs: list

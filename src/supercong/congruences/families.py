@@ -18,8 +18,9 @@ every shift in one call (sums.truncated_sum with power=K), times its
 coefficient. A closed form stays an exact integer or Fraction until its one
 reduction, by padic_from_rational; E1.4's Euler side is taken mod p from
 power sums. The rows are laid out from those columns. The sequence families
-and the lemmas lay out their columns too, and a family of a few rows packs
-them with _columns. The families linear in the weights N(k)/base^k
+and the binomial lemmas I8-I11 lay out their columns too, and a family of a
+few rows packs them with _columns; the identity suite sweeps the lemmas
+through the engine as well. The families linear in the weights N(k)/base^k
 (E1.11-E1.19, R1.4c, R1.5) take them mod p^K, and their binomial dual from
 one bigint convolution (_convolve), as L1 convolves binom(2k,k)^2 mod p^K;
 E1.11-E1.13 and R1.4c dot them with 19 sampled sequences, each built already
@@ -51,7 +52,6 @@ from ..curves import cornacchia_two_squares, thm11_rhs_grid, weighted_char_sum, 
 from ..errors import UnknownId
 from ..padic import legendre_symbol, padic_from_rational
 from .columns import CaseBlock, _columns, _skip
-from .identities import LEMMAS, CongruenceLemma
 from .sums import kernel_residues, truncated_sum
 
 __all__ = [
@@ -426,6 +426,46 @@ def _a2_cases(q: int, power: int) -> CaseBlock:
     )
 
 
+# -- I8-I11: the binomial lemmas ---------------------------------------------
+#
+# I9-I11 read their binomials from combinatorics' tables mod p^4: C(2j, j) for
+# j < p from its row, and C(a, b) with b <= a < p from the factorials, which
+# are all units.
+
+
+def _i8_cases(q: int, power: int) -> CaseBlock:
+    mod, n = q**power, (q - 1) // 2
+    return CaseBlock([[(), 1, ()]], [comb(q - 1, n) % mod], [(-1) ** n * pow(4, q - 1, mod) % mod])
+
+
+def _i9_cases(q: int, power: int) -> CaseBlock:
+    mod, n = q**power, (q - 1) // 2
+    fact, inv_fact = _factorials(q)
+    ks = range(n + 1)
+    lhs = [fact[n + k] * inv_fact[2 * k] * inv_fact[n - k] % mod for k in ks]
+    rhs = [c * w % mod for c, w in zip(_binomial_row(q, 2, 1), _powers(pow(-16, -1, mod), n + 1, mod))]
+    return CaseBlock([[("k",), len(ks), ([*ks],)]], lhs, rhs)
+
+
+def _i10_cases(q: int, power: int) -> CaseBlock:
+    mod, n = q**power, (q - 1) // 2
+    fact, inv_fact = _factorials(q)
+    ks = range(q)
+    lhs = [fact[n] * inv_fact[k] * inv_fact[n - k] % mod if k <= n else 0 for k in ks]
+    rhs = [c * w % mod for c, w in zip(_binomial_row(q, 2, 1), _powers(pow(-4, -1, mod), q, mod))]
+    return CaseBlock([[("k",), len(ks), ([*ks],)]], lhs, rhs)
+
+
+def _i11_cases(q: int, power: int) -> CaseBlock:
+    mod, n = q**power, (q - 1) // 2
+    fact, inv_fact = _factorials(q)
+    ks = range(n + 1)
+    lhs = [fact[n] * inv_fact[2 * k] * inv_fact[n - 2 * k] % mod if 2 * k <= n else 0 for k in ks]
+    # binom(4k, 2k) = C(2j, j) at j = 2k
+    rhs = [c * w % mod for c, w in zip(_binomial_row(q, 2, 1)[::2], _powers(pow(16, -1, mod), n + 1, mod))]
+    return CaseBlock([[("k",), len(ks), ([*ks],)]], lhs, rhs)
+
+
 def _always(q: int) -> bool:
     return True
 
@@ -433,11 +473,6 @@ def _always(q: int) -> bool:
 def _family(fid: str, description: str, power: int, gen: Callable, applies: Callable = _always) -> CongruenceFamily:
     """A catalog entry with modulus_power K = power, whose cases(p) run gen(p, K)."""
     return CongruenceFamily(fid, description, power, applies, partial(gen, power=power))
-
-
-def _lemma_family(lemma: CongruenceLemma) -> CongruenceFamily:
-    # a lemma reduces at its own power, which is also its catalog K
-    return CongruenceFamily(lemma.id, lemma.description, lemma.power, _always, lemma.residues)
 
 
 _CATALOG: tuple[CongruenceFamily, ...] = (
@@ -870,7 +905,10 @@ _CATALOG: tuple[CongruenceFamily, ...] = (
         1,
         _chain_family((Sum("central_shift", 8, half=True), lambda q, ds: repeat(0)), shifts=lambda q: [(q - 3) // 2]),
     ),
-    *(_lemma_family(lemma) for lemma in LEMMAS),
+    _family("I8", "binom(p-1,(p-1)/2) == (-1)^((p-1)/2) 4^(p-1) mod p^3", 3, _i8_cases),
+    _family("I9", "binom(n+k,2k) == binom(2k,k)/(-16)^k mod p^2 for k <= n = (p-1)/2", 2, _i9_cases),
+    _family("I10", "binom((p-1)/2,k) == binom(2k,k)/(-4)^k mod p for k < p", 1, _i10_cases),
+    _family("I11", "binom((p-1)/2,2k) == binom(4k,2k)/16^k mod p for k <= (p-1)/2", 1, _i11_cases),
 )
 
 _BY_ID = {fam.id: fam for fam in _CATALOG}

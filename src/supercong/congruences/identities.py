@@ -1,14 +1,16 @@
 """Exact identities and recurrences underlying the congruence catalog.
 
-Each identity yields its cases as CaseBlocks (columns.py), one per n, or per
-prime for the lemmas I8-I11, with their verdicts taken at construction. A
-block holds two integer numerator columns over one shared denominator, given
-beside it as an int, or as a list by row where it varies: lcm(1..u+1) m^u
-times the summand's scale and the closed form's denominator for I1-I4a,
-16^n for I5, base^(n-1) for Z2-Z4 and 1 for the rest. A row passes when its
-numerators are equal; a lemma's are canonical residues mod p^power. So
+Each identity yields its cases as CaseBlocks (columns.py), one per n, with
+their verdicts taken at construction. A block holds two integer numerator
+columns over one shared denominator, given beside it as an int, or as a list
+by row where it varies: lcm(1..u+1) m^u times the summand's scale and the
+closed form's denominator for I1-I4a, 16^n for I5, base^(n-1) for Z2-Z4 and
+1 for the rest. A row passes when its numerators are equal. So
 run_identities reads each block's counts and builds an IdentityCase only for
-a failure it keeps, and cases(max_n) flattens the blocks for the tests.
+a failure it keeps, and cases(max_n) flattens the blocks for the tests. The
+lemmas I8-I11 are catalog families (families.py): their blocks are the
+engine's, one per prime p <= 2 max_n + 1 from verify_family_case, stamped
+there with the family, p and modulus p^K, and their residues are canonical.
 
 I1-I5 carry their partial sums at fixed bases across n, one step of
 sums.weighted_prefixes (the evaluator behind the catalog's exact
@@ -16,12 +18,12 @@ truncated_sum) per term; each random base of I1-I3 and I4a, drawn once per
 process, is one Horner evaluation of a sums._weighted_coefficients list
 carried the same way. Kernels N_kind(k) come from sums.TERM_KINDS, each
 computed once per run; the binomials inside I5, I6, Z1 and the Z2-Z4 tails
-from rows built once per run, and those of I9-I11 from combinatorics'
-residue tables. I6 sums half its window, by the symmetry of both rows. Z1
-carries the diagonals C(2k, k+d) across n. I7 builds (t^2 + t + x)^n across
-n as one int per power of t, with x -> 2^width (Kronecker substitution). The
-right sides of I6, I7 and Z2-Z4 stay on math.comb, and I5's steps C(2n+1, .)
-down from one comb by its term ratio, so both sides take different routes.
+from rows built once per run. I6 sums half its window, by the symmetry of
+both rows. Z1 carries the diagonals C(2k, k+d) across n. I7 builds
+(t^2 + t + x)^n across n as one int per power of t, with x -> 2^width
+(Kronecker substitution). The right sides of I6, I7 and Z2-Z4 stay on
+math.comb, and I5's steps C(2n+1, .) down from one comb by its term ratio,
+so both sides take different routes.
 """
 
 from __future__ import annotations
@@ -36,19 +38,18 @@ from operator import add, lshift, mul
 from time import perf_counter
 from typing import Callable, Iterator
 
-from ..combinatorics import _binomial_row, _factorials, _powers
 from ..combinatorics import catalan  # noqa: F401  (perfbench/tracing.py wraps identities.catalan)
 from ..errors import UnknownId
 from ..padic import primes_between
 from .columns import CaseBlock
+from .engine import verify_family_case
+from .families import get_family
 from .sums import TERM_KINDS, _weighted_coefficients, weighted_prefixes
 
 __all__ = [
-    "CongruenceLemma",
     "ExactIdentity",
     "IdentityCase",
     "IdentityResult",
-    "LEMMAS",
     "M_SET",
     "identity_catalog",
     "identity_ids",
@@ -319,80 +320,14 @@ def _i7_blocks(max_n: int, top: int = 2) -> Blocks:
 # -- prime-parameterized congruence lemmas ----------------------------------
 
 
-def _i8_residues(p: int) -> CaseBlock:
-    m3 = p**3
-    lhs, rhs = [comb(p - 1, (p - 1) // 2) % m3], [(-1) ** ((p - 1) // 2) * pow(4, p - 1, m3) % m3]
-    return CaseBlock([[(), 1, ()]], lhs, rhs)
+def _lemma(fid: str) -> ExactIdentity:
+    """The catalog family fid, at each prime p <= 2 max_n + 1, as the engine gives its blocks."""
 
-
-# I9-I11 read their binomials from combinatorics' tables mod p^4: C(2j, j) for
-# j < p from its row, and C(a, b) with b <= a < p from the factorials, which
-# are all units.
-
-
-def _i9_residues(p: int) -> CaseBlock:
-    m2 = p * p
-    n = (p - 1) // 2
-    fact, inv_fact = _factorials(p)
-    ks = range(n + 1)
-    lhs = [fact[n + k] * inv_fact[2 * k] * inv_fact[n - k] % m2 for k in ks]
-    rhs = [c * w % m2 for c, w in zip(_binomial_row(p, 2, 1), _powers(pow(-16, -1, m2), n + 1, m2))]
-    return CaseBlock([[("k",), len(ks), ([*ks],)]], lhs, rhs)
-
-
-def _i10_residues(p: int) -> CaseBlock:
-    n = (p - 1) // 2
-    fact, inv_fact = _factorials(p)
-    ks = range(p)
-    lhs = [fact[n] * inv_fact[k] * inv_fact[n - k] % p if k <= n else 0 for k in ks]
-    rhs = [c * w % p for c, w in zip(_binomial_row(p, 2, 1), _powers(pow(-4, -1, p), p, p))]
-    return CaseBlock([[("k",), len(ks), ([*ks],)]], lhs, rhs)
-
-
-def _i11_residues(p: int) -> CaseBlock:
-    n = (p - 1) // 2
-    fact, inv_fact = _factorials(p)
-    ks = range(n + 1)
-    lhs = [fact[n] * inv_fact[2 * k] * inv_fact[n - 2 * k] % p if 2 * k <= n else 0 for k in ks]
-    # binom(4k, 2k) = C(2j, j) at j = 2k
-    rhs = [c * w % p for c, w in zip(_binomial_row(p, 2, 1)[::2], _powers(pow(16, -1, p), n + 1, p))]
-    return CaseBlock([[("k",), len(ks), ([*ks],)]], lhs, rhs)
-
-
-@dataclass(frozen=True)
-class CongruenceLemma:
-    """A binomial congruence at one prime, in both catalogs under one id.
-
-    residues(p) gives its rows at p as a CaseBlock of one run, with at most
-    one param key, no skips and both sides canonical mod p^power, so its
-    verdicts are those of the congruence. The identity suite sweeps it over
-    primes and stamps each block with p and p^power; the congruence catalog
-    runs it as a family, whose blocks the engine stamps with the id, p and
-    modulus p^power like any other.
-    """
-
-    id: str
-    description: str
-    power: int
-    residues: Callable[[int], CaseBlock]
-
-
-LEMMAS: tuple[CongruenceLemma, ...] = (
-    CongruenceLemma("I8", "binom(p-1,(p-1)/2) == (-1)^((p-1)/2) 4^(p-1) mod p^3", 3, _i8_residues),
-    CongruenceLemma("I9", "binom(n+k,2k) == binom(2k,k)/(-16)^k mod p^2 for k <= n = (p-1)/2", 2, _i9_residues),
-    CongruenceLemma("I10", "binom((p-1)/2,k) == binom(2k,k)/(-4)^k mod p for k < p", 1, _i10_residues),
-    CongruenceLemma("I11", "binom((p-1)/2,2k) == binom(4k,2k)/16^k mod p for k <= (p-1)/2", 1, _i11_residues),
-)
-
-
-def _lemma_identity(lemma: CongruenceLemma) -> ExactIdentity:
     def blocks(max_n: int) -> Blocks:
         for p in primes_between(5, 2 * max_n + 1):
-            block = lemma.residues(p)
-            block.p, block.modulus = p, p**lemma.power
-            yield block, 1
+            yield verify_family_case(fid, p), 1
 
-    return ExactIdentity(lemma.id, lemma.description, "congruence", blocks)
+    return ExactIdentity(fid, get_family(fid).description, "congruence", blocks)
 
 
 # -- recurrences -------------------------------------------------------------
@@ -503,7 +438,7 @@ _CATALOG: tuple[ExactIdentity, ...] = (
         "identity",
         _i7_blocks,
     ),
-    *(_lemma_identity(lemma) for lemma in LEMMAS),
+    *map(_lemma, ("I8", "I9", "I10", "I11")),
     ExactIdentity(
         "Z1",
         "three-term recurrence in d for "

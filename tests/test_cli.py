@@ -72,6 +72,9 @@ def test_verify_rejects_bad_prime_specs(capsys):
     assert main(["verify", "--primes", "5..99999"]) == 2
     err = capsys.readouterr().err
     assert "exceeds the cap" in err
+    for spec in ("8..10", "24..28"):  # bad input as a reversed range is, not a run that checked nothing
+        assert main(["verify", "--primes", spec]) == 2
+        assert capsys.readouterr() == ("", f"error: no prime in {spec}\n")
 
 
 def test_prime_cap_env_override(monkeypatch, capsys):
@@ -114,6 +117,35 @@ def test_an_unwritable_out_path_is_bad_input(monkeypatch, tmp_path, capsys):
     for out in (tmp_path / "missing" / "x.json", tmp_path):
         assert main(["verify", "--primes", "5..7", "--families", "B1", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write the report to {out}: ")
+
+
+def _interrupted(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+def _internal_error(*args, **kwargs):
+    raise RuntimeError("planted")
+
+
+@pytest.mark.parametrize("stop", ["bad-input", "internal-error", "interrupt"])
+def test_a_run_that_writes_no_report_leaves_no_file_it_created(stop, monkeypatch, tmp_path, capsys):
+    # the writability check creates the report file; a run that ends without a report removes
+    # that file again, and leaves a file that was there before byte for byte
+    args = ["verify", "--families", "T1.1", "--primes", "262147", "--sweep-cap", "300000"]
+    monkeypatch.setenv("SUPERCONG_MAX_PRIME", "300000")  # bad input: past the T1.1 grids' float64 bound
+    if stop != "bad-input":
+        monkeypatch.setattr(cli, "run_suite", _interrupted if stop == "interrupt" else _internal_error)
+    for existing in (None, b'{"kept": true}\n'):
+        out = tmp_path / "r.json"
+        if existing is not None:
+            out.write_bytes(existing)
+        if stop == "interrupt":
+            with pytest.raises(KeyboardInterrupt):
+                main([*args, "--out", str(out)])
+        else:
+            assert main([*args, "--out", str(out)]) == (2 if stop == "bad-input" else 3)
+        assert (out.read_bytes() if out.exists() else None) == existing, (stop, existing)
+    capsys.readouterr()
 
 
 def test_verify_sweep_cap_note(capsys):
@@ -243,12 +275,15 @@ def test_identity_rejects_bad_inputs(capsys):
 
 def test_identity_witness_lines_are_pinned(monkeypatch, capsys):
     # planted failures: I4 summed one term short over the negative base -16,
-    # a lemma whose sides differ by p mod p^3, and Z2 with a = 10 for 9
+    # a lemma whose sides differ by p mod p^3 (the catalog family I8, which
+    # the identity suite reads through the engine), and Z2 with a = 10 for 9
     short = identities._partial_sum_blocks("central_sq", 1, 16, 4, lambda n: n - 1, identities._i4_closed, bases=(-16,))
-    lemma = identities.CongruenceLemma("I8", "planted", 3, lambda p: CaseBlock([[("k",), 1, ([1],)]], [p], [0]))
+    lemma = families.CongruenceFamily(
+        "I8", "planted", 3, families._always, lambda p: CaseBlock([[("k",), 1, ([1],)]], [p], [0])
+    )
     z2 = identities._z_family("cubic", 27, 10, lambda m: (3 * m + 1) * (3 * m + 2))
     monkeypatch.setitem(identities._BY_ID, "I4", identities.ExactIdentity("I4", "planted", "identity", short))
-    monkeypatch.setitem(identities._BY_ID, "I8", identities._lemma_identity(lemma))
+    monkeypatch.setitem(families._BY_ID, "I8", lemma)
     monkeypatch.setitem(identities._BY_ID, "Z2", identities.ExactIdentity("Z2", "planted", "recurrence", z2))
     assert main(["identity", "--ids", "I4,I8,Z2", "--max-n", "4"]) == 1
     out = capsys.readouterr().out

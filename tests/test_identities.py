@@ -11,10 +11,17 @@ from math import comb, lcm
 import pytest
 
 from supercong.combinatorics import catalan
-from supercong.congruences import identities, identity_catalog, identity_ids, run_identities
+from supercong.congruences import (
+    families,
+    get_family,
+    identities,
+    identity_catalog,
+    identity_ids,
+    run_identities,
+    verify_family_case,
+)
 from supercong.congruences.columns import CaseBlock
 from supercong.congruences.identities import (
-    LEMMAS,
     M_SET,
     IdentityCase,
     _i4_closed,
@@ -405,22 +412,43 @@ def test_shared_kernel_in_either_order():
     assert outcome(run_identities(["I4", "I4a"], 30)) == outcome(run_identities(["I4a", "I4"], 30))
 
 
+LEMMA_IDS = ("I8", "I9", "I10", "I11")
+
+
 def test_lemma_residues_match_comb():
-    # I9-I11 read their binomials from the residue tables; recompute each side with comb
-    lemmas = {lemma.id: lemma for lemma in LEMMAS}
+    # I8 reduces one comb, I9-I11 read their binomials from the residue tables;
+    # recompute each side with comb and pow
     for p in primes_between(5, 300):
         n = (p - 1) // 2
-        m2 = p * p
+        m2, m3 = p * p, p**3
         want = {
+            "I8": [(comb(p - 1, n) % m3, (-1) ** n * 4 ** (p - 1) % m3)],
             "I9": [(comb(n + k, 2 * k) % m2, comb(2 * k, k) * pow(-16, -k, m2) % m2) for k in range(n + 1)],
             "I10": [(comb(n, k) % p, comb(2 * k, k) * pow(-4, -k, p) % p) for k in range(p)],
             "I11": [(comb(n, 2 * k) % p, comb(4 * k, 2 * k) * pow(16, -k, p) % p) for k in range(n + 1)],
         }
         for ident_id, pairs in want.items():
-            cols = lemmas[ident_id].residues(p)
-            ((keys, stop, (ks,)),) = cols.runs
-            assert keys == ("k",) and stop == len(pairs) and ks == [*range(len(pairs))], (ident_id, p)
+            cols = get_family(ident_id).cases(p)
+            ((keys, stop, columns),) = cols.runs
+            assert stop == len(pairs), (ident_id, p)
+            if ident_id == "I8":
+                assert keys == () and columns == (), p
+            else:
+                assert keys == ("k",) and columns == ([*range(len(pairs))],), (ident_id, p)
             assert [*zip(cols.lhs, cols.rhs)] == pairs, (ident_id, p)
+
+
+def test_lemma_mutants_fail_in_both_suites(monkeypatch):
+    # the lemmas read families' names, so a negated base in their _powers
+    # column (I9-I11) or C(p-1, (p-1)/2) + 1 (I8) fails in the catalog and in
+    # the identity suite alike
+    real_powers, real_comb = families._powers, families.comb
+    monkeypatch.setattr(families, "_powers", lambda x, size, mod: real_powers(-x % mod, size, mod))
+    monkeypatch.setattr(families, "comb", lambda n, k: real_comb(n, k) + 1)
+    for ident_id in LEMMA_IDS:
+        assert verify_family_case(ident_id, 7).counts[1], ident_id
+        (result,) = run_identities([ident_id], 10)
+        assert result.failed and result.failures, ident_id
 
 
 @pytest.mark.parametrize(
@@ -466,15 +494,15 @@ def test_one_over_the_shared_denominator_fails(ident_id):
 def test_one_over_a_lemma_residue_fails():
     # a lemma's two columns are canonical residues mod p^power, so +1 in one
     # row's lhs fails that row and no other, mod p as mod p^3
-    for lemma in LEMMAS:
+    for ident_id in LEMMA_IDS:
         for p in (5, 13, 97):
-            block = lemma.residues(p)
-            assert block.counts == (len(block), 0, 0), (lemma.id, p)
+            block = get_family(ident_id).cases(p)
+            assert block.counts == (len(block), 0, 0), (ident_id, p)
             i = len(block) // 2
             lhs = [*block.lhs]
             lhs[i] += 1
             planted = CaseBlock(block.runs, lhs, block.rhs)
-            assert planted.counts == (len(block) - 1, 1, 0) and planted.verdicts[i] is False, (lemma.id, p)
+            assert planted.counts == (len(block) - 1, 1, 0) and planted.verdicts[i] is False, (ident_id, p)
 
 
 def test_only_kept_failures_become_cases(monkeypatch):
