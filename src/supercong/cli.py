@@ -102,6 +102,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError("--parallelism must be at least 1")
     if args.time_limit is not None and not args.time_limit >= 0:  # also rejects nan
         raise ConfigError(f"--time-limit must be a number of seconds >= 0, got {args.time_limit}")
+    if args.sweep_cap < 0:
+        raise ConfigError(f"--sweep-cap must be at least 0, got {args.sweep_cap}")
     created = _claim_report(args.out) if args.out else False
     try:
         code = _run_verify(args, primes, families)

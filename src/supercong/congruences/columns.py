@@ -1,17 +1,14 @@
 """One family's rows at one prime, in columns, and the row type that indexing them gives.
 
 A CaseBlock is what a catalog family's cases(p) gives and what a report
-holds. A family lays out its runs of params, its lhs and rhs residues, the
-indices of its skipped rows and its notes; the chain, sequence and lemma
-families build their columns directly, and a family of a few rows writes
-each row as a tuple (params, lhs, rhs, skipped, note) and packs them with
-_columns. The block takes its verdicts once, at construction: lhs == rhs, and
-None at the skips. The engine then stamps the block's family, p and modulus
-and stores its residues compactly. VerificationReport
-is the one row type: what indexing or iterating a block gives. No row is
-held as an object. A run stores only where it stops; _spans, the one walk
-over the runs, gives each run's start too. head(stop), its first rows, is
-the engine's fail-fast cut.
+holds. The code that computes a block lays it out: its runs of params, its
+lhs and rhs residues, the indices of its skipped rows and its notes. The
+block takes its verdicts once, at construction: lhs == rhs, and None at the
+skips. The engine then stamps the block's family, p and modulus and stores
+its residues compactly. VerificationReport is the one row type: what
+indexing or iterating a block gives. No row is held as an object. A run
+stores only where it stops; _spans, the one walk over the runs, gives each
+run's start too. head(stop), its first rows, is the engine's fail-fast cut.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import InitVar, dataclass, field
 from operator import eq
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 
 @dataclass(slots=True)
@@ -45,10 +42,10 @@ class CaseBlock:
     """The rows of one family at one prime, in columns.
 
     runs holds [keys, stop, columns] per run of consecutive rows with the same
-    param keys: the run ends before row stop, keys is the block's one tuple
-    for that key set, and columns holds one value list (or int64 array) per
-    key. lhs and rhs are lists or int64 arrays of the residues, canonical in
-    [0, p^K), K the family's modulus_power; a skipped row's are 0. skips lists
+    param keys: the run ends before row stop, keys is the tuple of those
+    keys, and columns holds one value list (or int64 array) per key. lhs and
+    rhs are lists or int64 arrays of the residues, canonical in [0, p^K), K
+    the family's modulus_power; a skipped row's are 0. skips lists
     the skipped rows, and notes maps a row index to its note. verdicts is
     True, False or None (skipped) per row: lhs == rhs with None at the skips,
     unless given. counts is (passed, failed, skipped). family, p and modulus
@@ -130,36 +127,3 @@ def _params(runs: list) -> Iterator[tuple[int, dict]]:
     for keys, start, stop, columns in _spans(runs):
         for i, *values in zip(range(start, stop), *columns):
             yield i, dict(zip(keys, values))
-
-
-def _runs(params: Iterable[dict]) -> list:
-    """[keys, stop, columns] per run of consecutive params with the same keys, one key tuple per key set."""
-    runs: list = []
-    shared: dict[tuple, tuple] = {}
-    keys = columns = None
-    for i, row in enumerate(params):
-        row_keys = tuple(row)
-        if row_keys != keys:
-            keys = shared.setdefault(row_keys, row_keys)
-            columns = tuple([] for _ in keys)
-            runs.append([keys, i, columns])
-        runs[-1][1] = i + 1
-        for column, value in zip(columns, row.values()):
-            column.append(value)
-    return runs
-
-
-def _columns(rows: Iterable[tuple]) -> CaseBlock:
-    """The block of a few rows, each a tuple (params, lhs, rhs, skipped, note)."""
-    rows = list(rows)
-    return CaseBlock(
-        _runs(row[0] for row in rows),
-        [row[1] for row in rows],
-        [row[2] for row in rows],
-        [i for i, row in enumerate(rows) if row[3]],
-        {i: row[4] for i, row in enumerate(rows) if row[4] is not None},
-    )
-
-
-def _skip(params: dict, note: str) -> tuple:
-    return params, 0, 0, True, note

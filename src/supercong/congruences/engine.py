@@ -43,7 +43,7 @@ from time import perf_counter
 from typing import Callable, Iterable, NoReturn, Sequence
 
 from ..padic import odd_prime
-from .columns import CaseBlock, VerificationReport, _columns, _skip
+from .columns import CaseBlock, VerificationReport
 from .columns import _row  # noqa: F401  (perfbench/tracing.py wraps engine._row)
 from .families import CongruenceFamily, family_ids, get_family
 
@@ -143,8 +143,10 @@ def _block(family: CongruenceFamily, p: int, block: CaseBlock) -> CaseBlock:
     return _stamp(block, family.id, p, p**family.modulus_power)
 
 
-def _marker(family: CongruenceFamily, p: int, params: dict, note: str) -> CaseBlock:
-    return _block(family, p, _columns([_skip(params, note)]))
+def _marker(family: CongruenceFamily, p: int, note: str, **params) -> CaseBlock:
+    """The family's one row at p, skipped with the note."""
+    run = [tuple(params), 1, tuple([value] for value in params.values())]
+    return _block(family, p, CaseBlock([run], [0], [0], [0], {0: note}))
 
 
 def _not_applicable(family: CongruenceFamily, p: int) -> CaseBlock:
@@ -159,7 +161,7 @@ def verify_family_case(family_id: str, p: int, *, sweep_cap: int | None = None) 
         return _not_applicable(family, p)
     if family.heavy and sweep_cap is not None and p > sweep_cap:
         note = f"heavy family capped at p <= {sweep_cap}; pass --sweep-cap to raise"
-        return _marker(family, p, {"sweep_cap": sweep_cap}, note)
+        return _marker(family, p, note, sweep_cap=sweep_cap)
     return _block(family, p, family.cases(p))
 
 
@@ -169,7 +171,7 @@ def _eval_prime(ids: tuple[str, ...], p: int, sweep_cap: int) -> dict[str, CaseB
 
 def _skip_prime(ids: tuple[str, ...], p: int, note: str) -> dict[str, CaseBlock]:
     families = [get_family(fid) for fid in ids]
-    return {fam.id: _marker(fam, p, {}, note) if fam.applies(p) else _not_applicable(fam, p) for fam in families}
+    return {fam.id: _marker(fam, p, note) if fam.applies(p) else _not_applicable(fam, p) for fam in families}
 
 
 class _Helpers:

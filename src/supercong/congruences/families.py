@@ -17,9 +17,9 @@ family, at each shift d of a prime. A Sum arrives as its residues mod p^K at
 every shift in one call (sums.truncated_sum with power=K), times its
 coefficient. A closed form stays an exact integer or Fraction until its one
 reduction, by padic_from_rational; E1.4's Euler side is taken mod p from
-power sums. The rows are laid out from those columns. The sequence families
-and the binomial lemmas I8-I11 lay out their columns too, and a family of a
-few rows packs them with _columns; the identity suite sweeps the lemmas
+power sums. The rows are laid out from those columns. Every other generator
+lays out its own columns too: runs of params, lhs, rhs, skips and notes,
+with no row built on the way. The identity suite sweeps the lemmas I8-I11
 through the engine as well. The families linear in the weights N(k)/base^k
 (E1.11-E1.19, R1.4c, R1.5) take them mod p^K, and their binomial dual from
 one bigint convolution (_convolve), as L1 convolves binom(2k,k)^2 mod p^K;
@@ -51,7 +51,7 @@ from ..combinatorics import euler_polynomial_half_grid  # noqa: F401  (perfbench
 from ..curves import cornacchia_two_squares, thm11_rhs_grid, weighted_char_sum, weighted_char_sum_grid
 from ..errors import UnknownId
 from ..padic import legendre_symbol, padic_from_rational
-from .columns import CaseBlock, _columns, _skip
+from .columns import CaseBlock
 from .sums import kernel_residues, truncated_sum
 
 __all__ = [
@@ -72,11 +72,6 @@ class CongruenceFamily:
     applies: Callable[[int], bool]
     cases: Callable[[int], CaseBlock]
     heavy: bool = False  # swept only up to the engine's sweep cap
-
-
-def _case(q: int, power: int, params: dict, lhs, rhs) -> tuple:
-    """The row comparing two exact values, each reduced mod p^K."""
-    return params, padic_from_rational(lhs, q, power), padic_from_rational(rhs, q, power), False, None
 
 
 # -- sum families as data: members, and the chain evaluator ------------------
@@ -360,17 +355,22 @@ def _poly_family(
         mismatch = [j for j, (x, y) in enumerate(zip(vec, rhs_vec)) if x != y]
         if mismatch:
             j = mismatch[0]
-            rows = [({"coefficient": j}, vec[j], rhs_vec[j], False, f"{len(mismatch)} of {size} coefficients disagree")]
+            aggregate = [("coefficient",), 1, ([j],)]
+            lhs, rhs, notes = [vec[j]], [rhs_vec[j]], {0: f"{len(mismatch)} of {size} coefficients disagree"}
         else:
-            rows = [({"coefficients": size}, 0, 0, False, "all coefficients agree")]
-        for x in spots:
-            params = {"x": str(x)}
+            aggregate = [("coefficients",), 1, ([size],)]
+            lhs, rhs, notes = [0], [0], {0: "all coefficients agree"}
+        skips = []
+        for i, x in enumerate(spots, 1):
             if x.denominator % q == 0:
-                rows.append(_skip(params, "x is not a p-adic integer at this prime"))
+                skips.append(i)
+                lhs.append(0)
+                notes[i] = "x is not a p-adic integer at this prime"
                 continue
             xr = x.numerator * pow(x.denominator, -1, mod) % mod
-            rows.append((params, (_horner(vec, xr, mod) - e * _horner(vec, 1 - xr, mod)) % mod, 0, False, None))
-        return _columns(rows)
+            lhs.append((_horner(vec, xr, mod) - e * _horner(vec, 1 - xr, mod)) % mod)
+        runs = [aggregate, [("x",), len(lhs), ([str(x) for x in spots],)]]
+        return CaseBlock(runs, lhs, rhs + [0] * len(spots), skips, notes)
 
     return gen
 
@@ -401,29 +401,23 @@ def _l1_lhs(q: int, power: int, *, base: int = -16, offset: int = 1) -> int:
 
 
 def _l1_cases(q: int, power: int) -> CaseBlock:
-    return _columns([_case(q, power, {}, _l1_lhs(q, power), q * legendre_symbol(-1, q))])
+    lhs, rhs = (padic_from_rational(value, q, power) for value in (_l1_lhs(q, power), q * legendre_symbol(-1, q)))
+    return CaseBlock([[(), 1, ()]], [lhs], [rhs])
 
 
 def _a1_cases(q: int, power: int) -> CaseBlock:
-    a2 = weighted_char_sum(q, 2, 0)
-    am1 = weighted_char_sum(q, -1, 0)
-    return _columns(
-        [
-            _case(q, power, {"lam": 2}, a2, 0),
-            _case(q, power, {"lam": -1}, am1, 0),
-            _case(q, power, {"pair": "lam2=lam-1"}, a2, am1),
-        ]
-    )
+    a2, am1 = (padic_from_rational(weighted_char_sum(q, lam, 0), q, power) for lam in (2, -1))
+    runs = [[("lam",), 2, ([2, -1],)], [("pair",), 3, (["lam2=lam-1"],)]]
+    return CaseBlock(runs, [a2, am1, a2], [0, 0, am1])
 
 
 def _a2_cases(q: int, power: int) -> CaseBlock:
     n = (q - 1) // 2
-    lhs = weighted_char_sum(q, 2, 1)
+    lhs = padic_from_rational(weighted_char_sum(q, 2, 1), q, power)
     closed = (-1) ** ((q - 3) // 4) * comb(n, (n - 1) // 2)
     split = weighted_char_sum(q, -1, 0) + weighted_char_sum(q, -1, 1)
-    return _columns(
-        [_case(q, power, {"pair": "closed"}, lhs, closed), _case(q, power, {"pair": "shifted-split"}, lhs, split)]
-    )
+    rhs = [padic_from_rational(value, q, power) for value in (closed, split)]
+    return CaseBlock([[("pair",), 2, (["closed", "shifted-split"],)]], [lhs, lhs], rhs)
 
 
 # -- I8-I11: the binomial lemmas ---------------------------------------------

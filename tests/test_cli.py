@@ -254,6 +254,14 @@ def test_verify_rejects_negative_or_nan_time_limit(limit, capsys):
     assert "--time-limit" in capsys.readouterr().err
 
 
+def test_verify_rejects_a_negative_sweep_cap(capsys, monkeypatch):
+    # a negative cap would turn every heavy row into a "capped at p <= -5" marker
+    monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: pytest.fail("a prime ran"))
+    assert main(["verify", "--primes", "5..7", "--families", "T1.1", "--sweep-cap", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --sweep-cap") and captured.out == ""
+
+
 def test_identity_runs_and_reports(capsys):
     assert main(["identity", "--ids", "I1,I4,Z1", "--max-n", "12"]) == 0
     out = capsys.readouterr().out

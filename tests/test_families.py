@@ -385,6 +385,11 @@ def _quartered_doubles(kind, q, upper, m, **kwargs):
     return _per_shift(lambda v: v * pow(4, -1, mod) % mod, value, kwargs.get("d", 0))
 
 
+def _weight_raised(q, lam, d):
+    """weighted_char_sum with the weight x^(d+1) where a family asks for x^d."""
+    return weighted_char_sum(q, lam, d + 1)
+
+
 @pytest.mark.parametrize(
     ("fid", "attr", "replacement", "gen"),
     [
@@ -406,6 +411,8 @@ def _quartered_doubles(kind, q, upper, m, **kwargs):
         ),
         ("L1", "_l1_lhs", partial(_l1_lhs, offset=3), None),
         ("L1", "_l1_lhs", partial(_l1_lhs, base=16), None),
+        ("A1", "weighted_char_sum", _weight_raised, None),
+        ("A2", "weighted_char_sum", _weight_raised, None),
     ],
     ids=[
         "E1.3-base-15",
@@ -414,6 +421,8 @@ def _quartered_doubles(kind, q, upper, m, **kwargs):
         "E1.7-opposite-parity",
         "L1-weight-2h+3",
         "L1-base-16",
+        "A1-weight-x^(d+1)",
+        "A2-weight-x^(d+1)",
     ],
 )
 def test_sum_family_mutants_fail(fid, attr, replacement, gen, monkeypatch):
@@ -588,23 +597,6 @@ def test_sum_family_rows_match_exact_route_at_a_large_prime(fid, monkeypatch):
         assert len(rows) > (fid in _PER_D - {"D-base"}), (fid, q)  # a per-d family has a row per shift
 
 
-# The families _chain_family builds: the Sum families above, and the chains of closed forms only.
-_CHAIN_FAMILIES = [*_SUM_FAMILIES, "G1", "G2", "B1", "B2", "B3", "B4"]
-
-
-def test_chain_families_build_no_row_tuples(monkeypatch):
-    # _chain_family lays its rows out as columns: no per-row tuple goes through _case or _columns
-    def never(*args, **kwargs):
-        raise AssertionError("a chain family took the per-row route")
-
-    monkeypatch.setattr(families, "_case", never)
-    monkeypatch.setattr(families, "_columns", never)
-    report = run_suite(primes_between(5, 60), _CHAIN_FAMILIES)
-    assert report.ok and all(block for block in report.blocks if get_family(block.family).applies(block.p))
-    with pytest.raises(AssertionError, match="per-row route"):
-        run_suite([5], ["L1"])  # a family of a few rows still packs them, so the spies are live
-
-
 @pytest.mark.parametrize(("fid", "n_cases"), [("E1.11", 19), ("R1.4c", 19), ("E1.14", 6)], ids=["E1.11", "R1.4c", "E1.14"])
 def test_weight_families_hold_past_the_old_int64_bound(fid, n_cases):
     # at p = 9001 the int64 dense-matrix route overflowed and gave a false
@@ -682,6 +674,23 @@ def test_polynomial_family_reports_aggregate_row_plus_spots():
     spot_params = [r.params for r in rows[1:]]
     assert {"x": "1/2"} in spot_params
     assert len(rows) == 6
+
+
+def test_polynomial_family_reports_its_first_disagreeing_coefficient(monkeypatch):
+    # one coefficient of the dual off by one: the aggregate row names it and fails, while the
+    # spot rows, the Horner oracle, read only w and still pass
+    weight_vectors = families._weight_vectors
+
+    def off_by_one(*args, **kwargs):
+        w, dual = weight_vectors(*args, **kwargs)
+        return w, (*dual[:3], dual[3] + 1, *dual[4:])
+
+    monkeypatch.setattr(families, "_weight_vectors", off_by_one)
+    rows = verify_family_case("E1.14", 11)
+    assert rows[0].params == {"coefficient": 3} and rows[0].passed is False
+    assert rows[0].note == "1 of 11 coefficients disagree"
+    assert [r.params for r in rows[1:]] == [{"x": str(x)} for x in _SPOTS_CUBIC]
+    assert all(r.passed for r in rows[1:])
 
 
 def test_polynomial_spot_skips_non_integral_x():

@@ -14,7 +14,6 @@ import time
 import tracemalloc
 from array import array
 from collections import Counter
-from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -25,13 +24,10 @@ from hypothesis import strategies as st
 
 from supercong.congruences import engine, families, run_suite, verify_family_case
 from supercong.congruences import report as report_module
-from supercong.congruences.columns import _runs
 from supercong.congruences.engine import CaseBlock, SuiteReport, VerificationReport
 from supercong.congruences.families import (
     CongruenceFamily,
     _BY_ID,
-    _case,
-    _columns,
     family_ids,
     get_family,
 )
@@ -222,7 +218,7 @@ def _planted(fid, primes, helper_top):
             time.sleep(0.05)
         elif q == primes[-1]:
             helper_top(q)
-        return _columns([_case(q, 1, {}, Fraction(1), Fraction(1))])
+        return CaseBlock([[(), 1, ()]], [1], [1])
 
     return CongruenceFamily(fid, "synthetic: planted in a helper at the top prime", 1, lambda q: True, cases)
 
@@ -269,7 +265,7 @@ def test_a_stop_does_not_wait_for_the_helpers(monkeypatch):
     def cases(q):
         if q >= 50 and os.getpid() != parent:
             time.sleep(5)
-        return _columns([_case(q, 1, {}, Fraction(1), Fraction(2 if q == 7 else 1))])
+        return CaseBlock([[(), 1, ()]], [1], [2 if q == 7 else 1])
 
     family = CongruenceFamily(fid, "synthetic: fails at 7, slow in helpers", 1, lambda q: True, cases)
     monkeypatch.setitem(_BY_ID, fid, family)
@@ -328,13 +324,7 @@ def test_time_budget_turns_pairs_into_markers(monkeypatch):
 
 def _synthetic_family(fid):
     def cases(q):
-        return _columns(
-            [
-                _case(q, 1, {"k": 0}, Fraction(1), Fraction(1)),
-                _case(q, 1, {"k": 1}, Fraction(1), Fraction(2)),
-                _case(q, 1, {"k": 2}, Fraction(2), Fraction(2)),
-            ]
-        )
+        return CaseBlock([[("k",), 3, ([0, 1, 2],)]], [1, 1, 2], [1, 2, 2])
 
     return CongruenceFamily(fid, "synthetic: passes, fails, passes", 1, lambda q: True, cases)
 
@@ -352,7 +342,7 @@ def test_fail_fast_truncates_at_first_failing_row(monkeypatch):
 
 def _fails_at_seven(fid):
     def cases(q):
-        return _columns([_case(q, 1, {}, Fraction(1), Fraction(2 if q == 7 else 1))])
+        return CaseBlock([[(), 1, ()]], [1], [2 if q == 7 else 1])
 
     return CongruenceFamily(fid, "synthetic: fails only at p = 7", 1, lambda q: True, cases)
 
@@ -392,10 +382,12 @@ def test_signed_views():
 
 
 def _alternating_keys(fid):
-    # key sets a, b, a at every prime: a block of three runs and two key sets
+    # key sets a, b, a at every prime: a block of three runs and two key sets, one tuple each,
+    # which the engine keeps as the generator laid them out
+    a, b = ("a",), ("b",)
+
     def cases(q):
-        rows = [({"a": 1}, 1, 1), ({"b": "x"}, 2, 2), ({"a": 3}, 0, 1)]
-        return _columns((params, lhs, rhs, False, None) for params, lhs, rhs in rows)
+        return CaseBlock([[a, 1, ([1],)], [b, 2, (["x"],)], [a, 3, ([3],)]], [1, 2, 0], [1, 2, 1])
 
     return CongruenceFamily(fid, "synthetic: key sets a, b, a", 1, lambda q: True, cases)
 
@@ -664,7 +656,12 @@ def _blocks(rows):
         stretch = list(stretch)
         lhs, rhs = [row.lhs for row in stretch], [row.rhs for row in stretch]
         notes = {i: row.note for i, row in enumerate(stretch) if row.note is not None}
-        block = CaseBlock(_runs(row.params for row in stretch), lhs, rhs, (), notes, [row.passed for row in stretch])
+        runs, stop = [], 0
+        for keys, run in groupby(stretch, lambda row: tuple(row.params)):
+            values = [row.params.values() for row in run]
+            stop += len(values)
+            runs.append([keys, stop, tuple(map(list, zip(*values)))])
+        block = CaseBlock(runs, lhs, rhs, (), notes, [row.passed for row in stretch])
         blocks.append(engine._stamp(block, family, p, modulus))
     return blocks
 
