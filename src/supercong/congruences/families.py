@@ -22,7 +22,7 @@ lays out its own columns too: runs of params, lhs, rhs, skips and notes,
 with no row built on the way. The identity suite sweeps the lemmas I8-I11
 through the engine as well. The families linear in the weights N(k)/base^k
 (E1.11-E1.19, R1.4c, R1.5) take them mod p^K, and their binomial dual from
-one bigint convolution (_convolve), as L1 convolves binom(2k,k)^2 mod p^K;
+one bigint product (sums._product), as L1 convolves binom(2k,k)^2 mod p^K;
 E1.11-E1.13 and R1.4c dot them with 19 sampled sequences, each built already
 reduced mod p^K, r^k from _powers. All of it is exact Python ints at any p:
 every denominator involved is a p-adic unit or divides out exactly. T1.1,
@@ -52,7 +52,7 @@ from ..curves import cornacchia_two_squares, thm11_rhs_grid, weighted_char_sum, 
 from ..errors import UnknownId
 from ..padic import legendre_symbol, padic_from_rational
 from .columns import CaseBlock
-from .sums import kernel_residues, truncated_sum
+from .sums import _product, kernel_residues, truncated_sum
 
 __all__ = [
     "CongruenceFamily",
@@ -200,18 +200,6 @@ def _t16_closed(q: int) -> Fraction | int:
     return Fraction(3 * l6 * comb((q + 1) // 2, (q + 1) // 4), 4)
 
 
-def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """c[n] = sum_{i+j=n} a[i] b[j] for n < len(a), exact, for non-empty lists of non-negative ints,
-    by Kronecker substitution: one bigint product of the lists packed into slots of `width` bytes,
-    wide enough for every entry and every c[n], so that no slot carries into the next. c[0] is the
-    top slot of the product, so only its top len(a) slots are decoded: both callers read no more."""
-    top_a, top_b = max(a), max(b)
-    width = max(min(len(a), len(b)) * top_a * top_b, top_a, top_b).bit_length() // 8 + 1
-    x, y = (int.from_bytes(b"".join(map(int.to_bytes, xs, repeat(width), repeat("big"))), "big") for xs in (a, b))
-    product = ((x * y) >> (8 * width * (len(b) - 1))).to_bytes(width * len(a), "big")
-    return [int.from_bytes(product[i : i + width], "big") for i in range(0, len(product), width)]
-
-
 @lru_cache(maxsize=4)
 def _binom_mod_matrix(modulus: int, size: int) -> np.ndarray:
     """M[k, j] = binom(k, j) (-1)^j mod modulus, as int64. No family calls it: it is the dense
@@ -240,7 +228,7 @@ def _weight_vectors(
     With k_weighted (no default, so equal calls share a cache key), w[k] is
     (k+1) N_kind(k+1)/base^(k+1) for k < count - 1. Since w . (M a) = (M^T w) . a,
     a sum over a dual sequence is one dot product. Each k! is a p-adic unit, so
-    (M^T w)_j = (-1)^j/j! sum_{k>=j} w_k k!/(k-j)!, one _convolve, exact for power <= 4.
+    (M^T w)_j = (-1)^j/j! sum_{k>=j} w_k k!/(k-j)!, one _product, exact for power <= 4.
     """
     mod = q**power
     w = _weight_residues(kind, base, q, power, count)
@@ -248,7 +236,7 @@ def _weight_vectors(
         w = tuple(k * x % mod for k, x in enumerate(w))[1:]
     fact, inv_fact = _factorials(q)
     inv = [x % mod for x in inv_fact[: len(w)]]
-    tails = _convolve([x * f % mod for x, f in zip(w, fact)][::-1], inv)[::-1]
+    tails = _product([x * f % mod for x, f in zip(w, fact)][::-1], inv, 0, len(w))[::-1]
     return w, tuple((-t if j % 2 else t) * x % mod for j, (t, x) in enumerate(zip(tails, inv)))
 
 
@@ -274,8 +262,8 @@ def _int64s(grid: np.ndarray) -> array:
 #
 # Claimed for every sequence of p-adic integers, checked on 19 samples, each
 # row built already reduced: r^k from _powers, k^j by pow (0^0 = 1), and
-# seeded draws from [-9, 9] from a fresh generator per call, so a shorter row
-# is the start of a longer one.
+# seeded draws from [-9, 9], each stream extended as a prime needs it, since a
+# shorter row is the start of a longer one.
 
 _GEOMETRIC = (1, 2, 3, -1, -2)
 _MONOMIAL = (0, 1, 2, 3)
@@ -283,10 +271,17 @@ _RANDOM = range(10)
 _SEQUENCE_IDS = (*(f"geom{r}" for r in _GEOMETRIC), *(f"pow{j}" for j in _MONOMIAL), *(f"rand{i}" for i in _RANDOM))
 
 
+@lru_cache(maxsize=None)
+def _stream(i: int) -> tuple[random.Random, list[int]]:
+    """The generator of rand{i} and the terms it has drawn so far, one pair per process."""
+    return random.Random(20260800 + i), []
+
+
 def _draws(i: int, q: int, modulus: int) -> tuple[int, ...]:
-    """The first q terms of rand{i} mod modulus."""
-    rng = random.Random(20260800 + i)
-    return tuple(rng.randint(-9, 9) % modulus for _ in range(q))
+    """The first q terms of rand{i} mod modulus, each term drawn once per process."""
+    rng, drawn = _stream(i)
+    drawn.extend(rng.randint(-9, 9) for _ in range(q - len(drawn)))
+    return tuple(x % modulus for x in drawn[:q])
 
 
 @lru_cache(maxsize=2)
@@ -389,13 +384,13 @@ def _horner(coefficients: Sequence[int], x: int, mod: int) -> int:
 def _l1_lhs(q: int, power: int, *, base: int = -16, offset: int = 1) -> int:
     """sum_{h<p} (2h + offset)/base^h sum_{k<=h} u_k u_(h-k) mod p^power, u_k = binom(2k,k)^2.
 
-    The inner sums are one _convolve of u_k mod p^power (power <= 4, the table
+    The inner sums are one _product of u_k mod p^power (power <= 4, the table
     precision) with itself; every divisor is a power of base, a unit. L1 is
     base = -16, offset = 1; the parameters exist so the tests can plant mutants.
     """
     mod = q**power
     u = [c * c % mod for c in _binomial_row(q, 2, 1)]
-    conv = _convolve(u, u)
+    conv = _product(u, u, 0, q)
     weights = _powers(pow(base, -1, mod), q, mod)  # base^-h
     return sum((2 * h + offset) * c * w for h, (c, w) in enumerate(zip(conv, weights))) % mod
 

@@ -22,16 +22,16 @@ reduced once per shift (no catalog family makes such a call).
 The residue path reads the binomial rows, the factorials and the powers
 from the tables, and keeps one table of the d-free factors of the terms
 (m^-k included) per kind, prime and base. Each call reduces that table mod
-p^K once, times its weight a + b k + c/(k+1). For a kernel with a shift, it
-shares those terms, with the factorials or the C(2j, j) row also reduced mod
-p^K, across all of its shifts; C(2k, k+d) is (2k)!/((k+d)! (k-d)!) there,
-so each shift is one pass of products. That is exact: reduction mod p^K is
-a ring homomorphism on Z_(p), and every divisor is a p-adic unit except
-k+1 = p in the Catalan weight of a d-free kernel summed to p - 1, whose term
-is reduced mod p^4 and divided by p exactly (NotPAdicInteger when it cannot
-be). The catalog families use the residue path; kernel_residues gives the
-sequence and polynomial families their weights N_kind(k)/m^k mod p^K from
-the same tables.
+p^K once, times its weight a + b k + c/(k+1), for all of its shifts. A double
+kernel is one correlation of those terms with the C(2j, j) row mod p^K, read
+from one _product; a shift kernel is one pass of products per shift, with
+C(2k, k+d) = (2k)!/((k+d)! (k-d)!) from the factorials. That is exact:
+reduction mod p^K is a ring homomorphism on Z_(p), and every divisor is a
+p-adic unit except k+1 = p in the Catalan weight of a d-free kernel summed
+to p - 1, whose term is reduced mod p^4 and divided by p exactly
+(NotPAdicInteger when it cannot be). The catalog families use the residue
+path; kernel_residues gives the sequence and polynomial families their
+weights N_kind(k)/m^k mod p^K from the same tables.
 """
 
 from __future__ import annotations
@@ -225,10 +225,21 @@ def kernel_residues(kind: str, q: int, m: int, count: int, power: int) -> list[i
     return [t * x % mod for t, x in zip(table[:count], r)]
 
 
+def _product(a: Sequence[int], b: Sequence[int], start: int, count: int) -> list[int]:
+    """Slots [start, start + count) of c[n] = sum_{i+j=n} a[i] b[j], start + count <= len(a) + len(b) - 1, exact,
+    for non-empty lists of non-negative ints: one bigint product of the lists packed little-endian into slots of
+    `width` bytes, above every entry and the bound min(len a, len b) max(a) max(b) on c[n], so no slot carries."""
+    top_a, top_b = max(a), max(b)
+    width = max(min(len(a), len(b)) * top_a * top_b, top_a, top_b).bit_length() // 8 + 1
+    x, y = (int.from_bytes(b"".join(map(int.to_bytes, xs, repeat(width), repeat("little"))), "little") for xs in (a, b))
+    product = (x * y).to_bytes(width * (len(a) + len(b) - 1), "little")
+    return [int.from_bytes(product[i : i + width], "little") for i in range(width * start, width * (start + count), width)]
+
+
 def _residue_sums(
     kind: str, q: int, upper: int, m: int, ds: list[int], weights: tuple[int, int, int], power: int
 ) -> list[int]:
-    """The residues mod p^power of truncated_sum at every shift of ds, in one pass per shift.
+    """The residues mod p^power of truncated_sum at every shift of ds.
 
     Every term lies in the tables: truncated_sum checks the domain.
     """
@@ -257,9 +268,10 @@ def _residue_sums(
             total += numerator // q
         return [total % mod] * len(ds)
     if right == "double":
-        # C(2j, j) at j = k + d <= p - 1
+        # sum_k terms[k] C(2j, j) at j = k + d <= p - 1 is slot upper + d of reversed(terms) x the row
         row = [x % mod for x in _binomial_row(q, 2, 1)]
-        totals = [sum(map(mul, terms, row[d:])) for d in ds]
+        window = _product(terms[::-1], row, upper, max(ds, default=0) + 1)
+        totals = [window[d] for d in ds]
     else:
         # C(2k, k+d) = (2k)!/((k+d)! (k-d)!) where (2k)! is a unit, k <= (p-1)/2,
         # so terms[k] (2k)! is folded once; 0 for k < d

@@ -9,8 +9,6 @@ from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from supercong.combinatorics import dual_transform, euler_polynomial
 from supercong.congruences import (
@@ -29,10 +27,10 @@ from supercong.congruences.families import (
     Sum,
     _binom_mod_matrix,
     _chain_family,
-    _convolve,
     _dual_family,
     _family,
     _l1_lhs,
+    _over_4_to_d,
     _poly_family,
     _weight_residues,
     _weight_vectors,
@@ -255,23 +253,6 @@ def test_dual_matrix_matches_exact_transform():
         assert lhs == rhs, (q, size, kind, base, k_weighted, power)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(st.integers(0, 2**70), min_size=1, max_size=40),
-    st.lists(st.sampled_from([0, 1, 255, 256, 2**64 - 1, 2**64]) | st.integers(0, 2**70), min_size=1, max_size=40),
-)
-@example([0], [0])
-@example([7], [3, 0, 5])
-@example([2**70, 0], [0, 0, 0])  # all-zero products, wide entries
-@example([2**64 - 1] * 2, [2**64 - 1])  # every product fills its slot
-def test_convolve_matches_naive_sum(a, b):
-    # slot-wide values (255, 2^64 - 1) sit on a byte boundary of the packing
-    want = [sum(a[i] * b[n - i] for i in range(len(a)) if 0 <= n - i < len(b)) for n in range(len(a) + len(b) - 1)]
-    # the first len(a) slots only, as the dual and L1 read them
-    assert _convolve(a, b) == want[: len(a)]
-    assert _convolve(b, a) == want[: len(b)]
-
-
 def test_weight_residues_match_exact_reduction():
     for q in primes_between(5, 60):
         for kind, term in TERM_KINDS.items():
@@ -432,6 +413,48 @@ def test_sum_family_mutants_fail(fid, attr, replacement, gen, monkeypatch):
         monkeypatch.setattr(families, attr, replacement)
     failing = _failing_rows(gen or get_family(fid).cases, primes_between(7, 50))
     assert failing, fid
+
+
+@pytest.mark.parametrize("fid", ["E1.3", "R1.4a", "R1.4b"])
+def test_product_window_one_slot_late_fails_every_double_family(fid, monkeypatch):
+    # a double member's sum at d is slot upper + d of one sums._product; the
+    # planted window starts one slot late, so each shift reads the next one's sum
+    product = sums._product
+    monkeypatch.setattr(sums, "_product", lambda a, b, start, count: product(a, b, start + 1, count))
+    for q in primes_between(7, 50):
+        assert any(case.passed is False for case in get_family(fid).cases(q)), (fid, q)
+
+
+def _r14_chain(kind, base, sign, shifts):
+    """The R1.4a (cubic) or R1.4b (quartic) chain, as the catalog writes it, taken at shifts(p)."""
+    return _entry(
+        _chain_family(
+            (
+                Sum(f"{kind}_double", base, half=True, coef=_over_4_to_d),
+                Sum(f"{kind}_shift", base, half=True),
+                lambda q, ds: repeat(legendre_symbol(sign, q)),
+            ),
+            ("double", "shift", "closed"),
+            shifts=shifts,
+        ),
+        1,
+    )
+
+
+@pytest.mark.parametrize(
+    ("fid", "kind", "base", "sign", "divisor"),
+    [("R1.4a", "cubic", 27, -3, 3), ("R1.4b", "quartic", 64, -2, 4)],
+    ids=["R1.4a", "R1.4b"],
+)
+def test_double_chains_fail_one_shift_past_their_range(fid, kind, base, sign, divisor):
+    # negative control: R1.4a and R1.4b are claimed for d <= floor(p/3) and
+    # floor(p/4); one shift past that the same chain must fail at every prime
+    in_range = _r14_chain(kind, base, sign, lambda q: range(q // divisor + 1))
+    past = _r14_chain(kind, base, sign, lambda q: [q // divisor + 1])
+    for q in primes_between(11, 150):
+        assert in_range(q) == get_family(fid).cases(q), (fid, q)  # the chain above is the catalog's
+        assert in_range(q).counts[1] == 0, (fid, q)
+        assert past(q).counts[1], (fid, q)
 
 
 # Every family that calls truncated_sum. The per-d families call it once per

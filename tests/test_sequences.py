@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from supercong.congruences import families
 from supercong.congruences.families import _SEQUENCE_IDS, _sequence_matrix
 
 _PRIMES = [q for q in range(2, 201) if all(q % d for d in range(2, q))]
@@ -47,3 +48,23 @@ def test_random_sequences_keep_their_values():
     rows = dict(zip(_SEQUENCE_IDS, _sequence_matrix(8, modulus)))
     assert list(rows["rand0"]) == [t % modulus for t in [-6, 0, 6, -1, 6, 9, 6, 1]]
     assert list(rows["rand9"]) == [t % modulus for t in [-7, 3, -9, -6, 6, 6, 7, -6]]
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_draws_do_not_depend_on_the_order_of_the_primes(order):
+    # each stream is drawn once per process and extended as a longer prime
+    # needs it; after any visiting order, p = 149 gets the fresh generator's rows
+    families._stream.cache_clear()
+    primes = [q for q in _PRIMES if 5 <= q <= 150]
+    if order == "descending":
+        primes.reverse()
+    elif order == "shuffled":
+        random.Random(150).shuffle(primes)
+    for q in primes:
+        _sequence_matrix.cache_clear()
+        _sequence_matrix(q, q**2)
+    _sequence_matrix.cache_clear()
+    rows = dict(zip(_SEQUENCE_IDS, _sequence_matrix(149, 149**2)))
+    for i in range(10):
+        rng = random.Random(20260800 + i)
+        assert rows[f"rand{i}"] == tuple(rng.randint(-9, 9) % 149**2 for _ in range(149)), (order, i)

@@ -5,11 +5,13 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from supercong.combinatorics import _binomial_row
 from supercong.congruences import TERM_KINDS, family_catalog, sums, truncated_sum
 from supercong.congruences.identities import M_SET
 from supercong.errors import NonUnitDivisor, NotPAdicInteger, PrecisionMismatch
@@ -253,6 +255,60 @@ def test_shift_sequence_raises_when_a_scalar_call_raises(term, spec, monkeypatch
                         assert got == want, (q, upper, ds, k_factor, catalan_weight, power)
                         outcomes.add(want is NotPAdicInteger)
     assert outcomes == {True, False}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 2**70), min_size=1, max_size=40),
+    st.lists(st.sampled_from([0, 1, 255, 256, 2**64 - 1, 2**64]) | st.integers(0, 2**70), min_size=1, max_size=40),
+    st.integers(0, 80),
+)
+@example([0], [0], 1)
+@example([7], [3, 0, 5], 3)
+@example([2**70, 0], [0, 0, 0], 4)  # all-zero products, wide entries
+@example([2**64 - 1] * 2, [2**64 - 1], 2)  # every product fills its slot
+def test_product_matches_naive_sum(a, b, count):
+    # slot-wide values (255, 2^64 - 1) sit on a byte boundary of the packing
+    size = len(a) + len(b) - 1
+    want = [sum(a[i] * b[n - i] for i in range(len(a)) if 0 <= n - i < len(b)) for n in range(size)]
+    # the first len(a) slots, as the dual and L1 read them
+    assert sums._product(a, b, 0, len(a)) == want[: len(a)]
+    assert sums._product(b, a, 0, len(b)) == want[: len(b)]
+    # a window of up to count slots at every start, as the double kernels read one
+    for start in range(size):
+        stop = min(start + count, size)
+        assert sums._product(a, b, start, stop - start) == want[start:stop], start
+
+
+def _per_shift_double(kind, q, upper, m, ds, k_factor, catalan_weight, power):
+    """The per-shift oracle of a double kernel's residues: sum_k t_k C(2(k+d), k+d) mod p^power,
+    one pass of products per shift d, with t_k its d-free factors over m^k times the weight
+    a + b k + c/(k+1); k + 1 <= upper + 1 < p is a unit for upper = (p-1)/2."""
+    mod = q**power
+    a, b, c = sums._FLAG_WEIGHTS[k_factor, catalan_weight]
+    table = sums._kernel_table(kind, q, m)[: upper + 1]
+    terms = [t * (a + b * k + c * pow(k + 1, -1, mod)) % mod for k, t in enumerate(table)]
+    row = [x % mod for x in _binomial_row(q, 2, 1)]
+    return [sum(map(mul, terms, row[d:])) % mod for d in ds]
+
+
+@pytest.mark.parametrize("kind", ["central_double", "cubic_double", "quartic_double"])
+def test_double_kernels_match_the_per_shift_oracle(kind):
+    # every shift of p = 1999 in one call, and a shuffled sample with repeats,
+    # at every flag pair and K; the oracle is taken mod p^3 once and reduced
+    q, upper = 1999, 999
+    rng = random.Random(1999)
+    m = rng.choice(_CATALOG_BASES)
+    every = list(range(upper + 1))
+    sample = rng.choices(every, k=300)
+    assert len(set(sample)) < len(sample)
+    for k_factor, catalan_weight in _FLAGS:
+        oracle = _per_shift_double(kind, q, upper, m, every, k_factor, catalan_weight, 3)
+        for power in (1, 2, 3):
+            flags = {"k_factor": k_factor, "catalan_weight": catalan_weight, "power": power}
+            want = [x % q**power for x in oracle]
+            assert truncated_sum(kind, q, upper, m, d=every, **flags) == want, (kind, flags)
+            assert truncated_sum(kind, q, upper, m, d=sample, **flags) == [want[d] for d in sample], (kind, flags)
 
 
 def test_kernel_table_cache_holds_one_prime(monkeypatch):
