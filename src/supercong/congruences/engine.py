@@ -1,11 +1,14 @@
 """Suite runner: evaluates catalog families over a prime range.
 
 Work is scheduled one job per prime (so per-prime tables are built once), on
-at most one worker per prime and per CPU, this process included. It runs
-inline when that leaves one, and also wherever os.fork or os.memfd_create is
-missing, that is on every platform but Linux. Otherwise this process forks
-the other workers itself, as helpers, and never imports multiprocessing or
-concurrent.futures. The primes not claimed yet form a window, two int64
+at most one worker per prime and per CPU this process may run on (its affinity
+mask), this process included. It runs inline when that leaves one, and also
+wherever os.fork or os.memfd_create is missing, that is on every platform but
+Linux. Otherwise this process forks the other workers itself, as helpers, and
+never imports multiprocessing or concurrent.futures. Each helper starts on a
+CPU other than this process's, so the two do not share one CPU for a whole
+short run; it moves there and at once gets back the mask it inherited, so no
+process stays pinned. The primes not claimed yet form a window, two int64
 counters in a memfd shared across the fork and moved under fcntl.lockf: this
 process claims primes from its bottom and each helper from its top, so they
 meet where their costs balance. Each helper pickles what it evaluated into a
@@ -174,6 +177,39 @@ def _skip_prime(ids: tuple[str, ...], p: int, note: str) -> dict[str, CaseBlock]
     return {fam.id: _marker(fam, p, note) if fam.applies(p) else _not_applicable(fam, p) for fam in families}
 
 
+def _cpus() -> list[int]:
+    """The CPUs this process may run on, sorted, or [] where the platform does not say."""
+    if not hasattr(os, "sched_getaffinity"):
+        return []
+    return sorted(os.sched_getaffinity(0))
+
+
+def _current_cpu() -> int | None:
+    """The CPU this process last ran on, field 39 of /proc/self/stat, or None when unreadable."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            # field 2, the command name in parentheses, may hold spaces
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _start_on(cpu: int) -> None:
+    """Move this process to cpu, then give it back the mask it inherited.
+
+    A mask that leaves out the CPU a process runs on moves it at once, and
+    widening the mask again leaves it where it is: it starts on cpu and
+    stays free to move. An OSError, such as for a CPU that does not exist,
+    leaves it where it was.
+    """
+    try:
+        inherited = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, inherited)
+    except OSError:
+        pass
+
+
 class _Helpers:
     """The helper processes of a pooled run, forked when made and killed on exit.
 
@@ -182,8 +218,12 @@ class _Helpers:
     the kernel drops if the process holding it dies. Each helper claims from
     the top until the ends meet, the time budget is spent or a prime raises,
     and pickles (p, blocks), or (p, exception) before it stops, into its own
-    memfd spool. Leaving the with block kills and reaps every helper not
-    reaped yet, so no child outlives the run.
+    memfd spool. Helper i first moves to others[i % len(others)], the cpus
+    but the one this process is on when it forks them, then gets back the
+    mask it inherited (_start_on); with no readable CPU or no other one it
+    stays where the kernel put it. Placement never touches this process's
+    mask, and no row depends on it. Leaving the with block kills and reaps
+    every helper not reaped yet, so no child outlives the run.
     """
 
     def __init__(
@@ -192,18 +232,22 @@ class _Helpers:
         primes: Sequence[int],
         evaluate: Callable[[int], dict[str, CaseBlock]],
         over_budget: Callable[[], bool],
+        cpus: Sequence[int],
     ) -> None:
+        here = _current_cpu()
+        others = [cpu for cpu in cpus if cpu != here] if here is not None else []
         self.window = os.memfd_create("supercong-window")
         os.write(self.window, array("q", (0, len(primes))))
         self.spools: list[int] = []
         self.live: list[int] = []  # the pids not reaped yet
         gc.freeze()  # a helper's collections then skip every object it inherits
         try:
-            for _ in range(count):
+            for i in range(count):
                 self.spools.append(os.memfd_create("supercong-spool"))
                 pid = os.fork()
                 if pid == 0:
-                    self._serve(self.spools[-1], primes, evaluate, over_budget)
+                    cpu = others[i % len(others)] if others else None
+                    self._serve(self.spools[-1], cpu, primes, evaluate, over_budget)
                 self.live.append(pid)
         except BaseException:
             self.close()
@@ -244,10 +288,12 @@ class _Helpers:
         finally:
             fcntl.lockf(self.window, fcntl.LOCK_UN)
 
-    def _serve(self, spool: int, primes: Sequence[int], evaluate, over_budget) -> NoReturn:
+    def _serve(self, spool: int, cpu: int | None, primes: Sequence[int], evaluate, over_budget) -> NoReturn:
         """A helper's whole life: it exits here and never returns into the caller's stack."""
         code = 1
         try:
+            if cpu is not None:
+                _start_on(cpu)
             with open(spool, "wb", closefd=False) as out:
                 while not over_budget() and (i := self.claim(top=True)) is not None:
                     try:
@@ -318,12 +364,14 @@ def run_suite(
     primes either one skips appear as marker rows, and the exit verdict
     reflects only what was actually evaluated. parallelism is an upper
     bound on the processes, this one included: at most one worker per prime
-    and per CPU, and none but this one when that leaves one or the platform
-    lacks os.fork or os.memfd_create (all but Linux). Otherwise this process
-    forks workers - 1 helpers, which claim primes from the top of a shared
-    window while this process claims them from the bottom, and check the
-    budget before each claim as it does. Once its own claims run out, this
-    process waits for every helper and loads what each spooled. Results are
+    and per CPU this process may run on (_cpus), and none but this one when
+    that leaves one or the platform lacks os.fork or os.memfd_create (all
+    but Linux). Otherwise this process forks workers - 1 helpers, each
+    started on a CPU other than this process's, which claim primes from the
+    top of a shared window while this process claims them from the bottom,
+    and check the budget before each claim as it does. Once its own claims
+    run out, this process waits for every helper and loads what each
+    spooled. Results are
     read and stopped in prime order, so the rows do not depend on which
     process evaluated a prime, and an exception a helper raised is raised
     when its prime is read, with its type and message, or as a RuntimeError
@@ -352,7 +400,8 @@ def run_suite(
     t0 = perf_counter()
 
     ids = tuple(selected)
-    workers = min(parallelism, len(prime_list), os.cpu_count() or 1) if _FORKS else 1
+    cpus = _cpus()
+    workers = min(parallelism, len(prime_list), len(cpus) or 1) if _FORKS else 1
 
     def evaluate(p: int) -> dict[str, CaseBlock]:
         return _eval_prime(ids, p, sweep_cap)
@@ -362,7 +411,7 @@ def run_suite(
 
     evaluated: list[dict[str, CaseBlock]] = []  # by prime, up to a stop
     stopped = False
-    with _Helpers(workers - 1, prime_list, evaluate, over_budget) if workers > 1 else nullcontext() as helpers:
+    with _Helpers(workers - 1, prime_list, evaluate, over_budget, cpus) if workers > 1 else nullcontext() as helpers:
         spooled = None  # loaded once this process's claims run out
         for p in prime_list:
             if stopped or over_budget():

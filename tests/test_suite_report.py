@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import errno
 import gc
 import hashlib
 import json
@@ -134,13 +135,13 @@ needs_fork = pytest.mark.skipif(not engine._FORKS, reason="run_suite forks helpe
 @needs_fork
 def test_pool_is_bounded_by_primes_and_cpus(monkeypatch):
     forks = _count_forks(monkeypatch)
-    want = min(2, os.cpu_count() or 1)
+    want = min(2, len(engine._cpus()) or 1)
     report = run_suite([5, 7], ["B1"], parallelism=64)
     assert len(forks) == want - 1  # this process is the other worker
     assert report.config["parallelism"] == 64
     assert report_to_dict(report)["cases"] == report_to_dict(run_suite([5, 7], ["B1"]))["cases"]
-    for cpus, primes, helpers in [(3, primes_between(5, 30), 2), (4, [5, 7], 1), (1, [5, 7], 0), (None, [5, 7], 0)]:
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+    for cpus, primes, helpers in [(3, primes_between(5, 30), 2), (4, [5, 7], 1), (1, [5, 7], 0), (0, [5, 7], 0)]:
+        monkeypatch.setattr(engine, "_cpus", lambda: list(range(cpus)))
         forks.clear()
         run_suite(primes, ["B1"], parallelism=64)
         assert len(forks) == helpers, cpus
@@ -153,7 +154,7 @@ def test_pool_is_bounded_by_primes_and_cpus(monkeypatch):
 
 @needs_fork
 def test_caller_takes_the_primes_from_the_bottom(monkeypatch, tmp_path):
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(engine, "_cpus", lambda: [0, 1, 2, 3])
     forks = _count_forks(monkeypatch)
     # a slow caller leaves the helpers some of the top primes
     evaluated = _record_evaluations(monkeypatch, tmp_path, caller_delay=0.05)
@@ -174,7 +175,7 @@ def test_caller_takes_the_primes_from_the_bottom(monkeypatch, tmp_path):
 def test_fail_fast_kills_every_helper(monkeypatch, tmp_path):
     fid = "XFAIL7-TEST"
     monkeypatch.setitem(_BY_ID, fid, _fails_at_seven(fid))
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(engine, "_cpus", lambda: [0, 1, 2, 3])
     evaluated = _record_evaluations(monkeypatch, tmp_path, helper_delay=0.05)
     reads = _count_reads(monkeypatch)
     primes = primes_between(5, 60)
@@ -188,7 +189,7 @@ def test_fail_fast_kills_every_helper(monkeypatch, tmp_path):
 
 @needs_fork
 def test_an_error_kills_every_helper(monkeypatch, tmp_path):
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(engine, "_cpus", lambda: [0, 1, 2, 3])
     evaluated = _record_evaluations(monkeypatch, tmp_path, helper_delay=0.05)
     reads = _count_reads(monkeypatch)
     eval_prime = engine._eval_prime
@@ -227,7 +228,7 @@ def _planted(fid, primes, helper_top):
 def test_a_helper_that_dies_raises(monkeypatch):
     fid, primes = "XDIES-TEST", primes_between(5, 60)
     monkeypatch.setitem(_BY_ID, fid, _planted(fid, primes, lambda q: os._exit(3)))
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(engine, "_cpus", lambda: [0, 1, 2, 3])
     with pytest.raises(RuntimeError, match="ended with exit code 3"):
         run_suite(primes, [fid], parallelism=2)
     _assert_no_child_left()
@@ -239,7 +240,7 @@ def test_a_helper_exception_reaches_the_caller(monkeypatch):
         """Local, so pickle cannot find it by name."""
 
     fid, primes = "XRAISES-TEST", primes_between(5, 60)
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(engine, "_cpus", lambda: [0, 1, 2, 3])
     for error in (ValueError, Unpicklable):
 
         def raises(q):
@@ -269,7 +270,7 @@ def test_a_stop_does_not_wait_for_the_helpers(monkeypatch):
 
     family = CongruenceFamily(fid, "synthetic: fails at 7, slow in helpers", 1, lambda q: True, cases)
     monkeypatch.setitem(_BY_ID, fid, family)
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(engine, "_cpus", lambda: [0, 1, 2, 3])
     primes = primes_between(5, 60)
     t0 = time.perf_counter()
     pooled = run_suite(primes, ["B1", fid], parallelism=2, fail_fast=True)
@@ -277,6 +278,93 @@ def test_a_stop_does_not_wait_for_the_helpers(monkeypatch):
     _assert_no_child_left()
     inline = run_suite(primes, ["B1", fid], parallelism=1, fail_fast=True)
     assert report_to_dict(pooled)["cases"] == report_to_dict(inline)["cases"]
+
+
+def _record_affinity(monkeypatch, tmp_path):
+    """Wrap os.sched_setaffinity to log which process sets which mask.
+
+    Each call appends one "pid mask outcome" line to a file opened for
+    append, as _record_evaluations logs primes; the outcome is "ok" or the
+    errno name the call raised. The returned function reads the log back as
+    {pid: [(mask, outcome), ...]}, each in call order.
+    """
+    log, setaffinity = tmp_path / "affinity", os.sched_setaffinity
+
+    def recorded(pid, mask):
+        outcome = "ok"
+        try:
+            setaffinity(pid, mask)
+        except OSError as exc:
+            outcome = errno.errorcode[exc.errno]
+            raise
+        finally:
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {','.join(map(str, sorted(mask)))} {outcome}\n")
+
+    def calls():
+        by_pid = {}
+        for line in log.read_text().splitlines() if log.exists() else []:
+            pid, mask, outcome = line.split()
+            by_pid.setdefault(int(pid), []).append(({*map(int, mask.split(","))}, outcome))
+        return by_pid
+
+    monkeypatch.setattr(engine.os, "sched_setaffinity", recorded)
+    return calls
+
+
+@needs_fork
+@pytest.mark.skipif(len(engine._cpus()) < 2, reason="needs two CPUs this process may run on")
+def test_each_helper_starts_on_another_cpu_and_gets_its_mask_back(monkeypatch, tmp_path):
+    forks = _count_forks(monkeypatch)
+    calls = _record_affinity(monkeypatch, tmp_path)
+    # a slow caller never claims every prime, so no helper is killed before it is placed
+    _record_evaluations(monkeypatch, tmp_path, caller_delay=0.02)
+    seen, current_cpu = [], engine._current_cpu
+    monkeypatch.setattr(engine, "_current_cpu", lambda: seen.append(current_cpu()) or seen[-1])
+    before = os.sched_getaffinity(0)
+    primes = primes_between(5, 60)
+    pooled = run_suite(primes, ["B1", "E1.4"], parallelism=3)
+    assert os.sched_getaffinity(0) == before
+    (here,) = seen  # the caller's CPU, read once before it forks
+    by_pid = calls()
+    assert here in before and os.getpid() not in by_pid  # the caller's mask is never set
+    assert len(forks) == min(3, len(before)) - 1 and sorted(by_pid) == sorted(forks)
+    for (first, outcome), *rest in by_pid.values():
+        assert outcome == "ok" and len(first) == 1 and first <= before - {here}  # one CPU, not the caller's
+        assert rest == [(before, "ok")]  # then the inherited mask, once
+    assert len(set().union(*(first for (first, _), *_ in by_pid.values()))) == len(forks)  # a CPU each
+    inline = run_suite(primes, ["B1", "E1.4"])
+    assert report_to_dict(pooled)["cases"] == report_to_dict(inline)["cases"]
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_one_usable_cpu_forks_no_helper(monkeypatch, tmp_path):
+    forks = _count_forks(monkeypatch)
+    calls = _record_affinity(monkeypatch, tmp_path)
+    monkeypatch.setattr(engine, "_cpus", lambda: [0])
+    primes = primes_between(5, 30)
+    pooled = run_suite(primes, ["B1"], parallelism=2)
+    assert forks == [] and calls() == {}
+    assert report_to_dict(pooled)["cases"] == report_to_dict(run_suite(primes, ["B1"]))["cases"]
+
+
+@needs_fork
+def test_a_cpu_that_does_not_exist_leaves_the_helper_where_it_is(monkeypatch, tmp_path):
+    forks = _count_forks(monkeypatch)
+    calls = _record_affinity(monkeypatch, tmp_path)
+    # a slow caller leaves the helpers some of the top primes, and never claims every prime
+    evaluated = _record_evaluations(monkeypatch, tmp_path, caller_delay=0.02)
+    missing = 1 << 16  # past the CPU count of any kernel
+    monkeypatch.setattr(engine, "_cpus", lambda: [missing, missing + 1, missing + 2])
+    primes = primes_between(5, 60)
+    pooled = run_suite(primes, ["B1", "E1.4"], parallelism=3)
+    # helper i tries others[i]; each call raised, and there is nothing to restore
+    assert calls() == {pid: [({missing + i}, "EINVAL")] for i, pid in enumerate(forks)} and len(forks) == 2
+    assert set(evaluated()[1]) and set(evaluated()[1]) <= set(forks)  # and the helpers served all the same
+    inline = run_suite(primes, ["B1", "E1.4"])
+    assert report_to_dict(pooled)["cases"] == report_to_dict(inline)["cases"]
+    _assert_no_child_left()
 
 
 def test_blocks_pickle_as_they_are(monkeypatch):
@@ -312,7 +400,7 @@ def test_sweep_cap_inserts_marker_row():
 
 
 def test_time_budget_turns_pairs_into_markers(monkeypatch):
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(engine, "_cpus", lambda: [0, 1, 2, 3])
     for parallelism in (1, 2):  # helpers check the budget before each claim, as the caller does
         report = run_suite(primes_between(5, 20), time_limit=0.0, parallelism=parallelism)
         assert report.cases
@@ -806,10 +894,10 @@ def test_a_run_without_a_pool_never_imports_it():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     code = (
-        "import os, sys\n"
-        "from supercong.congruences import run_suite\n"
+        "import sys\n"
+        "from supercong.congruences import engine, run_suite\n"
         "assert run_suite([5, 7], ['B1']).ok\n"
-        "os.cpu_count = lambda: 2\n"  # a pooled run, with one helper, on any runner
+        "engine._cpus = lambda: [0, 1]\n"  # a pooled run, with one helper, on any runner
         "assert run_suite([5, 7, 11, 13], ['B1'], parallelism=2).ok\n"
         "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
     )
