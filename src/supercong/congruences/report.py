@@ -3,11 +3,15 @@
 Key order is fixed so that parse -> serialize round-trips byte-identically.
 The JSON is exactly ``json.dumps(report_to_dict(r), indent=2,
 ensure_ascii=False) + "\\n"``. The only hand-written layout is the row
-template, because the indenting encoder is pure Python and would dominate a
+layout, because the indenting encoder is pure Python and would dominate a
 large report: a ``SuiteReport`` is written from its case blocks, and each
-row is a run head plus a row tail. Each run of rows with one param-key
-tuple gets one head %-template, with the family, p, modulus and encoded
-keys already in it, and every row of the run fills in its param values.
+row is a run head plus a row tail. A head, up to the modulus, is the sum of
+one piece per param column of its run: the key text and the row's value,
+with the run's lead (family, p) before the first column and its closing
+text (modulus) after the last. A column of exact ints, or an int64 array,
+renders each distinct value once per run, so the p(p+1)/2 heads of a T1.1
+block at p take p + (p+1)/2 rendered pieces; any other column renders row
+by row. _run_heads is the one head builder of both writers.
 The tail, from "lhs" on, depends only on the row's (lhs, rhs, verdict) and
 the block's modulus, so a per-block memo formats each distinct key once,
 on its first row; a noted row takes its key's tail with the note put in
@@ -34,6 +38,7 @@ from __future__ import annotations
 import csv
 import json
 from array import array
+from functools import partial, reduce
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring, encode_basestring_ascii
 from operator import add
@@ -61,8 +66,7 @@ CSV_COLUMNS = (
 _ROW_KEYS = CSV_COLUMNS[:-1]  # a row's keys; "note" follows only when there is one
 
 # One case row in the json.dumps(indent=2) layout, at its depth in the report,
-# in two parts: the run head, up to the modulus, and the row tail from lhs on.
-_HEAD = '    {\n      "family": %s,\n      "p": %s,\n      "params": %s,\n      "modulus": %s,\n'
+# is a run head, up to the modulus (see _block_rows), and a row tail from lhs on.
 _END = "\n    }"
 _TAIL = '      "lhs": %d,\n      "rhs": %d,\n      "lhs_signed": %d,\n      "rhs_signed": %d,\n      "pass": %s' + _END
 _NOTE = ',\n      "note": '
@@ -127,35 +131,31 @@ def _value_text(value) -> str:
     return _nested(value, 4)
 
 
-def _params_layout(items: Iterable[tuple[str, str]]) -> str:
-    """The params object of a row template from (encoded key, value slot) pairs."""
-    items = [f"{key}: {text}" for key, text in items]
-    return "{\n        " + ",\n        ".join(items) + "\n      }" if items else "{}"
-
-
 def _is_int64_array(residues: list | array) -> bool:
     """Whether residues is an int64 array, as _compact stores a side that fits."""
     return type(residues) is array and residues.typecode == "q"
 
 
-def _literal(template: str) -> str:
-    """Text to put into a %-template as it is."""
-    return template.replace("%", "%%")
-
-
-def _slots(columns: tuple[list | array, ...], text) -> tuple[list, list[str]]:
-    """Each value column as %-template arguments, and its slot: an int64 array
-    or a column of exact ints as it is under %d (their repr), any other through
-    text under %s."""
-    values, slots = [], []
-    for column in columns:
+def _run_heads(lead: str, keys: list[str], columns: tuple, rows: int, close: str, text: Callable) -> Iterator[str]:
+    """The heads of the rows of one run: lead, then per column its key text
+    and the row's value, with "," between columns, then close. Each column
+    is a list of pieces, with lead before the first and close after the last:
+    an int64 array or a column of exact ints renders each distinct value once,
+    through int.__repr__; any other column renders each row through text, as
+    a memo would collide True with 1 and -0.0 with 0.0. A row's head is the
+    sum of its pieces, and a run without keys has one head."""
+    if not keys:
+        return repeat(lead + close, rows)
+    pieces, last = [], len(keys) - 1
+    for i, (key, column) in enumerate(zip(keys, columns)):
+        before = lead + key if i == 0 else key
+        after = close if i == last else ","
         if _is_int64_array(column) or {*map(type, column)} == {int}:
-            values.append(column)
-            slots.append("%d")
+            memo = {value: before + int.__repr__(value) + after for value in {*column}}
+            pieces.append(map(memo.__getitem__, column))
         else:
-            values.append(map(text, column))
-            slots.append("%s")
-    return values, slots
+            pieces.append([before + text(value) + after for value in column])
+    return reduce(partial(map, add), pieces)
 
 
 def _fits_templates(block: CaseBlock) -> bool:
@@ -204,13 +204,13 @@ def _block_rows(block: CaseBlock) -> Iterator[str]:
     """The JSON text of every row of the block."""
     if not _fits_templates(block):
         return ("    " + _nested(_as_dict(_fields(row)), 2) for row in block)
-    family, p, modulus = _literal(encode_basestring(block.family)), block.p, block.modulus
+    lead = '    {\n      "family": %s,\n      "p": %d,\n      "params": {' % (encode_basestring(block.family), block.p)
+    modulus = ',\n      "modulus": %d,\n' % block.modulus
     heads = []
     for keys, start, stop, columns in _spans(block.runs):
-        values, slots = _slots(columns, _value_text)
-        params = _params_layout(zip((_literal(encode_basestring(key)) for key in keys), slots))
-        template = _HEAD % (family, p, params, modulus)
-        heads.append(map(template.__mod__, zip(*values)) if values else repeat(template % (), stop - start))
+        names = ["\n        %s: " % encode_basestring(key) for key in keys]
+        close = ("\n      }" if keys else "}") + modulus
+        heads.append(_run_heads(lead, names, columns, stop - start, close, _value_text))
     return _rows(block, chain.from_iterable(heads), _TAIL.__mod__, _noted_text)
 
 
@@ -260,14 +260,6 @@ def _csv_value(value) -> str:
     return json.dumps(value, separators=(",", ":"))
 
 
-def _csv_params(keys: tuple, columns: tuple, rows: int) -> Iterator[str]:
-    """The compact JSON params of each of the rows of one run with text keys."""
-    values, slots = _slots(columns, _csv_value)
-    items = (f"{_literal(encode_basestring_ascii(key))}:{slot}" for key, slot in zip(keys, slots))
-    template = "{" + ",".join(items) + "}"
-    return map(template.__mod__, zip(*values)) if columns else repeat("{}", rows)
-
-
 def _csv_fields(row: VerificationReport) -> tuple:
     """A row off the templates' schema as CSV fields."""
     family, p, params, modulus, *residues, passed, note = _fields(row)
@@ -278,7 +270,10 @@ def _csv_block_rows(block: CaseBlock) -> Iterator[tuple]:
     """The CSV fields of every row of the block."""
     if not _fits_templates(block):
         return map(_csv_fields, block)
-    params = (_csv_params(keys, columns, stop - start) for keys, start, stop, columns in _spans(block.runs))
+    params = (  # each row's params in compact JSON
+        _run_heads("{", [encode_basestring_ascii(key) + ":" for key in keys], columns, stop - start, "}", _csv_value)
+        for keys, start, stop, columns in _spans(block.runs)
+    )
     heads = zip(repeat(block.family), repeat(block.p), chain.from_iterable(params), repeat(block.modulus))
     return _rows(block, heads, lambda values: (*values, ""), lambda tail, note: (*tail[:-1], note))
 

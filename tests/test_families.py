@@ -37,7 +37,7 @@ from supercong.congruences.families import (
 )
 from supercong.congruences.identities import M_SET
 from supercong.curves import char_sum_a, thm11_rhs, weighted_char_sum
-from supercong.errors import UnknownId
+from supercong.errors import NonUnitDivisor, UnknownId, WrongResidueClass
 from supercong.padic import legendre_symbol, padic_from_rational, primes_between
 
 # Legendre-symbol signs of the polynomial families, from Euler's criterion
@@ -455,6 +455,39 @@ def test_double_chains_fail_one_shift_past_their_range(fid, kind, base, sign, di
         assert in_range(q) == get_family(fid).cases(q), (fid, q)  # the chain above is the catalog's
         assert in_range(q).counts[1] == 0, (fid, q)
         assert past(q).counts[1], (fid, q)
+
+
+# Negative controls: at each prime in [5, 150] that a family's applies excludes,
+# its claim is outside its stated domain and must not hold there. A family that
+# passes there points to a vacuous comparison, a collapsed modulus or a wrong
+# applies.
+_FAILS_OUTSIDE = ["E1.5", "E1.6", *(f"C1.1{c}" for c in "abcdef"), "E1.20", "E1.21", "E1.22", "A1", "A2", "B4"]
+_RAISES_OUTSIDE = {
+    **dict.fromkeys(["G1", "G2", "G3", "G4"], WrongResidueClass),  # x in p = x^2 + y^2 needs p = 1 mod 4
+    **dict.fromkeys(["C1.2g", "C1.2h"], NonUnitDivisor),  # a base divisible by 7
+}
+
+
+def _excluded(fid):
+    return [q for q in primes_between(5, 150) if not get_family(fid).applies(q)]
+
+
+def test_every_family_with_an_excluded_prime_has_a_negative_control():
+    assert {fid for fid in family_ids() if _excluded(fid)} == {*_FAILS_OUTSIDE, *_RAISES_OUTSIDE}
+    assert _excluded("B4") == [5] and _excluded("C1.2g") == _excluded("C1.2h") == [7]
+
+
+@pytest.mark.parametrize("fid", _FAILS_OUTSIDE)
+def test_a_claim_fails_at_every_prime_its_domain_excludes(fid):
+    for q in _excluded(fid):
+        assert get_family(fid).cases(q).counts[1], (fid, q)
+
+
+@pytest.mark.parametrize("fid", _RAISES_OUTSIDE)
+def test_a_claim_cannot_be_evaluated_at_the_primes_its_domain_excludes(fid):
+    for q in _excluded(fid):
+        with pytest.raises(_RAISES_OUTSIDE[fid]):
+            get_family(fid).cases(q)
 
 
 # Every family that calls truncated_sum. The per-d families call it once per

@@ -811,15 +811,60 @@ _TAIL_EDGES = {
 }
 
 
-@pytest.mark.parametrize("rows", _TAIL_EDGES.values(), ids=_TAIL_EDGES.keys())
-def test_row_tail_edges_match_json_dumps(rows, monkeypatch):
+# A row head is one piece per param column: each distinct exact int of a column
+# is rendered once per run, and any other value row by row.
+_HEAD_EDGES = {
+    "int-text-int-columns": [
+        _row("F", 49, {"k": 0, "s": "a", "m": 5}, 1, 1, True),
+        _row("F", 49, {"k": 1, "s": "b", "m": 5}, 1, 1, True),
+        _row("F", 49, {"k": 0, "s": "a", "m": 6}, 1, 2, False),
+        _row("F", 49, {"k": 2, "s": [1, "c"], "m": 5}, 1, 1, True),
+    ],
+    "one-column-of-1-true-1.0-0.0-minus-0.0": [
+        _row("F", 49, {"k": value}, 1, 1, True) for value in (1, True, 1.0, 0, 0.0, -0.0, False, 1, True)
+    ],
+    "ints-past-256-and-negative": [
+        _row("F", 49, {"k": value, "j": -value}, 1, 1, True)
+        for value in (257, -1, 1000, 257, -(2**63), 2**63 - 1, 0, -300, 1000)
+    ]
+    + [_row("F", 49, {"big": value}, 1, 1, True) for value in (2**70, -(2**70), 2**70, 3)],
+    "param-free-run-between-keyed-runs": [
+        _row("F", 49, {"a": 1, "b": 2}, 1, 1, True),
+        _row("F", 49, {}, 1, 2, False),
+        _row("F", 49, {}, 1, 1, None, "skipped"),
+        _row("F", 49, {"a": 1}, 1, 1, True),
+        _row("F", 49, {"a": 1}, 1, 1, True),
+    ],
+    "percent-in-keys": [
+        _row("F%d", 49, {"%d": 1, "k%s%%": "%s", "%": 2}, 1, 1, True),
+        _row("F%d", 49, {"%d": 300, "k%s%%": "%%d", "%": 2}, 1, 1, True),
+    ],
+}
+
+
+def _assert_both_writers_take_the_templates(blocks, monkeypatch):
     fits = []
     real = report_module._fits_templates
     monkeypatch.setattr(report_module, "_fits_templates", lambda block: fits.append(real(block)) or fits[-1])
-    report = SuiteReport({}, "2000-01-01T00:00:00+00:00", 0.0, blocks=_blocks(rows))
+    report = SuiteReport({}, "2000-01-01T00:00:00+00:00", 0.0, blocks=blocks)
     _assert_json_matches_oracle(report)
     _assert_csv_matches_rows(report)
     assert fits and all(fits)  # both formats took the templates, not the row-by-row fallback
+
+
+@pytest.mark.parametrize("rows", _TAIL_EDGES.values(), ids=_TAIL_EDGES.keys())
+def test_row_tail_edges_match_json_dumps(rows, monkeypatch):
+    _assert_both_writers_take_the_templates(_blocks(rows), monkeypatch)
+
+
+@pytest.mark.parametrize("compact", [False, True], ids=["lists", "int64-arrays"])
+@pytest.mark.parametrize("rows", _HEAD_EDGES.values(), ids=_HEAD_EDGES.keys())
+def test_row_head_edges_match_json_dumps(rows, compact, monkeypatch):
+    blocks = _blocks(rows)
+    if compact:  # each param column of exact ints that all fit becomes an int64 array, as T1.1's are
+        for block in blocks:
+            block.runs = [[keys, stop, tuple(map(engine._compact, columns))] for keys, stop, columns in block.runs]
+    _assert_both_writers_take_the_templates(blocks, monkeypatch)
 
 
 def test_an_off_schema_block_goes_through_the_csv_fallback(monkeypatch):
@@ -857,6 +902,15 @@ def test_a_t11_block_formats_one_tail_per_distinct_residue(monkeypatch):
     assert len(block) == 13 * 14 // 2 and block.counts == (len(block), 0, 0)
     assert CountingTail.calls == len(set(block.lhs)) <= 13
     assert text == _json_oracle(report)
+
+
+def test_a_t11_block_renders_no_param_value_row_by_row(monkeypatch):
+    texts = []
+    real = report_module._value_text
+    monkeypatch.setattr(report_module, "_value_text", lambda value: texts.append(value) or real(value))
+    report = SuiteReport({}, "2000-01-01T00:00:00+00:00", 0.0, blocks=[verify_family_case("T1.1", 293)])
+    assert dumps_json(report) == _json_oracle(report)
+    assert texts == []  # each lam and d piece comes from its column's memo, past the small-int cache too
 
 
 @pytest.mark.parametrize(
