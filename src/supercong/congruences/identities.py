@@ -2,15 +2,18 @@
 
 Each identity yields its cases as CaseBlocks (columns.py), one per n, with
 their verdicts taken at construction. A block holds two integer numerator
-columns over one shared denominator, given beside it as an int, or as a list
-by row where it varies: lcm(1..u+1) m^u times the summand's scale and the
-closed form's denominator for I1-I4a, 16^n for I5, base^(n-1) for Z2-Z4 and
-1 for the rest. A row passes when its numerators are equal. So
-run_identities reads each block's counts and builds an IdentityCase only for
-a failure it keeps, and cases(max_n) flattens the blocks for the tests. The
-lemmas I8-I11 are catalog families (families.py): their blocks are the
-engine's, one per prime p <= 2 max_n + 1 from verify_family_case, stamped
-there with the family, p and modulus p^K, and their residues are canonical.
+columns over one shared denominator, which comes beside it deferred: a
+zero-argument function that gives an int, or a list by row where it varies.
+It is lcm(1..u+1) m^u times the summand's scale and the closed form's
+denominator for I1-I4a, 16^n for I5, base^(n-1) for Z2-Z4 and 1 for the
+rest. A row passes when its numerators are equal, so no verdict reads a
+denominator: run_identities reads each block's counts and resolves the
+denominator, and builds an IdentityCase, only for a failure it keeps, and
+cases(max_n) resolves it once per block as it flattens the blocks for the
+tests. A passing run forms no lcm(1..u+1) m^u product. The lemmas I8-I11
+are catalog families (families.py): their blocks are the engine's, one per
+prime p <= 2 max_n + 1 from verify_family_case, stamped there with the
+family, p and modulus p^K, and their residues are canonical.
 
 I1-I5 carry their partial sums at fixed bases across n, one step of
 sums.weighted_prefixes (the evaluator behind the catalog's exact
@@ -19,11 +22,13 @@ process, is one Horner evaluation of a sums._weighted_coefficients list
 carried the same way. Kernels N_kind(k) come from sums.TERM_KINDS, each
 computed once per run; the binomials inside I5, I6, Z1 and the Z2-Z4 tails
 from rows built once per run. I6 sums half its window, by the symmetry of
-both rows. Z1 carries the diagonals C(2k, k+d) across n. I7 builds
-(t^2 + t + x)^n across n as one int per power of t, with x -> 2^width
-(Kronecker substitution). The right sides of I6, I7 and Z2-Z4 stay on
-math.comb, and I5's steps C(2n+1, .) down from one comb by its term ratio,
-so both sides take different routes.
+both rows, with each row's right half sliced once per run; its right side
+C(2k+2d, k+d) is one math.comb(2j, j) per j = k + d, built once per run.
+Z1 carries the diagonals C(2k, k+d) across n. I7 builds (t^2 + t + x)^n
+across n as one int per power of t, with x -> 2^width (Kronecker
+substitution). The right sides of I6, I7 and Z2-Z4 stay on math.comb, and
+I5's steps C(2n+1, .) down from one comb by its term ratio, so both sides
+take different routes.
 """
 
 from __future__ import annotations
@@ -31,12 +36,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import chain, count, islice, repeat
 from math import comb
 from operator import add, lshift, mul
 from time import perf_counter
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from ..combinatorics import catalan  # noqa: F401  (perfbench/tracing.py wraps identities.catalan)
 from ..errors import UnknownId
@@ -109,11 +114,18 @@ class IdentityCase:
         return (self.params, self.modulus, self.lhs, self.rhs) == (other.params, other.modulus, other.lhs, other.rhs)
 
 
-Blocks = Iterator[tuple[CaseBlock, int | list[int]]]
+# A block's denominator, deferred: called only to turn a row into an IdentityCase.
+Den = Callable[[], int | list[int]]
+Blocks = Iterator[tuple[CaseBlock, Den]]
+
+
+def _unit() -> int:
+    """The denominator of a block whose sides are integers."""
+    return 1
 
 
 def _case(block: CaseBlock, den: int | list[int], i: int) -> IdentityCase:
-    """Row i of a block over its denominator; a lemma's params lead with its prime."""
+    """Row i of a block over its resolved denominator; a lemma's params lead with its prime."""
     row = block[i]
     params = row.params if row.p is None else {"p": row.p, **row.params}
     return IdentityCase(params, row.lhs, row.rhs, den[i] if isinstance(den, list) else den, row.modulus)
@@ -121,7 +133,7 @@ def _case(block: CaseBlock, den: int | list[int], i: int) -> IdentityCase:
 
 @dataclass(frozen=True)
 class ExactIdentity:
-    """One catalog entry; blocks(max_n) yields (block, den) per n or prime."""
+    """One catalog entry; blocks(max_n) yields (block, den) per n or prime, den deferred."""
 
     id: str
     description: str
@@ -131,7 +143,8 @@ class ExactIdentity:
     def cases(self, max_n: int) -> Iterator[IdentityCase]:
         """Every case of blocks(max_n), one row at a time: a view for tests."""
         for block, den in self.blocks(max_n):
-            yield from (_case(block, den, i) for i in range(len(block)))
+            dens = den()
+            yield from (_case(block, dens, i) for i in range(len(block)))
 
 
 @dataclass
@@ -180,6 +193,11 @@ def _block(keys: tuple[str, str], n: int, lhs: list[int], rhs: list[int]) -> Cas
     return CaseBlock([[keys, rows, ([n] * rows, [*range(rows)])]], lhs, rhs)
 
 
+def _partial_sum_den(ms: Sequence[int], nums: list[tuple[int, int]], u: int, scale_cd: int) -> list[int]:
+    """The denominator by row of one n of _partial_sum_blocks: big m^u scale cd."""
+    return [big * m**u * scale_cd for m, (_, big) in zip(ms, nums)]
+
+
 def _partial_sum_blocks(
     kind: str,
     c: int,
@@ -198,7 +216,8 @@ def _partial_sum_blocks(
     n, share one _weighted_coefficients list carried the same way: num at m
     is its Horner value at m, O(u) small-factor steps per base against the
     O(1) of a carried fixed base. With closed(n, .) = cn/cd, both sides go
-    over big m^u scale cd, one per row: num cd against cn big scale.
+    over big m^u scale cd, one per row: num cd against cn big scale. That
+    denominator is deferred, bound to this n's own ms, nums and u.
     """
 
     def blocks(max_n: int) -> Blocks:
@@ -226,9 +245,8 @@ def _partial_sum_blocks(
             nums = [*sums, *fresh]
             lhs = [num * cd for num, _ in nums]
             rhs = [cn * big * scale for _, big in nums]
-            den = [big * m**u * scale * cd for m, (_, big) in zip(ms, nums)]
             runs = [[("n",), 1, ([n],)]] if bases else [[("n", "m"), len(ms), ([n] * len(ms), ms)]]
-            yield CaseBlock(runs, lhs, rhs), den
+            yield CaseBlock(runs, lhs, rhs), partial(_partial_sum_den, ms, nums, u, scale * cd)
 
     return blocks
 
@@ -270,7 +288,7 @@ def _i5_blocks(max_n: int, gap: int = 1) -> Blocks:
         for m in range(n + 1):
             rhs.append(lead * c)
             c = c * (n - m) // (n + m + 2)
-        yield _block(("n", "m"), n, lhs, rhs), 16**n
+        yield _block(("n", "m"), n, lhs, rhs), partial(pow, 16, n)
 
 
 def _i6_blocks(max_n: int, trim: int = 0) -> Blocks:
@@ -278,14 +296,17 @@ def _i6_blocks(max_n: int, trim: int = 0) -> Blocks:
     # are symmetric, so the window folds to binom(2k,k) binom(2d,d) + 2 sum_{c=1}^{d}
     # binom(2k,k+c) binom(2d,d+c). True for trim = 0; the parameter exists so the
     # tests can plant a window that stops trim pairs short.
-    rows = [*islice(_central_rows(), max_n + 1)]
+    centers, halves = [], []  # binom(2d, d), and binom(2d, d+c) for 1 <= c <= d - trim
+    for d, row in enumerate(islice(_central_rows(), max_n + 1)):
+        centers.append(row[d])
+        halves.append(row[d + 1 : 2 * d + 1 - trim])
+    # the right side at (k, d) is binom(2j, j) at j = k + d
+    central = [comb(2 * j, j) for j in range(2 * max_n + 1)]
     for k in range(1, max_n + 1):
-        rk = rows[k]
-        lhs = []
-        for d in range(k + 1):
-            rd = rows[d]
-            lhs.append(rk[k] * rd[d] + 2 * sum(map(mul, rk[k + 1 : k + d + 1 - trim], rd[d + 1 :])))
-        yield _block(("k", "d"), k, lhs, [comb(2 * k + 2 * d, k + d) for d in range(k + 1)]), 1
+        ck, right = centers[k], halves[k]
+        # d <= k, so map stops at the end of half: d - trim pairs
+        lhs = [ck * center + 2 * sum(map(mul, right, half)) for center, half in zip(centers[: k + 1], halves)]
+        yield _block(("k", "d"), k, lhs, central[k : 2 * k + 1]), _unit
 
 
 def _i7_blocks(max_n: int, top: int = 2) -> Blocks:
@@ -312,9 +333,9 @@ def _i7_blocks(max_n: int, top: int = 2) -> Blocks:
         # compare coefficient vectors; encode the first mismatch position in params
         mismatch = next((j for j, (g, w) in enumerate(zip(got, closed)) if g != w), None)
         if mismatch is None:
-            yield CaseBlock([[("n", "coeffs"), 1, ([n], [n // 2 + 1])]], [1], [1]), 1
+            yield CaseBlock([[("n", "coeffs"), 1, ([n], [n // 2 + 1])]], [1], [1]), _unit
         else:
-            yield CaseBlock([[("n", "coeff_of"), 1, ([n], [mismatch])]], [got[mismatch]], [closed[mismatch]]), 1
+            yield CaseBlock([[("n", "coeff_of"), 1, ([n], [mismatch])]], [got[mismatch]], [closed[mismatch]]), _unit
 
 
 # -- prime-parameterized congruence lemmas ----------------------------------
@@ -325,7 +346,7 @@ def _lemma(fid: str) -> ExactIdentity:
 
     def blocks(max_n: int) -> Blocks:
         for p in primes_between(5, 2 * max_n + 1):
-            yield verify_family_case(fid, p), 1
+            yield verify_family_case(fid, p), _unit
 
     return ExactIdentity(fid, get_family(fid).description, "congruence", blocks)
 
@@ -352,7 +373,7 @@ def _z1_blocks(max_n: int, weight: int = -2) -> Blocks:
         ds = range(n - 1)
         lhs = [(n - d - 1) * (n + d + 2) * (2 * d + 1) * f[d + 2] for d in ds]
         rhs = [(2 * n + 1) ** 2 * (d + 1) * f[d + 1] - (n - d) * (n + d + 1) * (2 * d + 3) * f[d] for d in ds]
-        yield _block(("n", "d"), n, lhs, rhs), 1
+        yield _block(("n", "d"), n, lhs, rhs), _unit
 
 
 def _z_family(kind: str, base: int, a: int, b: Callable[[int], int]) -> Callable[[int], Blocks]:
@@ -376,7 +397,7 @@ def _z_family(kind: str, base: int, a: int, b: Callable[[int], int]) -> Callable
             rhs_core = b(n - 1) * top
             lhs = [a * (m + 1) ** 2 * tails[m + 1] + b(m) * tails[m] for m in range(n - 1)]
             rhs = [rhs_core * comb(n - 1, m) for m in range(n - 1)]
-            yield _block(("n", "m"), n, lhs, rhs), base ** (n - 1)
+            yield _block(("n", "m"), n, lhs, rhs), partial(pow, base, n - 1)
 
     return blocks
 
@@ -498,7 +519,8 @@ def run_identities(ids: list[str] | None, max_n: int) -> list[IdentityResult]:
             failed += block.counts[1]
             if block.counts[1] and len(failures) < 5:
                 bad = [i for i, verdict in enumerate(block.verdicts) if verdict is False]
-                failures += [_case(block, den, i) for i in bad[: 5 - len(failures)]]
+                dens = den()
+                failures += [_case(block, dens, i) for i in bad[: 5 - len(failures)]]
         elapsed = perf_counter() - start
         results.append(IdentityResult(ident.id, checked, failed, checked == 0, elapsed, failures))
     return results

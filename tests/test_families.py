@@ -490,6 +490,21 @@ def test_a_claim_cannot_be_evaluated_at_the_primes_its_domain_excludes(fid):
             get_family(fid).cases(q)
 
 
+def test_parity_outside_the_claim_leaves_a_nonzero_residue():
+    # negative control: E1.7 claims sum binom(2k,k) binom(2k,k+d)/8^k == 0 mod p
+    # only for d of the parity of (p+1)/2; at every d of the other parity the
+    # informational residue in the skip note must be nonzero
+    for q in primes_between(7, 150):
+        block = get_family("E1.7").cases(q)
+        claimed = (q + 1) // 2 % 2
+        skips = [i for i, verdict in enumerate(block.verdicts) if verdict is None]
+        assert skips == [d for d in range((q + 1) // 2) if d % 2 != claimed], q
+        for i in skips:
+            head, residue = block.notes[i].rsplit(" ", 1)
+            assert head == "parity outside the claim; informational residue", (q, i)
+            assert 0 < int(residue) < q, (q, i)
+
+
 # Every family that calls truncated_sum. The per-d families call it once per
 # member, over every shift d; the others make the same calls at every prime.
 _SUM_FAMILIES = [

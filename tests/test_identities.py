@@ -481,7 +481,9 @@ def test_one_over_the_shared_denominator_fails(ident_id):
     assert not any(block.counts[1] for block, _ in blocks)
     block, den = blocks[-1]
     assert block[0].params["n"] == 20
-    dens = den if isinstance(den, list) else [den] * len(block)
+    # the denominator comes deferred; resolved, it is one int or one per row
+    dens = den()
+    dens = dens if isinstance(dens, list) else [dens] * len(block)
     widest = max(range(len(block)), key=lambda i: abs(dens[i]))
     for column, i in (("lhs", widest), ("rhs", 0)):
         sides = {"lhs": [*block.lhs], "rhs": [*block.rhs]}
@@ -489,6 +491,47 @@ def test_one_over_the_shared_denominator_fails(ident_id):
         assert abs(Fraction(sides["lhs"][i] - sides["rhs"][i], dens[i])) == Fraction(1, abs(dens[i]))
         planted = CaseBlock(block.runs, sides["lhs"], sides["rhs"])
         assert planted.counts == (len(block) - 1, 1, 0) and planted.verdicts[i] is False, (column, i)
+
+
+@pytest.mark.parametrize("ident_id", identity_ids())
+def test_deferred_denominators_bind_their_own_block(ident_id):
+    # each block's denominator, resolved after the generator has run out,
+    # equals the one resolved as its block came: no state of a later n leaks in
+    ident = {ident.id: ident for ident in identity_catalog()}[ident_id]
+    blocks = list(ident.blocks(30))
+    late = [den() for _, den in blocks]
+    assert late == [den() for _, den in ident.blocks(30)]
+    # resolved, a denominator is one int or one per row
+    assert all(isinstance(d, int) or len(d) == len(block) for d, (block, _) in zip(late, blocks))
+
+
+def test_a_passing_run_resolves_no_denominator(monkeypatch):
+    # the verdicts read only the numerators, so run_identities calls a
+    # block's denominator only for a failure it keeps, once per such block
+    resolved = []
+
+    def spied(blocks):
+        def wrapped(max_n):
+            for block, den in blocks(max_n):
+                yield block, partial(resolve, block, den)
+
+        return wrapped
+
+    def resolve(block, den):
+        resolved.append(block)
+        return den()
+
+    for ident in identity_catalog():
+        spy = identities.ExactIdentity(ident.id, ident.description, ident.kind, spied(ident.blocks))
+        monkeypatch.setitem(identities._BY_ID, ident.id, spy)
+    results = run_identities(identity_ids(), 20)
+    assert all(r.ok for r in results) and sum(r.checked for r in results) > 0
+    assert resolved == []
+    planted = spied(_z_family("cubic", 27, 10, lambda m: (3 * m + 1) * (3 * m + 2)))
+    monkeypatch.setitem(identities._BY_ID, "Z2", identities.ExactIdentity("Z2", "planted", "recurrence", planted))
+    (result,) = run_identities(["Z2"], 20)
+    # n = 2 has one row and n = 3 two, both failing, then n = 4 fills the five kept
+    assert len(result.failures) == 5 and [block[0].params["n"] for block in resolved] == [2, 3, 4]
 
 
 def test_one_over_a_lemma_residue_fails():
@@ -547,7 +590,7 @@ def test_case_pass_semantics(monkeypatch):
     # equal, so equal over Q, also over a negative denominator
     block = CaseBlock([[("n", "m"), 3, ([1, 1, 1], [0, 1, 2])]], [3, 3, -10], [3, -3, -10])
     assert block.verdicts == [True, False, True] and block.counts == (2, 1, 0)
-    planted = identities.ExactIdentity("P", "planted", "identity", lambda max_n: iter([(block, [-7, -7, 4])]))
+    planted = identities.ExactIdentity("P", "planted", "identity", lambda max_n: iter([(block, lambda: [-7, -7, 4])]))
     assert [(case.lhs, case.rhs) for case in planted.cases(1)] == [
         (Fraction(-3, 7), Fraction(-3, 7)),
         (Fraction(-3, 7), Fraction(3, 7)),
