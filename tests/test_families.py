@@ -6,6 +6,7 @@ from functools import partial
 from itertools import repeat
 from math import comb
 from operator import mul
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from supercong.congruences.families import (
     _weight_vectors,
 )
 from supercong.congruences.identities import M_SET
-from supercong.curves import char_sum_a, thm11_rhs, weighted_char_sum
+from supercong.curves import char_sum_a, cornacchia_two_squares, thm11_rhs, weighted_char_sum
 from supercong.errors import NonUnitDivisor, UnknownId, WrongResidueClass
 from supercong.padic import legendre_symbol, padic_from_rational, primes_between
 
@@ -413,6 +414,23 @@ def test_sum_family_mutants_fail(fid, attr, replacement, gen, monkeypatch):
         monkeypatch.setattr(families, attr, replacement)
     failing = _failing_rows(gen or get_family(fid).cases, primes_between(7, 50))
     assert failing, fid
+
+
+@pytest.mark.parametrize(
+    "fid, attr, replacement",
+    [
+        *((fid, "comb", lambda n, k: comb(n, k) + 1)
+          for fid in ("G1", "G2", "B1", "B2", "B3", "B4", "I8", "E1.5", "E1.6", "T1.6", "A2")),
+        # x + 4 is still 1 mod 4, so only the closed forms' values can show it
+        *((fid, "cornacchia_two_squares", lambda q: SimpleNamespace(x=cornacchia_two_squares(q).x + 4))
+          for fid in ("G1", "G2", "G3", "G4", "T1.6")),
+    ],
+)
+def test_binomial_and_two_square_mutants_fail(fid, attr, replacement, monkeypatch):
+    # the families' own closed forms, with C(n, k) one too large or x four too large
+    fam = get_family(fid)
+    monkeypatch.setattr(families, attr, replacement)
+    assert _failing_rows(fam.cases, [q for q in primes_between(7, 50) if fam.applies(q)]), fid
 
 
 @pytest.mark.parametrize("fid", ["E1.3", "R1.4a", "R1.4b"])

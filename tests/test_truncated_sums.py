@@ -361,9 +361,12 @@ _CATALAN_TERMS = [comb(2 * k, k) * comb(3 * k, k) for k in range(41)]
 @example(terms=[], m=8, a=1, b=1, c=1)
 def test_weighted_coefficients_evaluate_to_weighted_prefixes(terms, m, a, b, c):
     # the Horner value at m of the u-th coefficient list is the u-th numerator
-    # of weighted_prefixes at the weight a + (b - m) k + c/(k+1), over the same big
+    # of weighted_prefixes at the weight a + (b - m) k + c/(k+1), over the same
+    # big. Both step on one lcm and weight step, so for m != 0 each prefix is
+    # also checked against a plain Fraction sum of its terms.
     steps = list(zip(sums._weighted_coefficients(terms, a, b, c), sums.weighted_prefixes(terms, m, a, b - m, c)))
     assert len(steps) == len(terms)
+    oracle = Fraction(0)
     for u, ((coeffs, big), (num, want_big)) in enumerate(steps):
         assert len(coeffs) == u + 1
         value = 0
@@ -371,3 +374,6 @@ def test_weighted_coefficients_evaluate_to_weighted_prefixes(terms, m, a, b, c):
             value = value * m + x
         assert (value, big) == (num, want_big), u
         assert c or big == 1
+        if m:
+            oracle += (a + (b - m) * u + Fraction(c, u + 1)) * Fraction(terms[u], m**u)
+            assert Fraction(num, big * m**u) == oracle, u
